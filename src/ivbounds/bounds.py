@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .data import ObservedTables, ValidationError, observable_point
+from .data import DECIMAL_TOLERANCE, ObservedTables, ValidationError, observable_point
 from .forms import (
     AffineForm,
     CoordinateSpace,
@@ -23,15 +23,13 @@ from .forms import (
     RationalLike,
     Relation,
     canonicalize,
+    format_rational,
     rational,
 )
 from .polytope import HRepresentation, facet_enumeration, reduce_mod_equalities
 from .scenarios import Scenario, get_scenario, scenario_vertex_set
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-DECIMAL_TOLERANCE = Fraction(1, 2000)
 
 
 class TargetUnconstrained(ValueError):
@@ -59,8 +57,6 @@ class BoundSet:
 
     def to_json_dict(self) -> dict:
         def form_dict(f: AffineForm) -> dict:
-            from .forms import format_rational
-
             return {
                 "coeffs": {lab: format_rational(c) for lab, c in f.as_dict().items()},
                 "const": format_rational(f.constant),
@@ -107,13 +103,6 @@ def classify_observable(
     return tuple(nontrivial), tuple(trivial)
 
 
-def _drop_coordinate(form: AffineForm, space: CoordinateSpace, drop: str) -> AffineForm:
-    di = form.space.index(drop)
-    assert form.coefficients[di] == 0
-    coeffs = tuple(c for i, c in enumerate(form.coefficients) if i != di)
-    return AffineForm(space, coeffs, form.constant)
-
-
 def partition(h: HRepresentation, target: str) -> BoundSet:
     """Split an H-representation into observable tests and target bounds.
 
@@ -129,47 +118,42 @@ def partition(h: HRepresentation, target: str) -> BoundSet:
     obs_labels = tuple(l for l in h.space.labels if l != target)
     obs_space = CoordinateSpace(f"{h.space.name}-observables", obs_labels)
 
+    def to_obs(con: LinearConstraint) -> LinearConstraint:
+        # Dropping a coordinate with zero coefficient keeps a canonical
+        # constraint canonical.
+        form = con.form
+        assert form.coefficients[ti] == 0
+        coeffs = form.coefficients[:ti] + form.coefficients[ti + 1 :]
+        return LinearConstraint(AffineForm(obs_space, coeffs, form.constant), con.relation)
+
+    def solve_for_target(form: AffineForm) -> AffineForm:
+        # form = 0  <=>  target = -(form - c * target) / c
+        c = form.coefficients[ti]
+        coeffs = tuple(-a / c if a else a for i, a in enumerate(form.coefficients) if i != ti)
+        return AffineForm(obs_space, coeffs, -form.constant / c)
+
     lower: list[AffineForm] = []
     upper: list[AffineForm] = []
-    observable_facets: list[LinearConstraint] = []
-    hull_eqs: list[LinearConstraint] = []
-
-    def to_obs(form: AffineForm) -> AffineForm:
-        return _drop_coordinate(form, obs_space, target)
-
     obs_only = []
     for facet in h.facets:
         reduced = reduce_mod_equalities(facet.form, h.equalities)
         c = reduced.coefficients[ti]
         if c == 0:
-            obs_only.append(canonicalize(LinearConstraint(reduced, Relation.GEQ)))
-        elif c > 0:
-            rest = reduced - AffineForm.coordinate(h.space, target).scaled(c)
-            lower.append(to_obs(rest.scaled(-_ONE / c)))
+            obs_only.append(LinearConstraint(reduced, Relation.GEQ))
         else:
-            rest = reduced - AffineForm.coordinate(h.space, target).scaled(c)
-            upper.append(to_obs(rest.scaled(-_ONE / c)))
+            (lower if c > 0 else upper).append(solve_for_target(reduced))
 
+    hull_eqs: list[LinearConstraint] = []
     for eq in h.equalities:
-        c = eq.form.coefficients[ti]
-        if c == 0:
-            hull_eqs.append(
-                canonicalize(LinearConstraint(to_obs(eq.form), Relation.EQ))
-            )
+        if eq.form.coefficients[ti] == 0:
+            hull_eqs.append(canonicalize(to_obs(eq)))
         else:
-            rest = eq.form - AffineForm.coordinate(h.space, target).scaled(c)
-            solved = to_obs(rest.scaled(-_ONE / c))
+            solved = solve_for_target(eq.form)
             lower.append(solved)
             upper.append(solved)
 
     sub_h = HRepresentation(h.space, h.equalities, tuple(obs_only), h.affine_dimension)
     nontrivial, trivial = classify_observable(sub_h)
-    nontrivial = tuple(
-        canonicalize(LinearConstraint(to_obs(c.form), Relation.GEQ)) for c in nontrivial
-    )
-    trivial = tuple(
-        canonicalize(LinearConstraint(to_obs(c.form), Relation.GEQ)) for c in trivial
-    )
 
     if not lower and not upper:
         if target in ("alpha", "beta"):
@@ -184,8 +168,8 @@ def partition(h: HRepresentation, target: str) -> BoundSet:
         space=obs_space,
         lower_forms=tuple(lower),
         upper_forms=tuple(upper),
-        observable_tests=nontrivial,
-        trivial_tests=trivial,
+        observable_tests=tuple(to_obs(c) for c in nontrivial),
+        trivial_tests=tuple(to_obs(c) for c in trivial),
         hull_equalities=tuple(hull_eqs),
     )
 

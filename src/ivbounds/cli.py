@@ -26,7 +26,7 @@ from .bounds import (
 from .data import BUNDLED_DATASETS, ObservedTables, derive_marginals, load
 from .forms import MissingCoordinate, format_decimal, format_rational
 from .oracle import MismatchError, cross_check
-from .scenarios import SCENARIOS, get_scenario, scenario_vertex_set
+from .scenarios import SCENARIOS, enumerate_parameter_vertices, get_scenario, scenario_vertex_set
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -360,7 +360,7 @@ def _cmd_scenario(args) -> int:
                 "target": s.causal_target,
                 "uses_psi": s.uses_psi,
                 "labels": list(s.space.labels),
-                "parameter_vertices": 32 if s.uses_psi else 16,
+                "parameter_vertices": len(enumerate_parameter_vertices(s)),
                 "distinct_images": len(images),
             }
         )

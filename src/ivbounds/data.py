@@ -29,6 +29,10 @@ BUNDLED_DATASETS = ("lipid", "vitamin-a")
 
 DEFAULT_SUM_DEVIATION = Fraction(1, 100)
 
+# Half a unit in the fourth decimal: how far rounded decimal tables may
+# stray from exact agreement.
+DECIMAL_TOLERANCE = Fraction(1, 2000)
+
 
 class ParseError(ValueError):
     """Input text or structure cannot be read as tables."""
@@ -145,6 +149,37 @@ def build_tables(
     return _validate(t, max_deviation)
 
 
+def _implied_marginals(t: ObservedTables) -> dict[str, dict]:
+    """gamma, theta and (given arm weights) phi as implied by the zeta table."""
+    z = t.zeta
+    out = {
+        "gamma": {(c, a): z[(c, 0, a)] + z[(c, 1, a)] for c in (0, 1) for a in _ARMS},
+        "theta": {(b, a): z[(0, b, a)] + z[(1, b, a)] for b in (0, 1) for a in _ARMS},
+    }
+    if t.arm_weights is not None:
+        w1, w2 = t.arm_weights
+        out["phi"] = {(c, b): z[(c, b, 1)] * w1 + z[(c, b, 2)] * w2 for c, b in _CB_PAIRS}
+    return out
+
+
+def _check_marginals(t: ObservedTables) -> None:
+    """Explicit gamma/theta/phi must agree with the tables' own zeta and arm weights.
+
+    Exact input must agree exactly; rounded decimal input within
+    DECIMAL_TOLERANCE per entry.
+    """
+    if t.zeta is None:
+        return
+    tol = DECIMAL_TOLERANCE if t.decimal_input else _ZERO
+    for name, implied in _implied_marginals(t).items():
+        for key, value in (getattr(t, name) or {}).items():
+            if abs(value - implied[key]) > tol:
+                raise ValidationError(
+                    f"{name}{list(key)} = {format_rational(value)} contradicts zeta, "
+                    f"which implies {format_rational(implied[key])}"
+                )
+
+
 def _contains_decimal(value) -> bool:
     if isinstance(value, str):
         return "." in value or "e" in value.lower()
@@ -166,23 +201,28 @@ def _load_json_text(text: str, max_deviation: Fraction) -> ObservedTables:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError("top-level JSON value must be an object")
-    unknown = set(raw) - set(_TABLE_KEYS)
+    unknown = set(raw) - set(_TABLE_KEYS) - {"decimal_input"}
     if unknown:
         raise ParseError(f"unknown table keys: {sorted(unknown)}")
+    rounded = raw.get("decimal_input", False)
+    if not isinstance(rounded, bool):
+        raise ParseError("decimal_input must be true or false")
     try:
-        return build_tables(
+        tables = build_tables(
             zeta=raw.get("zeta"),
             gamma=raw.get("gamma"),
             theta=raw.get("theta"),
             phi=raw.get("phi"),
             arm_weights=raw.get("arm_weights"),
-            decimal_input=_contains_decimal(raw),
+            decimal_input=rounded or _contains_decimal(raw),
             max_deviation=max_deviation,
         )
     except (TypeError, ValueError) as exc:
         if isinstance(exc, (ParseError, ValidationError)):
             raise
         raise ParseError(str(exc)) from exc
+    _check_marginals(tables)
+    return tables
 
 
 def _load_csv_text(text: str, max_deviation: Fraction) -> ObservedTables:
@@ -239,7 +279,11 @@ def load(
 
 
 def serialize(t: ObservedTables) -> dict:
-    """JSON-ready dict with exact 'p/q' strings; load(serialize(t)) == t."""
+    """JSON-ready dict with exact 'p/q' strings; load(serialize(t)) == t.
+
+    Tables that came from rounded decimals carry "decimal_input": true, so
+    a reloaded copy keeps their tolerance.
+    """
     out: dict = {}
     if t.zeta is not None:
         out["zeta"] = {
@@ -253,6 +297,8 @@ def serialize(t: ObservedTables) -> dict:
         out["phi"] = [format_rational(t.phi[cb]) for cb in _CB_PAIRS]
     if t.arm_weights is not None:
         out["arm_weights"] = [format_rational(w) for w in t.arm_weights]
+    if t.decimal_input:
+        out["decimal_input"] = True
     return out
 
 
@@ -269,27 +315,12 @@ def derive_marginals(t: ObservedTables, *, require_phi: bool = False) -> Observe
     """
     if t.zeta is None:
         raise ValidationError("cannot derive marginals without a zeta table")
-    gamma = t.gamma
-    if gamma is None:
-        gamma = {
-            (c, a): t.zeta[(c, 0, a)] + t.zeta[(c, 1, a)] for c in (0, 1) for a in _ARMS
-        }
-    theta = t.theta
-    if theta is None:
-        theta = {
-            (b, a): t.zeta[(0, b, a)] + t.zeta[(1, b, a)] for b in (0, 1) for a in _ARMS
-        }
-    phi = t.phi
-    if phi is None:
-        if t.arm_weights is not None:
-            w1, w2 = t.arm_weights
-            phi = {
-                (c, b): t.zeta[(c, b, 1)] * w1 + t.zeta[(c, b, 2)] * w2 for c, b in _CB_PAIRS
-            }
-        elif require_phi:
-            raise MissingArmWeights(
-                "phi requires arm weights; no equal-weight default is assumed"
-            )
+    implied = _implied_marginals(t)
+    gamma = implied["gamma"] if t.gamma is None else t.gamma
+    theta = implied["theta"] if t.theta is None else t.theta
+    phi = implied.get("phi") if t.phi is None else t.phi
+    if phi is None and require_phi:
+        raise MissingArmWeights("phi requires arm weights; no equal-weight default is assumed")
     return ObservedTables(t.zeta, gamma, theta, phi, t.arm_weights, t.decimal_input)
 
 

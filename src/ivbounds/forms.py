@@ -1,10 +1,9 @@
 """Exact rational affine forms and linear constraints over named coordinate spaces.
 
 Everything downstream (vertex transforms, facet enumeration, bound
-evaluation) is built on these types. All arithmetic runs on
-``fractions.Fraction``; floats are rejected at the boundary so rounding can
-never enter a derivation. Floating point appears only when rendering report
-text.
+evaluation) is built on these types. Values are exact ``fractions.Fraction``
+rationals; floats are rejected at the boundary so rounding can never enter
+a derivation. Floating point appears only when rendering report text.
 """
 
 from __future__ import annotations
@@ -13,8 +12,9 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
+
+from .introws import primitive
 
 Rational = Fraction
 
@@ -126,14 +126,15 @@ class AffineForm:
     constant: Fraction = _ZERO
 
     def __post_init__(self):
-        coeffs = tuple(Fraction(c) for c in self.coefficients)
+        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coefficients)
         if len(coeffs) != self.space.dimension:
             raise ValueError(
                 f"expected {self.space.dimension} coefficients for space "
                 f"{self.space.name!r}, got {len(coeffs)}"
             )
         object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "constant", Fraction(self.constant))
+        if type(self.constant) is not Fraction:
+            object.__setattr__(self, "constant", Fraction(self.constant))
 
     @classmethod
     def zero(cls, space: CoordinateSpace) -> "AffineForm":
@@ -313,9 +314,6 @@ class LinearConstraint:
             return abs(s) <= tol
         return s >= -tol
 
-    def canonical(self) -> "LinearConstraint":
-        return canonicalize(self)
-
     def key(self) -> tuple:
         return (self.relation.value, self.form.coefficients, self.form.constant)
 
@@ -338,36 +336,26 @@ def canonicalize(constraint: LinearConstraint) -> LinearConstraint:
     statement raise IdenticallyFalse.
     """
     form = constraint.form
-    entries = list(form.coefficients) + [form.constant]
-    scale = 1
-    for q in entries:
-        scale = lcm(scale, q.denominator)
-    ints = [int(q * scale) for q in entries]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    coeffs, const = ints[:-1], ints[-1]
+    row = primitive(form.coefficients + (form.constant,))
+    return constraint_from_row(form.space, row, constraint.relation)
+
+
+def constraint_from_row(
+    space: CoordinateSpace, row: Sequence[int], relation: Relation
+) -> LinearConstraint:
+    """Canonical constraint row[:-1].x + row[-1] (= or >=) 0 from coprime integers."""
+    coeffs, const = row[:-1], row[-1]
     if not any(coeffs):
-        if constraint.relation is Relation.EQ:
-            if const != 0:
-                raise IdenticallyFalse(f"equality reduces to {const} = 0")
-        else:
-            if const < 0:
-                raise IdenticallyFalse(f"inequality reduces to {const} >= 0")
-        return LinearConstraint(
-            AffineForm(form.space, (_ZERO,) * form.space.dimension, Fraction(const)),
-            constraint.relation,
-        )
-    if constraint.relation is Relation.EQ:
-        lead = next(c for c in coeffs if c)
-        if lead < 0:
-            coeffs = [-c for c in coeffs]
-            const = -const
+        if relation is Relation.EQ and const != 0:
+            raise IdenticallyFalse(f"equality reduces to {const} = 0")
+        if relation is Relation.GEQ and const < 0:
+            raise IdenticallyFalse(f"inequality reduces to {const} >= 0")
+    elif relation is Relation.EQ and next(c for c in coeffs if c) < 0:
+        coeffs = [-c for c in coeffs]
+        const = -const
     return LinearConstraint(
-        AffineForm(form.space, tuple(Fraction(c) for c in coeffs), Fraction(const)),
-        constraint.relation,
+        AffineForm(space, tuple(Fraction(c) for c in coeffs), Fraction(const)),
+        relation,
     )
 
 

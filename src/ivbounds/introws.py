@@ -1,0 +1,87 @@
+"""Exact linear algebra on integer rows, with no fractions inside.
+
+Every elimination of the derivation path, and the LP oracle's equality
+pre-reduction, runs here. Rational input is scaled row by row to coprime
+integers first (scaling a row changes neither its row space nor the sign
+of what it evaluates to). Elimination is fraction-free in Bareiss's
+style: each intermediate entry is a minor of the input, so every division
+is exact and entries stay bounded by the input's minors. Callers turn
+results back into ``Fraction`` only at the package's API boundary.
+"""
+
+from __future__ import annotations
+
+from math import gcd, lcm
+from typing import Sequence
+
+
+def primitive(values: Sequence) -> tuple[int, ...]:
+    """Coprime integers with the direction of a rational vector.
+
+    Accepts ints and Fractions; a zero vector stays zero.
+    """
+    scale = lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (scale // v.denominator) for v in values]
+    g = gcd(*ints)
+    if g > 1:
+        return tuple(v // g for v in ints)
+    return tuple(ints)
+
+
+def rref(rows: Sequence[Sequence[int]], width: int) -> tuple[list[list[int]], int, list[int]]:
+    """Fraction-free reduced row echelon form (Bareiss-style Gauss-Jordan).
+
+    Returns (reduced, d, pivots): the nonzero rows of d times the reduced
+    row echelon form of the integer rows, an integer d > 0, and the pivot
+    columns. Only the first ``width`` columns may hold pivots; a row that
+    is zero there is dropped. Each step scales every row by the new pivot
+    and divides exactly by the previous one, so all pivot entries end up
+    equal to d.
+    """
+    work = [list(r) for r in rows]
+    pivots: list[int] = []
+    prev = 1
+    for col in range(width):
+        rank = len(pivots)
+        pivot_row = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if pivot_row is None:
+            continue
+        work[rank], work[pivot_row] = work[pivot_row], work[rank]
+        top = work[rank]
+        p = top[col]
+        for i, row in enumerate(work):
+            if i != rank:
+                f = row[col]
+                work[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+        prev = p
+        pivots.append(col)
+    reduced = work[: len(pivots)]
+    if prev < 0:
+        prev = -prev
+        reduced = [[-v for v in row] for row in reduced]
+    return reduced, prev, pivots
+
+
+def independent_rows(rows: Sequence[Sequence[int]], need: int) -> list[int]:
+    """Indices of the first ``need`` rows that are linearly independent.
+
+    They are the first pivot columns of the transposed matrix.
+    """
+    _, _, pivots = rref(list(zip(*rows)), len(rows))
+    if len(pivots) < need:
+        raise ValueError("rows do not span the required rank")
+    return pivots[:need]
+
+
+def scaled_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """(columns, d) with columns[j] / d the j-th column of the inverse, d > 0.
+
+    The rows must form an invertible square integer matrix; up to sign,
+    d is its determinant and the columns are those of its adjugate.
+    """
+    n = len(rows)
+    aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
+    reduced, d, pivots = rref(aug, n)
+    if len(pivots) != n:
+        raise ValueError("matrix is singular")
+    return [[reduced[i][n + j] for i in range(n)] for j in range(n)], d

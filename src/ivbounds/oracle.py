@@ -4,9 +4,11 @@ Any distribution consistent with a scenario is a convex mixture of the
 scenario's parameter-vertex images, so the sharp range of the causal
 target at a data point is the min/max of a linear program over mixture
 weights. Solving that program exactly and comparing with the closed-form
-bounds catches derivation errors on either side. Two-phase simplex with
-Bland's rule over Fraction arithmetic: slow on paper, instant at this
-problem size, and immune to both cycling and rounding.
+bounds catches derivation errors on either side. The equality system is
+first reduced by fraction-free integer elimination (introws); then a
+two-phase simplex with Bland's rule runs over Fraction arithmetic: slow on
+paper, instant at this problem size, and immune to both cycling and
+rounding.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Literal, Mapping, Sequence
 from .bounds import BoundSet, derive, evaluate_bounds, model_check
 from .data import ObservedTables, observable_point
 from .forms import RationalLike, rational
-from .polytope import _rref
+from .introws import primitive, rref
 from .scenarios import Scenario, get_scenario, scenario_vertex_set
 
 _ZERO = Fraction(0)
@@ -139,13 +141,13 @@ def solve(lp: MixtureLP, sense: Literal["min", "max"] = "min") -> LPResult:
     # Reduce the equality system first: redundant rows disappear and an
     # inconsistent system is caught without touching the simplex.
     aug = [
-        [lp.columns[j][i] for j in range(n)] + [lp.rhs[i]] for i in range(m)
+        primitive([lp.columns[j][i] for j in range(n)] + [lp.rhs[i]]) for i in range(m)
     ]
-    reduced, pivots = _rref(aug, n + 1)
+    reduced, d, pivots = rref(aug, n + 1)
     if n in pivots:
         return LPResult(status="infeasible", value=None, weights=None)
-    rows = [r[:n] for r in reduced]
-    b = [r[n] for r in reduced]
+    rows = [[Fraction(v, d) for v in r[:n]] for r in reduced]
+    b = [Fraction(r[n], d) for r in reduced]
     m = len(rows)
     if m == 0:
         if all(c >= 0 for c in cost):

@@ -6,14 +6,16 @@ points never span the ambient space. facet_enumeration therefore works
 affine-hull-first. It computes the hull equalities, projects the points
 onto an independent coordinate chart where they are full-dimensional, runs
 an incremental double description pass there, and lifts the resulting
-facets back. All arithmetic is exact.
+facets back. Points and forms are exact rationals at the API; inside,
+elimination and the double description run on primitive integer rows
+(see introws), so no Fraction is built until results are lifted back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .forms import (
@@ -22,56 +24,13 @@ from .forms import (
     IdenticallyFalse,
     LinearConstraint,
     Relation,
-    constraint_sort_key,
-    canonicalize,
-    rational,
+    constraint_from_row,
 )
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .introws import independent_rows, primitive, rref, scaled_inverse
 
 
 class DimensionOverflow(ValueError):
     """The vertex set lives in more coordinates than the configured cap."""
-
-
-def _primitive(vec: Sequence[Fraction]) -> tuple[int, ...]:
-    """Scale a rational vector to coprime integers, preserving direction."""
-    scale = 1
-    for q in vec:
-        scale = lcm(scale, q.denominator)
-    ints = [int(q * scale) for q in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
-
-
-def _rref(rows: list[list[Fraction]], width: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns the nonzero rows and pivot columns."""
-    rows = [list(r) for r in rows]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(width):
-        pivot_row = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        inv = _ONE / rows[rank][col]
-        rows[rank] = [v * inv for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    return rows[:rank], pivots
 
 
 @dataclass(frozen=True)
@@ -101,9 +60,6 @@ class VertexSet:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def point(self, i: int) -> dict[str, Fraction]:
-        return dict(zip(self.space.labels, self.vertices[i]))
-
     def restrict(self, labels: Sequence[str], name: str | None = None) -> "VertexSet":
         """Project onto a subset of coordinates (duplicates re-merged)."""
         sub = CoordinateSpace(name or f"{self.space.name}:restricted", tuple(labels))
@@ -128,25 +84,54 @@ class AffineHull:
 
 def affine_hull(vs: VertexSet) -> AffineHull:
     """Compute the affine hull of a vertex set exactly."""
-    base = vs.vertices[0]
     m = vs.space.dimension
-    diffs = [[v[j] - base[j] for j in range(m)] for v in vs.vertices[1:]]
-    rref, pivots = _rref(diffs, m)
+    # One common scale keeps the vertex differences, and so their row space, exact.
+    scale = lcm(*(q.denominator for v in vs.vertices for q in v))
+    points = [[q.numerator * (scale // q.denominator) for q in v] for v in vs.vertices]
+    base = points[0]
+    reduced, d, pivots = rref([[a - b for a, b in zip(v, base)] for v in points[1:]], m)
     pivot_set = set(pivots)
     equalities: list[LinearConstraint] = []
     for free in (j for j in range(m) if j not in pivot_set):
-        coeffs = [_ZERO] * m
-        coeffs[free] = _ONE
-        for row, piv in zip(rref, pivots):
-            if row[free]:
-                coeffs[piv] = -row[free]
-        const = _ZERO
-        for c, b in zip(coeffs, base):
-            if c:
-                const -= c * b
-        form = AffineForm(vs.space, tuple(coeffs), const)
-        equalities.append(canonicalize(LinearConstraint(form, Relation.EQ)))
+        coeffs = [0] * m
+        coeffs[free] = d
+        for row, piv in zip(reduced, pivots):
+            coeffs[piv] = -row[free]
+        row = [c * scale for c in coeffs] + [-sum(c * b for c, b in zip(coeffs, base))]
+        equalities.append(constraint_from_row(vs.space, primitive(row), Relation.EQ))
     return AffineHull(vs.space, tuple(equalities), len(pivots), tuple(pivots))
+
+
+# The triangular system of the last equality tuple reduced against: every
+# facet of one hull is reduced modulo the same tuple, so it is built once.
+_last_triangular: tuple = (None, None)
+
+
+def _triangular(equalities: Sequence[LinearConstraint]) -> tuple[list[tuple[int, list[int]]], int]:
+    """Integer rows (trailing coordinate, coefficients + constant) and their common pivot d.
+
+    Each row has d at its trailing nonzero coordinate, and that coordinate
+    is zero in every other row.
+    """
+    global _last_triangular
+    cached, result = _last_triangular
+    if cached is equalities:
+        return result
+    m = equalities[0].form.space.dimension
+    flipped = []
+    for eq in equalities:
+        if eq.relation is not Relation.EQ:
+            raise ValueError("reduce_mod_equalities expects EQ constraints")
+        row = primitive(eq.form.coefficients + (eq.form.constant,))
+        # Reversed coordinates, so elimination prefers pivots from the right.
+        flipped.append(row[m - 1 :: -1] + row[m:])
+    reduced, d, pivots = rref(flipped, m + 1)
+    if m in pivots:
+        raise IdenticallyFalse("equalities are mutually inconsistent")
+    table = [(m - 1 - p, row[m - 1 :: -1] + row[m:]) for row, p in zip(reduced, pivots)]
+    if type(equalities) is tuple:
+        _last_triangular = (equalities, (table, d))
+    return table, d
 
 
 def reduce_mod_equalities(
@@ -164,34 +149,19 @@ def reduce_mod_equalities(
     """
     if not equalities:
         return form
-    m = form.space.dimension
-    rows = []
-    for eq in equalities:
-        if eq.relation is not Relation.EQ:
-            raise ValueError("reduce_mod_equalities expects EQ constraints")
-        rows.append(list(eq.form.coefficients) + [eq.form.constant])
-    # Triangularize with column preference from the right (constant excluded).
-    flipped = [list(reversed(r[:m])) + [r[m]] for r in rows]
-    rref, _ = _rref(flipped, m)
-    table: list[tuple[int, list[Fraction], Fraction]] = []
-    for row in rref:
-        coeffs = list(reversed(row[:m]))
-        const = row[m]
-        if not any(coeffs):
-            if const:
-                raise IdenticallyFalse("equalities are mutually inconsistent")
-            continue
-        trailing = max(j for j in range(m) if coeffs[j])
-        inv = _ONE / coeffs[trailing]
-        table.append((trailing, [c * inv for c in coeffs], const * inv))
-    out_coeffs = list(form.coefficients)
-    out_const = form.constant
-    for trailing, coeffs, const in table:
-        factor = out_coeffs[trailing]
-        if factor:
-            out_coeffs = [a - factor * b for a, b in zip(out_coeffs, coeffs)]
-            out_const -= factor * const
-    return AffineForm(form.space, tuple(out_coeffs), out_const)
+    table, d = _triangular(equalities)
+    entries = form.coefficients + (form.constant,)
+    scale = lcm(*(q.denominator for q in entries))
+    values = [q.numerator * (scale // q.denominator) for q in entries]
+    hits = [(values[t], row) for t, row in table if values[t]]
+    if not hits:
+        return form
+    out = [d * v for v in values]
+    for f, row in hits:
+        out = [a - f * b for a, b in zip(out, row)]
+    scale *= d
+    values = [Fraction(a, scale) for a in out]
+    return AffineForm(form.space, tuple(values[:-1]), values[-1])
 
 
 @dataclass(frozen=True)
@@ -249,41 +219,6 @@ class HRepresentation:
         }
 
 
-def _independent_rows(vectors: list[tuple[Fraction, ...]], need: int) -> list[int]:
-    """Indices of the first ``need`` linearly independent vectors."""
-    basis: list[list[Fraction]] = []
-    chosen: list[int] = []
-    for i, vec in enumerate(vectors):
-        work = list(vec)
-        for row in basis:
-            lead = next(j for j in range(len(row)) if row[j])
-            if work[lead]:
-                f = work[lead] / row[lead]
-                work = [a - f * b for a, b in zip(work, row)]
-        if any(work):
-            basis.append(work)
-            chosen.append(i)
-            if len(chosen) == need:
-                return chosen
-    raise ValueError("vectors do not span the required rank")
-
-
-def _inverse_columns(rows: list[tuple[Fraction, ...]]) -> list[list[Fraction]]:
-    """Columns of the inverse of the square matrix with the given rows."""
-    n = len(rows)
-    aug = [list(r) + [_ONE if i == j else _ZERO for j in range(n)] for i, r in enumerate(rows)]
-    for col in range(n):
-        pivot = next(i for i in range(col, n) if aug[i][col])
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = _ONE / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [[aug[i][n + j] for i in range(n)] for j in range(n)]
-
-
 def _polar_extreme_rays(points: list[tuple[Fraction, ...]], dim: int) -> list[tuple[int, ...]]:
     """Extreme rays (b, a) of the cone {(b, a) : b + a.y >= 0 for all points y}.
 
@@ -294,63 +229,34 @@ def _polar_extreme_rays(points: list[tuple[Fraction, ...]], dim: int) -> list[tu
     point constraints one at a time, keeping nonnegative rays and combining
     adjacent positive/negative pairs on each new hyperplane.
     """
-    cons = [(_ONE,) + pt for pt in points]
-    width = dim + 1
-    init = _independent_rows(cons, width)
-    columns = _inverse_columns([cons[i] for i in init])
-    rays: list[tuple[int, ...]] = [_primitive(col) for col in columns]
-    masks: list[int] = []
-    for j in range(width):
-        mask = 0
-        for i, con_index in enumerate(init):
-            if i != j:
-                mask |= 1 << con_index
-        masks.append(mask)
-    processed = set(init)
+    cons = [primitive((1,) + pt) for pt in points]
+    init = independent_rows(cons, dim + 1)
+    columns, _ = scaled_inverse([cons[i] for i in init])
+    rays = [primitive(col) for col in columns]
+    # Ray j of the simplicial start is tight on every initial constraint but the j-th.
+    start = sum(1 << i for i in init)
+    masks = [start & ~(1 << i) for i in init]
     for k, con in enumerate(cons):
-        if k in processed:
+        if start >> k & 1:
             continue
-        vals = [sum(c * Fraction(r) for c, r in zip(con, ray)) for ray in rays]
-        neg = [i for i, v in enumerate(vals) if v < 0]
-        if not neg:
-            masks = [m | (1 << k) if vals[i] == 0 else m for i, m in enumerate(masks)]
-            processed.add(k)
-            continue
+        vals = [sum(c * r for c, r in zip(con, ray)) for ray in rays]
         pos = [i for i, v in enumerate(vals) if v > 0]
         zero = [i for i, v in enumerate(vals) if v == 0]
-        new_rays: list[tuple[int, ...]] = []
-        new_masks: list[int] = []
+        neg = [i for i, v in enumerate(vals) if v < 0]
+        new_rays = [rays[i] for i in pos + zero]
+        new_masks = [masks[i] for i in pos] + [masks[i] | 1 << k for i in zero]
         for ip in pos:
             for im in neg:
                 shared = masks[ip] & masks[im]
-                if shared.bit_count() < dim - 1:
+                # Adjacent: dim - 1 common tight constraints that no third ray shares.
+                if shared.bit_count() < dim - 1 or any(
+                    shared & mask == shared for io, mask in enumerate(masks) if io != ip and io != im
+                ):
                     continue
-                adjacent = True
-                for io in range(len(rays)):
-                    if io in (ip, im):
-                        continue
-                    if shared & masks[io] == shared:
-                        adjacent = False
-                        break
-                if not adjacent:
-                    continue
-                combo = [
-                    vals[ip] * rays[im][t] - vals[im] * rays[ip][t]
-                    for t in range(width)
-                ]
-                new_rays.append(_primitive(combo))
-                new_masks.append(shared | (1 << k))
-        rays = (
-            [rays[i] for i in pos]
-            + [rays[i] for i in zero]
-            + new_rays
-        )
-        masks = (
-            [masks[i] for i in pos]
-            + [masks[i] | (1 << k) for i in zero]
-            + new_masks
-        )
-        processed.add(k)
+                combo = [vals[ip] * a - vals[im] * b for a, b in zip(rays[im], rays[ip])]
+                new_rays.append(primitive(combo))
+                new_masks.append(shared | 1 << k)
+        rays, masks = new_rays, new_masks
     return rays
 
 
@@ -371,13 +277,15 @@ def facet_enumeration(vs: VertexSet, *, max_coordinates: int = 16) -> HRepresent
     chart = [tuple(v[p] for p in hull.pivots) for v in vs.vertices]
     rays = _polar_extreme_rays(chart, hull.dimension)
     m = vs.space.dimension
-    facets = []
+    rows = []
     for ray in rays:
-        coeffs = [_ZERO] * m
+        row = [0] * m + [ray[0]]
         for j, p in enumerate(hull.pivots):
-            coeffs[p] = Fraction(ray[1 + j])
-        assert any(coeffs), "polar ray with no linear part cannot be a facet"
-        form = AffineForm(vs.space, tuple(coeffs), Fraction(ray[0]))
-        facets.append(canonicalize(LinearConstraint(form, Relation.GEQ)))
-    facets.sort(key=constraint_sort_key)
-    return HRepresentation(vs.space, hull.equalities, tuple(facets), hull.dimension)
+            row[p] = ray[1 + j]
+        assert any(row[:m]), "polar ray with no linear part cannot be a facet"
+        rows.append(row)
+    # A primitive ray is its facet's canonical row, and sorting the rows
+    # gives the order of constraint_sort_key.
+    rows.sort()
+    facets = tuple(constraint_from_row(vs.space, row, Relation.GEQ) for row in rows)
+    return HRepresentation(vs.space, hull.equalities, facets, hull.dimension)

@@ -284,6 +284,21 @@ class TestUsageErrors:
         assert "error:" in err
 
 
+@pytest.mark.parametrize("verb", ["bound", "check"])
+def test_marginals_contradicting_zeta_exit_1(capsys, tmp_path, verb):
+    """gamma 0.5/0.5 beside lipid's zeta once gave PASS and non-nested intervals."""
+    path = tmp_path / "contradictory-gamma.json"
+    path.write_text(json.dumps({
+        "zeta": {"a1": ["0.919", "0", "0.081", "0"], "a2": ["0.315", "0.139", "0.073", "0.473"]},
+        "gamma": {"a1": ["0.5", "0.5"], "a2": ["0.5", "0.5"]},
+    }))
+    for scenario in ("bivariate", "trivariate"):
+        code, out, err = run(capsys, verb, "--scenario", scenario, "--data", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "contradicts zeta" in err
+
+
 def test_module_is_runnable():
     proc = subprocess.run(
         [sys.executable, "-m", "ivbounds.cli", "scenario", "list"],

@@ -128,6 +128,41 @@ class TestLoadJson:
         with pytest.raises(ParseError, match="cannot read"):
             load("/no/such/file.json")
 
+    def test_gamma_contradicting_zeta_rejected(self, tmp_path):
+        path = tmp_path / "t.json"
+        gamma = {"a1": ["0.5", "0.5"], "a2": ["0.5", "0.5"]}
+        path.write_text(json.dumps({"zeta": LIPID_ZETA, "gamma": gamma}))
+        with pytest.raises(ValidationError, match=r"gamma\[0, 1\] = 1/2 contradicts zeta"):
+            load(path)
+
+    def test_phi_checked_against_zeta_and_arm_weights(self, tmp_path):
+        path = tmp_path / "t.json"
+        tables = json.loads(json.dumps(serialize(load("lipid"))))
+        tables["phi"] = tables["phi"][::-1]
+        path.write_text(json.dumps(tables))
+        with pytest.raises(ValidationError, match="phi"):
+            load(path)
+
+    @pytest.mark.parametrize(
+        "zeta_a2, theta_a2, ok",
+        [
+            (["3/10", "1/10", "1/10", "1/2"], ["2/5", "3/5"], True),
+            (["3/10", "1/10", "1/10", "1/2"], ["4001/10000", "5999/10000"], False),
+            (["0.3", "0.1", "0.1", "0.5"], ["0.4001", "0.5999"], True),
+            (["0.3", "0.1", "0.1", "0.5"], ["0.401", "0.599"], False),
+        ],
+    )
+    def test_marginal_tolerance_follows_input_kind(self, tmp_path, zeta_a2, theta_a2, ok):
+        """Exact input must agree exactly; rounded decimals within 1/2000."""
+        path = tmp_path / "t.json"
+        zeta = {"a1": ["1", "0", "0", "0"], "a2": zeta_a2}
+        path.write_text(json.dumps({"zeta": zeta, "theta": {"a1": ["1", "0"], "a2": theta_a2}}))
+        if ok:
+            assert load(path).theta[(0, 2)] == Fraction(theta_a2[0])
+        else:
+            with pytest.raises(ValidationError, match="theta"):
+                load(path)
+
 
 class TestLoadCsv:
     def write(self, tmp_path, rows, header="c,b,a,value"):
@@ -172,6 +207,7 @@ class TestSerialize:
         assert again.theta == t.theta
         assert again.phi == t.phi
         assert again.arm_weights == t.arm_weights
+        assert again.decimal_input
 
     def test_serialized_values_are_exact_strings(self):
         t = build_tables(theta={"a1": ["1", "0"], "a2": ["0.388", "0.612"]})

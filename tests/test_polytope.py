@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ivbounds.bounds import scenario_hull
 from ivbounds.forms import AffineForm, CoordinateSpace, LinearConstraint, Relation, canonicalize
+from ivbounds.scenarios import SCENARIOS, scenario_vertex_set
 from ivbounds.polytope import (
     DimensionOverflow,
     VertexSet,
@@ -150,28 +152,97 @@ def test_facets_do_not_depend_on_vertex_order():
     shuffle_invariance_case(simplex_vertices(5), 5, seed=9)
 
 
+def affine_rank(points):
+    """Largest number of affinely independent points (reference Gaussian elimination)."""
+    rows = [[a - b for a, b in zip(p, points[0])] for p in points[1:]]
+    rank = 0
+    for col in range(len(points[0])):
+        found = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if found is None:
+            continue
+        rows[rank], rows[found] = rows[found], rows[rank]
+        pivot = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / pivot[col]
+            rows[i] = [a - f * b for a, b in zip(rows[i], pivot)]
+        rank += 1
+    return rank + 1
+
+
+def assert_exact_facets(vs, h):
+    """Exact certificate of an H-representation of conv(vs).
+
+    Soundness: no vertex violates an equality or facet. Dimension: the
+    vertices' affine rank is affine_dimension + 1. Tightness: the vertices
+    on each facet have affine rank affine_dimension, so each facet is a
+    face of codimension one, not merely a valid inequality.
+    """
+    for v in vs.vertices:
+        assert h.contains(v).member
+    assert affine_rank(vs.vertices) == h.affine_dimension + 1
+    assert len(h.equalities) == vs.space.dimension - h.affine_dimension
+    assert len({f.key() for f in h.facets}) == len(h.facets)
+    for facet in h.facets:
+        on = [v for v in vs.vertices if facet.form.evaluate_vector(v) == 0]
+        assert on and affine_rank(on) == h.affine_dimension
+
+
 point_strategy = st.tuples(
     *(st.integers(min_value=-3, max_value=3) for _ in range(3))
+)
+small_rational = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def embedded_point_sets(draw):
+    """Rational points of a 1-3 dimensional set, mapped affinely into 4-5 coordinates."""
+    k = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=4, max_value=5))
+    low = draw(st.lists(st.tuples(*(small_rational,) * k), min_size=1, max_size=9))
+    linear = draw(st.lists(st.tuples(*(st.integers(-2, 2),) * k), min_size=n, max_size=n))
+    shift = draw(st.tuples(*(small_rational,) * n))
+    points = [
+        tuple(sum(a * y for a, y in zip(row, p)) + s for row, s in zip(linear, shift))
+        for p in low
+    ]
+    return VertexSet.from_points(space(n), points)
+
+
+integer_point_sets = st.lists(point_strategy, min_size=1, max_size=10).map(
+    lambda points: VertexSet.from_points(space(3), points)
 )
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(point_strategy, min_size=1, max_size=10))
-def test_facet_enumeration_soundness_and_tightness(points):
-    """Every input point satisfies the output system; facets are supported.
+@given(st.one_of(integer_point_sets, embedded_point_sets()))
+def test_facet_enumeration_soundness_and_tightness(vs):
+    assert_exact_facets(vs, facet_enumeration(vs))
 
-    Soundness: vertices violate no equality or facet. Tightness: each facet
-    is met with equality by at least affine_dimension of the vertices, which
-    is what makes it a facet rather than merely a valid inequality.
-    """
-    sp = space(3)
-    vs = VertexSet.from_points(sp, points)
-    h = facet_enumeration(vs)
-    for v in vs.vertices:
-        assert h.contains(v).member
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_registry_hulls_are_certified(name):
+    vs = scenario_vertex_set(name)
+    h = scenario_hull(name)
+    assert_exact_facets(vs, h)
     for facet in h.facets:
-        on = sum(1 for v in vs.vertices if facet.form.evaluate_vector(v) == 0)
-        assert on >= max(h.affine_dimension, 1)
+        reduced = reduce_mod_equalities(facet.form, h.equalities)
+        assert all(reduced.evaluate_vector(v) == facet.form.evaluate_vector(v) for v in vs.vertices)
+
+
+@settings(max_examples=60, deadline=None)
+@given(embedded_point_sets(), st.data())
+def test_reduce_mod_equalities_agrees_on_vertices_and_is_idempotent(vs, data):
+    equalities = affine_hull(vs).equalities
+    n = vs.space.dimension
+    form = AffineForm(
+        vs.space,
+        tuple(data.draw(st.tuples(*(small_rational,) * n))),
+        data.draw(small_rational),
+    )
+    reduced = reduce_mod_equalities(form, equalities)
+    for v in vs.vertices:
+        assert reduced.evaluate_vector(v) == form.evaluate_vector(v)
+    assert reduce_mod_equalities(reduced, equalities) == reduced
 
 
 @settings(max_examples=30, deadline=None)
