@@ -3,7 +3,9 @@
 A facet of the hull of transformed parameter vertices either constrains
 the observables alone (a falsification test of the model) or involves the
 causal target, in which case solving for the target turns it into a sharp
-lower or upper bound. Trivial observable facets (equivalent, modulo the
+lower or upper bound. Every scenario derives to a BoundSet the same way; a
+scenario without a target (fig3) simply has no bounds, and all its facets
+are model tests. Trivial observable facets (equivalent, modulo the
 hull equalities, to a single coordinate being nonnegative) are kept apart
 from the informative ones so reports mirror the usual presentation.
 """
@@ -27,7 +29,7 @@ from .forms import (
     rational,
 )
 from .polytope import HRepresentation, facet_enumeration, reduce_mod_equalities
-from .scenarios import Scenario, get_scenario, scenario_vertex_set
+from .scenarios import get_scenario, scenario_vertex_set
 
 _ZERO = Fraction(0)
 
@@ -41,13 +43,14 @@ class BoundSet:
     """Bounds on one target plus the observable constraints beside them.
 
     lower_forms and upper_forms are affine functions of the observables:
-    target >= each lower form and target <= each upper form. All forms and
+    target >= each lower form and target <= each upper form. A scenario
+    without a causal target has target None and no forms. All forms and
     constraints are reduced modulo the hull equalities, so two expressions
     that agree on every model-consistent table compare equal.
     """
 
     scenario: str
-    target: str
+    target: str | None
     space: CoordinateSpace
     lower_forms: tuple[AffineForm, ...]
     upper_forms: tuple[AffineForm, ...]
@@ -103,7 +106,7 @@ def classify_observable(
     return tuple(nontrivial), tuple(trivial)
 
 
-def partition(h: HRepresentation, target: str) -> BoundSet:
+def partition(h: HRepresentation, target: str | None = None) -> BoundSet:
     """Split an H-representation into observable tests and target bounds.
 
     Facets with positive target coefficient become lower bounds on the
@@ -112,18 +115,23 @@ def partition(h: HRepresentation, target: str) -> BoundSet:
     contributes one matched lower/upper pair. If nothing mentions the
     target at all, effect-difference targets (alpha, beta) fall back to
     their trivial range [-1, 1]; any other target raises
-    TargetUnconstrained.
+    TargetUnconstrained. With no target, every facet is a model test.
     """
-    ti = h.space.index(target)
+    ti = None if target is None else h.space.index(target)
     obs_labels = tuple(l for l in h.space.labels if l != target)
     obs_space = CoordinateSpace(f"{h.space.name}-observables", obs_labels)
+
+    def target_coefficient(form: AffineForm) -> Fraction:
+        return _ZERO if ti is None else form.coefficients[ti]
 
     def to_obs(con: LinearConstraint) -> LinearConstraint:
         # Dropping a coordinate with zero coefficient keeps a canonical
         # constraint canonical.
         form = con.form
-        assert form.coefficients[ti] == 0
-        coeffs = form.coefficients[:ti] + form.coefficients[ti + 1 :]
+        assert target_coefficient(form) == 0
+        coeffs = form.coefficients
+        if ti is not None:
+            coeffs = coeffs[:ti] + coeffs[ti + 1 :]
         return LinearConstraint(AffineForm(obs_space, coeffs, form.constant), con.relation)
 
     def solve_for_target(form: AffineForm) -> AffineForm:
@@ -137,7 +145,7 @@ def partition(h: HRepresentation, target: str) -> BoundSet:
     obs_only = []
     for facet in h.facets:
         reduced = reduce_mod_equalities(facet.form, h.equalities)
-        c = reduced.coefficients[ti]
+        c = target_coefficient(reduced)
         if c == 0:
             obs_only.append(LinearConstraint(reduced, Relation.GEQ))
         else:
@@ -145,7 +153,7 @@ def partition(h: HRepresentation, target: str) -> BoundSet:
 
     hull_eqs: list[LinearConstraint] = []
     for eq in h.equalities:
-        if eq.form.coefficients[ti] == 0:
+        if target_coefficient(eq.form) == 0:
             hull_eqs.append(canonicalize(to_obs(eq)))
         else:
             solved = solve_for_target(eq.form)
@@ -155,7 +163,7 @@ def partition(h: HRepresentation, target: str) -> BoundSet:
     sub_h = HRepresentation(h.space, h.equalities, tuple(obs_only), h.affine_dimension)
     nontrivial, trivial = classify_observable(sub_h)
 
-    if not lower and not upper:
+    if target is not None and not lower and not upper:
         if target in ("alpha", "beta"):
             lower.append(AffineForm.const(obs_space, -1))
             upper.append(AffineForm.const(obs_space, 1))
@@ -183,13 +191,12 @@ def scenario_hull(name: str, include_target: bool = True) -> HRepresentation:
 
 @lru_cache(maxsize=None)
 def derive(name: str) -> BoundSet:
-    """Full pipeline for a named scenario: vertices, hull, partition (cached)."""
-    scenario = get_scenario(name)
-    if scenario.causal_target is None:
-        raise TargetUnconstrained(
-            f"scenario {name!r} has no causal target; use scenario_hull for its geometry"
-        )
-    return partition(scenario_hull(name), scenario.causal_target)
+    """Full pipeline for a named scenario: vertices, hull, partition (cached).
+
+    Every scenario derives; one without a causal target gets a BoundSet
+    with target None, no bound forms and all facets as model tests.
+    """
+    return partition(scenario_hull(name), get_scenario(name).causal_target)
 
 
 @dataclass(frozen=True)
@@ -203,14 +210,6 @@ class Interval:
     empty: bool
 
 
-def _as_point(
-    space: CoordinateSpace, data: ObservedTables | Mapping[str, RationalLike]
-) -> dict[str, Fraction]:
-    if isinstance(data, ObservedTables):
-        return observable_point(space.labels, data)
-    return {k: rational(v) for k, v in data.items()}
-
-
 def evaluate_bounds(
     bs: BoundSet, data: ObservedTables | Mapping[str, RationalLike]
 ) -> Interval:
@@ -218,9 +217,12 @@ def evaluate_bounds(
 
     Ties keep the earliest form in the deterministic derivation order.
     An inverted interval is flagged empty, not raised: emptiness is a
-    statement about the data, not a usage error.
+    statement about the data, not a usage error. A BoundSet without a
+    target raises TargetUnconstrained.
     """
-    point = _as_point(bs.space, data)
+    if bs.target is None:
+        raise TargetUnconstrained(f"scenario {bs.scenario!r} has no causal target to bound")
+    point = observable_point(bs.space.labels, data)
     lows = [f.evaluate(point) for f in bs.lower_forms]
     highs = [f.evaluate(point) for f in bs.upper_forms]
     lo = max(lows)
@@ -262,7 +264,7 @@ def default_tolerance(data: ObservedTables | Mapping) -> Fraction:
 
 
 def model_check(
-    bs: BoundSet | HRepresentation,
+    bs: BoundSet,
     data: ObservedTables | Mapping[str, RationalLike],
     tolerance: RationalLike | None = None,
 ) -> ConstraintReport:
@@ -270,28 +272,15 @@ def model_check(
 
     Every observable test, hull equality and trivial constraint is
     evaluated at the data point; inequalities pass with slack >= -tol,
-    equalities with |slack| <= tol. A bare HRepresentation (a scenario
-    with no causal target, so no BoundSet) is accepted too.
+    equalities with |slack| <= tol.
     """
     tol = default_tolerance(data) if tolerance is None else rational(tolerance)
-    if isinstance(bs, HRepresentation):
-        nontrivial, trivial = classify_observable(bs)
-        scenario = bs.space.name
-        space = bs.space
-        sections = (
-            ("observable", nontrivial),
-            ("equality", bs.equalities),
-            ("trivial", trivial),
-        )
-    else:
-        scenario = bs.scenario
-        space = bs.space
-        sections = (
-            ("observable", bs.observable_tests),
-            ("equality", bs.hull_equalities),
-            ("trivial", bs.trivial_tests),
-        )
-    point = _as_point(space, data)
+    sections = (
+        ("observable", bs.observable_tests),
+        ("equality", bs.hull_equalities),
+        ("trivial", bs.trivial_tests),
+    )
+    point = observable_point(bs.space.labels, data)
     entries: list[CheckEntry] = []
     for section, cons in sections:
         for i, con in enumerate(cons):
@@ -299,7 +288,7 @@ def model_check(
             ok = abs(s) <= tol if con.relation is Relation.EQ else s >= -tol
             entries.append(CheckEntry(section, i, con, s, ok))
     return ConstraintReport(
-        scenario=scenario,
+        scenario=bs.scenario,
         tolerance=tol,
         entries=tuple(entries),
         passed=all(e.passed for e in entries),
@@ -343,8 +332,7 @@ def beta_bounds(data: ObservedTables | Mapping[str, RationalLike]) -> Interval:
 
     max(-t01 - t02, -t11 - t12) <= beta <= min(t01 + t02, t11 + t12).
     """
-    space = get_scenario("beta").observable_space
-    point = _as_point(space, data)
+    point = observable_point(get_scenario("beta").observable_labels, data)
     t01, t11 = point["t01"], point["t11"]
     t02, t12 = point["t02"], point["t12"]
     lows = [-t01 - t02, -t11 - t12]

@@ -14,14 +14,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from .bounds import (
-    BoundSet,
-    classify_observable,
     derive,
     evaluate_bounds,
     instrumental_inequality,
     model_check,
     scenario_hull,
-    TargetUnconstrained,
 )
 from .data import BUNDLED_DATASETS, ObservedTables, derive_marginals, load
 from .forms import MissingCoordinate, format_decimal, format_rational
@@ -144,74 +141,58 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 def _cmd_derive(args) -> int:
     s = _resolve_scenario(args)
-    if s.causal_target is None:
-        h = scenario_hull(s.name)
-        nontrivial, trivial = classify_observable(h)
-        equalities = h.equalities
-        lower: tuple = ()
-        upper: tuple = ()
-        dim = h.affine_dimension
-        labels = s.observable_labels
-    else:
-        bs = derive(s.name)
-        h = scenario_hull(s.name)
-        nontrivial, trivial = bs.observable_tests, bs.trivial_tests
-        equalities = bs.hull_equalities
-        lower, upper = bs.lower_forms, bs.upper_forms
-        dim = h.affine_dimension
-        labels = bs.space.labels
+    bs = derive(s.name)
+    dim = scenario_hull(s.name).affine_dimension
+    equalities = [c.render() for c in bs.hull_equalities]
+    tests = [c.render() for c in bs.observable_tests]
+    trivial = [c.render() for c in bs.trivial_tests]
+    lower = [f.render() for f in bs.lower_forms]
+    upper = [f.render() for f in bs.upper_forms]
 
     payload = {
         "scenario": s.name,
-        "target": s.causal_target,
+        "target": bs.target,
         "dim": dim,
-        "labels": list(labels),
+        "labels": list(bs.space.labels),
         "counts": {
-            "observable": len(nontrivial),
+            "observable": len(tests),
             "lower": len(lower),
             "upper": len(upper),
             "trivial": len(trivial),
             "equalities": len(equalities),
         },
-        "equalities": [c.render() for c in equalities],
-        "observable_tests": [c.render() for c in nontrivial],
-        "trivial_tests": [c.render() for c in trivial],
-        "lower": [f.render() for f in lower],
-        "upper": [f.render() for f in upper],
+        "equalities": equalities,
+        "observable_tests": tests,
+        "trivial_tests": trivial,
+        "lower": lower,
+        "upper": upper,
     }
 
     lines = [
-        f"scenario {s.name}: target {s.causal_target or 'none'}, affine dimension {dim}",
+        f"scenario {s.name}: target {bs.target or 'none'}, affine dimension {dim}",
         f"equalities ({len(equalities)}):",
-        *(f"  {c.render()}" for c in equalities),
-        f"observable tests ({len(nontrivial)}):",
-        *(f"  {c.render()}" for c in nontrivial),
+        *(f"  {r}" for r in equalities),
+        f"observable tests ({len(tests)}):",
+        *(f"  {r}" for r in tests),
         f"trivial tests ({len(trivial)}):",
-        *(f"  {c.render()}" for c in trivial),
+        *(f"  {r}" for r in trivial),
     ]
-    if s.causal_target is not None:
+    if bs.target is not None:
         lines += [
             f"lower bounds ({len(lower)}):",
-            *(f"  {s.causal_target} >= {f.render()}" for f in lower),
+            *(f"  {bs.target} >= {r}" for r in lower),
             f"upper bounds ({len(upper)}):",
-            *(f"  {s.causal_target} <= {f.render()}" for f in upper),
+            *(f"  {bs.target} <= {r}" for r in upper),
         ]
     _emit(args, payload, lines)
     return EXIT_OK
-
-
-def _check_subject(s):
-    """BoundSet when the scenario has a target, raw hull otherwise."""
-    if s.causal_target is None:
-        return scenario_hull(s.name)
-    return derive(s.name)
 
 
 def _cmd_check(args) -> int:
     s = _resolve_scenario(args)
     tables = _load_data(args.data)
     tol = None if args.tolerance is None else args.tolerance
-    report = model_check(_check_subject(s), tables, tol)
+    report = model_check(derive(s.name), tables, tol)
 
     sections: dict[str, list] = {"observable": [], "equality": [], "trivial": []}
     for e in report.entries:

@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .forms import RationalLike, format_rational, rational
+from .scenarios import parse_coordinate
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -111,7 +112,7 @@ def build_tables(
     max_deviation = rational(max_deviation)
 
     def arm_block(table: Mapping[str, Sequence[RationalLike]], width: int, what: str):
-        if set(table.keys()) != {"a1", "a2"}:
+        if not isinstance(table, Mapping) or set(table) != {"a1", "a2"}:
             raise ParseError(f"{what} table needs exactly the keys 'a1' and 'a2'")
         rows = {}
         for a in _ARMS:
@@ -197,7 +198,7 @@ def _load_json_text(text: str, max_deviation: Fraction) -> ObservedTables:
     try:
         # Keeping float literals as their source text preserves exactness.
         raw = json.loads(text, parse_float=str)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError("top-level JSON value must be an object")
@@ -217,7 +218,7 @@ def _load_json_text(text: str, max_deviation: Fraction) -> ObservedTables:
             decimal_input=rounded or _contains_decimal(raw),
             max_deviation=max_deviation,
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         if isinstance(exc, (ParseError, ValidationError)):
             raise
         raise ParseError(str(exc)) from exc
@@ -372,50 +373,32 @@ def renormalize(
     return ObservedTables(zeta, gamma, theta, phi, weights, t.decimal_input)
 
 
-def observable_point(labels: Sequence[str], t: ObservedTables) -> dict[str, Fraction]:
+def observable_point(
+    labels: Sequence[str], data: ObservedTables | Mapping[str, RationalLike]
+) -> dict[str, Fraction]:
     """Assemble the coordinate values a scenario needs from the tables.
 
-    Labels follow the scenario coordinate scheme. x-coordinates (joint with
-    the instrument) are built from zeta and arm weights. A label whose
-    table is absent raises ValidationError; x-labels without arm weights
-    raise MissingArmWeights.
+    Each label is read through parse_coordinate: its kind names the table
+    and its indices are the table key. x-coordinates (joint with the
+    instrument) are zeta scaled by the arm weight. A label whose table is
+    absent raises ValidationError; x-labels without arm weights raise
+    MissingArmWeights. A plain mapping is taken as the point itself, its
+    values coerced to exact rationals.
     """
-    import re as _re
-
+    if not isinstance(data, ObservedTables):
+        return {k: rational(v) for k, v in data.items()}
     point: dict[str, Fraction] = {}
     for label in labels:
-        m = _re.fullmatch(r"g([01])([12])", label)
-        if m:
-            if t.gamma is None:
-                raise ValidationError(f"coordinate {label} needs a gamma table")
-            point[label] = t.gamma[(int(m.group(1)), int(m.group(2)))]
-            continue
-        m = _re.fullmatch(r"t([01])([12])", label)
-        if m:
-            if t.theta is None:
-                raise ValidationError(f"coordinate {label} needs a theta table")
-            point[label] = t.theta[(int(m.group(1)), int(m.group(2)))]
-            continue
-        m = _re.fullmatch(r"z([01])([01])\.([12])", label)
-        if m:
-            if t.zeta is None:
-                raise ValidationError(f"coordinate {label} needs a zeta table")
-            point[label] = t.zeta[(int(m.group(1)), int(m.group(2)), int(m.group(3)))]
-            continue
-        m = _re.fullmatch(r"p([01])([01])", label)
-        if m:
-            if t.phi is None:
-                raise ValidationError(f"coordinate {label} needs a phi table")
-            point[label] = t.phi[(int(m.group(1)), int(m.group(2)))]
-            continue
-        m = _re.fullmatch(r"x([01])([01])([12])", label)
-        if m:
-            if t.zeta is None:
-                raise ValidationError(f"coordinate {label} needs a zeta table")
-            if t.arm_weights is None:
+        coord = parse_coordinate(label)
+        if not coord.key:
+            raise ValidationError(f"no table rule for coordinate label {label!r}")
+        name = "zeta" if coord.kind == "xi" else coord.kind
+        table = getattr(data, name)
+        if table is None:
+            raise ValidationError(f"coordinate {label} needs a {name} table")
+        point[label] = table[coord.key]
+        if coord.kind == "xi":
+            if data.arm_weights is None:
                 raise MissingArmWeights(f"coordinate {label} needs arm weights")
-            c, b, a = int(m.group(1)), int(m.group(2)), int(m.group(3))
-            point[label] = t.zeta[(c, b, a)] * t.arm_weights[a - 1]
-            continue
-        raise ValidationError(f"no table rule for coordinate label {label!r}")
+            point[label] *= data.arm_weights[coord.a - 1]
     return point

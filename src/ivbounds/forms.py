@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .introws import primitive
 
@@ -307,13 +307,6 @@ class LinearConstraint:
     def slack(self, point: Mapping[str, RationalLike]) -> Fraction:
         return self.form.evaluate(point)
 
-    def satisfied(self, point: Mapping[str, RationalLike], tolerance: RationalLike = 0) -> bool:
-        tol = rational(tolerance)
-        s = self.slack(point)
-        if self.relation is Relation.EQ:
-            return abs(s) <= tol
-        return s >= -tol
-
     def key(self) -> tuple:
         return (self.relation.value, self.form.coefficients, self.form.constant)
 
@@ -359,15 +352,6 @@ def constraint_from_row(
     )
 
 
-def constraint_sort_key(constraint: LinearConstraint) -> tuple:
-    """Deterministic ordering key: coefficient tuple then constant."""
-    return (
-        tuple(constraint.form.coefficients),
-        constraint.form.constant,
-        constraint.relation.value,
-    )
-
-
 def parse_constraint(space: CoordinateSpace, text: str) -> LinearConstraint:
     """Parse "expr >= expr" or "expr = expr" into a canonical constraint."""
     for token, rel in ((">=", Relation.GEQ), ("=", Relation.EQ)):
@@ -376,15 +360,3 @@ def parse_constraint(space: CoordinateSpace, text: str) -> LinearConstraint:
             form = AffineForm.parse(space, left) - AffineForm.parse(space, right)
             return canonicalize(LinearConstraint(form, rel))
     raise ValueError(f"no relation ('>=' or '=') in constraint {text!r}")
-
-
-def unique_constraints(constraints: Iterable[LinearConstraint]) -> tuple[LinearConstraint, ...]:
-    """Drop duplicate canonical constraints, preserving first-seen order."""
-    seen: set[tuple] = set()
-    out: list[LinearConstraint] = []
-    for c in constraints:
-        k = c.key()
-        if k not in seen:
-            seen.add(k)
-            out.append(c)
-    return tuple(out)

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Mapping, Sequence
 
-from .bounds import BoundSet, derive, evaluate_bounds, model_check
+from .bounds import derive, evaluate_bounds, model_check
 from .data import ObservedTables, observable_point
-from .forms import RationalLike, rational
+from .forms import RationalLike
 from .introws import primitive, rref
 from .scenarios import Scenario, get_scenario, scenario_vertex_set
 
@@ -63,7 +63,7 @@ class MixtureLP:
             )
         vs = scenario_vertex_set(s, include_target=True)
         labels = s.observable_labels
-        point = _point(labels, data)
+        point = observable_point(labels, data)
         idx = [s.space.index(lab) for lab in labels]
         ti = s.space.index(s.causal_target)
         columns = tuple(
@@ -72,14 +72,6 @@ class MixtureLP:
         rhs = tuple(point[lab] for lab in labels) + (_ONE,)
         objective = tuple(v[ti] for v in vs.vertices)
         return cls(columns=columns, rhs=rhs, objective=objective)
-
-
-def _point(
-    labels: Sequence[str], data: ObservedTables | Mapping[str, RationalLike]
-) -> dict[str, Fraction]:
-    if isinstance(data, ObservedTables):
-        return observable_point(labels, data)
-    return {k: rational(v) for k, v in data.items()}
 
 
 def _pivot(T: list[list[Fraction]], basis: list[int], r: int, col: int) -> None:

@@ -30,7 +30,12 @@ from .introws import independent_rows, primitive, rref, scaled_inverse
 
 
 class DimensionOverflow(ValueError):
-    """The vertex set lives in more coordinates than the configured cap."""
+    """The vertex set lives in more coordinates than MAX_COORDINATES."""
+
+
+# facet_enumeration is meant for small exact instances (the largest
+# scenario has 13 coordinates), not general-purpose hull computation.
+MAX_COORDINATES = 16
 
 
 @dataclass(frozen=True)
@@ -260,16 +265,14 @@ def _polar_extreme_rays(points: list[tuple[Fraction, ...]], dim: int) -> list[tu
     return rays
 
 
-def facet_enumeration(vs: VertexSet, *, max_coordinates: int = 16) -> HRepresentation:
+def facet_enumeration(vs: VertexSet) -> HRepresentation:
     """Exact minimal H-representation of the convex hull of a vertex set.
 
-    Raises DimensionOverflow when the ambient space exceeds
-    ``max_coordinates``; the algorithm is meant for small exact instances,
-    not general-purpose hull computation.
+    Raises DimensionOverflow when the ambient space exceeds MAX_COORDINATES.
     """
-    if vs.space.dimension > max_coordinates:
+    if vs.space.dimension > MAX_COORDINATES:
         raise DimensionOverflow(
-            f"{vs.space.dimension} coordinates exceeds the cap of {max_coordinates}"
+            f"{vs.space.dimension} coordinates exceeds the cap of {MAX_COORDINATES}"
         )
     hull = affine_hull(vs)
     if hull.dimension == 0:
@@ -284,8 +287,8 @@ def facet_enumeration(vs: VertexSet, *, max_coordinates: int = 16) -> HRepresent
             row[p] = ray[1 + j]
         assert any(row[:m]), "polar ray with no linear part cannot be a facet"
         rows.append(row)
-    # A primitive ray is its facet's canonical row, and sorting the rows
-    # gives the order of constraint_sort_key.
+    # A primitive ray is its facet's canonical row; sorting the rows orders
+    # the facets by coefficient tuple, then constant.
     rows.sort()
     facets = tuple(constraint_from_row(vs.space, row, Relation.GEQ) for row in rows)
     return HRepresentation(vs.space, hull.equalities, facets, hull.dimension)

@@ -9,9 +9,10 @@ transform maps a parameter point to that coordinate vector. Observed
 distributions are mixtures over U of transformed parameter points, which
 is what makes the convex-polytope analysis downstream exact.
 
-Scenarios are data: a label list, a target and a psi flag. Every label is
-interpreted by coordinate_function, so adding a scenario means listing
-labels, not writing new branching code.
+Scenarios are data: a label list and an optional target. parse_coordinate
+is the one reader of the label scheme; the transforms, the observable
+point built from data and whether psi enters all follow from its parse,
+so adding a scenario means listing labels, not writing new branching code.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .forms import CoordinateSpace, RationalLike, rational
+from .forms import CoordinateSpace, rational
 from .polytope import VertexSet
 
 _ZERO = Fraction(0)
@@ -101,9 +102,42 @@ def _beta_star(p: ParameterPoint) -> Fraction:
     return _gamma_star(p, 1, 2) - _gamma_star(p, 1, 1)
 
 
+@dataclass(frozen=True)
+class Coordinate:
+    """A parsed coordinate label: its kind and the indices it carries.
+
+    kind is the observable table the label reads ("gamma", "theta", "zeta",
+    "phi"), "xi" for the joint with the instrument, or "alpha" / "beta" for
+    the effect differences. Indices the label does not carry are None.
+    """
+
+    kind: str
+    c: int | None = None
+    b: int | None = None
+    a: int | None = None
+
+    @property
+    def key(self) -> tuple[int, ...]:
+        """The carried indices in (c, b, a) order: the key into the kind's table."""
+        return tuple(i for i in (self.c, self.b, self.a) if i is not None)
+
+
+# kind -> (label pattern, transform). A transform takes a parameter point,
+# then the indices the label carries in Coordinate.key order.
+_KINDS: dict[str, tuple[re.Pattern, Callable[..., Fraction]]] = {
+    "gamma": (re.compile(r"g(?P<c>[01])(?P<a>[12])"), _gamma_star),
+    "theta": (re.compile(r"t(?P<b>[01])(?P<a>[12])"), _theta_star),
+    "zeta": (re.compile(r"z(?P<c>[01])(?P<b>[01])\.(?P<a>[12])"), _zeta_star),
+    "phi": (re.compile(r"p(?P<c>[01])(?P<b>[01])"), _phi_star),
+    "xi": (re.compile(r"x(?P<c>[01])(?P<b>[01])(?P<a>[12])"), _xi_star),
+    "alpha": (re.compile("alpha"), _alpha_star),
+    "beta": (re.compile("beta"), _beta_star),
+}
+
+
 @lru_cache(maxsize=None)
-def coordinate_function(label: str) -> Callable[[ParameterPoint], Fraction]:
-    """Map a coordinate label to its transform on parameter points.
+def parse_coordinate(label: str) -> Coordinate:
+    """Parse a coordinate label; the one place that knows the label scheme.
 
     Label scheme: g{c}{a} is P(C=c | A=a), t{b}{a} is P(B=b | A=a),
     z{c}{b}.{a} is P(C=c, B=b | A=a), p{c}{b} is P(C=c, B=b),
@@ -114,30 +148,10 @@ def coordinate_function(label: str) -> Callable[[ParameterPoint], Fraction]:
     observed P(C | B) table is not a convex mixture of its latent
     counterparts and none of the polytope machinery applies to it.
     """
-    if label == "alpha":
-        return _alpha_star
-    if label == "beta":
-        return _beta_star
-    m = re.fullmatch(r"g([01])([12])", label)
-    if m:
-        c, a = int(m.group(1)), int(m.group(2))
-        return lambda p, c=c, a=a: _gamma_star(p, c, a)
-    m = re.fullmatch(r"t([01])([12])", label)
-    if m:
-        b, a = int(m.group(1)), int(m.group(2))
-        return lambda p, b=b, a=a: _theta_star(p, b, a)
-    m = re.fullmatch(r"z([01])([01])\.([12])", label)
-    if m:
-        c, b, a = int(m.group(1)), int(m.group(2)), int(m.group(3))
-        return lambda p, c=c, b=b, a=a: _zeta_star(p, c, b, a)
-    m = re.fullmatch(r"p([01])([01])", label)
-    if m:
-        c, b = int(m.group(1)), int(m.group(2))
-        return lambda p, c=c, b=b: _phi_star(p, c, b)
-    m = re.fullmatch(r"x([01])([01])([12])", label)
-    if m:
-        c, b, a = int(m.group(1)), int(m.group(2)), int(m.group(3))
-        return lambda p, c=c, b=b, a=a: _xi_star(p, c, b, a)
+    for kind, (pattern, _) in _KINDS.items():
+        m = pattern.fullmatch(label)
+        if m:
+            return Coordinate(kind, **{k: int(v) for k, v in m.groupdict().items()})
     if re.fullmatch(r"q([01])([01])", label):
         raise UnsupportedCoordinateError(
             f"coordinate {label!r} would be P(C|B); outcome-given-treatment tables "
@@ -147,6 +161,14 @@ def coordinate_function(label: str) -> Callable[[ParameterPoint], Fraction]:
     raise UnsupportedCoordinateError(f"unknown coordinate label {label!r}")
 
 
+@lru_cache(maxsize=None)
+def coordinate_function(label: str) -> Callable[[ParameterPoint], Fraction]:
+    """Map a coordinate label (see parse_coordinate) to its transform on parameter points."""
+    coord = parse_coordinate(label)
+    fn, key = _KINDS[coord.kind][1], coord.key
+    return (lambda p: fn(p, *key)) if key else fn
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A named observable coordinate system with an optional causal target."""
@@ -154,7 +176,11 @@ class Scenario:
     name: str
     space: CoordinateSpace
     causal_target: str | None
-    uses_psi: bool
+
+    @property
+    def uses_psi(self) -> bool:
+        """Whether psi enters: it does only through p and x coordinates."""
+        return any(parse_coordinate(l).kind in ("phi", "xi") for l in self.space.labels)
 
     @property
     def observable_labels(self) -> tuple[str, ...]:
@@ -169,13 +195,12 @@ def make_scenario(
     name: str,
     labels: Sequence[str],
     causal_target: str | None = None,
-    uses_psi: bool = False,
 ) -> Scenario:
     for label in labels:
-        coordinate_function(label)
+        parse_coordinate(label)
     if causal_target is not None and causal_target not in labels:
         raise ValueError(f"target {causal_target!r} is not among the labels")
-    return Scenario(name, CoordinateSpace(name, tuple(labels)), causal_target, uses_psi)
+    return Scenario(name, CoordinateSpace(name, tuple(labels)), causal_target)
 
 
 SCENARIOS: dict[str, Scenario] = {
@@ -185,7 +210,6 @@ SCENARIOS: dict[str, Scenario] = {
             "fig3",
             ["x001", "x011", "x101", "x111", "x002", "x012", "x102", "x112"],
             causal_target=None,
-            uses_psi=True,
         ),
         make_scenario(
             "bivariate",
@@ -206,7 +230,6 @@ SCENARIOS: dict[str, Scenario] = {
                 "alpha",
             ],
             causal_target="alpha",
-            uses_psi=True,
         ),
         make_scenario(
             "beta",

@@ -33,6 +33,7 @@ from ivbounds.forms import (
     canonicalize,
 )
 from ivbounds.polytope import HRepresentation, reduce_mod_equalities
+from ivbounds.scenarios import SCENARIOS
 
 BIVARIATE_LOWER = [
     "2*g01 - g02 + 2*t01 - 3",
@@ -152,9 +153,16 @@ class TestDerivedCounts:
             for c in bs.observable_tests + bs.trivial_tests + bs.hull_equalities:
                 assert c.form.space.labels == bs.space.labels
 
-    def test_derive_fig3_raises(self):
+    def test_derive_fig3_has_no_target(self):
+        bs = derive("fig3")
+        assert bs.target is None
+        assert bs.lower_forms == bs.upper_forms == ()
+        assert bs.observable_tests == ()
+        assert len(bs.trivial_tests) == 8
+        assert len(bs.hull_equalities) == 1
+        assert bs.space.labels == SCENARIOS["fig3"].space.labels
         with pytest.raises(TargetUnconstrained):
-            derive("fig3")
+            evaluate_bounds(bs, load("lipid"))
 
 
 class TestPublishedForms:
@@ -310,7 +318,7 @@ class TestModelCheck:
         assert model_check(derive("bivariate"), point, "1/2000").passed
 
     def test_accepts_raw_hull(self):
-        report = model_check(scenario_hull("fig3"), load("lipid"))
+        report = model_check(derive("fig3"), load("lipid"))
         assert report.passed
         assert report.scenario == "fig3"
         assert {e.section for e in report.entries} == {"equality", "trivial"}

@@ -4,11 +4,15 @@ All tests drive entry() in process and read captured stdout/stderr; one
 subprocess test confirms the module is runnable as a script.
 """
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import ivbounds.cli as cli_mod
 from ivbounds.cli import (
@@ -20,6 +24,7 @@ from ivbounds.cli import (
     entry,
 )
 from ivbounds.oracle import MismatchError
+from ivbounds.scenarios import SCENARIOS
 
 VIOLATING = {
     "zeta": {
@@ -297,6 +302,98 @@ def test_marginals_contradicting_zeta_exit_1(capsys, tmp_path, verb):
         assert code == EXIT_USAGE
         assert out == ""
         assert "contradicts zeta" in err
+
+
+class _Raw(str):
+    """A JSON token written verbatim, e.g. a number with an exponent."""
+
+
+def _dump(value) -> str:
+    if isinstance(value, _Raw):
+        return value
+    if isinstance(value, list):
+        return "[" + ", ".join(_dump(v) for v in value) + "]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_dump(v)}" for k, v in value.items()) + "}"
+    return json.dumps(value)
+
+
+_cells = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 3),
+    st.builds(lambda m, e: _Raw(f"{m}e{e}"), st.integers(-99, 999), st.integers(-12, 12)),
+    st.builds(lambda n: _Raw(f"0.{n:03d}"), st.integers(0, 999)),
+    st.sampled_from(["0", "1", "1/2", "0.25", "-0.1", "1e-3", "1/0", "abc", "", "nan"]),
+    st.lists(st.integers(0, 1), max_size=2),
+)
+
+
+def _rows(width):
+    """Rows summing to 1, or all-zero rows when the drawn weights are all zero."""
+    return st.lists(st.integers(0, 4), min_size=width, max_size=width).map(
+        lambda xs: [f"{x}/{sum(xs)}" if sum(xs) else "0" for x in xs]
+    )
+
+
+def _flat(width):
+    return st.one_of(_rows(width), st.lists(_cells, max_size=5), st.text(max_size=3), _cells)
+
+
+def _arm_table(width):
+    return st.one_of(
+        st.fixed_dictionaries({"a1": _rows(width), "a2": _rows(width)}),
+        st.dictionaries(st.sampled_from(["a1", "a2", "a3"]), _flat(width), max_size=3),
+        _flat(width),
+        st.dictionaries(st.text(max_size=2), _cells, max_size=2),
+    )
+
+
+_documents = st.one_of(
+    # well-formed zeta tables, so the success and failure exits are reached too
+    st.fixed_dictionaries(
+        {"zeta": st.fixed_dictionaries({"a1": _rows(4), "a2": _rows(4)})},
+        optional={"arm_weights": _rows(2), "decimal_input": st.booleans()},
+    ),
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "zeta": _arm_table(4),
+            "gamma": _arm_table(2),
+            "theta": _arm_table(2),
+            "phi": _flat(4),
+            "arm_weights": _flat(2),
+            "decimal_input": st.one_of(st.booleans(), _cells),
+        },
+    ),
+    st.lists(_cells, max_size=3),
+).map(_dump)
+
+
+_broken_texts = st.sampled_from(["", "{", "[1,", "nul", "3", '"zeta"', '{"zeta": {"a1": [}}'])
+
+
+# tmp_path is shared by all examples; each one overwrites the same file.
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    text=st.one_of(_documents, _broken_texts),
+    verb=st.sampled_from(["check", "bound", "oracle"]),
+    scenario=st.sampled_from(tuple(SCENARIOS)),
+)
+@example(text='{"zeta": [1, 2]}', verb="check", scenario="bivariate")
+@example(text='{"zeta": "abc"}', verb="bound", scenario="bivariate")
+@example(text="[" * 5000 + "]" * 5000, verb="check", scenario="trivariate")
+@example(text='{"zeta": ' + "[" * 600 + "]" * 600 + "}", verb="check", scenario="trivariate")
+def test_fuzzed_json_gets_an_exit_code_not_a_traceback(tmp_path, text, verb, scenario):
+    path = tmp_path / "fuzz.json"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = entry([verb, "--scenario", scenario, "--data", str(path)])
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_CHECK_FAILED, EXIT_EMPTY)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_module_is_runnable():

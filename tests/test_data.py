@@ -19,6 +19,7 @@ from ivbounds.data import (
     save,
     serialize,
 )
+from ivbounds.scenarios import SCENARIOS
 
 LIPID_ZETA = {
     "a1": ["0.919", "0", "0.081", "0"],
@@ -75,6 +76,9 @@ class TestBuildTables:
     def test_wrong_shape(self):
         with pytest.raises(ParseError, match="keys"):
             build_tables(zeta={"a1": ["1", "0", "0", "0"]})
+        for not_a_table in ([1, 2], "abc"):
+            with pytest.raises(ParseError, match="keys"):
+                build_tables(zeta=not_a_table)
         with pytest.raises(ParseError, match="entries"):
             build_tables(gamma={"a1": ["1"], "a2": ["1", "0"]})
         with pytest.raises(ParseError):
@@ -279,7 +283,33 @@ class TestRenormalize:
         assert r.zeta == t.zeta and r.arm_weights == t.arm_weights
 
 
+# lipid with zeta-derived marginals, at every observable label of the
+# registry; x is zeta times the arm weight.
+LIPID_POINT = {
+    "x001": "39517/84250", "x011": "0", "x101": "3483/84250", "x111": "0",
+    "x002": "2079/13480", "x012": "4587/67400", "x102": "2409/67400", "x112": "15609/67400",
+    "g01": "919/1000", "g11": "81/1000", "g02": "227/500", "g12": "273/500",
+    "t01": "1", "t11": "0", "t02": "97/250", "t12": "153/250",
+    "z00.1": "919/1000", "z01.1": "0", "z10.1": "81/1000", "z11.1": "0",
+    "z00.2": "63/200", "z01.2": "139/1000", "z10.2": "73/1000", "z11.2": "473/1000",
+    "p00": "623/1000", "p01": "17/250", "p10": "77/1000", "p11": "29/125",
+}
+REGISTRY_OBSERVABLES = tuple(
+    dict.fromkeys(l for s in SCENARIOS.values() for l in s.observable_labels)
+)
+
+
 class TestObservablePoint:
+    @pytest.mark.parametrize("label", REGISTRY_OBSERVABLES)
+    def test_registry_label_on_lipid(self, label):
+        point = observable_point((label,), derive_marginals(load("lipid")))
+        assert point == {label: Fraction(LIPID_POINT[label])}
+
+    def test_mapping_is_coerced_as_is(self):
+        assert observable_point(("g01",), {"g01": "0.5", "t01": 1}) == {
+            "g01": Fraction(1, 2), "t01": 1
+        }
+
     def test_all_label_kinds(self):
         t = load("lipid")
         pt = observable_point(("g01", "t12", "z10.2", "p11", "x001"), t)

@@ -7,12 +7,14 @@ import pytest
 
 from ivbounds.scenarios import (
     SCENARIOS,
+    Coordinate,
     ParameterPoint,
     UnsupportedCoordinateError,
     coordinate_function,
     enumerate_parameter_vertices,
     get_scenario,
     make_scenario,
+    parse_coordinate,
     random_parameter_point,
     scenario_vertex_set,
     xi_transform,
@@ -152,6 +154,9 @@ class TestRegistry:
         with pytest.raises(KeyError, match="unknown scenario"):
             get_scenario("nope")
 
+    def test_uses_psi_follows_from_labels(self):
+        assert {n for n, s in SCENARIOS.items() if s.uses_psi} == {"fig3", "pairwise3"}
+
     def test_make_scenario_validates(self):
         with pytest.raises(UnsupportedCoordinateError):
             make_scenario("bad", ["g01", "q00"])
@@ -162,6 +167,28 @@ class TestRegistry:
         img = xi_transform("pairwise3", P)
         assert set(img) == set(SCENARIOS["pairwise3"].space.labels)
         assert img["alpha"] == Fraction(5, 12)
+
+
+REGISTRY_LABELS = tuple(dict.fromkeys(l for s in SCENARIOS.values() for l in s.space.labels))
+# Label prefix -> (kind, the index names its table key carries, in order).
+KEY_FIELDS = {"g": ("gamma", "ca"), "t": ("theta", "ba"), "z": ("zeta", "cba"),
+              "p": ("phi", "cb"), "x": ("xi", "cba")}
+
+
+class TestParseCoordinate:
+    @pytest.mark.parametrize("label", REGISTRY_LABELS)
+    def test_registry_label_carries_its_table_key(self, label):
+        coord = parse_coordinate(label)
+        if label in ("alpha", "beta"):
+            assert coord == Coordinate(label)
+            assert coord.key == ()
+            return
+        kind, fields = KEY_FIELDS[label[0]]
+        digits = tuple(int(ch) for ch in label if ch.isdigit())
+        assert coord.kind == kind
+        assert coord.key == digits
+        carried = {f: getattr(coord, f) for f in "cba" if getattr(coord, f) is not None}
+        assert carried == dict(zip(fields, digits))
 
 
 class TestRandomPoints:
