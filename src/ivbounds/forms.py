@@ -23,6 +23,11 @@ RationalLike = Union[int, str, Fraction]
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# A decimal exponent past the interpreter's default int<->str digit limit
+# could never be printed, and a huge one stalls Fraction() for seconds.
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)$")
+
 
 class MissingCoordinate(KeyError):
     """A point lacks a coordinate that a form or space needs."""
@@ -44,15 +49,22 @@ def rational(value: RationalLike) -> Fraction:
 
     Accepts ints, Fractions and strings in either "p/q" or decimal form;
     "0.919" parses to exactly 919/1000. Floats are refused because they
-    have already lost exactness.
+    have already lost exactness, and so are decimal exponents beyond
+    4300 in magnitude.
     """
     if isinstance(value, bool):
         raise TypeError("expected a rational value, got a bool")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
+        exponent = _EXPONENT.search(text)
+        # Five significant digits already exceed the limit.
+        digits = exponent.group(1).replace("_", "").lstrip("0")[:5] if exponent else ""
+        if int(digits or 0) > _MAX_EXPONENT:
+            raise ValueError(f"exponent of {value!r} exceeds {_MAX_EXPONENT} in magnitude")
         try:
-            return Fraction(value.strip())
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse {value!r} as a rational") from exc
     if isinstance(value, float):

@@ -1,7 +1,8 @@
 """Exact linear algebra on integer rows, with no fractions inside.
 
-Every elimination of the derivation path, and the LP oracle's equality
-pre-reduction, runs here. Rational input is scaled row by row to coprime
+Every elimination of the package runs through one step here, ``pivot``:
+the derivation path's, and the LP oracle's equality pre-reduction and
+simplex pivots. Rational input is scaled row by row to coprime
 integers first (scaling a row changes neither its row space nor the sign
 of what it evaluates to). Elimination is fraction-free in Bareiss's
 style: each intermediate entry is a minor of the input, so every division
@@ -28,15 +29,30 @@ def primitive(values: Sequence) -> tuple[int, ...]:
     return tuple(ints)
 
 
+def pivot(rows: list[list[int]], r: int, col: int, prev: int) -> int:
+    """One fraction-free Gauss-Jordan step on entry (r, col), in place.
+
+    ``prev`` is the rows' common scale (1 at the start). Row r is kept and
+    every other row becomes (p * row - row[col] * rows[r]) // prev, with
+    p = rows[r][col] the new common scale, which is returned.
+    """
+    top = rows[r]
+    p = top[col]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[col]
+            rows[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+    return p
+
+
 def rref(rows: Sequence[Sequence[int]], width: int) -> tuple[list[list[int]], int, list[int]]:
     """Fraction-free reduced row echelon form (Bareiss-style Gauss-Jordan).
 
     Returns (reduced, d, pivots): the nonzero rows of d times the reduced
     row echelon form of the integer rows, an integer d > 0, and the pivot
     columns. Only the first ``width`` columns may hold pivots; a row that
-    is zero there is dropped. Each step scales every row by the new pivot
-    and divides exactly by the previous one, so all pivot entries end up
-    equal to d.
+    is zero there is dropped. Each column is one ``pivot`` step, so all
+    pivot entries end up equal to d.
     """
     work = [list(r) for r in rows]
     pivots: list[int] = []
@@ -47,13 +63,7 @@ def rref(rows: Sequence[Sequence[int]], width: int) -> tuple[list[list[int]], in
         if pivot_row is None:
             continue
         work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        top = work[rank]
-        p = top[col]
-        for i, row in enumerate(work):
-            if i != rank:
-                f = row[col]
-                work[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
-        prev = p
+        prev = pivot(work, rank, col, prev)
         pivots.append(col)
     reduced = work[: len(pivots)]
     if prev < 0:

@@ -5,22 +5,23 @@ scenario's parameter-vertex images, so the sharp range of the causal
 target at a data point is the min/max of a linear program over mixture
 weights. Solving that program exactly and comparing with the closed-form
 bounds catches derivation errors on either side. The equality system is
-first reduced by fraction-free integer elimination (introws); then a
-two-phase simplex with Bland's rule runs over Fraction arithmetic: slow on
-paper, instant at this problem size, and immune to both cycling and
-rounding.
+first reduced by fraction-free integer elimination (introws.rref); then a
+two-phase simplex with Bland's rule, immune to cycling, runs on an integer
+tableau in the style of lrs (Avis & Fukuda, 1992): the objective row is
+carried along and every pivot is introws.pivot. Fractions appear only in
+the LP's inputs and in the final weights and value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Mapping, Sequence
+from typing import Literal, Mapping
 
 from .bounds import derive, evaluate_bounds, model_check
 from .data import ObservedTables, observable_point
 from .forms import RationalLike
-from .introws import primitive, rref
+from .introws import pivot, primitive, rref
 from .scenarios import Scenario, get_scenario, scenario_vertex_set
 
 _ZERO = Fraction(0)
@@ -74,113 +75,88 @@ class MixtureLP:
         return cls(columns=columns, rhs=rhs, objective=objective)
 
 
-def _pivot(T: list[list[Fraction]], basis: list[int], r: int, col: int) -> None:
-    inv = _ONE / T[r][col]
-    T[r] = [v * inv for v in T[r]]
-    row_r = T[r]
-    for i, row in enumerate(T):
-        if i != r and row[col]:
-            f = row[col]
-            T[i] = [a - f * b for a, b in zip(row, row_r)]
-    basis[r] = col
+def _simplex(T: list[list[int]], basis: list[int], width: int, s: int) -> int | None:
+    """Bland-rule simplex on an integer tableau in canonical form, in place.
 
-
-def _optimize(
-    T: list[list[Fraction]], basis: list[int], cost: Sequence[Fraction], n: int
-) -> tuple[str, Fraction]:
-    """Bland-rule simplex on a tableau already in canonical form.
-
-    Entering variable: lowest index with negative reduced cost. Leaving
-    variable: lowest basis index among the ratio-test ties. Both choices
-    together rule out cycling, so degeneracy (rampant here) is harmless.
+    Row i < len(basis) is a constraint whose basic column basis[i] holds
+    the common scale s > 0; the last row is the objective's reduced costs
+    times a positive factor. Entering: the lowest column below ``width``
+    with negative reduced cost; leaving: the lowest basis index among the
+    ratio-test ties. Together they rule out cycling, so degeneracy (rampant
+    here) is harmless. Returns the final scale, or None if unbounded below.
     """
-    m = len(T)
     while True:
-        cB = [cost[b] for b in basis]
-        entering = -1
-        for j in range(n):
-            rc = cost[j] - sum(cB[i] * T[i][j] for i in range(m))
-            if rc < 0:
-                entering = j
-                break
-        if entering < 0:
-            return "optimal", sum(cB[i] * T[i][-1] for i in range(m))
-        leave = -1
-        best = None
-        for i in range(m):
-            if T[i][entering] > 0:
-                ratio = T[i][-1] / T[i][entering]
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
-                    leave = i
-        if leave < 0:
-            return "unbounded", _ZERO
-        _pivot(T, basis, leave, entering)
+        z = T[-1]
+        entering = next((j for j in range(width) if z[j] < 0), None)
+        if entering is None:
+            return s
+        # Rows in basis-index order: the strict ratio comparison (by
+        # cross-multiplication) then keeps the lowest index among ties.
+        rows = sorted((i for i in range(len(basis)) if T[i][entering] > 0), key=basis.__getitem__)
+        leave = None
+        for i in rows:
+            if leave is None or T[i][-1] * T[leave][entering] < T[leave][-1] * T[i][entering]:
+                leave = i
+        if leave is None:
+            return None
+        s = pivot(T, leave, entering, s)
+        basis[leave] = entering
 
 
 def solve(lp: MixtureLP, sense: Literal["min", "max"] = "min") -> LPResult:
     """Exact two-phase simplex. Infeasibility is an answer, not an error."""
-    n = len(lp.columns)
-    m = len(lp.rhs)
-    cost = list(lp.objective)
-    if sense == "max":
-        cost = [-c for c in cost]
-    elif sense != "min":
+    if sense not in ("min", "max"):
         raise ValueError(f"sense must be 'min' or 'max', not {sense!r}")
+    n = len(lp.columns)
 
     # Reduce the equality system first: redundant rows disappear and an
     # inconsistent system is caught without touching the simplex.
-    aug = [
-        primitive([lp.columns[j][i] for j in range(n)] + [lp.rhs[i]]) for i in range(m)
-    ]
+    aug = [primitive([col[i] for col in lp.columns] + [b]) for i, b in enumerate(lp.rhs)]
     reduced, d, pivots = rref(aug, n + 1)
     if n in pivots:
         return LPResult(status="infeasible", value=None, weights=None)
-    rows = [[Fraction(v, d) for v in r[:n]] for r in reduced]
-    b = [Fraction(r[n], d) for r in reduced]
-    m = len(rows)
-    if m == 0:
-        if all(c >= 0 for c in cost):
-            value = _ZERO if sense == "min" else -_ZERO
-            return LPResult(status="optimal", value=value, weights=(_ZERO,) * n)
-        return LPResult(status="unbounded", value=None, weights=None)
+    m = len(reduced)
 
-    T: list[list[Fraction]] = []
-    for i in range(m):
-        row = list(rows[i])
-        rhs_i = b[i]
-        if rhs_i < 0:
+    # Integer tableau at common scale d: constraint rows with nonnegative
+    # right-hand sides and artificial columns d*I, the phase-2 row (a
+    # positive multiple of the cost has the same reduced-cost signs), and
+    # the phase-1 row, whose objective is the artificials' sum.
+    T = []
+    for i, row in enumerate(reduced):
+        if row[n] < 0:
             row = [-v for v in row]
-            rhs_i = -rhs_i
-        art = [_ZERO] * m
-        art[i] = _ONE
-        T.append(row + art + [rhs_i])
-    basis = [n + i for i in range(m)]
+        T.append(row[:n] + [d if k == i else 0 for k in range(m)] + [row[n]])
+    cost = primitive(lp.objective)
+    if sense == "max":
+        cost = [-c for c in cost]
+    T.append([d * c for c in cost] + [0] * (m + 1))
+    sums = [sum(col) for col in zip(*T[:m])] or [0] * (n + m + 1)
+    T.append([-v for v in sums[:n]] + [0] * m + [-sums[-1]])
+    basis = list(range(n, n + m))
 
-    phase1 = [_ZERO] * n + [_ONE] * m
-    status, value = _optimize(T, basis, phase1, n + m)
-    assert status == "optimal"
-    if value > 0:
+    s = _simplex(T, basis, n + m, d)
+    # The phase-1 row's last entry is -s times the artificials' sum.
+    if T.pop()[-1]:
         return LPResult(status="infeasible", value=None, weights=None)
 
     # Kick zero-level artificials out of the basis; full row rank after
-    # the reduction above guarantees a pivot column exists.
+    # the reduction above guarantees a pivot column exists. The row's
+    # right-hand side is 0, so negating it keeps the scale positive.
     for i in range(m):
         if basis[i] >= n:
             col = next(j for j in range(n) if T[i][j])
-            _pivot(T, basis, i, col)
-    T = [row[:n] + [row[-1]] for row in T]
+            if T[i][col] < 0:
+                T[i] = [-v for v in T[i]]
+            s = pivot(T, i, col, s)
+            basis[i] = col
+    T = [row[:n] + row[-1:] for row in T]
 
-    status, value = _optimize(T, basis, cost, n)
-    if status == "unbounded":
+    if _simplex(T, basis, n, s) is None:
         return LPResult(status="unbounded", value=None, weights=None)
     weights = [_ZERO] * n
-    for i, bi in enumerate(basis):
-        weights[bi] = T[i][-1]
-    if sense == "max":
-        value = -value
+    for i, b in enumerate(basis):
+        weights[b] = Fraction(T[i][-1], T[i][b])
+    value = sum((c * w for c, w in zip(lp.objective, weights)), _ZERO)
     return LPResult(status="optimal", value=value, weights=tuple(weights))
 
 

@@ -268,8 +268,9 @@ def enumerate_parameter_vertices(scenario: str | Scenario) -> tuple[ParameterPoi
     return tuple(points)
 
 
+@lru_cache(maxsize=None)
 def scenario_vertex_set(scenario: str | Scenario, include_target: bool = True) -> VertexSet:
-    """Distinct images of the parameter vertices under the scenario transform."""
+    """Distinct images of the parameter vertices under the scenario transform (cached)."""
     s = get_scenario(scenario)
     points = [xi_transform(s, p) for p in enumerate_parameter_vertices(s)]
     vs = VertexSet.from_points(s.space, points)

@@ -288,6 +288,14 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert "error:" in err
 
+    def test_huge_exponent_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "huge-exponent.json"
+        path.write_text('{"zeta": {"a1": ["1e-1000000", "0", "0", "1"], "a2": ["0", "0", "1", "0"]}}')
+        code, out, err = run(capsys, "bound", "--scenario", "trivariate", "--data", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and "1e-1000000" in err
+
 
 @pytest.mark.parametrize("verb", ["bound", "check"])
 def test_marginals_contradicting_zeta_exit_1(capsys, tmp_path, verb):
@@ -386,6 +394,7 @@ _broken_texts = st.sampled_from(["", "{", "[1,", "nul", "3", '"zeta"', '{"zeta":
 @example(text='{"zeta": "abc"}', verb="bound", scenario="bivariate")
 @example(text="[" * 5000 + "]" * 5000, verb="check", scenario="trivariate")
 @example(text='{"zeta": ' + "[" * 600 + "]" * 600 + "}", verb="check", scenario="trivariate")
+@example(text='{"zeta": {"a1": [1e-1000000, 0, 0, 1], "a2": [0, 0, 1, 0]}}', verb="bound", scenario="trivariate")
 def test_fuzzed_json_gets_an_exit_code_not_a_traceback(tmp_path, text, verb, scenario):
     path = tmp_path / "fuzz.json"
     path.write_text(text, encoding="utf-8")

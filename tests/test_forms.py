@@ -51,6 +51,13 @@ class TestRational:
         with pytest.raises(ValueError):
             rational("abc")
 
+    def test_huge_exponent_rejected_before_parsing(self):
+        # Such values stall Fraction() and the arithmetic after it, and could never print.
+        for text in ("1e-1000000", "1e1000000", "1e-5000"):
+            with pytest.raises(ValueError, match="exponent"):
+                rational(text)
+        assert rational("1.5e-3") == Fraction(3, 2000)
+
     def test_formatting(self):
         assert format_rational(Fraction(3, 8)) == "3/8"
         assert format_rational(Fraction(4)) == "4"

@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivbounds.introws import independent_rows, primitive, rref, scaled_inverse
+from ivbounds.introws import independent_rows, pivot, primitive, rref, scaled_inverse
+
+
+def reference_step(rows, r, col):
+    """Textbook Gauss-Jordan step over Fractions on entry (r, col), in place."""
+    rows[r] = [v / rows[r][col] for v in rows[r]]
+    for i in range(len(rows)):
+        if i != r and rows[i][col]:
+            f = rows[i][col]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
 
 
 def reference_rref(rows, width):
@@ -15,15 +24,11 @@ def reference_rref(rows, width):
     pivots = []
     for col in range(width):
         rank = len(pivots)
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
+        pivot_row = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot_row is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        rows[rank] = [v / rows[rank][col] for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        reference_step(rows, rank, col)
         pivots.append(col)
     return rows[: len(pivots)], pivots
 
@@ -46,6 +51,24 @@ def test_rref_is_d_times_the_reduced_row_echelon_form(rows, data):
     assert d > 0
     assert pivots == expected_pivots
     assert [[Fraction(v, d) for v in r] for r in reduced] == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(low_rank_matrices(), st.data())
+def test_pivot_is_a_scaled_gauss_jordan_step(rows, data):
+    # Any sequence of pivots on nonzero entries is a simplex-style basis
+    # change, so every division stays exact and the scale is +-det(basis).
+    expected = [[Fraction(v) for v in r] for r in rows]
+    scale = 1
+    for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+        nonzero = [(i, j) for i, row in enumerate(rows) for j, v in enumerate(row) if v]
+        if not nonzero:
+            return
+        r, col = data.draw(st.sampled_from(nonzero))
+        scale = pivot(rows, r, col, scale)
+        reference_step(expected, r, col)
+        assert scale == rows[r][col]
+        assert [[Fraction(v, scale) for v in row] for row in rows] == expected
 
 
 def test_primitive_scales_rationals_to_coprime_integers():

@@ -104,6 +104,47 @@ class TestSolve:
         assert total == res.value
 
 
+# Full solve() results on the bundled trials: status optimal, value, and the
+# nonzero weights as {column: "p/q"}. Bland's rule fixes the pivot path, so
+# any change to the tableau arithmetic that alters it shows up here.
+PINNED = [
+    ("lipid", "bivariate", "min", "48/125", {0: "307/1000", 1: "147/1000", 5: "93/200", 8: "81/1000"}),
+    ("lipid", "bivariate", "max", "853/1000", {4: "97/250", 5: "531/1000", 9: "33/500", 13: "3/200"}),
+    ("lipid", "trivariate", "min", "49/125", {0: "63/200", 1: "131/1000", 5: "473/1000", 8: "73/1000", 9: "1/125"}),
+    ("lipid", "trivariate", "max", "39/50", {1: "131/1000", 4: "63/200", 5: "473/1000", 9: "1/125", 12: "73/1000"}),
+    ("lipid", "pairwise3", "min", "97/250", {0: "311/1000", 1: "3/40", 2: "8/125", 7: "237/1000", 8: "29/125", 12: "77/1000", 14: "1/250"}),
+    ("lipid", "pairwise3", "max", "851/1000", {2: "8/125", 6: "193/500", 7: "237/1000", 8: "29/125", 14: "1/250", 18: "1/500", 19: "3/40"}),
+    ("lipid", "beta", "min", "-153/250", {0: "97/250", 6: "153/250"}),
+    ("lipid", "beta", "max", "153/250", {0: "97/250", 4: "153/250"}),
+    ("vitamin-a", "bivariate", "min", "-987/5000", {5: "4/625", 8: "1/5", 9: "19/5000", 13: "3949/5000"}),
+    ("vitamin-a", "bivariate", "max", "4/625", {4: "19/5000", 5: "13/5000", 12: "981/5000", 13: "3987/5000"}),
+    ("vitamin-a", "trivariate", "min", "-973/5000", {0: "7/2500", 5: "9/2500", 8: "493/2500", 9: "1/1000", 13: "3977/5000"}),
+    ("vitamin-a", "trivariate", "max", "27/5000", {4: "7/2500", 5: "9/2500", 9: "1/1000", 12: "493/2500", 13: "3977/5000"}),
+    ("vitamin-a", "pairwise3", "min", "-987/5000", {7: "23/5000", 8: "9/5000", 12: "1/5", 13: "33/10000", 14: "1/2000", 19: "3849/10000", 20: "4049/10000"}),
+    ("vitamin-a", "pairwise3", "max", "59/10000", {6: "33/10000", 7: "13/10000", 8: "9/5000", 14: "1/2000", 18: "1967/10000", 19: "783/2000", 20: "4049/10000"}),
+    ("vitamin-a", "beta", "min", "-4/5", {0: "1/5", 6: "4/5"}),
+    ("vitamin-a", "beta", "max", "4/5", {0: "1/5", 4: "4/5"}),
+]
+
+
+class TestPivotPath:
+    @pytest.mark.parametrize("dataset,scenario,sense,value,support", PINNED)
+    def test_bundled_results_are_pinned(self, dataset, scenario, sense, value, support):
+        p = MixtureLP.from_scenario(scenario, load(dataset))
+        res = solve(p, sense)
+        weights = tuple(F(support.get(j, 0)) for j in range(len(p.columns)))
+        assert res == LPResult("optimal", F(value), weights)
+
+    def test_artificial_kicked_out_on_a_negative_entry(self):
+        # -w1 + w3 = 1 and w1 + w2 = 0. Phase 1 ends with w3 and one
+        # artificial basic, the artificial at level 0 in a row whose first
+        # nonzero entry is -1. w4 is free, so the max is unbounded; a sign
+        # slip in the kick-out swaps the two answers.
+        p = lp(columns=((-1, 1), (0, 1), (1, 0), (0, 0)), rhs=(1, 0), objective=(-1, -2, -2, 1))
+        assert solve(p, "min") == LPResult("optimal", F(-2), (0, 0, 1, 0))
+        assert solve(p, "max") == LPResult("unbounded", None, None)
+
+
 class TestMixtureLP:
     def test_from_scenario_shapes(self):
         p = MixtureLP.from_scenario("trivariate", load("lipid"))
