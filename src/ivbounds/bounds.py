@@ -8,13 +8,17 @@ scenario without a target (fig3) simply has no bounds, and all its facets
 are model tests. Trivial observable facets (equivalent, modulo the
 hull equalities, to a single coordinate being nonnegative) are kept apart
 from the informative ones so reports mirror the usual presentation.
+At its first evaluation a BoundSet is compiled to integer rows, so that
+evaluate_bounds and model_check are integer dot products, still exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import lcm
+from operator import mul
 from typing import Mapping, Sequence
 
 from .data import DECIMAL_TOLERANCE, ObservedTables, ValidationError, observable_point
@@ -22,6 +26,7 @@ from .forms import (
     AffineForm,
     CoordinateSpace,
     LinearConstraint,
+    MissingCoordinate,
     RationalLike,
     Relation,
     canonicalize,
@@ -32,6 +37,10 @@ from .polytope import HRepresentation, facet_enumeration, reduce_mod_equalities
 from .scenarios import get_scenario, scenario_vertex_set
 
 _ZERO = Fraction(0)
+
+# model_check's sections, in report order, and the BoundSet field of each.
+_SECTIONS = (("observable", "observable_tests"), ("equality", "hull_equalities"),
+             ("trivial", "trivial_tests"))
 
 
 class TargetUnconstrained(ValueError):
@@ -79,6 +88,21 @@ class BoundSet:
             "hull_equalities": con_list(self.hull_equalities),
         }
 
+    @cached_property
+    def _rows(self) -> tuple[dict[str, list[tuple[int, ...]]], int]:
+        """Each form list ("lower", "upper", a section) as integer rows over one L > 0.
+
+        The row (a..., k) is the form (a . x + k) / L. Built at first use, not in derive.
+        """
+        lists = {"lower": self.lower_forms, "upper": self.upper_forms}
+        lists.update((s, [c.form for c in getattr(self, f)]) for s, f in _SECTIONS)
+        rows = {name: [(*f.coefficients, f.constant) for f in fs] for name, fs in lists.items()}
+        den = lcm(*(v.denominator for vs in rows.values() for row in vs for v in row))
+        return {
+            name: [tuple(v.numerator * (den // v.denominator) for v in row) for row in vs]
+            for name, vs in rows.items()
+        }, den
+
 
 def classify_observable(
     h: HRepresentation,
@@ -88,22 +112,21 @@ def classify_observable(
     A facet is trivial when, modulo the hull equalities, it says nothing
     more than "some coordinate is nonnegative".
     """
+    reduced = [reduce_mod_equalities(f.form, h.equalities) for f in h.facets]
+    return _classify(h.space, h.equalities, reduced)
+
+
+def _classify(space: CoordinateSpace, equalities: tuple, reduced: list) -> tuple[tuple, tuple]:
+    """classify_observable for facet forms already reduced modulo the equalities."""
     trivial_keys = set()
-    for label in h.space.labels:
-        nonneg = AffineForm.coordinate(h.space, label)
-        reduced = reduce_mod_equalities(nonneg, h.equalities)
-        key = canonicalize(LinearConstraint(reduced, Relation.GEQ)).form.key()
-        trivial_keys.add(key)
-    nontrivial: list[LinearConstraint] = []
-    trivial: list[LinearConstraint] = []
-    for facet in h.facets:
-        reduced = reduce_mod_equalities(facet.form, h.equalities)
-        con = canonicalize(LinearConstraint(reduced, Relation.GEQ))
-        if con.form.key() in trivial_keys:
-            trivial.append(con)
-        else:
-            nontrivial.append(con)
-    return tuple(nontrivial), tuple(trivial)
+    for label in space.labels:
+        nonneg = reduce_mod_equalities(AffineForm.coordinate(space, label), equalities)
+        trivial_keys.add(canonicalize(LinearConstraint(nonneg, Relation.GEQ)).form.key())
+    cons = [canonicalize(LinearConstraint(form, Relation.GEQ)) for form in reduced]
+    return (
+        tuple(c for c in cons if c.form.key() not in trivial_keys),
+        tuple(c for c in cons if c.form.key() in trivial_keys),
+    )
 
 
 def partition(h: HRepresentation, target: str | None = None) -> BoundSet:
@@ -147,7 +170,7 @@ def partition(h: HRepresentation, target: str | None = None) -> BoundSet:
         reduced = reduce_mod_equalities(facet.form, h.equalities)
         c = target_coefficient(reduced)
         if c == 0:
-            obs_only.append(LinearConstraint(reduced, Relation.GEQ))
+            obs_only.append(reduced)
         else:
             (lower if c > 0 else upper).append(solve_for_target(reduced))
 
@@ -160,8 +183,7 @@ def partition(h: HRepresentation, target: str | None = None) -> BoundSet:
             lower.append(solved)
             upper.append(solved)
 
-    sub_h = HRepresentation(h.space, h.equalities, tuple(obs_only), h.affine_dimension)
-    nontrivial, trivial = classify_observable(sub_h)
+    nontrivial, trivial = _classify(h.space, h.equalities, obs_only)
 
     if target is not None and not lower and not upper:
         if target in ("alpha", "beta"):
@@ -222,18 +244,41 @@ def evaluate_bounds(
     """
     if bs.target is None:
         raise TargetUnconstrained(f"scenario {bs.scenario!r} has no causal target to bound")
-    point = observable_point(bs.space.labels, data)
-    lows = [f.evaluate(point) for f in bs.lower_forms]
-    highs = [f.evaluate(point) for f in bs.upper_forms]
-    lo = max(lows)
-    hi = min(highs)
-    return Interval(
-        lower=lo,
-        upper=hi,
-        lower_witness=lows.index(lo),
-        upper_witness=highs.index(hi),
-        empty=lo > hi,
-    )
+    (lows, highs), den = _numerators(bs, ("lower", "upper"), data)
+    return _interval(lows, highs, den)
+
+
+def _interval(lows: list, highs: list, den: int = 1) -> Interval:
+    """[max(lows), min(highs)], each over den > 0; ties keep the earliest form."""
+    lo, hi = max(lows), min(highs)
+    return Interval(Fraction(lo, den), Fraction(hi, den), lows.index(lo), highs.index(hi), lo > hi)
+
+
+def _numerators(
+    bs: BoundSet, names: Sequence[str], data: ObservedTables | Mapping[str, RationalLike]
+) -> tuple[list[list[int]], int]:
+    """Every form of the named lists at the data point, as numerators over one denominator.
+
+    The point is scaled once to integers over the lcm D of its denominators. Raises what
+    evaluating each form in turn would, such as MissingCoordinate for an absent used label.
+    """
+    labels = bs.space.labels
+    point = observable_point(labels, data)
+    values, unusable = [], []
+    for j, label in enumerate(labels):
+        try:
+            values.append(rational(point[label]))
+        except (KeyError, TypeError, ValueError):
+            values.append(_ZERO)
+            unusable.append(j)
+    scale = lcm(*(v.denominator for v in values))
+    xs = [v.numerator * (scale // v.denominator) for v in values] + [scale]
+    rows, den = bs._rows
+    for j in (j for name in names for row in rows[name] for j in unusable if row[j]):
+        if labels[j] not in point:
+            raise MissingCoordinate(labels[j])
+        rational(point[labels[j]])  # raises this value's own error
+    return [[sum(map(mul, row, xs)) for row in rows[name]] for name in names], den * scale
 
 
 @dataclass(frozen=True)
@@ -275,18 +320,14 @@ def model_check(
     equalities with |slack| <= tol.
     """
     tol = default_tolerance(data) if tolerance is None else rational(tolerance)
-    sections = (
-        ("observable", bs.observable_tests),
-        ("equality", bs.hull_equalities),
-        ("trivial", bs.trivial_tests),
-    )
-    point = observable_point(bs.space.labels, data)
+    slacks, den = _numerators(bs, [name for name, _ in _SECTIONS], data)
     entries: list[CheckEntry] = []
-    for section, cons in sections:
-        for i, con in enumerate(cons):
-            s = con.slack(point)
-            ok = abs(s) <= tol if con.relation is Relation.EQ else s >= -tol
-            entries.append(CheckEntry(section, i, con, s, ok))
+    for (name, field), numerators in zip(_SECTIONS, slacks):
+        for i, (con, n) in enumerate(zip(getattr(bs, field), numerators)):
+            # slack n / den passes if >= -tol, or if |slack| <= tol for an equality
+            shortfall = abs(n) if con.relation is Relation.EQ else -n
+            ok = shortfall * tol.denominator <= tol.numerator * den
+            entries.append(CheckEntry(name, i, con, Fraction(n, den), ok))
     return ConstraintReport(
         scenario=bs.scenario,
         tolerance=tol,
@@ -335,13 +376,4 @@ def beta_bounds(data: ObservedTables | Mapping[str, RationalLike]) -> Interval:
     point = observable_point(get_scenario("beta").observable_labels, data)
     t01, t11 = point["t01"], point["t11"]
     t02, t12 = point["t02"], point["t12"]
-    lows = [-t01 - t02, -t11 - t12]
-    highs = [t01 + t02, t11 + t12]
-    lo, hi = max(lows), min(highs)
-    return Interval(
-        lower=lo,
-        upper=hi,
-        lower_witness=lows.index(lo),
-        upper_witness=highs.index(hi),
-        empty=lo > hi,
-    )
+    return _interval([-t01 - t02, -t11 - t12], [t01 + t02, t11 + t12])

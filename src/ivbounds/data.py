@@ -228,14 +228,21 @@ def _load_json_text(text: str, max_deviation: Fraction) -> ObservedTables:
 
 def _load_csv_text(text: str, max_deviation: Fraction) -> ObservedTables:
     reader = csv.DictReader(text.splitlines())
-    if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["c", "b", "a", "value"]:
-        raise ParseError("CSV zeta tables need the header row 'c,b,a,value'")
+    try:
+        reader.fieldnames = [f.strip() for f in reader.fieldnames or ()]
+        if reader.fieldnames != ["c", "b", "a", "value"]:
+            raise ParseError("CSV zeta tables need the header row 'c,b,a,value'")
+        rows = list(reader)
+    except csv.Error as exc:
+        raise ParseError(f"cannot read CSV: {exc}") from exc
     entries: dict[tuple[int, int, int], str] = {}
-    for row in reader:
+    for row in rows:
         try:
             key = (int(row["c"]), int(row["b"]), int(row["a"]))
         except (TypeError, ValueError) as exc:
             raise ParseError(f"bad CSV row {row}: {exc}") from exc
+        if row["value"] is None:
+            raise ParseError(f"bad CSV row {row}: no value")
         if key in entries:
             raise ParseError(f"duplicate CSV row for (c,b,a) = {key}")
         entries[key] = row["value"]

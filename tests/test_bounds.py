@@ -8,15 +8,22 @@ comparison independent of which representative of each bound the
 derivation happens to print.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ivbounds.bounds import (
     BoundSet,
+    CheckEntry,
+    ConstraintReport,
+    Interval,
     TargetUnconstrained,
     beta_bounds,
     classify_observable,
+    default_tolerance,
     derive,
     evaluate_bounds,
     instrumental_inequality,
@@ -24,13 +31,15 @@ from ivbounds.bounds import (
     partition,
     scenario_hull,
 )
-from ivbounds.data import build_tables, load, observable_point
+from ivbounds.data import build_tables, derive_marginals, load, observable_point
 from ivbounds.forms import (
     AffineForm,
     CoordinateSpace,
     LinearConstraint,
+    MissingCoordinate,
     Relation,
     canonicalize,
+    rational,
 )
 from ivbounds.polytope import HRepresentation, reduce_mod_equalities
 from ivbounds.scenarios import SCENARIOS
@@ -422,3 +431,178 @@ class TestPartitionFallback:
         assert bs.lower_forms[0] == bs.upper_forms[0]
         iv = evaluate_bounds(bs, {"t01": "1/3"})
         assert iv.lower == iv.upper == Fraction(1, 3)
+
+
+# Reference evaluation, one Fraction per coefficient per form: what
+# evaluate_bounds and model_check computed before they ran on a BoundSet's
+# compiled integer rows. Both must agree with it exactly, exceptions included.
+
+
+def reference_interval(bs: BoundSet, data) -> Interval:
+    point = observable_point(bs.space.labels, data)
+    lows = [f.evaluate(point) for f in bs.lower_forms]
+    highs = [f.evaluate(point) for f in bs.upper_forms]
+    lo, hi = max(lows), min(highs)
+    return Interval(lo, hi, lows.index(lo), highs.index(hi), lo > hi)
+
+
+def reference_report(bs: BoundSet, data, tolerance=None) -> ConstraintReport:
+    tol = default_tolerance(data) if tolerance is None else rational(tolerance)
+    point = observable_point(bs.space.labels, data)
+    entries = []
+    for section, cons in (
+        ("observable", bs.observable_tests),
+        ("equality", bs.hull_equalities),
+        ("trivial", bs.trivial_tests),
+    ):
+        for i, con in enumerate(cons):
+            s = con.slack(point)
+            ok = abs(s) <= tol if con.relation is Relation.EQ else s >= -tol
+            entries.append(CheckEntry(section, i, con, s, ok))
+    return ConstraintReport(bs.scenario, tol, tuple(entries), all(e.passed for e in entries))
+
+
+def outcome(fn, *args):
+    """The result, or the exception's type and label/message, for comparison."""
+    try:
+        return fn(*args)
+    except MissingCoordinate as exc:
+        return ("MissingCoordinate", exc.label)
+    except (TypeError, ValueError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+TARGETED = ("bivariate", "trivariate", "pairwise3", "beta")
+
+_values = st.fractions(min_value=-2, max_value=2, max_denominator=60)
+
+
+def _point(labels):
+    return st.fixed_dictionaries({label: _values for label in labels})
+
+
+def _assert_compiled_matches_reference(bs, data, tolerance=None):
+    assert evaluate_bounds(bs, data) == reference_interval(bs, data)
+    assert model_check(bs, data, tolerance) == reference_report(bs, data, tolerance)
+
+
+class TestCompiledEvaluation:
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(TARGETED), data=st.data())
+    def test_random_rational_points(self, name, data):
+        bs = derive(name)
+        point = data.draw(_point(bs.space.labels))
+        _assert_compiled_matches_reference(bs, point)
+        # a tolerance equal to some slack's magnitude puts entries exactly at +-tol
+        slacks = [e.slack for e in reference_report(bs, point).entries]
+        tol = abs(data.draw(st.sampled_from(slacks)))
+        _assert_compiled_matches_reference(bs, point, tol)
+        _assert_compiled_matches_reference(bs, point, -tol)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(TARGETED),
+        zeta=st.lists(st.lists(st.integers(0, 9), min_size=4, max_size=4), min_size=2, max_size=2),
+        weight=st.integers(1, 9999),
+    )
+    @example(name="trivariate", zeta=[[1, 0, 0, 0], [0, 0, 1, 0]], weight=5000)
+    def test_decimal_tables(self, name, zeta, weight):
+        # four-decimal rows that sum to 1 when their weights allow it
+        def decimal(units):
+            return f"{units // 10000}.{units % 10000:04d}"
+
+        def row(ws):
+            total = sum(ws) or 1
+            cells = [w * 10000 // total for w in ws]
+            cells[0] += 10000 - sum(cells)
+            return [decimal(c) for c in cells]
+
+        tables = derive_marginals(build_tables(
+            zeta={"a1": row(zeta[0]), "a2": row(zeta[1])},
+            arm_weights=[decimal(weight), decimal(10000 - weight)],
+            decimal_input=True,
+        ))
+        assert tables.decimal_input
+        _assert_compiled_matches_reference(derive(name), tables)
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(TARGETED), data=st.data())
+    def test_absent_labels(self, name, data):
+        # an absent label is fine unless a form uses it; then both raise
+        # MissingCoordinate with the same label
+        bs = derive(name)
+        point = data.draw(_point(bs.space.labels))
+        for label in data.draw(st.sets(st.sampled_from(bs.space.labels))):
+            del point[label]
+        assert outcome(evaluate_bounds, bs, point) == outcome(reference_interval, bs, point)
+        assert outcome(model_check, bs, point) == outcome(reference_report, bs, point)
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_fractional_forms_with_ties(self, data):
+        # derived forms have integer coefficients; these have denominators,
+        # repeated forms (ties) and equalities as well as inequalities
+        space = CoordinateSpace("toy-observables", ("u", "v", "w"))
+        coeff = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6]))
+        form = st.builds(
+            lambda cs, k: AffineForm(space, tuple(cs), k),
+            st.lists(coeff, min_size=3, max_size=3), coeff,
+        )
+
+        def forms():
+            drawn = data.draw(st.lists(form, min_size=1, max_size=4))
+            drawn += data.draw(st.lists(st.sampled_from(drawn), max_size=2))
+            return tuple(data.draw(st.permutations(drawn)))
+
+        def constraints():
+            con = st.builds(LinearConstraint, form, st.sampled_from(Relation))
+            return tuple(data.draw(st.lists(con, max_size=4)))
+
+        bs = BoundSet(
+            scenario="toy",
+            target="t",
+            space=space,
+            lower_forms=forms(),
+            upper_forms=forms(),
+            observable_tests=constraints(),
+            trivial_tests=constraints(),
+            hull_equalities=constraints(),
+        )
+        point = data.draw(st.one_of(_point(space.labels), st.just({"u": 0, "v": 0, "w": 0})))
+        tol = data.draw(st.fractions(min_value=0, max_value=1, max_denominator=12))
+        _assert_compiled_matches_reference(bs, point, tol)
+
+    def test_empty_interval_matches_reference(self):
+        bad = derive_marginals(build_tables(
+            zeta={"a1": ["1", "0", "0", "0"], "a2": ["0", "0", "1", "0"]},
+            arm_weights=["1/2", "1/2"],
+        ))
+        for name in ("bivariate", "trivariate", "pairwise3"):
+            assert evaluate_bounds(derive(name), bad).empty
+            _assert_compiled_matches_reference(derive(name), bad)
+
+    def test_hand_built_tables_with_loose_values(self):
+        # Tables built without build_tables may hold ints, strings or
+        # floats; a value raises only where a form uses its label, as
+        # evaluating form by form did.
+        lipid = load("lipid")
+        for cell in (1, "1/2", "0.5", 0.5, "abc"):
+            tables = replace(lipid, gamma={**lipid.gamma, (1, 1): cell})
+            bs = derive("bivariate")
+            assert outcome(evaluate_bounds, bs, tables) == outcome(reference_interval, bs, tables)
+            assert outcome(model_check, bs, tables) == outcome(reference_report, bs, tables)
+
+    def test_missing_used_label_is_named(self):
+        bs = derive("bivariate")
+        point = {"g01": 1, "g11": 0, "g02": 1, "g12": 0, "t01": 1, "t11": 0, "t12": 0}
+        with pytest.raises(MissingCoordinate) as exc:
+            evaluate_bounds(bs, point)
+        assert exc.value.label == "t02"
+
+    def test_rows_are_compiled_at_first_evaluation_and_kept(self):
+        bs = partition(scenario_hull("trivariate"), "alpha")
+        assert "_rows" not in vars(bs)
+        evaluate_bounds(bs, load("lipid"))
+        rows = vars(bs)["_rows"]
+        model_check(bs, load("vitamin-a"))
+        assert vars(bs)["_rows"] is rows

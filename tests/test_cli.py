@@ -9,6 +9,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -297,6 +298,28 @@ class TestUsageErrors:
         assert err.startswith("error:") and "1e-1000000" in err
 
 
+# Byte-for-byte CLI output of check and bound, in both formats, on the
+# bundled studies and on violating.json (every slack, endpoint and witness
+# the CLI prints). Each file is named <verb>-<data>-<scenario>.<txt|json>;
+# exit_codes.json holds the exit code of each.
+GOLDEN_CLI = Path(__file__).parent / "golden" / "cli"
+GOLDEN_EXIT_CODES = json.loads((GOLDEN_CLI / "exit_codes.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_EXIT_CODES))
+def test_output_matches_golden(capsys, monkeypatch, name):
+    verb, rest = name.split("-", 1)
+    stem, ext = rest.rsplit(".", 1)
+    data, scenario = stem.rsplit("-", 1)
+    monkeypatch.chdir(GOLDEN_CLI)  # violating.json is named as given, so it prints the same
+    if data == "violating":
+        data += ".json"
+    fmt = "json" if ext == "json" else "text"
+    code, out, err = run(capsys, verb, "--scenario", scenario, "--data", data, "--format", fmt)
+    assert (code, err) == (GOLDEN_EXIT_CODES[name], "")
+    assert out.encode("utf-8") == (GOLDEN_CLI / name).read_bytes()
+
+
 @pytest.mark.parametrize("verb", ["bound", "check"])
 def test_marginals_contradicting_zeta_exit_1(capsys, tmp_path, verb):
     """gamma 0.5/0.5 beside lipid's zeta once gave PASS and non-nested intervals."""
@@ -397,6 +420,61 @@ _broken_texts = st.sampled_from(["", "{", "[1,", "nul", "3", '"zeta"', '{"zeta":
 @example(text='{"zeta": {"a1": [1e-1000000, 0, 0, 1], "a2": [0, 0, 1, 0]}}', verb="bound", scenario="trivariate")
 def test_fuzzed_json_gets_an_exit_code_not_a_traceback(tmp_path, text, verb, scenario):
     path = tmp_path / "fuzz.json"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = entry([verb, "--scenario", scenario, "--data", str(path)])
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_CHECK_FAILED, EXIT_EMPTY)
+    assert "Traceback" not in err.getvalue()
+
+
+_CB = ((0, 0), (0, 1), (1, 0), (1, 1))
+_csv_cells = st.one_of(
+    st.integers(-1, 3).map(str),
+    st.builds(lambda m, e: f"{m}e{e}", st.integers(-9, 99), st.integers(-12, 12)),
+    st.sampled_from(
+        ["", " ", "1.0", "1e0", "01", "+1", "1_0", "x", "0.25", "1/2", "1/0", "-0.1", "nan", "inf", "1e-1000000"]
+    ),
+)
+
+
+@st.composite
+def _csv_texts(draw):
+    """A header and a complete zeta table, then maybe damaged rows and cells."""
+    header = draw(st.one_of(
+        st.just("c,b,a,value"),
+        st.just(' c , b ,a,"value" '),
+        st.sampled_from(["c,b,a", "c,b,a,value,x", "a,b,c,value", "c;b;a;value", "c,c,a,value", ""]),
+    ))
+    arms = draw(st.tuples(_rows(4), _rows(4)))
+    rows = [[str(c), str(b), str(a), arms[a - 1][i]] for a in (1, 2) for i, (c, b) in enumerate(_CB)]
+    rows = list(draw(st.permutations(rows)))
+    if draw(st.booleans()):
+        rows = rows[: draw(st.integers(0, 8))]  # missing rows
+        rows += draw(st.lists(st.sampled_from(rows), max_size=2)) if rows else []  # duplicates
+        rows += draw(st.lists(st.lists(_csv_cells, min_size=0, max_size=5), max_size=3))
+        for row in draw(st.lists(st.sampled_from(rows), max_size=3)) if rows else []:
+            if row:
+                row[draw(st.integers(0, len(row) - 1))] = draw(_csv_cells)  # bad index or value
+    return "\n".join([header] + [",".join(row) for row in rows]) + "\n"
+
+
+_COMPLETE = "\n".join(f"{c},{b},{a},{1 if (c, b) == (0, 0) else 0}" for a in (1, 2) for c, b in _CB)
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    text=_csv_texts(),
+    verb=st.sampled_from(["check", "bound", "oracle"]),
+    scenario=st.sampled_from(tuple(SCENARIOS)),
+)
+@example(text="c,b,a,value\n" + _COMPLETE.replace("0,0,1,1", "0,0,1"), verb="bound", scenario="trivariate")
+@example(text=" c , b ,a,value\n" + _COMPLETE, verb="check", scenario="trivariate")
+@example(text="c,b,a,value\n0,0,1," + "1" * 200000 + "\n", verb="check", scenario="trivariate")
+def test_fuzzed_csv_gets_an_exit_code_not_a_traceback(tmp_path, text, verb, scenario):
+    path = tmp_path / "fuzz.csv"
     path.write_text(text, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
