@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
-from operator import mul
 from typing import Mapping, Sequence
 
 from .data import DECIMAL_TOLERANCE, ObservedTables, ValidationError, observable_point
@@ -33,6 +31,7 @@ from .forms import (
     format_rational,
     rational,
 )
+from .introws import evaluate_rows, integer_rows
 from .polytope import HRepresentation, facet_enumeration, reduce_mod_equalities
 from .scenarios import get_scenario, scenario_vertex_set
 
@@ -96,12 +95,9 @@ class BoundSet:
         """
         lists = {"lower": self.lower_forms, "upper": self.upper_forms}
         lists.update((s, [c.form for c in getattr(self, f)]) for s, f in _SECTIONS)
-        rows = {name: [(*f.coefficients, f.constant) for f in fs] for name, fs in lists.items()}
-        den = lcm(*(v.denominator for vs in rows.values() for row in vs for v in row))
-        return {
-            name: [tuple(v.numerator * (den // v.denominator) for v in row) for row in vs]
-            for name, vs in rows.items()
-        }, den
+        groups = [[(*f.coefficients, f.constant) for f in fs] for fs in lists.values()]
+        rows, den = integer_rows(groups)
+        return dict(zip(lists, rows)), den
 
 
 def classify_observable(
@@ -259,7 +255,7 @@ def _numerators(
 ) -> tuple[list[list[int]], int]:
     """Every form of the named lists at the data point, as numerators over one denominator.
 
-    The point is scaled once to integers over the lcm D of its denominators. Raises what
+    evaluate_rows scales the point to integers once for all of them. Raises what
     evaluating each form in turn would, such as MissingCoordinate for an absent used label.
     """
     labels = bs.space.labels
@@ -271,14 +267,13 @@ def _numerators(
         except (KeyError, TypeError, ValueError):
             values.append(_ZERO)
             unusable.append(j)
-    scale = lcm(*(v.denominator for v in values))
-    xs = [v.numerator * (scale // v.denominator) for v in values] + [scale]
     rows, den = bs._rows
     for j in (j for name in names for row in rows[name] for j in unusable if row[j]):
         if labels[j] not in point:
             raise MissingCoordinate(labels[j])
         rational(point[labels[j]])  # raises this value's own error
-    return [[sum(map(mul, row, xs)) for row in rows[name]] for name in names], den * scale
+    numerators, scale = evaluate_rows([rows[name] for name in names], values)
+    return numerators, den * scale
 
 
 @dataclass(frozen=True)

@@ -191,8 +191,7 @@ def _cmd_derive(args) -> int:
 def _cmd_check(args) -> int:
     s = _resolve_scenario(args)
     tables = _load_data(args.data)
-    tol = None if args.tolerance is None else args.tolerance
-    report = model_check(derive(s.name), tables, tol)
+    report = model_check(derive(s.name), tables, args.tolerance)
 
     sections: dict[str, list] = {"observable": [], "equality": [], "trivial": []}
     for e in report.entries:
@@ -200,7 +199,7 @@ def _cmd_check(args) -> int:
 
     instrumental = None
     if s.name == "trivariate":
-        instrumental = instrumental_inequality(tables, tol)
+        instrumental = instrumental_inequality(tables, args.tolerance)
 
     passed = report.passed and (instrumental is None or instrumental.passed)
     status = "PASS" if passed else "FAIL"

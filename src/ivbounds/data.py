@@ -34,6 +34,11 @@ DEFAULT_SUM_DEVIATION = Fraction(1, 100)
 # stray from exact agreement.
 DECIMAL_TOLERANCE = Fraction(1, 2000)
 
+# Every printed result is a sum of products of at most two of the 22 cells, so cells
+# of at most this many digits keep it far inside the interpreter's 4300-digit print limit.
+_CELL_DIGITS = 100
+_CELL_LIMIT = 10**_CELL_DIGITS
+
 
 class ParseError(ValueError):
     """Input text or structure cannot be read as tables."""
@@ -111,12 +116,21 @@ def build_tables(
     """Construct validated tables from the JSON-shaped nested values."""
     max_deviation = rational(max_deviation)
 
+    def cells(values, where: str) -> list[Fraction]:
+        row = []
+        for i, v in enumerate(values):
+            q = rational(v)
+            if q.denominator >= _CELL_LIMIT or abs(q.numerator) >= _CELL_LIMIT:
+                raise ParseError(f"{where}[{i}] = {v!r} needs more than {_CELL_DIGITS} digits")
+            row.append(q)
+        return row
+
     def arm_block(table: Mapping[str, Sequence[RationalLike]], width: int, what: str):
         if not isinstance(table, Mapping) or set(table) != {"a1", "a2"}:
             raise ParseError(f"{what} table needs exactly the keys 'a1' and 'a2'")
         rows = {}
         for a in _ARMS:
-            row = [rational(v) for v in table[f"a{a}"]]
+            row = cells(table[f"a{a}"], f"{what} a{a}")
             if len(row) != width:
                 raise ParseError(f"{what} row a{a} needs {width} entries, got {len(row)}")
             rows[a] = row
@@ -136,13 +150,13 @@ def build_tables(
         theta_map = {(b, a): rows[a][b] for a in _ARMS for b in (0, 1)}
     phi_map = None
     if phi is not None:
-        row = [rational(v) for v in phi]
+        row = cells(phi, "phi")
         if len(row) != 4:
             raise ParseError(f"phi needs 4 entries, got {len(row)}")
         phi_map = {cb: row[i] for i, cb in enumerate(_CB_PAIRS)}
     weights = None
     if arm_weights is not None:
-        row = [rational(v) for v in arm_weights]
+        row = cells(arm_weights, "arm_weights")
         if len(row) != 2:
             raise ParseError(f"arm_weights needs 2 entries, got {len(row)}")
         weights = (row[0], row[1])

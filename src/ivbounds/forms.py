@@ -52,6 +52,8 @@ def rational(value: RationalLike) -> Fraction:
     have already lost exactness, and so are decimal exponents beyond
     4300 in magnitude.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, bool):
         raise TypeError("expected a rational value, got a bool")
     if isinstance(value, (int, Fraction)):

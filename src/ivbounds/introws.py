@@ -2,18 +2,48 @@
 
 Every elimination of the package runs through one step here, ``pivot``:
 the derivation path's, and the LP oracle's equality pre-reduction and
-simplex pivots. Rational input is scaled row by row to coprime
-integers first (scaling a row changes neither its row space nor the sign
-of what it evaluates to). Elimination is fraction-free in Bareiss's
-style: each intermediate entry is a minor of the input, so every division
-is exact and entries stay bounded by the input's minors. Callers turn
-results back into ``Fraction`` only at the package's API boundary.
+simplex pivots. Rational input is scaled to integers first, always by
+``clear_denominators`` (scaling a row changes neither its row space nor
+the sign of what it evaluates to). ``evaluate_rows`` is the one
+evaluator of such rows at a rational point. Elimination is fraction-free
+in Bareiss's style: each intermediate entry is a minor of the input, so
+every division is exact and entries stay bounded by the input's minors.
+Callers turn results back into ``Fraction`` only at the package's API
+boundary.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence
+
+
+def clear_denominators(values: Sequence) -> tuple[list[int], int]:
+    """(ints, d): the least d > 0 making every d * v an integer, and those integers."""
+    d = lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def integer_rows(groups: Sequence[Sequence[Sequence]]) -> tuple[list[list[tuple[int, ...]]], int]:
+    """Groups of rational rows as integer rows over one least common denominator d > 0."""
+    ints, d = clear_denominators([v for rows in groups for row in rows for v in row])
+    it = iter(ints)
+    return [[tuple(islice(it, len(row))) for row in rows] for rows in groups], d
+
+
+def evaluate_rows(
+    groups: Sequence[Sequence[Sequence[int]]], point: Sequence
+) -> tuple[list[list[int]], int]:
+    """Groups of integer rows (a..., k) at a rational point x, as numerators over one d > 0.
+
+    Row (a..., k) evaluates to a . x + k = n / d, where d is the point's
+    least common denominator.
+    """
+    xs, d = clear_denominators(point)
+    xs.append(d)
+    return [[sum(map(mul, row, xs)) for row in rows] for rows in groups], d
 
 
 def primitive(values: Sequence) -> tuple[int, ...]:
@@ -21,12 +51,9 @@ def primitive(values: Sequence) -> tuple[int, ...]:
 
     Accepts ints and Fractions; a zero vector stays zero.
     """
-    scale = lcm(*(v.denominator for v in values))
-    ints = [v.numerator * (scale // v.denominator) for v in values]
+    ints, _ = clear_denominators(values)
     g = gcd(*ints)
-    if g > 1:
-        return tuple(v // g for v in ints)
-    return tuple(ints)
+    return tuple(v // g for v in ints) if g > 1 else tuple(ints)
 
 
 def pivot(rows: list[list[int]], r: int, col: int, prev: int) -> int:

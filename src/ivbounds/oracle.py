@@ -59,17 +59,13 @@ class MixtureLP:
     ) -> "MixtureLP":
         s = get_scenario(scenario)
         if s.causal_target is None:
-            raise ValueError(
-                f"scenario {s.name!r} has no causal target to optimize"
-            )
+            raise ValueError(f"scenario {s.name!r} has no causal target to optimize")
         vs = scenario_vertex_set(s, include_target=True)
         labels = s.observable_labels
         point = observable_point(labels, data)
         idx = [s.space.index(lab) for lab in labels]
         ti = s.space.index(s.causal_target)
-        columns = tuple(
-            tuple(v[i] for i in idx) + (_ONE,) for v in vs.vertices
-        )
+        columns = tuple(tuple(v[i] for i in idx) + (_ONE,) for v in vs.vertices)
         rhs = tuple(point[lab] for lab in labels) + (_ONE,)
         objective = tuple(v[ti] for v in vs.vertices)
         return cls(columns=columns, rhs=rhs, objective=objective)

@@ -9,13 +9,15 @@ an incremental double description pass there, and lifts the resulting
 facets back. Points and forms are exact rationals at the API; inside,
 elimination and the double description run on primitive integer rows
 (see introws), so no Fraction is built until results are lifted back.
+Membership tests evaluate an HRepresentation's integer rows, compiled at
+its first contains call, by integer dot products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .forms import (
@@ -26,7 +28,8 @@ from .forms import (
     Relation,
     constraint_from_row,
 )
-from .introws import independent_rows, primitive, rref, scaled_inverse
+from .introws import clear_denominators, evaluate_rows, independent_rows, integer_rows
+from .introws import primitive, rref, scaled_inverse
 
 
 class DimensionOverflow(ValueError):
@@ -51,25 +54,13 @@ class VertexSet:
         space: CoordinateSpace,
         points: Iterable[Mapping | Sequence],
     ) -> "VertexSet":
-        seen: set[tuple[Fraction, ...]] = set()
-        rows: list[tuple[Fraction, ...]] = []
-        for p in points:
-            vec = space.vector(p)
-            if vec not in seen:
-                seen.add(vec)
-                rows.append(vec)
+        rows = tuple(dict.fromkeys(space.vector(p) for p in points))
         if not rows:
             raise ValueError("a vertex set needs at least one point")
-        return cls(space, tuple(rows))
+        return cls(space, rows)
 
     def __len__(self) -> int:
         return len(self.vertices)
-
-    def restrict(self, labels: Sequence[str], name: str | None = None) -> "VertexSet":
-        """Project onto a subset of coordinates (duplicates re-merged)."""
-        sub = CoordinateSpace(name or f"{self.space.name}:restricted", tuple(labels))
-        cols = [self.space.index(lab) for lab in sub.labels]
-        return VertexSet.from_points(sub, [tuple(v[c] for c in cols) for v in self.vertices])
 
 
 @dataclass(frozen=True)
@@ -91,8 +82,7 @@ def affine_hull(vs: VertexSet) -> AffineHull:
     """Compute the affine hull of a vertex set exactly."""
     m = vs.space.dimension
     # One common scale keeps the vertex differences, and so their row space, exact.
-    scale = lcm(*(q.denominator for v in vs.vertices for q in v))
-    points = [[q.numerator * (scale // q.denominator) for q in v] for v in vs.vertices]
+    (points,), scale = integer_rows([vs.vertices])
     base = points[0]
     reduced, d, pivots = rref([[a - b for a, b in zip(v, base)] for v in points[1:]], m)
     pivot_set = set(pivots)
@@ -155,9 +145,7 @@ def reduce_mod_equalities(
     if not equalities:
         return form
     table, d = _triangular(equalities)
-    entries = form.coefficients + (form.constant,)
-    scale = lcm(*(q.denominator for q in entries))
-    values = [q.numerator * (scale // q.denominator) for q in entries]
+    values, scale = clear_denominators(form.coefficients + (form.constant,))
     hits = [(values[t], row) for t, row in table if values[t]]
     if not hits:
         return form
@@ -188,38 +176,31 @@ class HRepresentation:
     facets: tuple[LinearConstraint, ...]
     affine_dimension: int
 
+    @cached_property
+    def _rows(self) -> tuple[list[list[tuple[int, ...]]], int]:
+        """Equality rows and facet rows (a..., k) over one L > 0, each form (a . x + k) / L."""
+        groups = (self.equalities, self.facets)
+        return integer_rows([[(*c.form.coefficients, c.form.constant) for c in g] for g in groups])
+
     def contains(self, point: Mapping | Sequence) -> MembershipReport:
-        vec = self.space.vector(point)
-        eq_slacks = tuple(c.form.evaluate_vector(vec) for c in self.equalities)
-        facet_slacks = tuple(c.form.evaluate_vector(vec) for c in self.facets)
-        violations: list[tuple[str, int, Fraction]] = []
-        for i, s in enumerate(eq_slacks):
-            if s != 0:
-                violations.append(("equality", i, s))
-        for i, s in enumerate(facet_slacks):
-            if s < 0:
-                violations.append(("facet", i, s))
-        return MembershipReport(
-            member=not violations,
-            equality_slacks=eq_slacks,
-            facet_slacks=facet_slacks,
-            violations=tuple(violations),
-        )
+        rows, den = self._rows
+        (eq, facets), scale = evaluate_rows(rows, self.space.vector(point))
+        den *= scale
+        eq_slacks = tuple(Fraction(n, den) for n in eq)
+        facet_slacks = tuple(Fraction(n, den) for n in facets)
+        # Each slack has its numerator's sign, so the tests stay on ints.
+        violations = [("equality", i, eq_slacks[i]) for i, n in enumerate(eq) if n]
+        violations += [("facet", i, facet_slacks[i]) for i, n in enumerate(facets) if n < 0]
+        return MembershipReport(not violations, eq_slacks, facet_slacks, tuple(violations))
 
     def to_json_dict(self) -> dict:
-        def rows(constraints: Sequence[LinearConstraint]) -> list[list[int]]:
-            out = []
-            for c in constraints:
-                entries = list(c.form.coefficients) + [c.form.constant]
-                assert all(e.denominator == 1 for e in entries)
-                out.append([int(e) for e in entries])
-            return out
-
+        (eq, facets), den = self._rows
+        assert den == 1, "derived equality and facet rows are integers"
         return {
             "space": self.space.name,
             "labels": list(self.space.labels),
-            "equalities": rows(self.equalities),
-            "facets": rows(self.facets),
+            "equalities": [list(row) for row in eq],
+            "facets": [list(row) for row in facets],
             "dim": self.affine_dimension,
         }
 

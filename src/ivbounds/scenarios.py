@@ -7,7 +7,9 @@ on A. Conditional on U the model is parameterised by five probabilities
 a study reports, plus optionally a causal target coordinate; the scenario
 transform maps a parameter point to that coordinate vector. Observed
 distributions are mixtures over U of transformed parameter points, which
-is what makes the convex-polytope analysis downstream exact.
+is what makes the convex-polytope analysis downstream exact. Every
+parameter vertex is 0/1, so scenario_vertex_set runs the transforms on
+ints and builds each distinct image's Fractions once.
 
 Scenarios are data: a label list and an optional target. parse_coordinate
 is the one reader of the label scheme; the transforms, the observable
@@ -18,8 +20,8 @@ so adding a scenario means listing labels, not writing new branching code.
 from __future__ import annotations
 
 import itertools
-import random
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -29,7 +31,6 @@ from .forms import CoordinateSpace, rational
 from .polytope import VertexSet
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class UnsupportedCoordinateError(ValueError):
@@ -256,43 +257,30 @@ def xi_transform(scenario: str | Scenario, p: ParameterPoint) -> dict[str, Fract
     return {label: coordinate_function(label)(p) for label in s.space.labels}
 
 
+# A 0/1 parameter vertex on plain ints, which the transforms read as a ParameterPoint.
+_Bits = namedtuple("_Bits", "eta0 eta1 delta1 delta2 psi", defaults=(0,))
+
+
+def _vertex_bits(s: Scenario) -> list[_Bits]:
+    """All 0/1 assignments of the scenario's free parameters; psi stays 0 where unused."""
+    return [_Bits(*bits) for bits in itertools.product((0, 1), repeat=5 if s.uses_psi else 4)]
+
+
 def enumerate_parameter_vertices(scenario: str | Scenario) -> tuple[ParameterPoint, ...]:
     """All 0/1 assignments of the scenario's free parameters."""
-    s = get_scenario(scenario)
-    count = 5 if s.uses_psi else 4
-    points = []
-    for bits in itertools.product((_ZERO, _ONE), repeat=count):
-        eta0, eta1, delta1, delta2 = bits[:4]
-        psi = bits[4] if s.uses_psi else _ZERO
-        points.append(ParameterPoint(eta0, eta1, delta1, delta2, psi))
-    return tuple(points)
+    return tuple(ParameterPoint(*bits) for bits in _vertex_bits(get_scenario(scenario)))
 
 
 @lru_cache(maxsize=None)
 def scenario_vertex_set(scenario: str | Scenario, include_target: bool = True) -> VertexSet:
-    """Distinct images of the parameter vertices under the scenario transform (cached)."""
+    """Distinct images of the parameter vertices under the scenario transform (cached).
+
+    The images are computed on ints, deduplicated in first-seen order, and
+    each distinct one is turned into Fractions once.
+    """
     s = get_scenario(scenario)
-    points = [xi_transform(s, p) for p in enumerate_parameter_vertices(s)]
-    vs = VertexSet.from_points(s.space, points)
-    if include_target or s.causal_target is None:
-        return vs
-    return vs.restrict(s.observable_labels, name=s.observable_space.name)
-
-
-def random_parameter_point(
-    rng: random.Random,
-    uses_psi: bool = True,
-    denominator: int = 1000,
-) -> ParameterPoint:
-    """A uniformly sampled rational parameter point, exact by construction."""
-
-    def draw() -> Fraction:
-        return Fraction(rng.randint(0, denominator), denominator)
-
-    return ParameterPoint(
-        eta0=draw(),
-        eta1=draw(),
-        delta1=draw(),
-        delta2=draw(),
-        psi=draw() if uses_psi else _ZERO,
-    )
+    space = s.space if include_target or s.causal_target is None else s.observable_space
+    fns = [coordinate_function(label) for label in space.labels]
+    images = dict.fromkeys(tuple(f(p) for f in fns) for p in _vertex_bits(s))
+    exact = {v: Fraction(v) for v in set().union(*images)}
+    return VertexSet(space, tuple(tuple(exact[v] for v in img) for img in images))

@@ -32,9 +32,10 @@ from ivbounds.scenarios import (
     ParameterPoint,
     coordinate_function,
     get_scenario,
-    random_parameter_point,
     scenario_vertex_set,
 )
+
+from sampling import random_parameter_point
 
 # Published bivariate bounds (ten per side, alpha >= lower, alpha <= upper).
 PUBLISHED_BIVARIATE_LOWER = [

@@ -297,6 +297,18 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("error:") and "1e-1000000" in err
 
+    @pytest.mark.parametrize("verb", ["bound", "check", "oracle"])
+    def test_cell_too_long_to_print_is_a_parse_error(self, capsys, tmp_path, verb):
+        """1e-4300 (1/10**4300) once passed load and then crashed printing the answer."""
+        path = tmp_path / "long-cell.json"
+        path.write_text(_LONG_CELL)
+        code, out, err = run(capsys, verb, "--scenario", "trivariate", "--data", str(path))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: zeta a1[0] = '1e-4300' needs more than 100 digits\n"
+
+
+_LONG_CELL = '{"zeta": {"a1": ["1e-4300", "0.5", "0.25", "0.25"], "a2": ["0", "0", "1", "0"]}}'
+
 
 # Byte-for-byte CLI output of check and bound, in both formats, on the
 # bundled studies and on violating.json (every slack, endpoint and witness
@@ -418,6 +430,7 @@ _broken_texts = st.sampled_from(["", "{", "[1,", "nul", "3", '"zeta"', '{"zeta":
 @example(text="[" * 5000 + "]" * 5000, verb="check", scenario="trivariate")
 @example(text='{"zeta": ' + "[" * 600 + "]" * 600 + "}", verb="check", scenario="trivariate")
 @example(text='{"zeta": {"a1": [1e-1000000, 0, 0, 1], "a2": [0, 0, 1, 0]}}', verb="bound", scenario="trivariate")
+@example(text=_LONG_CELL, verb="bound", scenario="trivariate")
 def test_fuzzed_json_gets_an_exit_code_not_a_traceback(tmp_path, text, verb, scenario):
     path = tmp_path / "fuzz.json"
     path.write_text(text, encoding="utf-8")

@@ -139,6 +139,31 @@ class TestLoadJson:
         with pytest.raises(ValidationError, match=r"gamma\[0, 1\] = 1/2 contradicts zeta"):
             load(path)
 
+    @pytest.mark.parametrize(
+        "table, cell, where",
+        [
+            ("zeta", "1e-4300", r"zeta a1\[0\] = '1e-4300'"),
+            ("zeta", f"1/{10**100}", r"zeta a1\[0\] = '1/1000"),
+            ("phi", "1e-4300", r"phi\[0\] = '1e-4300'"),
+            ("arm_weights", f"{10**100 - 1}/{10**101}", r"arm_weights\[0\] = '9999"),
+        ],
+    )
+    def test_cells_past_100_digits_are_named_parse_errors(self, tmp_path, table, cell, where):
+        """A cell whose exact value no bound could print (1e-4300 is 1/10**4300)."""
+        path = tmp_path / "t.json"
+        tables = {"zeta": {"a1": [cell, "1/2", "1/4", "1/4"], "a2": ["0", "0", "1", "0"]}}
+        if table != "zeta":
+            tables = {table: [cell, "0", "0", "1"][: 2 if table == "arm_weights" else 4]}
+        path.write_text(json.dumps(tables))
+        with pytest.raises(ParseError, match=where + ".* needs more than 100 digits"):
+            load(path)
+
+    def test_cells_of_100_digits_are_accepted(self, tmp_path):
+        path = tmp_path / "t.json"
+        zeta = {"a1": [f"1/{10**99}", "1/2", "1/4", "1/4"], "a2": ["0", "0", "1", "0"]}
+        path.write_text(json.dumps({"zeta": zeta}))
+        assert load(path).zeta[(0, 0, 1)] == Fraction(1, 10**99)
+
     def test_phi_checked_against_zeta_and_arm_weights(self, tmp_path):
         path = tmp_path / "t.json"
         tables = json.loads(json.dumps(serialize(load("lipid"))))
@@ -193,6 +218,12 @@ class TestLoadCsv:
     def test_incomplete(self, tmp_path):
         with pytest.raises(ParseError, match="missing"):
             load(self.write(tmp_path, self.full_rows()[:-1]))
+
+    def test_long_cell_is_named(self, tmp_path):
+        rows = self.full_rows()
+        rows[0] = "0,0,1,1e-200"
+        with pytest.raises(ParseError, match=r"zeta a1\[0\] = '1e-200'"):
+            load(self.write(tmp_path, rows))
 
     def test_duplicate(self, tmp_path):
         rows = self.full_rows()

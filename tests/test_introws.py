@@ -1,12 +1,22 @@
 """Fraction-free integer row operations against plain Fraction elimination."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivbounds.introws import independent_rows, pivot, primitive, rref, scaled_inverse
+from ivbounds.introws import (
+    clear_denominators,
+    evaluate_rows,
+    independent_rows,
+    integer_rows,
+    pivot,
+    primitive,
+    rref,
+    scaled_inverse,
+)
 
 
 def reference_step(rows, r, col):
@@ -69,6 +79,56 @@ def test_pivot_is_a_scaled_gauss_jordan_step(rows, data):
         reference_step(expected, r, col)
         assert scale == rows[r][col]
         assert [[Fraction(v, scale) for v in row] for row in rows] == expected
+
+
+rationals = st.one_of(st.integers(-50, 50), st.fractions(-5, 5, max_denominator=60))
+rational_vectors = st.lists(rationals, max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_vectors)
+def test_clear_denominators_uses_the_least_common_denominator(values):
+    ints, d = clear_denominators(values)
+    assert d > 0 and all(type(v) is int for v in ints)
+    assert [Fraction(n, d) for n in ints] == [Fraction(v) for v in values]
+    # Least: every prime factor of d (all are below 60) is needed by some value.
+    for p in (p for p in range(2, 60) if d % p == 0):
+        assert any((Fraction(v) * (d // p)).denominator != 1 for v in values)
+
+
+def test_clear_denominators_of_integer_and_zero_vectors():
+    assert clear_denominators((3, -4, 0)) == ([3, -4, 0], 1)
+    assert clear_denominators((Fraction(6, 3), 5)) == ([2, 5], 1)
+    assert clear_denominators((0, Fraction(0), 0)) == ([0, 0, 0], 1)
+    assert clear_denominators(()) == ([], 1)
+    assert clear_denominators((Fraction(1, 6), Fraction(-3, 4), 2)) == ([2, -9, 24], 12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_vectors)
+def test_primitive_is_coprime_with_the_input_direction(values):
+    p = primitive(values)
+    assert all(type(v) is int for v in p) and len(p) == len(values)
+    if not any(values):
+        assert p == (0,) * len(values)
+        return
+    assert gcd(*p) == 1
+    ratio = next(Fraction(a) / v for a, v in zip(p, values) if v)
+    assert ratio > 0 and all(a == ratio * v for a, v in zip(p, values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.lists(rationals, min_size=3, max_size=3), max_size=3), max_size=3), st.data())
+def test_integer_rows_and_evaluate_rows_are_exact(groups, data):
+    # Each row (a0, a1, k) is the form a0 * x0 + a1 * x1 + k.
+    ints, d = integer_rows(groups)
+    assert [[[Fraction(v, d) for v in r] for r in g] for g in ints] == groups
+    assert d == clear_denominators([v for g in groups for r in g for v in r])[1]
+    x = data.draw(st.lists(st.fractions(-3, 3, max_denominator=30), min_size=2, max_size=2))
+    numerators, scale = evaluate_rows(ints, x)
+    assert scale > 0
+    expected = [[r[0] * x[0] + r[1] * x[1] + r[2] for r in g] for g in ints]
+    assert [[Fraction(n, scale) for n in g] for g in numerators] == expected
 
 
 def test_primitive_scales_rationals_to_coprime_integers():

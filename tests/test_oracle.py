@@ -20,9 +20,10 @@ from ivbounds.oracle import (
 from ivbounds.scenarios import (
     coordinate_function,
     get_scenario,
-    random_parameter_point,
     scenario_vertex_set,
 )
+
+from sampling import random_parameter_point
 
 
 def F(*args):

@@ -9,10 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ivbounds.bounds import scenario_hull
-from ivbounds.forms import AffineForm, CoordinateSpace, LinearConstraint, Relation, canonicalize
+from ivbounds.forms import (
+    AffineForm,
+    CoordinateSpace,
+    LinearConstraint,
+    MissingCoordinate,
+    Relation,
+    canonicalize,
+    format_rational,
+)
 from ivbounds.scenarios import SCENARIOS, scenario_vertex_set
 from ivbounds.polytope import (
     DimensionOverflow,
+    HRepresentation,
+    MembershipReport,
     VertexSet,
     affine_hull,
     facet_enumeration,
@@ -283,3 +293,74 @@ def test_json_dict_is_integral():
     assert d["dim"] == 2
     for row in d["facets"] + d["equalities"]:
         assert all(isinstance(v, int) for v in row)
+
+
+def reference_contains(h, point):
+    """contains as it was written on Fractions: each form evaluated in turn."""
+    vec = h.space.vector(point)
+    eq_slacks = tuple(c.form.evaluate_vector(vec) for c in h.equalities)
+    facet_slacks = tuple(c.form.evaluate_vector(vec) for c in h.facets)
+    violations = [("equality", i, s) for i, s in enumerate(eq_slacks) if s != 0]
+    violations += [("facet", i, s) for i, s in enumerate(facet_slacks) if s < 0]
+    return MembershipReport(not violations, eq_slacks, facet_slacks, tuple(violations))
+
+
+def outcome(contains, point):
+    try:
+        return contains(point)
+    except (MissingCoordinate, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+positive_rational = st.fractions(min_value=Fraction(1, 9), max_value=5, max_denominator=9)
+
+
+@st.composite
+def hulls_and_points(draw):
+    """A registry hull (maybe with rational rows) and a point on, off or beside it."""
+    name = draw(st.sampled_from(list(SCENARIOS)))
+    vs, h = scenario_vertex_set(name), scenario_hull(name)
+    if draw(st.booleans()):
+        # Positive multiples with denominators: the same polytope, non-integer rows.
+        factors = draw(st.lists(positive_rational, min_size=1, max_size=3))
+        eqs, facets = (
+            tuple(LinearConstraint(c.form.scaled(factors[i % len(factors)]), c.relation)
+                  for i, c in enumerate(cons))
+            for cons in (h.equalities, h.facets)
+        )
+        h = HRepresentation(h.space, eqs, facets, h.affine_dimension)
+    weights = draw(st.lists(st.integers(0, 6), min_size=len(vs), max_size=len(vs)))
+    weights[draw(st.integers(0, len(vs) - 1))] += 1
+    point = [sum(w * x for w, x in zip(weights, col)) / sum(weights) for col in zip(*vs.vertices)]
+    kind = draw(st.sampled_from(["mixture", "perturbed", "free", "missing", "wrong length"]))
+    if kind == "perturbed":
+        j = draw(st.integers(0, len(point) - 1))
+        point[j] += draw(st.fractions(-1, 1, max_denominator=40).filter(bool))
+    elif kind == "free":
+        free = st.fractions(-2, 2, max_denominator=60)
+        point = draw(st.lists(free, min_size=len(point), max_size=len(point)))
+    as_text = draw(st.booleans())
+    values = [format_rational(v) if as_text else v for v in point]
+    if kind == "wrong length":
+        cut = draw(st.integers(0, len(values) - 1))
+        return kind, h, values[:cut] if draw(st.booleans()) else values + [0]
+    mapping = dict(zip(h.space.labels, values))
+    if kind == "missing":
+        del mapping[draw(st.sampled_from(h.space.labels))]
+    return kind, h, mapping if draw(st.booleans()) or kind == "missing" else values
+
+
+@settings(max_examples=100, deadline=None)
+@given(hulls_and_points())
+def test_contains_matches_the_per_facet_fraction_reference(case):
+    kind, h, point = case
+    report = outcome(h.contains, point)
+    assert report == outcome(lambda p: reference_contains(h, p), point)
+    if kind == "missing":
+        assert report[0] is MissingCoordinate
+    elif kind == "wrong length":
+        assert report[0] is ValueError
+    else:
+        assert report.member or kind != "mixture"
+        slacks = report.equality_slacks + report.facet_slacks
+        assert all(type(s) is Fraction for s in slacks + tuple(v[2] for v in report.violations))

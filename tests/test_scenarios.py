@@ -15,10 +15,11 @@ from ivbounds.scenarios import (
     get_scenario,
     make_scenario,
     parse_coordinate,
-    random_parameter_point,
     scenario_vertex_set,
     xi_transform,
 )
+
+from sampling import random_parameter_point
 
 # One interior point, all transforms worked out by hand.
 P = ParameterPoint(
@@ -130,6 +131,30 @@ class TestRegistry:
         expected = {"fig3": 8, "bivariate": 16, "trivariate": 16, "pairwise3": 24, "beta": 8}
         for name, count in expected.items():
             assert len(scenario_vertex_set(name)) == count, name
+
+    @pytest.mark.parametrize("include_target", [True, False])
+    @pytest.mark.parametrize("name", list(SCENARIOS))
+    def test_vertex_set_equals_the_fraction_reference(self, name, include_target):
+        """Integer images, wrapped once, equal Fraction images deduplicated in first-seen order."""
+        s = get_scenario(name)
+        space = s.space if include_target or s.causal_target is None else s.observable_space
+        expected = []
+        for p in enumerate_parameter_vertices(s):
+            image = xi_transform(s, p)
+            vec = tuple(image[label] for label in space.labels)
+            if vec not in expected:
+                expected.append(vec)
+        vs = scenario_vertex_set(name, include_target=include_target)
+        assert vs.space == space
+        assert vs.vertices == tuple(expected)
+        assert all(type(v) is Fraction for vertex in vs.vertices for v in vertex)
+
+    def test_parameter_vertices_count_up_in_eta0_eta1_delta1_delta2_psi_order(self):
+        bits = [(0, 0, 0, 0, 0), (0, 0, 0, 0, 1), (0, 0, 0, 1, 0), (1, 1, 1, 1, 1)]
+        vertices = enumerate_parameter_vertices("pairwise3")
+        assert [vertices[i] for i in (0, 1, 2, 31)] == [ParameterPoint(*b) for b in bits]
+        assert enumerate_parameter_vertices("trivariate")[1] == ParameterPoint(0, 0, 0, 1)
+        assert all(type(p.psi) is Fraction for p in enumerate_parameter_vertices("beta"))
 
     def test_fig3_images_are_unit_vectors(self):
         vs = scenario_vertex_set("fig3")
