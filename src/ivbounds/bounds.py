@@ -8,6 +8,9 @@ scenario without a target (fig3) simply has no bounds, and all its facets
 are model tests. Trivial observable facets (equivalent, modulo the
 hull equalities, to a single coordinate being nonnegative) are kept apart
 from the informative ones so reports mirror the usual presentation.
+partition works on the hull's integer rows: it reduces them modulo the
+equalities, recognises trivial facets by their primitive rows, and
+builds each form once, on the observable space.
 At its first evaluation a BoundSet is compiled to integer rows, so that
 evaluate_bounds and model_check are integer dot products, still exact.
 """
@@ -19,20 +22,21 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
-from .data import DECIMAL_TOLERANCE, ObservedTables, ValidationError, observable_point
+from .data import ObservedTables, ValidationError, default_tolerance, observable_point
 from .forms import (
     AffineForm,
     CoordinateSpace,
+    IdenticallyFalse,
     LinearConstraint,
     MissingCoordinate,
     RationalLike,
     Relation,
-    canonicalize,
+    constraint_from_row,
     format_rational,
     rational,
 )
-from .introws import evaluate_rows, integer_rows
-from .polytope import HRepresentation, facet_enumeration, reduce_mod_equalities
+from .introws import evaluate_rows, integer_rows, primitive
+from .polytope import HRepresentation, facet_enumeration
 from .scenarios import get_scenario, scenario_vertex_set
 
 _ZERO = Fraction(0)
@@ -108,21 +112,18 @@ def classify_observable(
     A facet is trivial when, modulo the hull equalities, it says nothing
     more than "some coordinate is nonnegative".
     """
-    reduced = [reduce_mod_equalities(f.form, h.equalities) for f in h.facets]
-    return _classify(h.space, h.equalities, reduced)
+    (_, facets), _ = h._rows
+    parts = _classify(h, [primitive(h._reduce(row)) for row in facets])
+    return tuple(tuple(constraint_from_row(h.space, r, Relation.GEQ) for r in p) for p in parts)
 
 
-def _classify(space: CoordinateSpace, equalities: tuple, reduced: list) -> tuple[tuple, tuple]:
-    """classify_observable for facet forms already reduced modulo the equalities."""
-    trivial_keys = set()
-    for label in space.labels:
-        nonneg = reduce_mod_equalities(AffineForm.coordinate(space, label), equalities)
-        trivial_keys.add(canonicalize(LinearConstraint(nonneg, Relation.GEQ)).form.key())
-    cons = [canonicalize(LinearConstraint(form, Relation.GEQ)) for form in reduced]
-    return (
-        tuple(c for c in cons if c.form.key() not in trivial_keys),
-        tuple(c for c in cons if c.form.key() in trivial_keys),
-    )
+def _classify(h: HRepresentation, rows: list[tuple[int, ...]]) -> tuple[list, list]:
+    """classify_observable on primitive integer facet rows reduced modulo the equalities."""
+    m = h.space.dimension
+    trivial = {primitive(h._reduce((0,) * j + (1,) + (0,) * (m - j))) for j in range(m)}
+    if (0,) * m + (-1,) in trivial:
+        raise IdenticallyFalse("inequality reduces to -1 >= 0")
+    return [r for r in rows if r not in trivial], [r for r in rows if r in trivial]
 
 
 def partition(h: HRepresentation, target: str | None = None) -> BoundSet:
@@ -139,47 +140,42 @@ def partition(h: HRepresentation, target: str | None = None) -> BoundSet:
     ti = None if target is None else h.space.index(target)
     obs_labels = tuple(l for l in h.space.labels if l != target)
     obs_space = CoordinateSpace(f"{h.space.name}-observables", obs_labels)
+    (eq_rows, facet_rows), _ = h._rows
 
-    def target_coefficient(form: AffineForm) -> Fraction:
-        return _ZERO if ti is None else form.coefficients[ti]
-
-    def to_obs(con: LinearConstraint) -> LinearConstraint:
-        # Dropping a coordinate with zero coefficient keeps a canonical
-        # constraint canonical.
-        form = con.form
-        assert target_coefficient(form) == 0
-        coeffs = form.coefficients
+    def to_obs(row: Sequence[int], relation: Relation) -> LinearConstraint:
+        # The target coefficient is zero, so dropping it keeps a primitive row primitive.
         if ti is not None:
-            coeffs = coeffs[:ti] + coeffs[ti + 1 :]
-        return LinearConstraint(AffineForm(obs_space, coeffs, form.constant), con.relation)
+            row = row[:ti] + row[ti + 1 :]
+        return constraint_from_row(obs_space, row, relation)
 
-    def solve_for_target(form: AffineForm) -> AffineForm:
-        # form = 0  <=>  target = -(form - c * target) / c
-        c = form.coefficients[ti]
-        coeffs = tuple(-a / c if a else a for i, a in enumerate(form.coefficients) if i != ti)
-        return AffineForm(obs_space, coeffs, -form.constant / c)
+    def solve_for_target(row: Sequence[int]) -> AffineForm:
+        # row = 0  <=>  target = -(row - c * target) / c
+        c = row[ti]
+        coeffs = tuple(Fraction(-a, c) if a else _ZERO for i, a in enumerate(row[:-1]) if i != ti)
+        return AffineForm(obs_space, coeffs, Fraction(-row[-1], c))
 
     lower: list[AffineForm] = []
     upper: list[AffineForm] = []
     obs_only = []
-    for facet in h.facets:
-        reduced = reduce_mod_equalities(facet.form, h.equalities)
-        c = target_coefficient(reduced)
-        if c == 0:
-            obs_only.append(reduced)
+    for row in facet_rows:
+        reduced = h._reduce(row)
+        if ti is None or reduced[ti] == 0:
+            obs_only.append(primitive(reduced))
         else:
-            (lower if c > 0 else upper).append(solve_for_target(reduced))
+            (lower if reduced[ti] > 0 else upper).append(solve_for_target(reduced))
 
     hull_eqs: list[LinearConstraint] = []
-    for eq in h.equalities:
-        if target_coefficient(eq.form) == 0:
-            hull_eqs.append(canonicalize(to_obs(eq)))
+    for row in eq_rows:
+        if ti is None or row[ti] == 0:
+            hull_eqs.append(to_obs(primitive(row), Relation.EQ))
         else:
-            solved = solve_for_target(eq.form)
+            solved = solve_for_target(row)
             lower.append(solved)
             upper.append(solved)
 
-    nontrivial, trivial = _classify(h.space, h.equalities, obs_only)
+    observable_tests, trivial_tests = (
+        tuple(to_obs(r, Relation.GEQ) for r in rows) for rows in _classify(h, obs_only)
+    )
 
     if target is not None and not lower and not upper:
         if target in ("alpha", "beta"):
@@ -194,8 +190,8 @@ def partition(h: HRepresentation, target: str | None = None) -> BoundSet:
         space=obs_space,
         lower_forms=tuple(lower),
         upper_forms=tuple(upper),
-        observable_tests=tuple(to_obs(c) for c in nontrivial),
-        trivial_tests=tuple(to_obs(c) for c in trivial),
+        observable_tests=observable_tests,
+        trivial_tests=trivial_tests,
         hull_equalities=tuple(hull_eqs),
     )
 
@@ -296,13 +292,6 @@ class ConstraintReport:
         return tuple(e for e in self.entries if not e.passed)
 
 
-def default_tolerance(data: ObservedTables | Mapping) -> Fraction:
-    """Zero for exact input; a half-unit in the fourth decimal for rounded tables."""
-    if isinstance(data, ObservedTables) and data.decimal_input:
-        return DECIMAL_TOLERANCE
-    return _ZERO
-
-
 def model_check(
     bs: BoundSet,
     data: ObservedTables | Mapping[str, RationalLike],
@@ -314,7 +303,7 @@ def model_check(
     evaluated at the data point; inequalities pass with slack >= -tol,
     equalities with |slack| <= tol.
     """
-    tol = default_tolerance(data) if tolerance is None else rational(tolerance)
+    tol = default_tolerance(data, tolerance)
     slacks, den = _numerators(bs, [name for name, _ in _SECTIONS], data)
     entries: list[CheckEntry] = []
     for (name, field), numerators in zip(_SECTIONS, slacks):
@@ -347,7 +336,7 @@ def instrumental_inequality(
     """max_b sum_c max_a P(C=c, B=b | A=a) <= 1, the classic necessary test."""
     if data.zeta is None:
         raise ValidationError("the instrumental inequality needs a zeta table")
-    tol = default_tolerance(data) if tolerance is None else rational(tolerance)
+    tol = default_tolerance(data, tolerance)
     sums = []
     for b in (0, 1):
         total = _ZERO

@@ -177,6 +177,26 @@ def _implied_marginals(t: ObservedTables) -> dict[str, dict]:
     return out
 
 
+def default_tolerance(
+    data: ObservedTables | Mapping, tolerance: RationalLike | None = None
+) -> Fraction:
+    """The tolerance to check data with: ``tolerance``, or else the data's default.
+
+    The default is zero for exact input and a half-unit in the fourth
+    decimal for rounded tables. A given tolerance must be nonnegative and,
+    like a table cell, fit in 100 digits.
+    """
+    if tolerance is None:
+        decimal = isinstance(data, ObservedTables) and data.decimal_input
+        return DECIMAL_TOLERANCE if decimal else _ZERO
+    tol = rational(tolerance)
+    if tol.numerator < 0:
+        raise ValidationError(f"tolerance {tolerance!r} is negative")
+    if tol.denominator >= _CELL_LIMIT or tol.numerator >= _CELL_LIMIT:
+        raise ParseError(f"tolerance {tolerance!r} needs more than {_CELL_DIGITS} digits")
+    return tol
+
+
 def _check_marginals(t: ObservedTables) -> None:
     """Explicit gamma/theta/phi must agree with the tables' own zeta and arm weights.
 
@@ -185,7 +205,7 @@ def _check_marginals(t: ObservedTables) -> None:
     """
     if t.zeta is None:
         return
-    tol = DECIMAL_TOLERANCE if t.decimal_input else _ZERO
+    tol = default_tolerance(t)
     for name, implied in _implied_marginals(t).items():
         for key, value in (getattr(t, name) or {}).items():
             if abs(value - implied[key]) > tol:

@@ -361,7 +361,7 @@ def constraint_from_row(
         coeffs = [-c for c in coeffs]
         const = -const
     return LinearConstraint(
-        AffineForm(space, tuple(Fraction(c) for c in coeffs), Fraction(const)),
+        AffineForm(space, tuple(Fraction(c) if c else _ZERO for c in coeffs), Fraction(const)),
         relation,
     )
 

@@ -49,9 +49,10 @@ def evaluate_rows(
 def primitive(values: Sequence) -> tuple[int, ...]:
     """Coprime integers with the direction of a rational vector.
 
-    Accepts ints and Fractions; a zero vector stays zero.
+    Accepts ints and Fractions; a zero vector stays zero. A row of ints,
+    as the derivation passes, skips the search for a common denominator.
     """
-    ints, _ = clear_denominators(values)
+    ints = values if all(map(int.__instancecheck__, values)) else clear_denominators(values)[0]
     g = gcd(*ints)
     return tuple(v // g for v in ints) if g > 1 else tuple(ints)
 

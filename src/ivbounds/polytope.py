@@ -9,8 +9,10 @@ an incremental double description pass there, and lifts the resulting
 facets back. Points and forms are exact rationals at the API; inside,
 elimination and the double description run on primitive integer rows
 (see introws), so no Fraction is built until results are lifted back.
-Membership tests evaluate an HRepresentation's integer rows, compiled at
-its first contains call, by integer dot products.
+The double description tests adjacency by index lookups. An
+HRepresentation keeps its integer rows and reduces rows modulo its
+equalities on ints (reduce_mod_equalities wraps this for Fractions).
+Membership tests are integer dot products on those rows.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .forms import (
@@ -97,38 +100,6 @@ def affine_hull(vs: VertexSet) -> AffineHull:
     return AffineHull(vs.space, tuple(equalities), len(pivots), tuple(pivots))
 
 
-# The triangular system of the last equality tuple reduced against: every
-# facet of one hull is reduced modulo the same tuple, so it is built once.
-_last_triangular: tuple = (None, None)
-
-
-def _triangular(equalities: Sequence[LinearConstraint]) -> tuple[list[tuple[int, list[int]]], int]:
-    """Integer rows (trailing coordinate, coefficients + constant) and their common pivot d.
-
-    Each row has d at its trailing nonzero coordinate, and that coordinate
-    is zero in every other row.
-    """
-    global _last_triangular
-    cached, result = _last_triangular
-    if cached is equalities:
-        return result
-    m = equalities[0].form.space.dimension
-    flipped = []
-    for eq in equalities:
-        if eq.relation is not Relation.EQ:
-            raise ValueError("reduce_mod_equalities expects EQ constraints")
-        row = primitive(eq.form.coefficients + (eq.form.constant,))
-        # Reversed coordinates, so elimination prefers pivots from the right.
-        flipped.append(row[m - 1 :: -1] + row[m:])
-    reduced, d, pivots = rref(flipped, m + 1)
-    if m in pivots:
-        raise IdenticallyFalse("equalities are mutually inconsistent")
-    table = [(m - 1 - p, row[m - 1 :: -1] + row[m:]) for row, p in zip(reduced, pivots)]
-    if type(equalities) is tuple:
-        _last_triangular = (equalities, (table, d))
-    return table, d
-
-
 def reduce_mod_equalities(
     form: AffineForm,
     equalities: Sequence[LinearConstraint],
@@ -144,16 +115,13 @@ def reduce_mod_equalities(
     """
     if not equalities:
         return form
-    table, d = _triangular(equalities)
+    # A facet-free HRepresentation carries the same integer reducer partition uses.
+    h = HRepresentation(form.space, tuple(equalities), (), 0)
     values, scale = clear_denominators(form.coefficients + (form.constant,))
-    hits = [(values[t], row) for t, row in table if values[t]]
-    if not hits:
+    out = h._reduce(values)
+    if out is values:
         return form
-    out = [d * v for v in values]
-    for f, row in hits:
-        out = [a - f * b for a, b in zip(out, row)]
-    scale *= d
-    values = [Fraction(a, scale) for a in out]
+    values = [Fraction(a, scale * h._triangular[1]) for a in out]
     return AffineForm(form.space, tuple(values[:-1]), values[-1])
 
 
@@ -181,6 +149,30 @@ class HRepresentation:
         """Equality rows and facet rows (a..., k) over one L > 0, each form (a . x + k) / L."""
         groups = (self.equalities, self.facets)
         return integer_rows([[(*c.form.coefficients, c.form.constant) for c in g] for g in groups])
+
+    @cached_property
+    def _triangular(self) -> tuple[list[tuple[int, list[int]]], int]:
+        """(trailing coordinate, row) per equality, and d: each row is d there, 0 in the rest."""
+        if any(eq.relation is not Relation.EQ for eq in self.equalities):
+            raise ValueError("reduce_mod_equalities expects EQ constraints")
+        (eq, _), _ = self._rows
+        m = self.space.dimension
+        # Reversed coordinates, so elimination prefers pivots from the right.
+        reduced, d, pivots = rref([row[m - 1 :: -1] + row[m:] for row in eq], m + 1)
+        if m in pivots:
+            raise IdenticallyFalse("equalities are mutually inconsistent")
+        return [(m - 1 - p, row[m - 1 :: -1] + row[m:]) for row, p in zip(reduced, pivots)], d
+
+    def _reduce(self, row: Sequence[int]) -> Sequence[int]:
+        """A positive multiple of the integer row (a..., k) reduced modulo the equalities."""
+        table, d = self._triangular
+        hits = [(row[t], eq) for t, eq in table if row[t]]
+        if not hits:
+            return row
+        out = [d * v for v in row]
+        for f, eq in hits:
+            out = [a - f * b for a, b in zip(out, eq)]
+        return out
 
     def contains(self, point: Mapping | Sequence) -> MembershipReport:
         rows, den = self._rows
@@ -213,36 +205,54 @@ def _polar_extreme_rays(points: list[tuple[Fraction, ...]], dim: int) -> list[tu
     start from dim + 1 points whose homogenisations are linearly
     independent (their polar cone is simplicial), then add the remaining
     point constraints one at a time, keeping nonnegative rays and combining
-    adjacent positive/negative pairs on each new hyperplane.
+    adjacent positive/negative pairs on each new hyperplane. Rays carry
+    stable ids: masks[i] holds the constraints ray i is tight on, tight[c]
+    the ids (dead ones too) of the rays tight on constraint c.
     """
     cons = [primitive((1,) + pt) for pt in points]
     init = independent_rows(cons, dim + 1)
     columns, _ = scaled_inverse([cons[i] for i in init])
     rays = [primitive(col) for col in columns]
+    ids = list(range(len(rays)))
+    next_id = len(rays)
     # Ray j of the simplicial start is tight on every initial constraint but the j-th.
     start = sum(1 << i for i in init)
     masks = [start & ~(1 << i) for i in init]
+    tight = {i: (1 << len(init)) - 1 - (1 << j) for j, i in enumerate(init)}
     for k, con in enumerate(cons):
         if start >> k & 1:
             continue
-        vals = [sum(c * r for c, r in zip(con, ray)) for ray in rays]
+        vals = [sum(map(mul, con, ray)) for ray in rays]
         pos = [i for i, v in enumerate(vals) if v > 0]
         zero = [i for i, v in enumerate(vals) if v == 0]
         neg = [i for i, v in enumerate(vals) if v < 0]
+        alive = sum(1 << r for r in ids)
         new_rays = [rays[i] for i in pos + zero]
         new_masks = [masks[i] for i in pos] + [masks[i] | 1 << k for i in zero]
+        new_ids = [ids[i] for i in pos + zero]
+        tight[k] = sum(1 << ids[i] for i in zero)
         for ip in pos:
             for im in neg:
                 shared = masks[ip] & masks[im]
-                # Adjacent: dim - 1 common tight constraints that no third ray shares.
-                if shared.bit_count() < dim - 1 or any(
-                    shared & mask == shared for io, mask in enumerate(masks) if io != ip and io != im
-                ):
+                if shared.bit_count() < dim - 1:
+                    continue
+                # Adjacent: dim - 1 common tight constraints that no third live ray shares.
+                pair, common, rest = 1 << ids[ip] | 1 << ids[im], alive, shared
+                while rest and common != pair:
+                    low = rest & -rest
+                    common &= tight[low.bit_length() - 1]
+                    rest ^= low
+                if common != pair:
                     continue
                 combo = [vals[ip] * a - vals[im] * b for a, b in zip(rays[im], rays[ip])]
                 new_rays.append(primitive(combo))
                 new_masks.append(shared | 1 << k)
-        rays, masks = new_rays, new_masks
+                new_ids.append(next_id)
+                for c in tight:
+                    if new_masks[-1] >> c & 1:
+                        tight[c] |= 1 << next_id
+                next_id += 1
+        rays, masks, ids = new_rays, new_masks, new_ids
     return rays
 
 
@@ -272,4 +282,8 @@ def facet_enumeration(vs: VertexSet) -> HRepresentation:
     # the facets by coefficient tuple, then constant.
     rows.sort()
     facets = tuple(constraint_from_row(vs.space, row, Relation.GEQ) for row in rows)
-    return HRepresentation(vs.space, hull.equalities, facets, hull.dimension)
+    h = HRepresentation(vs.space, hull.equalities, facets, hull.dimension)
+    # The rows are integers already, so _rows need not be rebuilt from the Fractions.
+    eqs = [(*e.form.coefficients, e.form.constant) for e in hull.equalities]
+    vars(h)["_rows"] = ([[tuple(map(int, e)) for e in eqs], [tuple(row) for row in rows]], 1)
+    return h

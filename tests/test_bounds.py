@@ -31,7 +31,7 @@ from ivbounds.bounds import (
     partition,
     scenario_hull,
 )
-from ivbounds.data import build_tables, derive_marginals, load, observable_point
+from ivbounds.data import ValidationError, build_tables, derive_marginals, load, observable_point
 from ivbounds.forms import (
     AffineForm,
     CoordinateSpace,
@@ -42,7 +42,9 @@ from ivbounds.forms import (
     rational,
 )
 from ivbounds.polytope import HRepresentation, reduce_mod_equalities
-from ivbounds.scenarios import SCENARIOS
+from ivbounds.scenarios import SCENARIOS, get_scenario
+
+import reference
 
 BIVARIATE_LOWER = [
     "2*g01 - g02 + 2*t01 - 3",
@@ -497,7 +499,9 @@ class TestCompiledEvaluation:
         slacks = [e.slack for e in reference_report(bs, point).entries]
         tol = abs(data.draw(st.sampled_from(slacks)))
         _assert_compiled_matches_reference(bs, point, tol)
-        _assert_compiled_matches_reference(bs, point, -tol)
+        if tol:
+            with pytest.raises(ValidationError, match="is negative"):
+                model_check(bs, point, -tol)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -606,3 +610,73 @@ class TestCompiledEvaluation:
         rows = vars(bs)["_rows"]
         model_check(bs, load("vitamin-a"))
         assert vars(bs)["_rows"] is rows
+
+
+# partition runs on a hull's integer rows; reference.partition is the Fraction
+# path it replaced (reduce each facet as an AffineForm, canonicalize, classify,
+# then move to the observable space). Both must agree exactly, exceptions included.
+
+_fraction = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+_coefficient = st.one_of(st.just(0), _fraction)
+
+
+@st.composite
+def hand_built_hulls(draw):
+    """An HRepresentation over 2-4 coordinates, maybe with alpha, from fractional rows.
+
+    Facets mix arbitrary rows, trivial ones (a positive multiple of one
+    coordinate plus a multiple of an equality) and identically false ones.
+    """
+    labels = [f"x{i}" for i in range(draw(st.integers(2, 4)))]
+    if draw(st.booleans()):
+        labels.insert(draw(st.integers(0, len(labels))), "alpha")
+    space = CoordinateSpace("hand", tuple(labels))
+    m = len(labels)
+    rows = st.lists(_coefficient, min_size=m + 1, max_size=m + 1)
+    dense = st.lists(_fraction, min_size=m + 1, max_size=m + 1)
+    equalities = draw(st.lists(st.one_of(rows, dense), max_size=2))
+
+    @st.composite
+    def trivial(draw):
+        row = [Fraction(0)] * (m + 1)
+        scale = draw(st.fractions(min_value=1, max_value=3, max_denominator=2))
+        row[draw(st.integers(0, m - 1))] = scale
+        for eq in equalities:
+            t = draw(_coefficient)
+            row = [a + t * b for a, b in zip(row, eq)]
+        return row
+
+    facets = draw(st.lists(st.one_of(rows.filter(lambda r: any(r[:-1])), trivial()), max_size=6))
+    if draw(st.integers(0, 4)) == 4:
+        facets.insert(draw(st.integers(0, len(facets))), [0] * m + [-draw(st.integers(1, 3))])
+
+    def cons(rows, relation):
+        return tuple(LinearConstraint(AffineForm(space, r[:-1], r[-1]), relation) for r in rows)
+
+    h = HRepresentation(space, cons(equalities, Relation.EQ), cons(facets, Relation.GEQ), m)
+    return h, draw(st.sampled_from([None, "alpha", *labels]))
+
+
+def _reference_classify(h):
+    forms = [reference.reduce_mod_equalities(f.form, h.equalities) for f in h.facets]
+    return reference.classify(h.space, h.equalities, forms)
+
+
+class TestIntegerPartition:
+    @pytest.mark.parametrize("name", list(SCENARIOS))
+    def test_registry_hulls_match_the_fraction_path(self, name):
+        h = scenario_hull(name)
+        for target in (get_scenario(name).causal_target, None, "alpha", *h.space.labels):
+            assert outcome(partition, h, target) == outcome(reference.partition, h, target)
+        assert classify_observable(h) == _reference_classify(h)
+
+    @settings(max_examples=300, deadline=None)
+    @given(hand_built_hulls())
+    def test_hand_built_hulls_match_the_fraction_path(self, case):
+        h, target = case
+        assert outcome(partition, h, target) == outcome(reference.partition, h, target)
+        assert outcome(classify_observable, h) == outcome(_reference_classify, h)
+        for facet in h.facets:
+            assert outcome(reduce_mod_equalities, facet.form, h.equalities) == outcome(
+                reference.reduce_mod_equalities, facet.form, h.equalities
+            )

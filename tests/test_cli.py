@@ -271,6 +271,30 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert "error:" in err
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "tolerance, message",
+        [
+            ("1e-4300", "error: tolerance '1e-4300' needs more than 100 digits\n"),
+            ("-1", "error: tolerance '-1' is negative\n"),
+            ("-1/2000", "error: tolerance '-1/2000' is negative\n"),
+        ],
+    )
+    def test_unusable_tolerance_is_an_input_error(self, capsys, fmt, tolerance, message):
+        """1e-4300 once crashed printing the tolerance; -1 once failed every constraint."""
+        code, out, err = run(
+            capsys, "check", "--scenario", "trivariate", "--data", "lipid",
+            f"--tolerance={tolerance}", "--format", fmt,
+        )
+        assert (code, out, err) == (EXIT_USAGE, "", message)
+
+    def test_tolerance_of_100_digits_is_accepted(self, capsys):
+        code, out, _ = run_json(
+            capsys, "check", "--scenario", "trivariate", "--data", "lipid", "--tolerance", "1e-99",
+        )
+        assert code == EXIT_OK
+        assert out["tolerance"] == "1/" + "1" + "0" * 99
+
     def test_missing_data_file(self, capsys):
         code, _, err = run(capsys, "bound", "--scenario", "trivariate", "--data", "missing.json")
         assert code == EXIT_USAGE
@@ -424,19 +448,43 @@ _broken_texts = st.sampled_from(["", "{", "[1,", "nul", "3", '"zeta"', '{"zeta":
     text=st.one_of(_documents, _broken_texts),
     verb=st.sampled_from(["check", "bound", "oracle"]),
     scenario=st.sampled_from(tuple(SCENARIOS)),
+    tolerance=st.one_of(
+        st.none(),
+        st.builds(lambda m, e: f"{m}e{e}", st.integers(-99, 999), st.integers(-200, 200)),
+        st.sampled_from(["0", "1/2000", "-1", "1e-99", "1e-4300", "1e-5000", "1/0", "abc", ""]),
+    ),
 )
-@example(text='{"zeta": [1, 2]}', verb="check", scenario="bivariate")
-@example(text='{"zeta": "abc"}', verb="bound", scenario="bivariate")
-@example(text="[" * 5000 + "]" * 5000, verb="check", scenario="trivariate")
-@example(text='{"zeta": ' + "[" * 600 + "]" * 600 + "}", verb="check", scenario="trivariate")
-@example(text='{"zeta": {"a1": [1e-1000000, 0, 0, 1], "a2": [0, 0, 1, 0]}}', verb="bound", scenario="trivariate")
-@example(text=_LONG_CELL, verb="bound", scenario="trivariate")
-def test_fuzzed_json_gets_an_exit_code_not_a_traceback(tmp_path, text, verb, scenario):
+@example(text='{"zeta": [1, 2]}', verb="check", scenario="bivariate", tolerance=None)
+@example(text='{"zeta": "abc"}', verb="bound", scenario="bivariate", tolerance=None)
+@example(text="[" * 5000 + "]" * 5000, verb="check", scenario="trivariate", tolerance=None)
+@example(
+    text='{"zeta": ' + "[" * 600 + "]" * 600 + "}",
+    verb="check",
+    scenario="trivariate",
+    tolerance=None,
+)
+@example(
+    text='{"zeta": {"a1": [1e-1000000, 0, 0, 1], "a2": [0, 0, 1, 0]}}',
+    verb="bound",
+    scenario="trivariate",
+    tolerance=None,
+)
+@example(text=_LONG_CELL, verb="bound", scenario="trivariate", tolerance=None)
+@example(
+    text=_LONG_CELL.replace("1e-4300", "0"),
+    verb="check",
+    scenario="trivariate",
+    tolerance="1e-4300",
+)
+def test_fuzzed_json_gets_an_exit_code_not_a_traceback(tmp_path, text, verb, scenario, tolerance):
     path = tmp_path / "fuzz.json"
     path.write_text(text, encoding="utf-8")
+    argv = [verb, "--scenario", scenario, "--data", str(path)]
+    if verb == "check" and tolerance is not None:
+        argv.append(f"--tolerance={tolerance}")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = entry([verb, "--scenario", scenario, "--data", str(path)])
+        code = entry(argv)
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_CHECK_FAILED, EXIT_EMPTY)
     assert "Traceback" not in err.getvalue()
 

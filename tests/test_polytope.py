@@ -3,11 +3,14 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
+from ivbounds import polytope
 from ivbounds.bounds import scenario_hull
 from ivbounds.forms import (
     AffineForm,
@@ -195,6 +198,8 @@ def assert_exact_facets(vs, h):
     for facet in h.facets:
         on = [v for v in vs.vertices if facet.form.evaluate_vector(v) == 0]
         assert on and affine_rank(on) == h.affine_dimension
+    # facet_enumeration hands over its integer rows: they must be what the constraints compile to.
+    assert h._rows == HRepresentation(h.space, h.equalities, h.facets, h.affine_dimension)._rows
 
 
 point_strategy = st.tuples(
@@ -364,3 +369,28 @@ def test_contains_matches_the_per_facet_fraction_reference(case):
         assert report.member or kind != "mixture"
         slacks = report.equality_slacks + report.facet_slacks
         assert all(type(s) is Fraction for s in slacks + tuple(v[2] for v in report.violations))
+
+
+# The double description tests adjacency through per-constraint sets of
+# tight ray ids; reference.polar_extreme_rays scans every other ray's mask
+# instead. The facets, and their order, must be the same.
+
+
+@st.composite
+def degenerate_point_sets(draw):
+    """Integer points in 4 coordinates, often on a common hyperplane, line or point."""
+    points = draw(st.lists(st.tuples(*(st.integers(0, 2),) * 4), min_size=1, max_size=14))
+    if draw(st.booleans()):
+        points = [(a, b, c, a + b - c) for a, b, c, _ in points]
+    return VertexSet.from_points(space(4), points)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(integer_point_sets, embedded_point_sets(), degenerate_point_sets()))
+def test_indexed_adjacency_matches_the_mask_scan(vs):
+    with patch.object(polytope, "_polar_extreme_rays", reference.polar_extreme_rays):
+        expected = facet_enumeration(vs)
+    h = facet_enumeration(vs)
+    assert (h.equalities, h.facets, h.affine_dimension) == (
+        expected.equalities, expected.facets, expected.affine_dimension,
+    )
