@@ -5,23 +5,26 @@ scenario's parameter-vertex images, so the sharp range of the causal
 target at a data point is the min/max of a linear program over mixture
 weights. Solving that program exactly and comparing with the closed-form
 bounds catches derivation errors on either side. The equality system is
-first reduced by fraction-free integer elimination (introws.rref); then a
-two-phase simplex with Bland's rule, immune to cycling, runs on an integer
-tableau in the style of lrs (Avis & Fukuda, 1992): the objective row is
-carried along and every pivot is introws.pivot. Fractions appear only in
-the LP's inputs and in the final weights and value.
+reduced once per scenario by fraction-free integer elimination
+(introws.rref); then a two-phase simplex with Bland's rule, immune to
+cycling, runs on an integer tableau in the style of lrs (Avis & Fukuda,
+1992): the objective row is carried along and every pivot is introws.pivot.
+Phase 1 runs once per data point, phase 2 once per sense. Fractions appear
+only in the LP's inputs and in the final weights and value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
+from operator import mul
 from typing import Literal, Mapping
 
 from .bounds import derive, evaluate_bounds, model_check
 from .data import ObservedTables, observable_point
 from .forms import RationalLike
-from .introws import pivot, primitive, rref
+from .introws import clear_denominators, pivot, primitive, rref
 from .scenarios import Scenario, get_scenario, scenario_vertex_set
 
 _ZERO = Fraction(0)
@@ -44,12 +47,20 @@ class MixtureLP:
     """min/max of objective.w subject to columns.w = rhs, w >= 0, sum w = 1.
 
     Each column belongs to one mixture component; the normalization row is
-    already part of columns/rhs when built via from_scenario.
+    already part of columns/rhs when built via from_scenario. Mismatched
+    lengths of columns, rhs and objective raise ValueError.
     """
 
     columns: tuple[tuple[Fraction, ...], ...]
     rhs: tuple[Fraction, ...]
     objective: tuple[Fraction, ...]
+
+    def __post_init__(self) -> None:
+        for j, col in enumerate(self.columns):
+            if len(col) != len(self.rhs):
+                raise ValueError(f"column {j} has {len(col)} entries but rhs has {len(self.rhs)}")
+        if len(self.objective) != len(self.columns):
+            raise ValueError(f"objective has {len(self.objective)} entries, not one per column")
 
     @classmethod
     def from_scenario(
@@ -60,15 +71,80 @@ class MixtureLP:
         s = get_scenario(scenario)
         if s.causal_target is None:
             raise ValueError(f"scenario {s.name!r} has no causal target to optimize")
-        vs = scenario_vertex_set(s, include_target=True)
-        labels = s.observable_labels
-        point = observable_point(labels, data)
-        idx = [s.space.index(lab) for lab in labels]
-        ti = s.space.index(s.causal_target)
-        columns = tuple(tuple(v[i] for i in idx) + (_ONE,) for v in vs.vertices)
-        rhs = tuple(point[lab] for lab in labels) + (_ONE,)
-        objective = tuple(v[ti] for v in vs.vertices)
-        return cls(columns=columns, rhs=rhs, objective=objective)
+        base, point = _scenario_lp(s), observable_point(s.observable_labels, data)
+        rhs = tuple(point[lab] for lab in s.observable_labels) + (_ONE,)
+        lp = cls(columns=base.columns, rhs=rhs, objective=base.objective)
+        vars(lp)["_system"] = base._system
+        return lp
+
+    @cached_property
+    def _system(self) -> tuple[list[list[int]], list[list[int]], list[list[int]], int, tuple]:
+        """(rows, E, null, d, cost): rref([A | I]) once, A's rows scaled to integers.
+
+        rows are d times the reduced row echelon form of A, and E (row scales
+        folded in) has E.A = rows, so E.b is a feasible rhs b reduced at scale
+        d. Each null row y has y.A = 0: b is infeasible if some y.b is not 0.
+        """
+        n, m = len(self.columns), len(self.rhs)
+        scaled = [clear_denominators([col[i] for col in self.columns]) for i in range(m)]
+        aug = [ints + [int(k == i) for k in range(m)] for i, (ints, _) in enumerate(scaled)]
+        reduced, d, pivots = rref(aug, n + m)
+        r = sum(p < n for p in pivots)
+        E = [[v * c for v, (_, c) in zip(row[n:], scaled)] for row in reduced]
+        return [row[:n] for row in reduced[:r]], E[:r], E[r:], d, primitive(self.objective)
+
+    @cached_property
+    def _phase1(self) -> tuple[list[list[int]], list[int], int] | None:
+        """The tableau, basis and scale that end phase 1 (cost row for "min"), or None.
+
+        With rhs = b / D, this is the tableau of [A | rhs] reduced afresh times
+        D * d over that reduction's scale: a positive factor, so no pivot moves.
+        """
+        rows, E, null, d, cost = self._system
+        b, den = clear_denominators(self.rhs)
+        if any(sum(map(mul, y, b)) for y in null):
+            return None
+        n, m, s = len(self.columns), len(rows), den * d
+
+        # Integer tableau at scale s: constraint rows with nonnegative right-hand
+        # sides and artificial columns s*I, the phase-2 row (a positive multiple
+        # of the cost), and the phase-1 row, whose objective is the artificials' sum.
+        T = []
+        for i, (row, e) in enumerate(zip(rows, E)):
+            r = sum(map(mul, e, b))
+            f = -den if r < 0 else den
+            T.append([f * v for v in row] + [s if k == i else 0 for k in range(m)] + [abs(r)])
+        T.append([s * c for c in cost] + [0] * (m + 1))
+        sums = [sum(col) for col in zip(*T[:m])] or [0] * (n + m + 1)
+        T.append([-v for v in sums[:n]] + [0] * m + [-sums[-1]])
+        basis = list(range(n, n + m))
+
+        s = _simplex(T, basis, n + m, s)
+        # The phase-1 row's last entry is -s times the artificials' sum.
+        if T.pop()[-1]:
+            return None
+
+        # Kick zero-level artificials out of the basis: the rows are independent,
+        # so a pivot column exists; negating a row whose rhs is 0 keeps s > 0.
+        for i in range(m):
+            if basis[i] >= n:
+                col = next(j for j in range(n) if T[i][j])
+                if T[i][col] < 0:
+                    T[i] = [-v for v in T[i]]
+                s = pivot(T, i, col, s)
+                basis[i] = col
+        return [row[:n] + row[-1:] for row in T], basis, s
+
+
+@lru_cache(maxsize=None)
+def _scenario_lp(s: Scenario) -> MixtureLP:
+    """A targeted scenario's LP at rhs 0; from_scenario reuses its columns, objective and system."""
+    vs = scenario_vertex_set(s, include_target=True)
+    idx = [s.space.index(lab) for lab in s.observable_labels]
+    ti = s.space.index(s.causal_target)
+    columns = tuple(tuple(v[i] for i in idx) + (_ONE,) for v in vs.vertices)
+    objective = tuple(v[ti] for v in vs.vertices)
+    return MixtureLP(columns=columns, rhs=(_ZERO,) * len(columns[0]), objective=objective)
 
 
 def _simplex(T: list[list[int]], basis: list[int], width: int, s: int) -> int | None:
@@ -103,56 +179,19 @@ def solve(lp: MixtureLP, sense: Literal["min", "max"] = "min") -> LPResult:
     """Exact two-phase simplex. Infeasibility is an answer, not an error."""
     if sense not in ("min", "max"):
         raise ValueError(f"sense must be 'min' or 'max', not {sense!r}")
-    n = len(lp.columns)
-
-    # Reduce the equality system first: redundant rows disappear and an
-    # inconsistent system is caught without touching the simplex.
-    aug = [primitive([col[i] for col in lp.columns] + [b]) for i, b in enumerate(lp.rhs)]
-    reduced, d, pivots = rref(aug, n + 1)
-    if n in pivots:
+    if lp._phase1 is None:
         return LPResult(status="infeasible", value=None, weights=None)
-    m = len(reduced)
-
-    # Integer tableau at common scale d: constraint rows with nonnegative
-    # right-hand sides and artificial columns d*I, the phase-2 row (a
-    # positive multiple of the cost has the same reduced-cost signs), and
-    # the phase-1 row, whose objective is the artificials' sum.
-    T = []
-    for i, row in enumerate(reduced):
-        if row[n] < 0:
-            row = [-v for v in row]
-        T.append(row[:n] + [d if k == i else 0 for k in range(m)] + [row[n]])
-    cost = primitive(lp.objective)
+    T, basis, s = lp._phase1
+    T, basis = list(T), list(basis)  # phase 2 must leave the cached tableau as it is
     if sense == "max":
-        cost = [-c for c in cost]
-    T.append([d * c for c in cost] + [0] * (m + 1))
-    sums = [sum(col) for col in zip(*T[:m])] or [0] * (n + m + 1)
-    T.append([-v for v in sums[:n]] + [0] * m + [-sums[-1]])
-    basis = list(range(n, n + m))
-
-    s = _simplex(T, basis, n + m, d)
-    # The phase-1 row's last entry is -s times the artificials' sum.
-    if T.pop()[-1]:
-        return LPResult(status="infeasible", value=None, weights=None)
-
-    # Kick zero-level artificials out of the basis; full row rank after
-    # the reduction above guarantees a pivot column exists. The row's
-    # right-hand side is 0, so negating it keeps the scale positive.
-    for i in range(m):
-        if basis[i] >= n:
-            col = next(j for j in range(n) if T[i][j])
-            if T[i][col] < 0:
-                T[i] = [-v for v in T[i]]
-            s = pivot(T, i, col, s)
-            basis[i] = col
-    T = [row[:n] + row[-1:] for row in T]
-
+        T[-1] = [-v for v in T[-1]]
+    n = len(lp.columns)
     if _simplex(T, basis, n, s) is None:
         return LPResult(status="unbounded", value=None, weights=None)
     weights = [_ZERO] * n
     for i, b in enumerate(basis):
         weights[b] = Fraction(T[i][-1], T[i][b])
-    value = sum((c * w for c, w in zip(lp.objective, weights)), _ZERO)
+    value = sum((lp.objective[b] * weights[b] for b in basis), _ZERO)
     return LPResult(status="optimal", value=value, weights=tuple(weights))
 
 

@@ -4,13 +4,14 @@ partition is the Fraction path: every facet is reduced modulo the hull
 equalities as an AffineForm, then canonicalized, classified and moved to
 the observable space as separate steps. polar_extreme_rays is the double
 description whose adjacency test scans the tight-constraint mask of every
-other ray for each positive/negative pair.
+other ray for each positive/negative pair. solve is the LP oracle's simplex
+that reduces the equality system and runs phase 1 afresh on every call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Literal, Sequence
 
 from ivbounds.bounds import BoundSet, TargetUnconstrained
 from ivbounds.forms import (
@@ -21,7 +22,15 @@ from ivbounds.forms import (
     Relation,
     canonicalize,
 )
-from ivbounds.introws import clear_denominators, independent_rows, primitive, rref, scaled_inverse
+from ivbounds.introws import (
+    clear_denominators,
+    independent_rows,
+    pivot,
+    primitive,
+    rref,
+    scaled_inverse,
+)
+from ivbounds.oracle import LPResult, MixtureLP
 from ivbounds.polytope import HRepresentation
 
 _ZERO = Fraction(0)
@@ -159,3 +168,88 @@ def polar_extreme_rays(points: list[tuple[Fraction, ...]], dim: int) -> list[tup
                 new_masks.append(shared | 1 << k)
         rays, masks = new_rays, new_masks
     return rays
+
+
+def _simplex(T: list[list[int]], basis: list[int], width: int, s: int) -> int | None:
+    """Bland-rule simplex on an integer tableau in canonical form, in place.
+
+    Row i < len(basis) is a constraint whose basic column basis[i] holds
+    the common scale s > 0; the last row is the objective's reduced costs
+    times a positive factor. Entering: the lowest column below ``width``
+    with negative reduced cost; leaving: the lowest basis index among the
+    ratio-test ties. Together they rule out cycling, so degeneracy (rampant
+    here) is harmless. Returns the final scale, or None if unbounded below.
+    """
+    while True:
+        z = T[-1]
+        entering = next((j for j in range(width) if z[j] < 0), None)
+        if entering is None:
+            return s
+        # Rows in basis-index order: the strict ratio comparison (by
+        # cross-multiplication) then keeps the lowest index among ties.
+        rows = sorted((i for i in range(len(basis)) if T[i][entering] > 0), key=basis.__getitem__)
+        leave = None
+        for i in rows:
+            if leave is None or T[i][-1] * T[leave][entering] < T[leave][-1] * T[i][entering]:
+                leave = i
+        if leave is None:
+            return None
+        s = pivot(T, leave, entering, s)
+        basis[leave] = entering
+
+
+def solve(lp: MixtureLP, sense: Literal["min", "max"] = "min") -> LPResult:
+    """Exact two-phase simplex. Infeasibility is an answer, not an error."""
+    if sense not in ("min", "max"):
+        raise ValueError(f"sense must be 'min' or 'max', not {sense!r}")
+    n = len(lp.columns)
+
+    # Reduce the equality system first: redundant rows disappear and an
+    # inconsistent system is caught without touching the simplex.
+    aug = [primitive([col[i] for col in lp.columns] + [b]) for i, b in enumerate(lp.rhs)]
+    reduced, d, pivots = rref(aug, n + 1)
+    if n in pivots:
+        return LPResult(status="infeasible", value=None, weights=None)
+    m = len(reduced)
+
+    # Integer tableau at common scale d: constraint rows with nonnegative
+    # right-hand sides and artificial columns d*I, the phase-2 row (a
+    # positive multiple of the cost has the same reduced-cost signs), and
+    # the phase-1 row, whose objective is the artificials' sum.
+    T = []
+    for i, row in enumerate(reduced):
+        if row[n] < 0:
+            row = [-v for v in row]
+        T.append(row[:n] + [d if k == i else 0 for k in range(m)] + [row[n]])
+    cost = primitive(lp.objective)
+    if sense == "max":
+        cost = [-c for c in cost]
+    T.append([d * c for c in cost] + [0] * (m + 1))
+    sums = [sum(col) for col in zip(*T[:m])] or [0] * (n + m + 1)
+    T.append([-v for v in sums[:n]] + [0] * m + [-sums[-1]])
+    basis = list(range(n, n + m))
+
+    s = _simplex(T, basis, n + m, d)
+    # The phase-1 row's last entry is -s times the artificials' sum.
+    if T.pop()[-1]:
+        return LPResult(status="infeasible", value=None, weights=None)
+
+    # Kick zero-level artificials out of the basis; full row rank after
+    # the reduction above guarantees a pivot column exists. The row's
+    # right-hand side is 0, so negating it keeps the scale positive.
+    for i in range(m):
+        if basis[i] >= n:
+            col = next(j for j in range(n) if T[i][j])
+            if T[i][col] < 0:
+                T[i] = [-v for v in T[i]]
+            s = pivot(T, i, col, s)
+            basis[i] = col
+    T = [row[:n] + row[-1:] for row in T]
+
+    if _simplex(T, basis, n, s) is None:
+        return LPResult(status="unbounded", value=None, weights=None)
+    weights = [_ZERO] * n
+    for i, b in enumerate(basis):
+        weights[b] = Fraction(T[i][-1], T[i][b])
+    value = sum((c * w for c, w in zip(lp.objective, weights)), _ZERO)
+    return LPResult(status="optimal", value=value, weights=tuple(weights))

@@ -31,3 +31,23 @@ def random_parameter_point(
         delta2=draw(),
         psi=draw() if uses_psi else _ZERO,
     )
+
+
+def random_mixture(rng: random.Random, vertices: list[tuple], k: int) -> tuple[Fraction, ...]:
+    """A convex mixture of k vertices drawn with replacement, weights 1..12 normalized."""
+    picks = [rng.choice(vertices) for _ in range(k)]
+    raw = [rng.randint(1, 12) for _ in picks]
+    total = sum(raw)
+    return tuple(sum(Fraction(r, total) * v[i] for r, v in zip(raw, picks)) for i in range(len(picks[0])))
+
+
+def pushed_outside(
+    rng: random.Random, vertices: list[tuple], inside: tuple, coords: list[int]
+) -> tuple[Fraction, ...]:
+    """v + (v - inside)/4 for a vertex v that is 0 at one of ``coords`` where inside is positive.
+
+    The point keeps every affine equality of the vertices but gives that
+    coordinate a negative value, so no mixture of them reaches it.
+    """
+    v = rng.choice([v for v in vertices if any(v[i] == 0 < inside[i] for i in coords)])
+    return tuple(a + (a - b) / 4 for a, b in zip(v, inside))

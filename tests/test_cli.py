@@ -334,9 +334,9 @@ class TestUsageErrors:
 _LONG_CELL = '{"zeta": {"a1": ["1e-4300", "0.5", "0.25", "0.25"], "a2": ["0", "0", "1", "0"]}}'
 
 
-# Byte-for-byte CLI output of check and bound, in both formats, on the
-# bundled studies and on violating.json (every slack, endpoint and witness
-# the CLI prints). Each file is named <verb>-<data>-<scenario>.<txt|json>;
+# Byte-for-byte CLI output of check, bound and oracle, in both formats, on
+# the bundled studies and on violating.json (every slack, endpoint, witness
+# and LP interval the CLI prints). Each file is named <verb>-<data>-<scenario>.<txt|json>;
 # exit_codes.json holds the exit code of each.
 GOLDEN_CLI = Path(__file__).parent / "golden" / "cli"
 GOLDEN_EXIT_CODES = json.loads((GOLDEN_CLI / "exit_codes.json").read_text(encoding="utf-8"))

@@ -23,7 +23,8 @@ from ivbounds.scenarios import (
     scenario_vertex_set,
 )
 
-from sampling import random_parameter_point
+import reference
+from sampling import pushed_outside, random_mixture, random_parameter_point
 
 
 def F(*args):
@@ -37,6 +38,29 @@ def lp(columns, rhs, objective):
         rhs=tuple(F(v) for v in rhs),
         objective=tuple(F(v) for v in objective),
     )
+
+
+# Hand-built LPs as (columns, rhs, objective): the ones TestSolve and
+# TestPivotPath solve, plus one whose columns have non-unit denominators.
+HAND_BUILT = [
+    (((1,), (1,)), (1,), (1, 2)),
+    (((1, 1), (1, 1)), (2, 1), (0, 0)),
+    (((1,), (1,)), (-1,), (0, 0)),
+    (((1,), (-1,)), (0,), (-1, 0)),
+    (((1, 2), (1, 2)), (1, 2), (0, 1)),
+    (((-1,),), (-2,), (1,)),
+    (((0,), (0,)), (0,), (1, 1)),
+    (((0,), (0,)), (0,), (-1, 1)),
+    (((0,), (0,)), (0,), (-1, -2)),
+    (((1,),), (1,), (1,)),
+    (((1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)), (1, 1, 1), (1, -1, 2, 0)),
+    (((-1, 1), (0, 1), (1, 0), (0, 0)), (1, 0), (-1, -2, -2, 1)),
+    (
+        (("1/2", "2/3", 1), ("3/4", "-1/6", 1), ("-2/5", "1/3", 1), ("1/7", "5/9", 1)),
+        ("1/5", "1/4", 1),
+        ("1/3", "-2/7", "5/6", "1/10"),
+    ),
+]
 
 
 class TestSolve:
@@ -147,6 +171,21 @@ class TestPivotPath:
 
 
 class TestMixtureLP:
+    def test_ragged_columns_rejected(self):
+        with pytest.raises(ValueError, match="column 1 has 1 entries but rhs has 2"):
+            lp(columns=((1, 2), (3,)), rhs=(1, 2), objective=(1, 5))
+
+    def test_column_length_must_match_rhs(self):
+        # Once solved as min 1 and max 5/3, with the second row ignored.
+        with pytest.raises(ValueError, match="column 0 has 2 entries but rhs has 1"):
+            lp(columns=((1, 2), (3, 4)), rhs=(1,), objective=(1, 5))
+
+    @pytest.mark.parametrize("objective", [(1,), (1, 5, 7)])
+    def test_objective_length_must_match_columns(self, objective):
+        # A shorter objective once gave a value from a truncated zip.
+        with pytest.raises(ValueError, match="objective has"):
+            lp(columns=((1,), (1,)), rhs=(1,), objective=objective)
+
     def test_from_scenario_shapes(self):
         p = MixtureLP.from_scenario("trivariate", load("lipid"))
         assert len(p.columns) == 16
@@ -287,3 +326,89 @@ class TestCrossCheck:
             assert rep.member and rep.feasible
             truth = coordinate_function(s.causal_target)(pp)
             assert rep.form_lower <= truth <= rep.form_upper
+
+
+def _scenario_points(name, rng, rounds):
+    """rounds (inside, outside) observable points of a targeted scenario."""
+    s = get_scenario(name)
+    vs = scenario_vertex_set(s).vertices
+    idx = [s.space.index(lab) for lab in s.observable_labels]
+    for _ in range(rounds):
+        inside = random_mixture(rng, vs, rng.randint(1, 6))
+        outside = pushed_outside(rng, vs, inside, idx)
+        yield tuple({lab: x[i] for lab, i in zip(s.observable_labels, idx)} for x in (inside, outside))
+
+
+TARGETED = ["bivariate", "trivariate", "pairwise3", "beta"]
+
+
+class TestAgainstReference:
+    """solve and oracle_interval give the LPResults of the reference solver exactly."""
+
+    @pytest.mark.parametrize("name", TARGETED)
+    def test_random_inside_and_outside_mixtures(self, name):
+        statuses = set()
+        for inside, outside in _scenario_points(name, random.Random(f"reference:{name}"), 15):
+            for point in (inside, outside):
+                p = MixtureLP.from_scenario(name, point)
+                want = reference.solve(p, "min"), reference.solve(p, "max")
+                assert oracle_interval(name, point) == want
+                assert (solve(p, "max"), solve(p, "min")) == want[::-1]
+                statuses.add(want[0].status)
+        assert statuses == {"optimal", "infeasible"}
+
+    @pytest.mark.parametrize("case", HAND_BUILT)
+    @pytest.mark.parametrize("sense", ["min", "max"])
+    def test_hand_built(self, case, sense):
+        p = lp(*case)
+        assert solve(p, sense) == reference.solve(p, sense)
+
+    def test_random_rational_lps(self):
+        rng = random.Random(11)
+        statuses = set()
+        frac = lambda: F(rng.randint(-6, 6), rng.randint(1, 6))
+        for _ in range(200):
+            n, m = rng.randint(1, 5), rng.randint(1, 3)
+            columns = tuple(tuple(frac() for _ in range(m)) for _ in range(n))
+            if rng.random() < 0.5:  # a feasible rhs: a nonnegative combination of columns
+                w = [F(rng.randint(0, 3)) for _ in range(n)]
+                rhs = tuple(sum(c[i] * x for c, x in zip(columns, w)) for i in range(m))
+            else:
+                rhs = tuple(frac() for _ in range(m))
+            p = MixtureLP(columns, rhs, tuple(frac() for _ in range(n)))
+            for sense in ("min", "max"):
+                got = solve(p, sense)
+                assert got == reference.solve(p, sense)
+                statuses.add(got.status)
+        assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
+class TestCachedState:
+    def test_repeated_solves_agree(self):
+        p = MixtureLP.from_scenario("pairwise3", load("lipid"))
+        first = solve(p, "max")
+        assert solve(p, "min") == reference.solve(p, "min")
+        assert solve(p, "max") == first == reference.solve(p, "max")
+        q = lp(((-1, 1), (0, 1), (1, 0), (0, 0)), (1, 0), (-1, -2, -2, 1))
+        results = [solve(q, sense) for sense in ("max", "min", "max", "min")]
+        assert results[:2] == results[2:]
+        assert results[:2] == [LPResult("unbounded", None, None), LPResult("optimal", -2, (0, 0, 1, 0))]
+
+    def test_scenario_lps_share_the_system_but_not_the_point(self):
+        bad = build_tables(zeta={"a1": ["1", "0", "0", "0"], "a2": ["0", "0", "1", "0"]})
+        good = MixtureLP.from_scenario("trivariate", load("lipid"))
+        infeasible = MixtureLP.from_scenario("trivariate", bad)
+        assert vars(good)["_system"] is vars(infeasible)["_system"]
+        order = [(good, "max"), (infeasible, "min"), (good, "min"), (infeasible, "max"), (good, "max")]
+        for p, sense in order:
+            assert solve(p, sense) == reference.solve(p, sense)
+        assert solve(infeasible, "max").status == "infeasible"
+        assert solve(good, "max").value == F(39, 50)
+
+    def test_hand_built_equals_from_scenario(self):
+        scenario_lp = MixtureLP.from_scenario("bivariate", load("vitamin-a"))
+        hand = MixtureLP(scenario_lp.columns, scenario_lp.rhs, scenario_lp.objective)
+        assert "_system" not in vars(hand)
+        assert hand == scenario_lp
+        for sense in ("min", "max"):
+            assert solve(hand, sense) == solve(scenario_lp, sense)
