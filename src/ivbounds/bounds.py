@@ -149,10 +149,10 @@ def partition(h: HRepresentation, target: str | None = None) -> BoundSet:
         return constraint_from_row(obs_space, row, relation)
 
     def solve_for_target(row: Sequence[int]) -> AffineForm:
-        # row = 0  <=>  target = -(row - c * target) / c
+        # row = 0  <=>  target = -(row - c * target) / c; ints where c divides.
         c = row[ti]
-        coeffs = tuple(Fraction(-a, c) if a else _ZERO for i, a in enumerate(row[:-1]) if i != ti)
-        return AffineForm(obs_space, coeffs, Fraction(-row[-1], c))
+        out = [-a // c if a % c == 0 else Fraction(-a, c) for i, a in enumerate(row) if i != ti]
+        return AffineForm(obs_space, tuple(out[:-1]), out[-1])
 
     lower: list[AffineForm] = []
     upper: list[AffineForm] = []
@@ -234,10 +234,25 @@ def evaluate_bounds(
     statement about the data, not a usage error. A BoundSet without a
     target raises TargetUnconstrained.
     """
+    return _interval_and_fit(bs, data, ())[0]
+
+
+def _interval_and_fit(
+    bs: BoundSet, data: ObservedTables | Mapping, sections: Sequence[str] = tuple(dict(_SECTIONS))
+) -> tuple[Interval, bool]:
+    """evaluate_bounds and whether model_check passes at tolerance 0, from one numerator pass.
+
+    Raises what evaluate_bounds and then model_check would, in that order.
+    """
     if bs.target is None:
         raise TargetUnconstrained(f"scenario {bs.scenario!r} has no causal target to bound")
-    (lows, highs), den = _numerators(bs, ("lower", "upper"), data)
-    return _interval(lows, highs, den)
+    (lows, highs, *slacks), den = _numerators(bs, ("lower", "upper", *sections), data)
+    fit = all(
+        n == 0 if con.relation is Relation.EQ else n >= 0
+        for (_, field), numerators in zip(_SECTIONS, slacks)
+        for con, n in zip(getattr(bs, field), numerators)
+    )
+    return _interval(lows, highs, den), fit
 
 
 def _interval(lows: list, highs: list, den: int = 1) -> Interval:

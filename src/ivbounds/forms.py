@@ -20,8 +20,9 @@ Rational = Fraction
 
 RationalLike = Union[int, str, Fraction]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+# One shared Fraction per small integer, the bulk of what derived rows hold.
+_SMALL = tuple(Fraction(n) for n in range(-16, 17))
+_ZERO, _ONE = _SMALL[16:18]
 
 # A decimal exponent past the interpreter's default int<->str digit limit
 # could never be printed, and a huge one stalls Fraction() for seconds.
@@ -54,6 +55,8 @@ def rational(value: RationalLike) -> Fraction:
     """
     if type(value) is Fraction:
         return value
+    if type(value) is int and -16 <= value <= 16:
+        return _SMALL[value + 16]
     if isinstance(value, bool):
         raise TypeError("expected a rational value, got a bool")
     if isinstance(value, (int, Fraction)):
@@ -140,15 +143,17 @@ class AffineForm:
     constant: Fraction = _ZERO
 
     def __post_init__(self):
-        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coefficients)
+        coeffs = self.coefficients
+        if type(coeffs) is not tuple or not all(type(c) is Fraction for c in coeffs):
+            coeffs = tuple(map(rational, coeffs))
+            object.__setattr__(self, "coefficients", coeffs)
         if len(coeffs) != self.space.dimension:
             raise ValueError(
                 f"expected {self.space.dimension} coefficients for space "
                 f"{self.space.name!r}, got {len(coeffs)}"
             )
-        object.__setattr__(self, "coefficients", coeffs)
         if type(self.constant) is not Fraction:
-            object.__setattr__(self, "constant", Fraction(self.constant))
+            object.__setattr__(self, "constant", rational(self.constant))
 
     @classmethod
     def zero(cls, space: CoordinateSpace) -> "AffineForm":
@@ -360,10 +365,7 @@ def constraint_from_row(
     elif relation is Relation.EQ and next(c for c in coeffs if c) < 0:
         coeffs = [-c for c in coeffs]
         const = -const
-    return LinearConstraint(
-        AffineForm(space, tuple(Fraction(c) if c else _ZERO for c in coeffs), Fraction(const)),
-        relation,
-    )
+    return LinearConstraint(AffineForm(space, tuple(coeffs), const), relation)
 
 
 def parse_constraint(space: CoordinateSpace, text: str) -> LinearConstraint:

@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 from operator import mul
 from typing import Literal, Mapping
 
-from .bounds import derive, evaluate_bounds, model_check
+from .bounds import _interval_and_fit, derive
 from .data import ObservedTables, observable_point
 from .forms import RationalLike
 from .introws import clear_denominators, pivot, primitive, rref
@@ -231,9 +231,8 @@ def cross_check(
     """
     s = get_scenario(scenario)
     bs = derive(s.name)
-    interval = evaluate_bounds(bs, data)
-    report = model_check(bs, data, tolerance=0)
-    member = report.passed and not interval.empty
+    interval, fit = _interval_and_fit(bs, data)
+    member = fit and not interval.empty
     lo, hi = oracle_interval(s, data)
     feasible = lo.status == "optimal"
     if feasible != (hi.status == "optimal"):

@@ -7,12 +7,11 @@ affine-hull-first. It computes the hull equalities, projects the points
 onto an independent coordinate chart where they are full-dimensional, runs
 an incremental double description pass there, and lifts the resulting
 facets back. Points and forms are exact rationals at the API; inside,
-elimination and the double description run on primitive integer rows
-(see introws), so no Fraction is built until results are lifted back.
-The double description tests adjacency by index lookups. An
-HRepresentation keeps its integer rows and reduces rows modulo its
-equalities on ints (reduce_mod_equalities wraps this for Fractions).
-Membership tests are integer dot products on those rows.
+everything runs on integer rows (see introws): a VertexSet's, which
+scenario_vertex_set hands over, and an HRepresentation's. A hull from
+facet_enumeration builds its Fraction facets from its rows on first read,
+which derivation never makes. Rows are reduced modulo the equalities and
+tested for membership on ints (reduce_mod_equalities wraps the former).
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
@@ -65,6 +65,11 @@ class VertexSet:
     def __len__(self) -> int:
         return len(self.vertices)
 
+    @cached_property
+    def _rows(self) -> tuple[list[list[tuple[int, ...]]], int]:
+        """The vertices as integer rows over their least common denominator d > 0."""
+        return integer_rows([self.vertices])
+
 
 @dataclass(frozen=True)
 class AffineHull:
@@ -85,7 +90,7 @@ def affine_hull(vs: VertexSet) -> AffineHull:
     """Compute the affine hull of a vertex set exactly."""
     m = vs.space.dimension
     # One common scale keeps the vertex differences, and so their row space, exact.
-    (points,), scale = integer_rows([vs.vertices])
+    (points,), scale = vs._rows
     base = points[0]
     reduced, d, pivots = rref([[a - b for a, b in zip(v, base)] for v in points[1:]], m)
     pivot_set = set(pivots)
@@ -150,6 +155,14 @@ class HRepresentation:
         groups = (self.equalities, self.facets)
         return integer_rows([[(*c.form.coefficients, c.form.constant) for c in g] for g in groups])
 
+    def __getattr__(self, name: str):
+        # Only a hull from facet_enumeration lacks facets: they are built from its rows, once.
+        if name != "facets":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        (_, rows), _ = self._rows
+        vars(self)["facets"] = tuple(constraint_from_row(self.space, r, Relation.GEQ) for r in rows)
+        return self.facets
+
     @cached_property
     def _triangular(self) -> tuple[list[tuple[int, list[int]]], int]:
         """(trailing coordinate, row) per equality, and d: each row is d there, 0 in the rest."""
@@ -197,19 +210,18 @@ class HRepresentation:
         }
 
 
-def _polar_extreme_rays(points: list[tuple[Fraction, ...]], dim: int) -> list[tuple[int, ...]]:
-    """Extreme rays (b, a) of the cone {(b, a) : b + a.y >= 0 for all points y}.
+def _polar_extreme_rays(cons: list[tuple[int, ...]], dim: int) -> list[tuple[int, ...]]:
+    """Extreme rays (b, a) of the cone {(b, a) : (b, a) . c >= 0 for each row c = s * (1, y)}.
 
-    These are exactly the facets a.y + b >= 0 of conv(points) when the
-    points span dim-dimensional space. Incremental double description:
-    start from dim + 1 points whose homogenisations are linearly
-    independent (their polar cone is simplicial), then add the remaining
-    point constraints one at a time, keeping nonnegative rays and combining
-    adjacent positive/negative pairs on each new hyperplane. Rays carry
-    stable ids: masks[i] holds the constraints ray i is tight on, tight[c]
-    the ids (dead ones too) of the rays tight on constraint c.
+    These are exactly the facets a.y + b >= 0 of conv(points y) when the
+    points span dim-dimensional space (s > 0 scales each row to integers).
+    Incremental double description (Fukuda & Prodon, 1996): start from
+    dim + 1 independent rows (their polar cone is simplicial), then add the
+    rest one at a time, keeping nonnegative rays and combining adjacent
+    positive/negative pairs on each new hyperplane. Rays carry stable ids:
+    masks[i] holds the constraints ray i is tight on, tight[c] the ids
+    (dead ones too) of the rays tight on constraint c.
     """
-    cons = [primitive((1,) + pt) for pt in points]
     init = independent_rows(cons, dim + 1)
     columns, _ = scaled_inverse([cons[i] for i in init])
     rays = [primitive(col) for col in columns]
@@ -218,7 +230,7 @@ def _polar_extreme_rays(points: list[tuple[Fraction, ...]], dim: int) -> list[tu
     # Ray j of the simplicial start is tight on every initial constraint but the j-th.
     start = sum(1 << i for i in init)
     masks = [start & ~(1 << i) for i in init]
-    tight = {i: (1 << len(init)) - 1 - (1 << j) for j, i in enumerate(init)}
+    tight = [sum(1 << j for j, mask in enumerate(masks) if mask >> c & 1) for c in range(len(cons))]
     for k, con in enumerate(cons):
         if start >> k & 1:
             continue
@@ -231,13 +243,13 @@ def _polar_extreme_rays(points: list[tuple[Fraction, ...]], dim: int) -> list[tu
         new_masks = [masks[i] for i in pos] + [masks[i] | 1 << k for i in zero]
         new_ids = [ids[i] for i in pos + zero]
         tight[k] = sum(1 << ids[i] for i in zero)
-        for ip in pos:
-            for im in neg:
-                shared = masks[ip] & masks[im]
-                if shared.bit_count() < dim - 1:
-                    continue
+        pos_masks = [(i, masks[i], 1 << ids[i]) for i in pos]
+        for im in neg:
+            m_neg, bit_neg = masks[im], 1 << ids[im]
+            near = [(ip, s, b) for ip, m, b in pos_masks if (s := m & m_neg).bit_count() >= dim - 1]
+            for ip, shared, bit_pos in near:
                 # Adjacent: dim - 1 common tight constraints that no third live ray shares.
-                pair, common, rest = 1 << ids[ip] | 1 << ids[im], alive, shared
+                pair, common, rest = bit_pos | bit_neg, alive, shared
                 while rest and common != pair:
                     low = rest & -rest
                     common &= tight[low.bit_length() - 1]
@@ -245,12 +257,14 @@ def _polar_extreme_rays(points: list[tuple[Fraction, ...]], dim: int) -> list[tu
                 if common != pair:
                     continue
                 combo = [vals[ip] * a - vals[im] * b for a, b in zip(rays[im], rays[ip])]
-                new_rays.append(primitive(combo))
-                new_masks.append(shared | 1 << k)
+                g = gcd(*combo)
+                new_rays.append(tuple(v // g for v in combo))
+                new_masks.append(mask := shared | 1 << k)
                 new_ids.append(next_id)
-                for c in tight:
-                    if new_masks[-1] >> c & 1:
-                        tight[c] |= 1 << next_id
+                while mask:
+                    low = mask & -mask
+                    tight[low.bit_length() - 1] |= 1 << next_id
+                    mask ^= low
                 next_id += 1
         rays, masks, ids = new_rays, new_masks, new_ids
     return rays
@@ -268,22 +282,18 @@ def facet_enumeration(vs: VertexSet) -> HRepresentation:
     hull = affine_hull(vs)
     if hull.dimension == 0:
         return HRepresentation(vs.space, hull.equalities, (), 0)
-    chart = [tuple(v[p] for p in hull.pivots) for v in vs.vertices]
+    (points,), scale = vs._rows
+    chart = [primitive((scale, *(v[p] for p in hull.pivots))) for v in points]
     rays = _polar_extreme_rays(chart, hull.dimension)
     m = vs.space.dimension
-    rows = []
-    for ray in rays:
-        row = [0] * m + [ray[0]]
-        for j, p in enumerate(hull.pivots):
-            row[p] = ray[1 + j]
-        assert any(row[:m]), "polar ray with no linear part cannot be a facet"
-        rows.append(row)
+    at = {p: 1 + j for j, p in enumerate(hull.pivots)}
     # A primitive ray is its facet's canonical row; sorting the rows orders
     # the facets by coefficient tuple, then constant.
-    rows.sort()
-    facets = tuple(constraint_from_row(vs.space, row, Relation.GEQ) for row in rows)
-    h = HRepresentation(vs.space, hull.equalities, facets, hull.dimension)
-    # The rows are integers already, so _rows need not be rebuilt from the Fractions.
+    rows = sorted(tuple(ray[at[c]] if c in at else 0 for c in range(m)) + ray[:1] for ray in rays)
+    assert all(any(row[:m]) for row in rows), "polar ray with no linear part cannot be a facet"
+    h = HRepresentation(vs.space, hull.equalities, (), hull.dimension)
+    # The rows are integers already; facets are built from them at first read.
+    del vars(h)["facets"]
     eqs = [(*e.form.coefficients, e.form.constant) for e in hull.equalities]
-    vars(h)["_rows"] = ([[tuple(map(int, e)) for e in eqs], [tuple(row) for row in rows]], 1)
+    vars(h)["_rows"] = ([[tuple(map(int, e)) for e in eqs], rows], 1)
     return h

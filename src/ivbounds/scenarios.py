@@ -9,7 +9,9 @@ transform maps a parameter point to that coordinate vector. Observed
 distributions are mixtures over U of transformed parameter points, which
 is what makes the convex-polytope analysis downstream exact. Every
 parameter vertex is 0/1, so scenario_vertex_set runs the transforms on
-ints and builds each distinct image's Fractions once.
+ints, builds each distinct image's Fractions once and hands the int images
+to the VertexSet as the integer rows facet_enumeration reads (the hull's
+Fraction facets are built only on first read).
 
 Scenarios are data: a label list and an optional target. parse_coordinate
 is the one reader of the label scheme; the transforms, the observable
@@ -283,4 +285,6 @@ def scenario_vertex_set(scenario: str | Scenario, include_target: bool = True) -
     fns = [coordinate_function(label) for label in space.labels]
     images = dict.fromkeys(tuple(f(p) for f in fns) for p in _vertex_bits(s))
     exact = {v: Fraction(v) for v in set().union(*images)}
-    return VertexSet(space, tuple(tuple(exact[v] for v in img) for img in images))
+    vs = VertexSet(space, tuple(tuple(exact[v] for v in img) for img in images))
+    vars(vs)["_rows"] = ([list(images)], 1)
+    return vs

@@ -139,9 +139,8 @@ def partition(h: HRepresentation, target: str | None = None) -> BoundSet:
     )
 
 
-def polar_extreme_rays(points: list[tuple[Fraction, ...]], dim: int) -> list[tuple[int, ...]]:
+def polar_extreme_rays(cons: list[tuple[int, ...]], dim: int) -> list[tuple[int, ...]]:
     """polytope._polar_extreme_rays with the adjacency test scanning every ray's mask."""
-    cons = [primitive((1,) + pt) for pt in points]
     init = independent_rows(cons, dim + 1)
     columns, _ = scaled_inverse([cons[i] for i in init])
     rays = [primitive(col) for col in columns]

@@ -356,6 +356,21 @@ def test_output_matches_golden(capsys, monkeypatch, name):
     assert out.encode("utf-8") == (GOLDEN_CLI / name).read_bytes()
 
 
+# Byte-for-byte output of derive for every scenario in both formats, named
+# derive-<scenario>.<txt|json>; exit_codes.json holds the exit code of each.
+GOLDEN_DERIVE = Path(__file__).parent / "golden" / "derive"
+DERIVE_EXIT_CODES = json.loads((GOLDEN_DERIVE / "exit_codes.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(DERIVE_EXIT_CODES))
+def test_derive_output_matches_golden(capsys, name):
+    scenario, ext = name.removeprefix("derive-").rsplit(".", 1)
+    fmt = "json" if ext == "json" else "text"
+    code, out, err = run(capsys, "derive", "--scenario", scenario, "--format", fmt)
+    assert (code, err) == (DERIVE_EXIT_CODES[name], "")
+    assert out.encode("utf-8") == (GOLDEN_DERIVE / name).read_bytes()
+
+
 @pytest.mark.parametrize("verb", ["bound", "check"])
 def test_marginals_contradicting_zeta_exit_1(capsys, tmp_path, verb):
     """gamma 0.5/0.5 beside lipid's zeta once gave PASS and non-nested intervals."""

@@ -92,6 +92,35 @@ class TestCoordinateSpace:
 
 
 class TestAffineForm:
+    @pytest.mark.parametrize("coefficients, constant", [
+        ((Fraction(1, 10), 0, 0, 0), 0.5),
+        ((0.1, 0, 0, 0), 0),
+        ((True, 0, 0, 0), 0),
+        ((0, 0, 0, 0), False),
+    ])
+    def test_float_and_bool_entries_rejected(self, coefficients, constant):
+        # 0.1 would silently become 3602879701896397/36028797018963968 and True 1.
+        with pytest.raises(TypeError):
+            AffineForm(SPACE, coefficients, constant)
+
+    def test_int_and_string_entries_coerced_exactly(self):
+        f = AffineForm(SPACE, [1, "1/3", "0.25", Fraction(2, 3)], "-2")
+        assert f.coefficients == (1, Fraction(1, 3), Fraction(1, 4), Fraction(2, 3))
+        assert type(f.coefficients) is tuple
+        assert all(type(c) is Fraction for c in f.coefficients + (f.constant,))
+        assert f.constant == -2
+
+    def test_fraction_tuple_kept_as_given(self):
+        coeffs = (Fraction(1, 2), Fraction(0), Fraction(3), Fraction(-1, 7))
+        assert AffineForm(SPACE, coeffs, Fraction(1)).coefficients is coeffs
+
+    def test_small_integers_share_one_fraction(self):
+        assert rational(-16) is rational(-16) and rational(16) is rational(16)
+        assert rational(17) == Fraction(17) and rational(-17) == Fraction(-17)
+        a = canonicalize(LinearConstraint(AffineForm.parse(SPACE, "2*g01 - t02 + 1"), Relation.GEQ))
+        b = canonicalize(LinearConstraint(AffineForm.parse(SPACE, "g02 + 2*t01 + 1"), Relation.GEQ))
+        assert a.form.coefficients[0] is b.form.coefficients[2] and a.form.constant is b.form.constant
+
     def test_parse_matches_from_dict(self):
         f = AffineForm.parse(SPACE, "2*g01 - g02 + 2*t01 - 3")
         assert f == AffineForm.from_dict(

@@ -6,8 +6,16 @@ from fractions import Fraction
 import pytest
 
 import ivbounds.oracle as oracle_mod
-from ivbounds.bounds import derive, evaluate_bounds
+from ivbounds.bounds import (
+    Interval,
+    TargetUnconstrained,
+    _interval_and_fit,
+    derive,
+    evaluate_bounds,
+    model_check,
+)
 from ivbounds.data import build_tables, load
+from ivbounds.forms import MissingCoordinate
 from ivbounds.oracle import (
     CrossCheckReport,
     LPResult,
@@ -326,6 +334,43 @@ class TestCrossCheck:
             assert rep.member and rep.feasible
             truth = coordinate_function(s.causal_target)(pp)
             assert rep.form_lower <= truth <= rep.form_upper
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the exception is the outcome compared
+        return type(exc), str(exc)
+
+
+def _composed(bs, point):
+    """What cross_check once computed: evaluate_bounds, then model_check at tolerance 0."""
+    return evaluate_bounds(bs, point), model_check(bs, point, tolerance=0).passed
+
+
+@pytest.mark.parametrize("name", ["fig3", "bivariate", "trivariate", "pairwise3", "beta"])
+def test_one_pass_membership_matches_evaluate_bounds_and_model_check(name):
+    bs = derive(name)
+    labels = bs.space.labels
+    points = []
+    if name != "fig3":
+        for inside, outside in _scenario_points(name, random.Random(f"fit:{name}"), 8):
+            points += [inside, outside, {lab: 2 * x for lab, x in inside.items()}]
+    else:
+        points.append(dict.fromkeys(labels, Fraction(1, len(labels))))
+    base = points[0]
+    # One label missing or unusable, and pairs of them: the first error raised must agree.
+    for lab, other in zip(labels, labels[1:] + labels[:1]):
+        points.append({k: v for k, v in base.items() if k != lab})
+        points += [dict(base, **{lab: bad}) for bad in ("abc", 0.5, None)]
+        points.append({k: "abc" if k == other else v for k, v in base.items() if k != lab})
+    outcomes = [_outcome(_interval_and_fit, bs, point) for point in points]
+    assert outcomes == [_outcome(_composed, bs, point) for point in points]
+    if name == "fig3":
+        assert {o[0] for o in outcomes} == {TargetUnconstrained}
+        return
+    assert {o[1] for o in outcomes if isinstance(o[0], Interval)} == {True, False}
+    assert {o[0] for o in outcomes if isinstance(o[0], type)} >= {MissingCoordinate, TypeError}
 
 
 def _scenario_points(name, rng, rounds):

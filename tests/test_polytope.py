@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from ivbounds import polytope
+from ivbounds import bounds, polytope
 from ivbounds.bounds import scenario_hull
 from ivbounds.forms import (
     AffineForm,
@@ -19,8 +19,10 @@ from ivbounds.forms import (
     MissingCoordinate,
     Relation,
     canonicalize,
+    constraint_from_row,
     format_rational,
 )
+from ivbounds.introws import integer_rows, primitive
 from ivbounds.scenarios import SCENARIOS, scenario_vertex_set
 from ivbounds.polytope import (
     DimensionOverflow,
@@ -394,3 +396,73 @@ def test_indexed_adjacency_matches_the_mask_scan(vs):
     assert (h.equalities, h.facets, h.affine_dimension) == (
         expected.equalities, expected.facets, expected.affine_dimension,
     )
+
+
+# facet_enumeration hands the HRepresentation its integer facet rows and
+# leaves the Fraction facets to be built from them at their first read,
+# which derivation never makes.
+
+
+def fresh_derivation(name):
+    """(hull, BoundSet) of a derivation that shares no cached hull with other tests."""
+    hulls = []
+
+    def fresh_hull(*args):
+        hulls.append(scenario_hull.__wrapped__(*args))
+        return hulls[-1]
+
+    with patch.object(bounds, "scenario_hull", fresh_hull):
+        bs = bounds.derive.__wrapped__(name)
+    return hulls[0], bs
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_derivation_leaves_facets_unbuilt_until_read(name):
+    h, bs = fresh_derivation(name)
+    assert bs == bounds.derive(name)
+    assert "facets" not in vars(h)
+    (_, rows), den = h._rows
+    assert den == 1 and rows == sorted(rows)
+    facets = h.facets
+    assert facets is h.facets and vars(h)["facets"] is facets
+    assert facets == tuple(constraint_from_row(h.space, row, Relation.GEQ) for row in rows)
+    assert facets == tuple(
+        canonicalize(LinearConstraint(AffineForm(h.space, row[:-1], row[-1]), Relation.GEQ))
+        for row in rows
+    )
+    with pytest.raises(AttributeError, match="no attribute 'facet'"):
+        h.facet
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_unbuilt_facets_compare_and_print_like_a_hand_built_hull(name):
+    built = scenario_hull(name)
+    hand = HRepresentation(built.space, built.equalities, built.facets, built.affine_dimension)
+    assert hand.facets is built.facets
+    lazy = facet_enumeration(scenario_vertex_set(name))
+    assert "facets" not in vars(lazy)
+    assert repr(lazy) == repr(hand)
+    lazy = facet_enumeration(scenario_vertex_set(name))
+    assert lazy == hand and hash(lazy) == hash(hand)
+    assert lazy._rows == hand._rows
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+@pytest.mark.parametrize("include_target", [True, False])
+def test_scenario_vertex_rows_are_the_integer_rows_of_the_vertices(name, include_target):
+    vs = scenario_vertex_set(name, include_target=include_target)
+    assert vs._rows == integer_rows([vs.vertices])
+    assert VertexSet(vs.space, vs.vertices)._rows == vs._rows
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+@pytest.mark.parametrize("include_target", [True, False])
+def test_double_description_matches_the_mask_scan_on_registry_charts(name, include_target):
+    vs = scenario_vertex_set(name, include_target=include_target)
+    hull = affine_hull(vs)
+    (points,), scale = vs._rows
+    chart = [primitive((scale, *(v[p] for p in hull.pivots))) for v in points]
+    rays = polytope._polar_extreme_rays(chart, hull.dimension)
+    assert all(primitive(ray) == ray for ray in rays)
+    assert sorted(rays) == sorted(reference.polar_extreme_rays(chart, hull.dimension))
+    assert len(set(rays)) == len(rays) == len(scenario_hull(name, include_target).facets)
