@@ -17,7 +17,6 @@ evaluate_bounds and model_check are integer dot products, still exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
@@ -30,6 +29,7 @@ from .forms import (
     LinearConstraint,
     MissingCoordinate,
     RationalLike,
+    Record,
     Relation,
     constraint_from_row,
     format_rational,
@@ -50,8 +50,7 @@ class TargetUnconstrained(ValueError):
     """No facet or equality involves the requested target coordinate."""
 
 
-@dataclass(frozen=True)
-class BoundSet:
+class BoundSet(Record):
     """Bounds on one target plus the observable constraints beside them.
 
     lower_forms and upper_forms are affine functions of the observables:
@@ -213,8 +212,7 @@ def derive(name: str) -> BoundSet:
     return partition(scenario_hull(name), get_scenario(name).causal_target)
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """The bound interval at one data point, with binding-form witnesses."""
 
     lower: Fraction
@@ -222,6 +220,10 @@ class Interval:
     lower_witness: int
     upper_witness: int
     empty: bool
+
+    def __init__(self, lower, upper, lower_witness, upper_witness, empty):
+        self.__dict__.update(lower=lower, upper=upper, lower_witness=lower_witness,
+                             upper_witness=upper_witness, empty=empty)
 
 
 def evaluate_bounds(
@@ -234,15 +236,16 @@ def evaluate_bounds(
     statement about the data, not a usage error. A BoundSet without a
     target raises TargetUnconstrained.
     """
-    return _interval_and_fit(bs, data, ())[0]
+    return interval_and_fit(bs, data, ())[0]
 
 
-def _interval_and_fit(
+def interval_and_fit(
     bs: BoundSet, data: ObservedTables | Mapping, sections: Sequence[str] = tuple(dict(_SECTIONS))
 ) -> tuple[Interval, bool]:
     """evaluate_bounds and whether model_check passes at tolerance 0, from one numerator pass.
 
     Raises what evaluate_bounds and then model_check would, in that order.
+    oracle.cross_check reads both through it; it stays out of the package API.
     """
     if bs.target is None:
         raise TargetUnconstrained(f"scenario {bs.scenario!r} has no causal target to bound")
@@ -287,17 +290,20 @@ def _numerators(
     return numerators, den * scale
 
 
-@dataclass(frozen=True)
-class CheckEntry:
+class CheckEntry(Record):
     section: str
     index: int
     constraint: LinearConstraint
     slack: Fraction
     passed: bool
 
+    def __init__(self, section, index, constraint, slack, passed):
+        self.__dict__.update(
+            section=section, index=index, constraint=constraint, slack=slack, passed=passed
+        )
 
-@dataclass(frozen=True)
-class ConstraintReport:
+
+class ConstraintReport(Record):
     scenario: str
     tolerance: Fraction
     entries: tuple[CheckEntry, ...]
@@ -335,8 +341,7 @@ def model_check(
     )
 
 
-@dataclass(frozen=True)
-class InstrumentalReport:
+class InstrumentalReport(Record):
     """Per-treatment-arm sums of the instrumental inequality."""
 
     b_sums: tuple[Fraction, Fraction]

@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .forms import RationalLike, format_rational, rational
+from .forms import RationalLike, Record, format_rational, rational
 from .scenarios import parse_coordinate
 
 _ZERO = Fraction(0)
@@ -52,8 +50,7 @@ class MissingArmWeights(ValueError):
     """A joint-over-arms table was requested but no arm weights are present."""
 
 
-@dataclass(frozen=True)
-class ObservedTables:
+class ObservedTables(Record):
     """Any subset of the observable tables of one study.
 
     zeta maps (c, b, a) to P(C=c, B=b | A=a); gamma maps (c, a) to
@@ -64,12 +61,14 @@ class ObservedTables:
     table identity.
     """
 
+    _uncompared = ("decimal_input",)
+
     zeta: dict[tuple[int, int, int], Fraction] | None = None
     gamma: dict[tuple[int, int], Fraction] | None = None
     theta: dict[tuple[int, int], Fraction] | None = None
     phi: dict[tuple[int, int], Fraction] | None = None
     arm_weights: tuple[Fraction, Fraction] | None = None
-    decimal_input: bool = field(default=False, compare=False)
+    decimal_input: bool = False
 
     def blocks(self) -> list[tuple[str, list[Fraction]]]:
         """The per-condition probability blocks that must each sum to 1."""
@@ -304,6 +303,7 @@ def load(
     """Load tables from a bundled dataset name or a JSON/CSV file path."""
     max_deviation = rational(max_deviation)
     if isinstance(source, str) and source in BUNDLED_DATASETS:
+        from importlib import resources  # here: on some interpreters it loads inspect
         text = (
             resources.files("ivbounds")
             .joinpath("datasets", f"{source}.json")

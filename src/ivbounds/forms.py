@@ -9,9 +9,9 @@ a derivation. Floating point appears only when rendering report text.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import attrgetter
 from typing import Mapping, Sequence, Union
 
 from .introws import primitive
@@ -91,8 +91,62 @@ def format_decimal(q: Fraction, digits: int = 6) -> str:
     return f"{float(q):.{digits}g}"
 
 
-@dataclass(frozen=True)
-class CoordinateSpace:
+class Record:
+    """Base of the package's immutable value types: a frozen dataclass without generated code.
+
+    A subclass's annotations name its fields in order, and a class attribute
+    of a field's name is its default. Instances of one class are equal when
+    their compared fields (all but those named in ``_uncompared``) are;
+    ``hash`` is the hash of the tuple of those fields and ``repr`` is
+    ``Name(field=value, ...)``. Setting or deleting an attribute raises
+    AttributeError. ``__post_init__`` may still store normalised values with
+    ``object.__setattr__``, and ``cached_property`` works as usual. Hot
+    classes define their own ``__init__`` that writes ``self.__dict__``.
+    """
+
+    _uncompared = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {n: getattr(cls, n) for n in cls._fields if hasattr(cls, n)}
+        # The tuple of the compared fields (every record compares two or more).
+        cls._key = staticmethod(attrgetter(*(n for n in cls._fields if n not in cls._uncompared)))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if len(args) > len(fields) or kwargs and kwargs.keys() - fields[len(args) :]:
+            raise TypeError(f"{type(self).__name__}() takes {fields}, got {args} and {kwargs}")
+        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+        if len(values) < len(fields):
+            missing = [n for n in fields if n not in values]
+            raise TypeError(f"{type(self).__name__}() missing {missing}")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Check or normalise the fields once they are set."""
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class CoordinateSpace(Record):
     """An ordered, named tuple of coordinate labels fixing vector layout."""
 
     name: str
@@ -134,26 +188,24 @@ class CoordinateSpace:
         return vec
 
 
-@dataclass(frozen=True)
-class AffineForm:
+class AffineForm(Record):
     """The affine function constant + sum_i coefficients[i] * x[i]."""
 
     space: CoordinateSpace
     coefficients: tuple[Fraction, ...]
     constant: Fraction = _ZERO
 
-    def __post_init__(self):
-        coeffs = self.coefficients
-        if type(coeffs) is not tuple or not all(type(c) is Fraction for c in coeffs):
-            coeffs = tuple(map(rational, coeffs))
-            object.__setattr__(self, "coefficients", coeffs)
-        if len(coeffs) != self.space.dimension:
+    def __init__(self, space: CoordinateSpace, coefficients: Sequence, constant=_ZERO):
+        if type(coefficients) is not tuple or not all(type(c) is Fraction for c in coefficients):
+            coefficients = tuple(map(rational, coefficients))
+        if len(coefficients) != space.dimension:
             raise ValueError(
-                f"expected {self.space.dimension} coefficients for space "
-                f"{self.space.name!r}, got {len(coeffs)}"
+                f"expected {space.dimension} coefficients for space "
+                f"{space.name!r}, got {len(coefficients)}"
             )
-        if type(self.constant) is not Fraction:
-            object.__setattr__(self, "constant", rational(self.constant))
+        if type(constant) is not Fraction:
+            constant = rational(constant)
+        self.__dict__.update(space=space, coefficients=coefficients, constant=constant)
 
     @classmethod
     def zero(cls, space: CoordinateSpace) -> "AffineForm":
@@ -316,12 +368,14 @@ class Relation(Enum):
     GEQ = ">="
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
+class LinearConstraint(Record):
     """form = 0 (EQ) or form >= 0 (GEQ)."""
 
     form: AffineForm
     relation: Relation
+
+    def __init__(self, form: AffineForm, relation: Relation):
+        self.__dict__.update(form=form, relation=relation)
 
     def slack(self, point: Mapping[str, RationalLike]) -> Fraction:
         return self.form.evaluate(point)
@@ -367,12 +421,3 @@ def constraint_from_row(
         const = -const
     return LinearConstraint(AffineForm(space, tuple(coeffs), const), relation)
 
-
-def parse_constraint(space: CoordinateSpace, text: str) -> LinearConstraint:
-    """Parse "expr >= expr" or "expr = expr" into a canonical constraint."""
-    for token, rel in ((">=", Relation.GEQ), ("=", Relation.EQ)):
-        if token in text:
-            left, right = text.split(token, 1)
-            form = AffineForm.parse(space, left) - AffineForm.parse(space, right)
-            return canonicalize(LinearConstraint(form, rel))
-    raise ValueError(f"no relation ('>=' or '=') in constraint {text!r}")

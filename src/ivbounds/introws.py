@@ -99,27 +99,3 @@ def rref(rows: Sequence[Sequence[int]], width: int) -> tuple[list[list[int]], in
         reduced = [[-v for v in row] for row in reduced]
     return reduced, prev, pivots
 
-
-def independent_rows(rows: Sequence[Sequence[int]], need: int) -> list[int]:
-    """Indices of the first ``need`` rows that are linearly independent.
-
-    They are the first pivot columns of the transposed matrix.
-    """
-    _, _, pivots = rref(list(zip(*rows)), len(rows))
-    if len(pivots) < need:
-        raise ValueError("rows do not span the required rank")
-    return pivots[:need]
-
-
-def scaled_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """(columns, d) with columns[j] / d the j-th column of the inverse, d > 0.
-
-    The rows must form an invertible square integer matrix; up to sign,
-    d is its determinant and the columns are those of its adjugate.
-    """
-    n = len(rows)
-    aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
-    reduced, d, pivots = rref(aug, n)
-    if len(pivots) != n:
-        raise ValueError("matrix is singular")
-    return [[reduced[i][n + j] for i in range(n)] for j in range(n)], d

@@ -15,15 +15,14 @@ only in the LP's inputs and in the final weights and value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
 from typing import Literal, Mapping
 
-from .bounds import _interval_and_fit, derive
+from .bounds import derive, interval_and_fit
 from .data import ObservedTables, observable_point
-from .forms import RationalLike
+from .forms import RationalLike, Record
 from .introws import clear_denominators, pivot, primitive, rref
 from .scenarios import Scenario, get_scenario, scenario_vertex_set
 
@@ -35,15 +34,13 @@ class MismatchError(AssertionError):
     """Exact LP answer disagrees with the derived bound forms."""
 
 
-@dataclass(frozen=True)
-class LPResult:
+class LPResult(Record):
     status: str  # "optimal", "infeasible" or "unbounded"
     value: Fraction | None
     weights: tuple[Fraction, ...] | None
 
 
-@dataclass(frozen=True)
-class MixtureLP:
+class MixtureLP(Record):
     """min/max of objective.w subject to columns.w = rhs, w >= 0, sum w = 1.
 
     Each column belongs to one mixture component; the normalization row is
@@ -204,8 +201,7 @@ def oracle_interval(
     return solve(lp, "min"), solve(lp, "max")
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(Record):
     scenario: str
     target: str
     member: bool
@@ -231,7 +227,7 @@ def cross_check(
     """
     s = get_scenario(scenario)
     bs = derive(s.name)
-    interval, fit = _interval_and_fit(bs, data)
+    interval, fit = interval_and_fit(bs, data)
     member = fit and not interval.empty
     lo, hi = oracle_interval(s, data)
     feasible = lo.status == "optimal"

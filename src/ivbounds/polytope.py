@@ -16,7 +16,6 @@ tested for membership on ints (reduce_mod_equalities wraps the former).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -28,11 +27,11 @@ from .forms import (
     CoordinateSpace,
     IdenticallyFalse,
     LinearConstraint,
+    Record,
     Relation,
     constraint_from_row,
 )
-from .introws import clear_denominators, evaluate_rows, independent_rows, integer_rows
-from .introws import primitive, rref, scaled_inverse
+from .introws import clear_denominators, evaluate_rows, integer_rows, primitive, rref
 
 
 class DimensionOverflow(ValueError):
@@ -44,8 +43,7 @@ class DimensionOverflow(ValueError):
 MAX_COORDINATES = 16
 
 
-@dataclass(frozen=True)
-class VertexSet:
+class VertexSet(Record):
     """Deduplicated generating points of a polytope, in a fixed label order."""
 
     space: CoordinateSpace
@@ -71,8 +69,7 @@ class VertexSet:
         return integer_rows([self.vertices])
 
 
-@dataclass(frozen=True)
-class AffineHull:
+class AffineHull(Record):
     """Affine hull of a vertex set: equalities, dimension and a coordinate chart.
 
     The equalities are canonical and triangular: each one has a distinct
@@ -130,8 +127,7 @@ def reduce_mod_equalities(
     return AffineForm(form.space, tuple(values[:-1]), values[-1])
 
 
-@dataclass(frozen=True)
-class MembershipReport:
+class MembershipReport(Record):
     """Exact slacks of one point against an H-representation."""
 
     member: bool
@@ -140,8 +136,7 @@ class MembershipReport:
     violations: tuple[tuple[str, int, Fraction], ...]
 
 
-@dataclass(frozen=True)
-class HRepresentation:
+class HRepresentation(Record):
     """Facet description of a bounded polytope inside its affine hull."""
 
     space: CoordinateSpace
@@ -215,16 +210,21 @@ def _polar_extreme_rays(cons: list[tuple[int, ...]], dim: int) -> list[tuple[int
 
     These are exactly the facets a.y + b >= 0 of conv(points y) when the
     points span dim-dimensional space (s > 0 scales each row to integers).
-    Incremental double description (Fukuda & Prodon, 1996): start from
-    dim + 1 independent rows (their polar cone is simplicial), then add the
-    rest one at a time, keeping nonnegative rays and combining adjacent
+    Incremental double description (Fukuda & Prodon, 1996): start from the
+    first dim + 1 independent rows (their polar cone is simplicial), then add
+    the rest one at a time, keeping nonnegative rays and combining adjacent
     positive/negative pairs on each new hyperplane. Rays carry stable ids:
     masks[i] holds the constraints ray i is tight on, tight[c] the ids
     (dead ones too) of the rays tight on constraint c.
     """
-    init = independent_rows(cons, dim + 1)
-    columns, _ = scaled_inverse([cons[i] for i in init])
-    rays = [primitive(col) for col in columns]
+    # One elimination of [C^T | I] picks the start rows (the pivot columns) and
+    # leaves d times the transposed inverse of their matrix on the right: the start rays.
+    n = len(cons)
+    eye = [[int(i == j) for j in range(dim + 1)] for i in range(dim + 1)]
+    reduced, _, init = rref([[*col, *e] for col, e in zip(zip(*cons), eye)], n)
+    if len(init) <= dim:
+        raise ValueError("rows do not span the required rank")
+    rays = [primitive(row[n:]) for row in reduced]
     ids = list(range(len(rays)))
     next_id = len(rays)
     # Ray j of the simplicial start is tight on every initial constraint but the j-th.

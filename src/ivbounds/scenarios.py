@@ -24,12 +24,11 @@ from __future__ import annotations
 import itertools
 import re
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .forms import CoordinateSpace, rational
+from .forms import CoordinateSpace, Record, rational
 from .polytope import VertexSet
 
 _ZERO = Fraction(0)
@@ -39,8 +38,7 @@ class UnsupportedCoordinateError(ValueError):
     """A coordinate label that no scenario may use."""
 
 
-@dataclass(frozen=True)
-class ParameterPoint:
+class ParameterPoint(Record):
     """One value of the latent-conditional model parameters, all in [0, 1].
 
     eta0 and eta1 are the outcome probabilities P(C=1 | B=b, U) for b = 0
@@ -105,8 +103,7 @@ def _beta_star(p: ParameterPoint) -> Fraction:
     return _gamma_star(p, 1, 2) - _gamma_star(p, 1, 1)
 
 
-@dataclass(frozen=True)
-class Coordinate:
+class Coordinate(Record):
     """A parsed coordinate label: its kind and the indices it carries.
 
     kind is the observable table the label reads ("gamma", "theta", "zeta",
@@ -172,8 +169,7 @@ def coordinate_function(label: str) -> Callable[[ParameterPoint], Fraction]:
     return (lambda p: fn(p, *key)) if key else fn
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """A named observable coordinate system with an optional causal target."""
 
     name: str

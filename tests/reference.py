@@ -4,7 +4,9 @@ partition is the Fraction path: every facet is reduced modulo the hull
 equalities as an AffineForm, then canonicalized, classified and moved to
 the observable space as separate steps. polar_extreme_rays is the double
 description whose adjacency test scans the tight-constraint mask of every
-other ray for each positive/negative pair. solve is the LP oracle's simplex
+other ray for each positive/negative pair, and that starts from two
+eliminations (independent_rows, then scaled_inverse of the chosen rows)
+where the package makes one. solve is the LP oracle's simplex
 that reduces the equality system and runs phase 1 afresh on every call.
 """
 
@@ -22,14 +24,7 @@ from ivbounds.forms import (
     Relation,
     canonicalize,
 )
-from ivbounds.introws import (
-    clear_denominators,
-    independent_rows,
-    pivot,
-    primitive,
-    rref,
-    scaled_inverse,
-)
+from ivbounds.introws import clear_denominators, pivot, primitive, rref
 from ivbounds.oracle import LPResult, MixtureLP
 from ivbounds.polytope import HRepresentation
 
@@ -137,6 +132,31 @@ def partition(h: HRepresentation, target: str | None = None) -> BoundSet:
         trivial_tests=tuple(to_obs(c) for c in trivial),
         hull_equalities=tuple(hull_eqs),
     )
+
+
+def independent_rows(rows: Sequence[Sequence[int]], need: int) -> list[int]:
+    """Indices of the first ``need`` rows that are linearly independent.
+
+    They are the first pivot columns of the transposed matrix.
+    """
+    _, _, pivots = rref(list(zip(*rows)), len(rows))
+    if len(pivots) < need:
+        raise ValueError("rows do not span the required rank")
+    return pivots[:need]
+
+
+def scaled_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """(columns, d) with columns[j] / d the j-th column of the inverse, d > 0.
+
+    The rows must form an invertible square integer matrix; up to sign,
+    d is its determinant and the columns are those of its adjugate.
+    """
+    n = len(rows)
+    aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
+    reduced, d, pivots = rref(aug, n)
+    if len(pivots) != n:
+        raise ValueError("matrix is singular")
+    return [[reduced[i][n + j] for i in range(n)] for j in range(n)], d
 
 
 def polar_extreme_rays(cons: list[tuple[int, ...]], dim: int) -> list[tuple[int, ...]]:

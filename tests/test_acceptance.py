@@ -11,7 +11,6 @@ rounding of the published figures).
 """
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 from ivbounds.bounds import (
@@ -289,8 +288,8 @@ def test_criterion_12_interval_nesting():
         k = rng.randint(2, 4)
         psi = Fraction(rng.randint(1, 999), 1000)
         atoms = [
-            replace(random_parameter_point(rng, uses_psi=False), psi=psi)
-            for _ in range(k)
+            ParameterPoint(p.eta0, p.eta1, p.delta1, p.delta2, psi)
+            for p in (random_parameter_point(rng, uses_psi=False) for _ in range(k))
         ]
         raw = [Fraction(rng.randint(1, 9)) for _ in range(k)]
         total = sum(raw)

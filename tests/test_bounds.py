@@ -8,7 +8,6 @@ comparison independent of which representative of each bound the
 derivation happens to print.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -31,7 +30,14 @@ from ivbounds.bounds import (
     partition,
     scenario_hull,
 )
-from ivbounds.data import ValidationError, build_tables, derive_marginals, load, observable_point
+from ivbounds.data import (
+    ObservedTables,
+    ValidationError,
+    build_tables,
+    derive_marginals,
+    load,
+    observable_point,
+)
 from ivbounds.forms import (
     AffineForm,
     CoordinateSpace,
@@ -591,7 +597,14 @@ class TestCompiledEvaluation:
         # evaluating form by form did.
         lipid = load("lipid")
         for cell in (1, "1/2", "0.5", 0.5, "abc"):
-            tables = replace(lipid, gamma={**lipid.gamma, (1, 1): cell})
+            tables = ObservedTables(
+                zeta=lipid.zeta,
+                gamma={**lipid.gamma, (1, 1): cell},
+                theta=lipid.theta,
+                phi=lipid.phi,
+                arm_weights=lipid.arm_weights,
+                decimal_input=lipid.decimal_input,
+            )
             bs = derive("bivariate")
             assert outcome(evaluate_bounds, bs, tables) == outcome(reference_interval, bs, tables)
             assert outcome(model_check, bs, tables) == outcome(reference_report, bs, tables)

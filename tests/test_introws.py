@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 from ivbounds.introws import (
     clear_denominators,
     evaluate_rows,
-    independent_rows,
     integer_rows,
     pivot,
     primitive,
     rref,
-    scaled_inverse,
 )
+from reference import independent_rows, scaled_inverse
 
 
 def reference_step(rows, r, col):

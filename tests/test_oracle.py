@@ -9,9 +9,9 @@ import ivbounds.oracle as oracle_mod
 from ivbounds.bounds import (
     Interval,
     TargetUnconstrained,
-    _interval_and_fit,
     derive,
     evaluate_bounds,
+    interval_and_fit,
     model_check,
 )
 from ivbounds.data import build_tables, load
@@ -364,7 +364,7 @@ def test_one_pass_membership_matches_evaluate_bounds_and_model_check(name):
         points.append({k: v for k, v in base.items() if k != lab})
         points += [dict(base, **{lab: bad}) for bad in ("abc", 0.5, None)]
         points.append({k: "abc" if k == other else v for k, v in base.items() if k != lab})
-    outcomes = [_outcome(_interval_and_fit, bs, point) for point in points]
+    outcomes = [_outcome(interval_and_fit, bs, point) for point in points]
     assert outcomes == [_outcome(_composed, bs, point) for point in points]
     if name == "fig3":
         assert {o[0] for o in outcomes} == {TargetUnconstrained}
