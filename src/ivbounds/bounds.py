@@ -91,13 +91,27 @@ class BoundSet(Record):
         }
 
     @cached_property
+    def _checks(self) -> tuple[tuple[tuple[str, int, LinearConstraint, bool], ...], tuple[int, ...]]:
+        """model_check's plan: (section, index, constraint, is equality) per entry, in report
+        order, and the positions of the equalities among the entries."""
+        plan = tuple(
+            (s, i, c, c.relation is Relation.EQ)
+            for s, f in _SECTIONS
+            for i, c in enumerate(getattr(self, f))
+        )
+        return plan, tuple(k for k, (*_, eq) in enumerate(plan) if eq)
+
+    @cached_property
     def _rows(self) -> tuple[dict[str, list[tuple[int, ...]]], int]:
-        """Each form list ("lower", "upper", a section) as integer rows over one L > 0.
+        """The "lower" and "upper" forms and the "checks" of _checks as integer rows over one L > 0.
 
         The row (a..., k) is the form (a . x + k) / L. Built at first use, not in derive.
         """
-        lists = {"lower": self.lower_forms, "upper": self.upper_forms}
-        lists.update((s, [c.form for c in getattr(self, f)]) for s, f in _SECTIONS)
+        lists = {
+            "lower": self.lower_forms,
+            "upper": self.upper_forms,
+            "checks": [c.form for _, _, c, _ in self._checks[0]],
+        }
         groups = [[(*f.coefficients, f.constant) for f in fs] for fs in lists.values()]
         rows, den = integer_rows(groups)
         return dict(zip(lists, rows)), den
@@ -240,7 +254,7 @@ def evaluate_bounds(
 
 
 def interval_and_fit(
-    bs: BoundSet, data: ObservedTables | Mapping, sections: Sequence[str] = tuple(dict(_SECTIONS))
+    bs: BoundSet, data: ObservedTables | Mapping, sections: Sequence[str] = ("checks",)
 ) -> tuple[Interval, bool]:
     """evaluate_bounds and whether model_check passes at tolerance 0, from one numerator pass.
 
@@ -250,12 +264,7 @@ def interval_and_fit(
     if bs.target is None:
         raise TargetUnconstrained(f"scenario {bs.scenario!r} has no causal target to bound")
     (lows, highs, *slacks), den = _numerators(bs, ("lower", "upper", *sections), data)
-    fit = all(
-        n == 0 if con.relation is Relation.EQ else n >= 0
-        for (_, field), numerators in zip(_SECTIONS, slacks)
-        for con, n in zip(getattr(bs, field), numerators)
-    )
-    return _interval(lows, highs, den), fit
+    return _interval(lows, highs, den), all(_shortfall(bs, s) == 0 for s in slacks)
 
 
 def _interval(lows: list, highs: list, den: int = 1) -> Interval:
@@ -290,6 +299,15 @@ def _numerators(
     return numerators, den * scale
 
 
+def _shortfall(bs: BoundSet, slacks: Sequence[int]) -> int:
+    """How far the worst of model_check's constraints misses, over the slacks' denominator.
+
+    An inequality with slack n misses by -n and an equality by |n|; 0 when all hold.
+    """
+    _, equalities = bs._checks
+    return max(0, -min(slacks, default=0), *(abs(slacks[k]) for k in equalities))
+
+
 class CheckEntry(Record):
     section: str
     index: int
@@ -304,10 +322,34 @@ class CheckEntry(Record):
 
 
 class ConstraintReport(Record):
+    """model_check's result. Its entries, one Fraction slack each, are built at first read."""
+
     scenario: str
     tolerance: Fraction
-    entries: tuple[CheckEntry, ...]
+    entries: tuple[CheckEntry, ...]  # a field; the cached_property below serves lazy reports
     passed: bool
+
+    def __init__(self, scenario, tolerance, entries, passed):
+        self.__dict__.update(scenario=scenario, tolerance=tolerance, entries=entries, passed=passed)
+
+    @classmethod
+    def _lazy(cls, bs: BoundSet, tolerance: Fraction, slacks: list[int], den: int, passed: bool):
+        """The report with slack n / den for each constraint of bs._checks, entries unbuilt."""
+        report = cls.__new__(cls)
+        report.__dict__.update(
+            scenario=bs.scenario, tolerance=tolerance, passed=passed, _slacks=(bs, slacks, den)
+        )
+        return report
+
+    @cached_property
+    def entries(self) -> tuple[CheckEntry, ...]:
+        bs, slacks, den = self._slacks
+        bar, scale = self.tolerance.numerator * den, self.tolerance.denominator
+        # slack n / den passes if >= -tol, or if |slack| <= tol for an equality
+        return tuple(
+            CheckEntry(name, i, con, Fraction(n, den), (abs(n) if eq else -n) * scale <= bar)
+            for (name, i, con, eq), n in zip(bs._checks[0], slacks)
+        )
 
     def failures(self) -> tuple[CheckEntry, ...]:
         return tuple(e for e in self.entries if not e.passed)
@@ -322,23 +364,13 @@ def model_check(
 
     Every observable test, hull equality and trivial constraint is
     evaluated at the data point; inequalities pass with slack >= -tol,
-    equalities with |slack| <= tol.
+    equalities with |slack| <= tol. passed is decided on integers; the
+    report's entries are built only when read.
     """
     tol = default_tolerance(data, tolerance)
-    slacks, den = _numerators(bs, [name for name, _ in _SECTIONS], data)
-    entries: list[CheckEntry] = []
-    for (name, field), numerators in zip(_SECTIONS, slacks):
-        for i, (con, n) in enumerate(zip(getattr(bs, field), numerators)):
-            # slack n / den passes if >= -tol, or if |slack| <= tol for an equality
-            shortfall = abs(n) if con.relation is Relation.EQ else -n
-            ok = shortfall * tol.denominator <= tol.numerator * den
-            entries.append(CheckEntry(name, i, con, Fraction(n, den), ok))
-    return ConstraintReport(
-        scenario=bs.scenario,
-        tolerance=tol,
-        entries=tuple(entries),
-        passed=all(e.passed for e in entries),
-    )
+    (slacks,), den = _numerators(bs, ("checks",), data)
+    passed = _shortfall(bs, slacks) * tol.denominator <= tol.numerator * den
+    return ConstraintReport._lazy(bs, tol, slacks, den, passed)
 
 
 class InstrumentalReport(Record):
@@ -378,6 +410,8 @@ def beta_bounds(data: ObservedTables | Mapping[str, RationalLike]) -> Interval:
     max(-t01 - t02, -t11 - t12) <= beta <= min(t01 + t02, t11 + t12).
     """
     point = observable_point(get_scenario("beta").observable_labels, data)
-    t01, t11 = point["t01"], point["t11"]
-    t02, t12 = point["t02"], point["t12"]
+    try:
+        t01, t02, t11, t12 = (point[label] for label in ("t01", "t02", "t11", "t12"))
+    except KeyError as exc:
+        raise MissingCoordinate(exc.args[0]) from None
     return _interval([-t01 - t02, -t11 - t12], [t01 + t02, t11 + t12])

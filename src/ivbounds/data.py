@@ -12,10 +12,12 @@ from __future__ import annotations
 import csv
 import json
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .forms import RationalLike, Record, format_rational, rational
+from .introws import clear_denominators
 from .scenarios import parse_coordinate
 
 _ZERO = Fraction(0)
@@ -88,16 +90,37 @@ class ObservedTables(Record):
             out.append(("arm_weights", list(self.arm_weights)))
         return out
 
+    @cached_property
+    def _implied(self) -> dict[str, dict]:
+        """gamma, theta and (given arm weights) phi as implied by the zeta table, computed once."""
+        z = self.zeta
+        out = {
+            "gamma": {(c, a): z[(c, 0, a)] + z[(c, 1, a)] for c in (0, 1) for a in _ARMS},
+            "theta": {(b, a): z[(0, b, a)] + z[(1, b, a)] for b in (0, 1) for a in _ARMS},
+        }
+        if self.arm_weights is not None:
+            w1, w2 = self.arm_weights
+            out["phi"] = {(c, b): z[(c, b, 1)] * w1 + z[(c, b, 2)] * w2 for c, b in _CB_PAIRS}
+        return out
+
 
 def _validate(t: ObservedTables, max_deviation: Fraction) -> ObservedTables:
+    """Every entry in [0, 1] and every block's sum within max_deviation of 1.
+
+    Decided on numerators: a block's sum is taken over its least common
+    denominator. Fractions are built only to word an error.
+    """
+    bar, scale = max_deviation.numerator, max_deviation.denominator
     for name, values in t.blocks():
         for v in values:
-            if not 0 <= v <= 1:
+            if not 0 <= v.numerator <= v.denominator:
                 raise ValidationError(f"{name} entry {format_rational(v)} is outside [0, 1]")
-        slack = sum(values) - 1
-        if abs(slack) > max_deviation:
+        ints, d = clear_denominators(values)
+        total = sum(ints)
+        if abs(total - d) * scale > bar * d:
             raise ValidationError(
-                f"{name} sums to {format_rational(sum(values))}, slack {format_rational(slack)}"
+                f"{name} sums to {format_rational(Fraction(total, d))}, "
+                f"slack {format_rational(Fraction(total - d, d))}"
             )
     return t
 
@@ -163,19 +186,6 @@ def build_tables(
     return _validate(t, max_deviation)
 
 
-def _implied_marginals(t: ObservedTables) -> dict[str, dict]:
-    """gamma, theta and (given arm weights) phi as implied by the zeta table."""
-    z = t.zeta
-    out = {
-        "gamma": {(c, a): z[(c, 0, a)] + z[(c, 1, a)] for c in (0, 1) for a in _ARMS},
-        "theta": {(b, a): z[(0, b, a)] + z[(1, b, a)] for b in (0, 1) for a in _ARMS},
-    }
-    if t.arm_weights is not None:
-        w1, w2 = t.arm_weights
-        out["phi"] = {(c, b): z[(c, b, 1)] * w1 + z[(c, b, 2)] * w2 for c, b in _CB_PAIRS}
-    return out
-
-
 def default_tolerance(
     data: ObservedTables | Mapping, tolerance: RationalLike | None = None
 ) -> Fraction:
@@ -200,17 +210,20 @@ def _check_marginals(t: ObservedTables) -> None:
     """Explicit gamma/theta/phi must agree with the tables' own zeta and arm weights.
 
     Exact input must agree exactly; rounded decimal input within
-    DECIMAL_TOLERANCE per entry.
+    DECIMAL_TOLERANCE per entry. Compared by cross-multiplying numerators.
     """
     if t.zeta is None:
         return
     tol = default_tolerance(t)
-    for name, implied in _implied_marginals(t).items():
+    for name, implied in t._implied.items():
         for key, value in (getattr(t, name) or {}).items():
-            if abs(value - implied[key]) > tol:
+            want = implied[key]
+            d = value.denominator * want.denominator
+            gap = value.numerator * want.denominator - want.numerator * value.denominator
+            if abs(gap) * tol.denominator > tol.numerator * d:
                 raise ValidationError(
                     f"{name}{list(key)} = {format_rational(value)} contradicts zeta, "
-                    f"which implies {format_rational(implied[key])}"
+                    f"which implies {format_rational(want)}"
                 )
 
 
@@ -357,7 +370,7 @@ def derive_marginals(t: ObservedTables, *, require_phi: bool = False) -> Observe
     """
     if t.zeta is None:
         raise ValidationError("cannot derive marginals without a zeta table")
-    implied = _implied_marginals(t)
+    implied = t._implied
     gamma = implied["gamma"] if t.gamma is None else t.gamma
     theta = implied["theta"] if t.theta is None else t.theta
     phi = implied.get("phi") if t.phi is None else t.phi
@@ -430,16 +443,28 @@ def observable_point(
         return {k: rational(v) for k, v in data.items()}
     point: dict[str, Fraction] = {}
     for label in labels:
-        coord = parse_coordinate(label)
-        if not coord.key:
+        rule = _table_rule(label)
+        if rule is None:
             raise ValidationError(f"no table rule for coordinate label {label!r}")
-        name = "zeta" if coord.kind == "xi" else coord.kind
+        name, key, arm = rule
         table = getattr(data, name)
         if table is None:
             raise ValidationError(f"coordinate {label} needs a {name} table")
-        point[label] = table[coord.key]
-        if coord.kind == "xi":
+        value = table[key]
+        if arm is not None:
             if data.arm_weights is None:
                 raise MissingArmWeights(f"coordinate {label} needs arm weights")
-            point[label] *= data.arm_weights[coord.a - 1]
+            value *= data.arm_weights[arm]
+        point[label] = value
     return point
+
+
+@lru_cache(maxsize=None)
+def _table_rule(label: str) -> tuple[str, tuple[int, ...], int | None] | None:
+    """(table, key, arm-weight index or None) that a label reads; None if no table holds it."""
+    coord = parse_coordinate(label)
+    if not coord.key:
+        return None
+    if coord.kind == "xi":
+        return "zeta", coord.key, coord.a - 1
+    return coord.kind, coord.key, None

@@ -402,6 +402,20 @@ class TestBeta:
         bb = beta_bounds(load("lipid"))
         assert bb.upper == Fraction(153, 250)
 
+    def test_missing_label_raises_like_the_derived_forms(self):
+        # The closed form reads all four labels, the derived forms only t01 and t02;
+        # where both raise MissingCoordinate they name the same label.
+        from itertools import combinations
+
+        point = {"t01": 1, "t11": 0, "t02": "0.388", "t12": "0.612"}
+        for k in range(1, 5):
+            for absent in combinations(point, k):
+                partial = {lab: v for lab, v in point.items() if lab not in absent}
+                first = next(lab for lab in ("t01", "t02", "t11", "t12") if lab in absent)
+                assert outcome(beta_bounds, partial) == ("MissingCoordinate", first)
+                derived = outcome(evaluate_bounds, derive("beta"), partial)
+                assert derived == ("MissingCoordinate", first) or first in ("t11", "t12")
+
 
 class TestPartitionFallback:
     def test_unconstrained_effect_target_gets_trivial_range(self):
@@ -623,6 +637,65 @@ class TestCompiledEvaluation:
         rows = vars(bs)["_rows"]
         model_check(bs, load("vitamin-a"))
         assert vars(bs)["_rows"] is rows
+
+
+def _check_tables():
+    """Exact, decimal, failing and inconsistent tables, with arm weights for every scenario."""
+    exact = derive_marginals(build_tables(
+        zeta={"a1": ["1/2", "1/8", "1/4", "1/8"], "a2": ["1/3", "1/6", "1/6", "1/3"]},
+        arm_weights=["2/5", "3/5"],
+    ))
+    decimal = derive_marginals(load("lipid"))
+    failing = derive_marginals(build_tables(
+        zeta={"a1": ["1", "0", "0", "0"], "a2": ["0", "0", "1", "0"]},
+        arm_weights=["1/2", "1/2"],
+    ))
+    # hand built: gamma, theta and phi that contradict zeta, so hull equalities fail
+    inconsistent = ObservedTables(
+        zeta=exact.zeta,
+        gamma={**exact.gamma, (0, 1): Fraction(1, 2), (1, 1): Fraction(1, 2)},
+        theta={**exact.theta, (0, 1): exact.theta[(0, 1)] + Fraction(1, 7)},
+        phi={**exact.phi, (0, 0): exact.phi[(0, 0)] + Fraction(1, 7)},
+        arm_weights=exact.arm_weights,
+    )
+    return {"exact": exact, "decimal": decimal, "failing": failing, "inconsistent": inconsistent}
+
+
+CHECK_TOLERANCES = (None, 0, "1/2000", "1/" + "9" * 100)
+
+
+class TestLazyReport:
+    """model_check decides passed on integers and builds its entries at first read."""
+
+    @pytest.mark.parametrize("tolerance", CHECK_TOLERANCES)
+    @pytest.mark.parametrize("name", TARGETED)
+    def test_reports_equal_the_reference(self, name, tolerance):
+        outcomes = set()
+        for tables in _check_tables().values():
+            report = model_check(derive(name), tables, tolerance)
+            expected = reference_report(derive(name), tables, tolerance)
+            assert report.passed == expected.passed
+            assert report == expected
+            assert report.failures() == expected.failures()
+            outcomes.add(report.passed)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("case", ["exact", "decimal", "failing", "inconsistent"])
+    def test_unread_report_compares_as_the_eager_one(self, case):
+        tables, bs = _check_tables()[case], derive("pairwise3")
+        read = model_check(bs, tables)
+        eager = ConstraintReport(read.scenario, read.tolerance, read.entries, read.passed)
+        for compare in (repr, hash, lambda r: r):
+            fresh = model_check(bs, tables)
+            assert "entries" not in vars(fresh)
+            assert compare(fresh) == compare(eager)
+
+    def test_entries_are_built_at_first_read_and_kept(self):
+        report = model_check(derive("bivariate"), load("lipid"))
+        assert report.passed and "entries" not in vars(report)
+        entries = report.entries
+        assert vars(report)["entries"] is entries and report.entries is entries
+        assert len(entries) == 16 and all(e.passed for e in entries)
 
 
 # partition runs on a hull's integer rows; reference.partition is the Fraction

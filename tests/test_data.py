@@ -94,6 +94,48 @@ class TestBuildTables:
         t = build_tables(gamma={"a1": ["0.2", "0.3"], "a2": ["0.3", "0.3"]}, max_deviation="1/2")
         assert t.gamma[(0, 1)] == Fraction(1, 5)
 
+    # The messages the Fraction-by-Fraction check printed, byte for byte.
+    @pytest.mark.parametrize("tables, message", [
+        (dict(gamma={"a1": ["1.5", "-0.5"], "a2": ["0.5", "0.5"]}, max_deviation=1),
+         "gamma[a=1] entry 3/2 is outside [0, 1]"),
+        (dict(gamma={"a1": ["0.5", "0.5"], "a2": ["-1/3", "4/3"]}, max_deviation=1),
+         "gamma[a=2] entry -1/3 is outside [0, 1]"),
+        (dict(theta={"a1": ["0.4", "0.5"], "a2": ["0.5", "0.5"]}),
+         "theta[a=1] sums to 9/10, slack -1/10"),
+        (dict(zeta={"a1": ["1/3", "1/4", "1/5", "1/7"], "a2": ["1/4"] * 4}),
+         "zeta[a=1] sums to 389/420, slack -31/420"),
+        (dict(arm_weights=["2/3", "1/2"]), "arm_weights sums to 7/6, slack 1/6"),
+    ])
+    def test_validation_messages(self, tables, message):
+        with pytest.raises(ValidationError) as exc:
+            build_tables(**tables)
+        assert str(exc.value) == message
+
+    def test_slack_of_exactly_max_deviation_passes(self):
+        build_tables(theta={"a1": ["0.5", "0.51"], "a2": ["0.5", "0.49"]}, max_deviation="1/100")
+        # one unit of the cells' denominator past it, either way, fails
+        with pytest.raises(ValidationError, match=r"^theta\[a=1\] sums to 1011/1000, slack 11/1000$"):
+            build_tables(theta={"a1": ["0.5", "0.511"], "a2": ["0.5", "0.5"]})
+        with pytest.raises(ValidationError, match=r"^theta\[a=2\] sums to 989/1000, slack -11/1000$"):
+            build_tables(theta={"a1": ["0.5", "0.5"], "a2": ["0.5", "0.489"]})
+
+    def test_first_bad_block_is_reported(self):
+        # blocks() order is zeta, gamma, theta, phi, arm weights; within a block,
+        # the range check comes before the sum
+        tables = dict(
+            zeta={"a1": ["1/4"] * 4, "a2": ["0.3", "0.3", "0.3", "0.3"]},
+            gamma={"a1": ["2", "-1"], "a2": ["0.5", "0.5"]},
+            arm_weights=["0.9", "0.9"],
+        )
+        with pytest.raises(ValidationError, match=r"^zeta\[a=2\] sums to 6/5"):
+            build_tables(**tables)
+        tables["zeta"]["a2"] = ["1/4"] * 4
+        with pytest.raises(ValidationError, match=r"^gamma\[a=1\] entry 2 is outside"):
+            build_tables(**tables)
+        tables["gamma"]["a1"] = ["0.5", "0.5"]
+        with pytest.raises(ValidationError, match=r"^arm_weights sums to 9/5"):
+            build_tables(**tables)
+
 
 class TestLoadJson:
     def test_json_file(self, tmp_path):
@@ -363,3 +405,18 @@ class TestObservablePoint:
     def test_unknown_label(self):
         with pytest.raises(ValidationError, match="no table rule"):
             observable_point(("alpha",), load("lipid"))
+
+    @pytest.mark.parametrize("labels, error, message", [
+        (("t01", "alpha", "g01", "x001"), ValidationError, "no table rule for coordinate label 'alpha'"),
+        (("t01", "g01", "alpha", "x001"), ValidationError, "coordinate g01 needs a gamma table"),
+        (("t01", "x001", "g01", "alpha"), MissingArmWeights, "coordinate x001 needs arm weights"),
+    ])
+    def test_first_failing_label_decides(self, labels, error, message):
+        # hand-built tables with zeta and theta only, read twice so the second
+        # read goes through the cached label rules
+        lipid = load("lipid")
+        t = ObservedTables(zeta=lipid.zeta, theta=lipid.theta)
+        for _ in range(2):
+            with pytest.raises(error) as exc:
+                observable_point(labels, t)
+            assert type(exc.value) is error and str(exc.value) == message
