@@ -9,9 +9,10 @@ are model tests. Trivial observable facets (equivalent, modulo the
 hull equalities, to a single coordinate being nonnegative) are kept apart
 from the informative ones so reports mirror the usual presentation.
 partition works on the hull's integer rows: it reduces them modulo the
-equalities, recognises trivial facets by their primitive rows, and
-builds each form once, on the observable space.
-At its first evaluation a BoundSet is compiled to integer rows, so that
+equalities, recognises trivial facets by their primitive rows, and hands
+the BoundSet its bound rows (solved for the target) and test rows on the
+observable space. Its forms and constraints are views built on first read
+(a hand-built one keeps its tuples and compiles rows at first use), and
 evaluate_bounds and model_check are integer dot products, still exact.
 """
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 from typing import Mapping, Sequence
 
 from .data import ObservedTables, ValidationError, default_tolerance, observable_point
@@ -31,9 +33,11 @@ from .forms import (
     RationalLike,
     Record,
     Relation,
+    canonical_row,
     constraint_from_row,
     format_rational,
     rational,
+    rows_view,
 )
 from .introws import evaluate_rows, integer_rows, primitive
 from .polytope import HRepresentation, facet_enumeration
@@ -63,11 +67,11 @@ class BoundSet(Record):
     scenario: str
     target: str | None
     space: CoordinateSpace
-    lower_forms: tuple[AffineForm, ...]
-    upper_forms: tuple[AffineForm, ...]
-    observable_tests: tuple[LinearConstraint, ...]
-    trivial_tests: tuple[LinearConstraint, ...]
-    hull_equalities: tuple[LinearConstraint, ...]
+    lower_forms: tuple[AffineForm, ...] = rows_view("lower")
+    upper_forms: tuple[AffineForm, ...] = rows_view("upper")
+    observable_tests: tuple[LinearConstraint, ...] = rows_view("observable", Relation.GEQ)
+    trivial_tests: tuple[LinearConstraint, ...] = rows_view("trivial", Relation.GEQ)
+    hull_equalities: tuple[LinearConstraint, ...] = rows_view("equality", Relation.EQ)
 
     def to_json_dict(self) -> dict:
         def form_dict(f: AffineForm) -> dict:
@@ -103,18 +107,15 @@ class BoundSet(Record):
 
     @cached_property
     def _rows(self) -> tuple[dict[str, list[tuple[int, ...]]], int]:
-        """The "lower" and "upper" forms and the "checks" of _checks as integer rows over one L > 0.
-
-        The row (a..., k) is the form (a . x + k) / L. Built at first use, not in derive.
-        """
-        lists = {
-            "lower": self.lower_forms,
-            "upper": self.upper_forms,
-            "checks": [c.form for _, _, c, _ in self._checks[0]],
-        }
-        groups = [[(*f.coefficients, f.constant) for f in fs] for fs in lists.values()]
+        """The "lower" and "upper" forms, each section's tests and all "checks" of _checks, in
+        order, as integer rows over one L > 0: the row (a..., k) is the form (a . x + k) / L."""
+        forms = {"lower": self.lower_forms, "upper": self.upper_forms}
+        forms.update((s, [c.form for c in getattr(self, f)]) for s, f in _SECTIONS)
+        groups = [[(*f.coefficients, f.constant) for f in g] for g in forms.values()]
         rows, den = integer_rows(groups)
-        return dict(zip(lists, rows)), den
+        rows = dict(zip(forms, rows))
+        rows["checks"] = [r for s, _ in _SECTIONS for r in rows[s]]
+        return rows, den
 
 
 def classify_observable(
@@ -151,62 +152,52 @@ def partition(h: HRepresentation, target: str | None = None) -> BoundSet:
     TargetUnconstrained. With no target, every facet is a model test.
     """
     ti = None if target is None else h.space.index(target)
+    keep = [j for j in range(h.space.dimension + 1) if j != ti]
     obs_labels = tuple(l for l in h.space.labels if l != target)
-    obs_space = CoordinateSpace(f"{h.space.name}-observables", obs_labels)
+    space = CoordinateSpace(f"{h.space.name}-observables", obs_labels)
     (eq_rows, facet_rows), _ = h._rows
 
-    def to_obs(row: Sequence[int], relation: Relation) -> LinearConstraint:
-        # The target coefficient is zero, so dropping it keeps a primitive row primitive.
-        if ti is not None:
-            row = row[:ti] + row[ti + 1 :]
-        return constraint_from_row(obs_space, row, relation)
+    def drop(row: Sequence[int]) -> tuple[int, ...]:  # the row without the target's column
+        return tuple(map(row.__getitem__, keep))
 
-    def solve_for_target(row: Sequence[int]) -> AffineForm:
-        # row = 0  <=>  target = -(row - c * target) / c; ints where c divides.
-        c = row[ti]
-        out = [-a // c if a % c == 0 else Fraction(-a, c) for i, a in enumerate(row) if i != ti]
-        return AffineForm(obs_space, tuple(out[:-1]), out[-1])
-
-    lower: list[AffineForm] = []
-    upper: list[AffineForm] = []
-    obs_only = []
+    lower, upper, obs_only, equality = [], [], [], []
     for row in facet_rows:
-        reduced = h._reduce(row)
-        if ti is None or reduced[ti] == 0:
-            obs_only.append(primitive(reduced))
-        else:
-            (lower if reduced[ti] > 0 else upper).append(solve_for_target(reduced))
-
-    hull_eqs: list[LinearConstraint] = []
-    for row in eq_rows:
+        row = primitive(h._reduce(row))
         if ti is None or row[ti] == 0:
-            hull_eqs.append(to_obs(primitive(row), Relation.EQ))
+            obs_only.append(row)
         else:
-            solved = solve_for_target(row)
-            lower.append(solved)
-            upper.append(solved)
-
-    observable_tests, trivial_tests = (
-        tuple(to_obs(r, Relation.GEQ) for r in rows) for rows in _classify(h, obs_only)
+            (lower if row[ti] > 0 else upper).append(row)
+    for row in eq_rows:
+        row = primitive(row)
+        if ti is None or row[ti] == 0:
+            # The target coefficient is zero, so dropping it keeps a primitive row primitive.
+            equality.append(canonical_row(drop(row), Relation.EQ))
+        else:
+            lower.append(row)
+            upper.append(row)
+    observable, trivial = (
+        [canonical_row(drop(r), Relation.GEQ) for r in part] for part in _classify(h, obs_only)
     )
 
     if target is not None and not lower and not upper:
-        if target in ("alpha", "beta"):
-            lower.append(AffineForm.const(obs_space, -1))
-            upper.append(AffineForm.const(obs_space, 1))
-        else:
+        if target not in ("alpha", "beta"):
             raise TargetUnconstrained(f"no facet or equality involves {target!r}")
+        # target + 1 >= 0 and 1 - target >= 0 solve to the trivial range [-1, 1].
+        unit = [int(j == ti) for j in range(h.space.dimension)]
+        lower.append(unit + [1])
+        upper.append([-v for v in unit] + [1])
 
-    return BoundSet(
-        scenario=h.space.name,
-        target=target,
-        space=obs_space,
-        lower_forms=tuple(lower),
-        upper_forms=tuple(upper),
-        observable_tests=observable_tests,
-        trivial_tests=trivial_tests,
-        hull_equalities=tuple(hull_eqs),
-    )
+    # A primitive row = 0 solves to target = -drop(row) / c, c = row[ti], in lowest terms
+    # over |c|. Over den, a multiple of every such |c|, it is drop(row) * (-den // c).
+    den = lcm(*(abs(row[ti]) for row in lower + upper))
+    rows = {
+        name: [tuple(map((-den // row[ti]).__mul__, drop(row))) for row in solved]
+        for name, solved in (("lower", lower), ("upper", upper))
+    }
+    for name, tests in (("observable", observable), ("equality", equality), ("trivial", trivial)):
+        rows[name] = tests if den == 1 else [tuple(v * den for v in r) for r in tests]
+    rows["checks"] = [r for s, _ in _SECTIONS for r in rows[s]]
+    return BoundSet._unbuilt(scenario=h.space.name, target=target, space=space, _rows=(rows, den))
 
 
 @lru_cache(maxsize=None)
@@ -329,18 +320,6 @@ class ConstraintReport(Record):
     entries: tuple[CheckEntry, ...]  # a field; the cached_property below serves lazy reports
     passed: bool
 
-    def __init__(self, scenario, tolerance, entries, passed):
-        self.__dict__.update(scenario=scenario, tolerance=tolerance, entries=entries, passed=passed)
-
-    @classmethod
-    def _lazy(cls, bs: BoundSet, tolerance: Fraction, slacks: list[int], den: int, passed: bool):
-        """The report with slack n / den for each constraint of bs._checks, entries unbuilt."""
-        report = cls.__new__(cls)
-        report.__dict__.update(
-            scenario=bs.scenario, tolerance=tolerance, passed=passed, _slacks=(bs, slacks, den)
-        )
-        return report
-
     @cached_property
     def entries(self) -> tuple[CheckEntry, ...]:
         bs, slacks, den = self._slacks
@@ -370,7 +349,9 @@ def model_check(
     tol = default_tolerance(data, tolerance)
     (slacks,), den = _numerators(bs, ("checks",), data)
     passed = _shortfall(bs, slacks) * tol.denominator <= tol.numerator * den
-    return ConstraintReport._lazy(bs, tol, slacks, den, passed)
+    return ConstraintReport._unbuilt(
+        scenario=bs.scenario, tolerance=tol, passed=passed, _slacks=(bs, slacks, den)
+    )
 
 
 class InstrumentalReport(Record):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from operator import attrgetter
 from typing import Mapping, Sequence, Union
 
@@ -102,6 +103,7 @@ class Record:
     AttributeError. ``__post_init__`` may still store normalised values with
     ``object.__setattr__``, and ``cached_property`` works as usual. Hot
     classes define their own ``__init__`` that writes ``self.__dict__``.
+    A cached_property named like a field is not its default but a view (see ``_unbuilt``).
     """
 
     _uncompared = ()
@@ -109,7 +111,8 @@ class Record:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__annotations__)
-        cls._defaults = {n: getattr(cls, n) for n in cls._fields if hasattr(cls, n)}
+        defaults = {n: getattr(cls, n) for n in cls._fields if hasattr(cls, n)}
+        cls._defaults = {n: v for n, v in defaults.items() if not isinstance(v, cached_property)}
         # The tuple of the compared fields (every record compares two or more).
         cls._key = staticmethod(attrgetter(*(n for n in cls._fields if n not in cls._uncompared)))
 
@@ -123,6 +126,13 @@ class Record:
             raise TypeError(f"{type(self).__name__}() missing {missing}")
         self.__dict__.update(values)
         self.__post_init__()
+
+    @classmethod
+    def _unbuilt(cls, **attrs):
+        """An instance of ``attrs`` as given, past ``__init__``: the fields left out are views."""
+        obj = cls.__new__(cls)
+        obj.__dict__.update(attrs)
+        return obj
 
     def __post_init__(self) -> None:
         """Check or normalise the fields once they are set."""
@@ -406,18 +416,36 @@ def canonicalize(constraint: LinearConstraint) -> LinearConstraint:
     return constraint_from_row(form.space, row, constraint.relation)
 
 
+def canonical_row(row: Sequence[int], relation: Relation) -> tuple[int, ...]:
+    """Coprime (a..., k) of a.x + k (= or >=) 0, an equality's first a > 0; or IdenticallyFalse."""
+    if not any(row[:-1]):
+        if relation is Relation.EQ and row[-1] != 0:
+            raise IdenticallyFalse(f"equality reduces to {row[-1]} = 0")
+        if relation is Relation.GEQ and row[-1] < 0:
+            raise IdenticallyFalse(f"inequality reduces to {row[-1]} >= 0")
+    elif relation is Relation.EQ and next(c for c in row if c) < 0:
+        return tuple(-c for c in row)
+    return tuple(row)
+
+
 def constraint_from_row(
     space: CoordinateSpace, row: Sequence[int], relation: Relation
 ) -> LinearConstraint:
     """Canonical constraint row[:-1].x + row[-1] (= or >=) 0 from coprime integers."""
-    coeffs, const = row[:-1], row[-1]
-    if not any(coeffs):
-        if relation is Relation.EQ and const != 0:
-            raise IdenticallyFalse(f"equality reduces to {const} = 0")
-        if relation is Relation.GEQ and const < 0:
-            raise IdenticallyFalse(f"inequality reduces to {const} >= 0")
-    elif relation is Relation.EQ and next(c for c in coeffs if c) < 0:
-        coeffs = [-c for c in coeffs]
-        const = -const
-    return LinearConstraint(AffineForm(space, tuple(coeffs), const), relation)
+    row = canonical_row(row, relation)
+    return LinearConstraint(AffineForm(space, row[:-1], row[-1]), relation)
 
+
+def rows_view(group, relation: Relation | None = None) -> cached_property:
+    """A field built on first read: the rows (a..., k) in ``groups[group]`` of ``self._rows`` =
+    (groups, d) as forms (a.x + k) / d or, given a relation, as constraints (d divides those)."""
+
+    def build(self):
+        groups, d = self._rows
+        if relation is None:
+            rows = groups[group] if d == 1 else ([Fraction(v, d) for v in r] for r in groups[group])
+            return tuple(AffineForm(self.space, row[:-1], row[-1]) for row in rows)
+        rows = ([v // d for v in row] for row in groups[group])
+        return tuple(constraint_from_row(self.space, row, relation) for row in rows)
+
+    return cached_property(build)

@@ -70,9 +70,10 @@ class MixtureLP(Record):
             raise ValueError(f"scenario {s.name!r} has no causal target to optimize")
         base, point = _scenario_lp(s), observable_point(s.observable_labels, data)
         rhs = tuple(point[lab] for lab in s.observable_labels) + (_ONE,)
-        lp = cls(columns=base.columns, rhs=rhs, objective=base.objective)
-        vars(lp)["_system"] = base._system
-        return lp
+        # The same columns and one rhs entry per row: base's checks hold, and its system is shared.
+        return cls._unbuilt(
+            columns=base.columns, rhs=rhs, objective=base.objective, _system=base._system
+        )
 
     @cached_property
     def _system(self) -> tuple[list[list[int]], list[list[int]], list[list[int]], int, tuple]:

@@ -7,11 +7,11 @@ affine-hull-first. It computes the hull equalities, projects the points
 onto an independent coordinate chart where they are full-dimensional, runs
 an incremental double description pass there, and lifts the resulting
 facets back. Points and forms are exact rationals at the API; inside,
-everything runs on integer rows (see introws): a VertexSet's, which
-scenario_vertex_set hands over, and an HRepresentation's. A hull from
-facet_enumeration builds its Fraction facets from its rows on first read,
-which derivation never makes. Rows are reduced modulo the equalities and
-tested for membership on ints (reduce_mod_equalities wraps the former).
+everything runs on integer rows (see introws). The VertexSet, AffineHull and
+HRepresentation that derivation passes along hold only their rows; their
+Fraction fields are views built on first read (hand-built ones keep their
+tuples). Rows are reduced modulo the equalities and tested for membership
+on ints (reduce_mod_equalities wraps the former).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Mapping, Sequence
 
 from .forms import (
@@ -29,7 +29,8 @@ from .forms import (
     LinearConstraint,
     Record,
     Relation,
-    constraint_from_row,
+    canonical_row,
+    rows_view,
 )
 from .introws import clear_denominators, evaluate_rows, integer_rows, primitive, rref
 
@@ -47,7 +48,7 @@ class VertexSet(Record):
     """Deduplicated generating points of a polytope, in a fixed label order."""
 
     space: CoordinateSpace
-    vertices: tuple[tuple[Fraction, ...], ...]
+    vertices: tuple[tuple[Fraction, ...], ...]  # a field; the cached_property below is its view
 
     @classmethod
     def from_points(
@@ -61,12 +62,17 @@ class VertexSet(Record):
         return cls(space, rows)
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self._rows[0][0])
 
     @cached_property
     def _rows(self) -> tuple[list[list[tuple[int, ...]]], int]:
         """The vertices as integer rows over their least common denominator d > 0."""
         return integer_rows([self.vertices])
+
+    @cached_property
+    def vertices(self) -> tuple[tuple[Fraction, ...], ...]:
+        (points,), d = self._rows
+        return tuple(tuple(Fraction(v, d) for v in p) for p in points)
 
 
 class AffineHull(Record):
@@ -78,7 +84,7 @@ class AffineHull(Record):
     """
 
     space: CoordinateSpace
-    equalities: tuple[LinearConstraint, ...]
+    equalities: tuple[LinearConstraint, ...] = rows_view(0, Relation.EQ)
     dimension: int
     pivots: tuple[int, ...]
 
@@ -91,15 +97,17 @@ def affine_hull(vs: VertexSet) -> AffineHull:
     base = points[0]
     reduced, d, pivots = rref([[a - b for a, b in zip(v, base)] for v in points[1:]], m)
     pivot_set = set(pivots)
-    equalities: list[LinearConstraint] = []
+    equalities = []
     for free in (j for j in range(m) if j not in pivot_set):
         coeffs = [0] * m
         coeffs[free] = d
         for row, piv in zip(reduced, pivots):
             coeffs[piv] = -row[free]
         row = [c * scale for c in coeffs] + [-sum(c * b for c, b in zip(coeffs, base))]
-        equalities.append(constraint_from_row(vs.space, primitive(row), Relation.EQ))
-    return AffineHull(vs.space, tuple(equalities), len(pivots), tuple(pivots))
+        equalities.append(canonical_row(primitive(row), Relation.EQ))
+    return AffineHull._unbuilt(
+        space=vs.space, dimension=len(pivots), pivots=tuple(pivots), _rows=([equalities], 1)
+    )
 
 
 def reduce_mod_equalities(
@@ -140,8 +148,8 @@ class HRepresentation(Record):
     """Facet description of a bounded polytope inside its affine hull."""
 
     space: CoordinateSpace
-    equalities: tuple[LinearConstraint, ...]
-    facets: tuple[LinearConstraint, ...]
+    equalities: tuple[LinearConstraint, ...] = rows_view(0, Relation.EQ)
+    facets: tuple[LinearConstraint, ...] = rows_view(1, Relation.GEQ)
     affine_dimension: int
 
     @cached_property
@@ -150,18 +158,11 @@ class HRepresentation(Record):
         groups = (self.equalities, self.facets)
         return integer_rows([[(*c.form.coefficients, c.form.constant) for c in g] for g in groups])
 
-    def __getattr__(self, name: str):
-        # Only a hull from facet_enumeration lacks facets: they are built from its rows, once.
-        if name != "facets":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        (_, rows), _ = self._rows
-        vars(self)["facets"] = tuple(constraint_from_row(self.space, r, Relation.GEQ) for r in rows)
-        return self.facets
-
     @cached_property
     def _triangular(self) -> tuple[list[tuple[int, list[int]]], int]:
         """(trailing coordinate, row) per equality, and d: each row is d there, 0 in the rest."""
-        if any(eq.relation is not Relation.EQ for eq in self.equalities):
+        # Only given equalities can hold another relation; rows from facet_enumeration are all EQ.
+        if any(eq.relation is not Relation.EQ for eq in vars(self).get("equalities", ())):
             raise ValueError("reduce_mod_equalities expects EQ constraints")
         (eq, _), _ = self._rows
         m = self.space.dimension
@@ -195,7 +196,11 @@ class HRepresentation(Record):
 
     def to_json_dict(self) -> dict:
         (eq, facets), den = self._rows
-        assert den == 1, "derived equality and facet rows are integers"
+        if den != 1:  # name the first constraint whose row is not integer
+            i = next(i for i, row in enumerate(eq + facets) if any(v % den for v in row))
+            kind, at = ("equality", i) if i < len(eq) else ("facet", i - len(eq))
+            c = [*self.equalities, *self.facets][i]
+            raise ValueError(f"{kind} {at} has a non-integer coefficient: {c.render()}")
         return {
             "space": self.space.name,
             "labels": list(self.space.labels),
@@ -227,27 +232,31 @@ def _polar_extreme_rays(cons: list[tuple[int, ...]], dim: int) -> list[tuple[int
     rays = [primitive(row[n:]) for row in reduced]
     ids = list(range(len(rays)))
     next_id = len(rays)
+    alive = (1 << next_id) - 1  # the ids of the current rays
     # Ray j of the simplicial start is tight on every initial constraint but the j-th.
     start = sum(1 << i for i in init)
     masks = [start & ~(1 << i) for i in init]
     tight = [sum(1 << j for j, mask in enumerate(masks) if mask >> c & 1) for c in range(len(cons))]
+    need = dim - 1
     for k, con in enumerate(cons):
         if start >> k & 1:
             continue
         vals = [sum(map(mul, con, ray)) for ray in rays]
-        pos = [i for i, v in enumerate(vals) if v > 0]
-        zero = [i for i, v in enumerate(vals) if v == 0]
-        neg = [i for i, v in enumerate(vals) if v < 0]
-        alive = sum(1 << r for r in ids)
+        pos, zero, neg = [], [], []
+        for i, v in enumerate(vals):
+            (pos if v > 0 else neg if v else zero).append(i)
         new_rays = [rays[i] for i in pos + zero]
         new_masks = [masks[i] for i in pos] + [masks[i] | 1 << k for i in zero]
         new_ids = [ids[i] for i in pos + zero]
         tight[k] = sum(1 << ids[i] for i in zero)
-        pos_masks = [(i, masks[i], 1 << ids[i]) for i in pos]
+        pos_rays = [(masks[i], 1 << ids[i], vals[i], rays[i]) for i in pos]
+        first = next_id
         for im in neg:
-            m_neg, bit_neg = masks[im], 1 << ids[im]
-            near = [(ip, s, b) for ip, m, b in pos_masks if (s := m & m_neg).bit_count() >= dim - 1]
-            for ip, shared, bit_pos in near:
+            m_neg, bit_neg, v_neg, ray_neg = masks[im], 1 << ids[im], vals[im], rays[im]
+            for m_pos, bit_pos, v_pos, ray_pos in pos_rays:
+                shared = m_pos & m_neg
+                if shared.bit_count() < need:
+                    continue
                 # Adjacent: dim - 1 common tight constraints that no third live ray shares.
                 pair, common, rest = bit_pos | bit_neg, alive, shared
                 while rest and common != pair:
@@ -256,9 +265,9 @@ def _polar_extreme_rays(cons: list[tuple[int, ...]], dim: int) -> list[tuple[int
                     rest ^= low
                 if common != pair:
                     continue
-                combo = [vals[ip] * a - vals[im] * b for a, b in zip(rays[im], rays[ip])]
+                combo = [v_pos * a - v_neg * b for a, b in zip(ray_neg, ray_pos)]
                 g = gcd(*combo)
-                new_rays.append(tuple(v // g for v in combo))
+                new_rays.append(tuple(combo) if g == 1 else tuple(v // g for v in combo))
                 new_masks.append(mask := shared | 1 << k)
                 new_ids.append(next_id)
                 while mask:
@@ -266,6 +275,8 @@ def _polar_extreme_rays(cons: list[tuple[int, ...]], dim: int) -> list[tuple[int
                     tight[low.bit_length() - 1] |= 1 << next_id
                     mask ^= low
                 next_id += 1
+        # The negative rays die; the rays made in this step have ids first .. next_id - 1.
+        alive = alive & ~sum(1 << ids[i] for i in neg) | ((1 << next_id) - (1 << first))
         rays, masks, ids = new_rays, new_masks, new_ids
     return rays
 
@@ -280,20 +291,18 @@ def facet_enumeration(vs: VertexSet) -> HRepresentation:
             f"{vs.space.dimension} coordinates exceeds the cap of {MAX_COORDINATES}"
         )
     hull = affine_hull(vs)
-    if hull.dimension == 0:
-        return HRepresentation(vs.space, hull.equalities, (), 0)
     (points,), scale = vs._rows
     chart = [primitive((scale, *(v[p] for p in hull.pivots))) for v in points]
-    rays = _polar_extreme_rays(chart, hull.dimension)
-    m = vs.space.dimension
+    # A hull of dimension 0 is one point, which has no facets.
+    rays = _polar_extreme_rays(chart, hull.dimension) if hull.dimension else []
+    # lift takes a ray (b, a) padded with a 0 to its row: a at the pivots, 0 elsewhere, then b.
     at = {p: 1 + j for j, p in enumerate(hull.pivots)}
+    lift = itemgetter(*(at.get(c, -1) for c in range(vs.space.dimension)), 0)
     # A primitive ray is its facet's canonical row; sorting the rows orders
     # the facets by coefficient tuple, then constant.
-    rows = sorted(tuple(ray[at[c]] if c in at else 0 for c in range(m)) + ray[:1] for ray in rays)
-    assert all(any(row[:m]) for row in rows), "polar ray with no linear part cannot be a facet"
-    h = HRepresentation(vs.space, hull.equalities, (), hull.dimension)
-    # The rows are integers already; facets are built from them at first read.
-    del vars(h)["facets"]
-    eqs = [(*e.form.coefficients, e.form.constant) for e in hull.equalities]
-    vars(h)["_rows"] = ([[tuple(map(int, e)) for e in eqs], rows], 1)
-    return h
+    rows = sorted(lift(ray + (0,)) for ray in rays)
+    assert all(any(ray[1:]) for ray in rays), "polar ray with no linear part cannot be a facet"
+    (equalities,), _ = hull._rows
+    return HRepresentation._unbuilt(
+        space=vs.space, affine_dimension=hull.dimension, _rows=([equalities, rows], 1)
+    )

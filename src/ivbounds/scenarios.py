@@ -9,9 +9,9 @@ transform maps a parameter point to that coordinate vector. Observed
 distributions are mixtures over U of transformed parameter points, which
 is what makes the convex-polytope analysis downstream exact. Every
 parameter vertex is 0/1, so scenario_vertex_set runs the transforms on
-ints, builds each distinct image's Fractions once and hands the int images
-to the VertexSet as the integer rows facet_enumeration reads (the hull's
-Fraction facets are built only on first read).
+ints and hands the distinct int images to the VertexSet as the integer
+rows facet_enumeration reads; its Fraction vertices are built only on
+first read.
 
 Scenarios are data: a label list and an optional target. parse_coordinate
 is the one reader of the label scheme; the transforms, the observable
@@ -273,14 +273,11 @@ def enumerate_parameter_vertices(scenario: str | Scenario) -> tuple[ParameterPoi
 def scenario_vertex_set(scenario: str | Scenario, include_target: bool = True) -> VertexSet:
     """Distinct images of the parameter vertices under the scenario transform (cached).
 
-    The images are computed on ints, deduplicated in first-seen order, and
-    each distinct one is turned into Fractions once.
+    The images are computed on ints and deduplicated in first-seen order;
+    they are the VertexSet's integer rows.
     """
     s = get_scenario(scenario)
     space = s.space if include_target or s.causal_target is None else s.observable_space
     fns = [coordinate_function(label) for label in space.labels]
     images = dict.fromkeys(tuple(f(p) for f in fns) for p in _vertex_bits(s))
-    exact = {v: Fraction(v) for v in set().union(*images)}
-    vs = VertexSet(space, tuple(tuple(exact[v] for v in img) for img in images))
-    vars(vs)["_rows"] = ([list(images)], 1)
-    return vs
+    return VertexSet._unbuilt(space=space, _rows=([list(images)], 1))

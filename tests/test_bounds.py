@@ -47,6 +47,7 @@ from ivbounds.forms import (
     canonicalize,
     rational,
 )
+from ivbounds.introws import integer_rows
 from ivbounds.polytope import HRepresentation, reduce_mod_equalities
 from ivbounds.scenarios import SCENARIOS, get_scenario
 
@@ -630,13 +631,21 @@ class TestCompiledEvaluation:
             evaluate_bounds(bs, point)
         assert exc.value.label == "t02"
 
-    def test_rows_are_compiled_at_first_evaluation_and_kept(self):
+    def test_partition_hands_over_rows_that_evaluation_keeps(self):
         bs = partition(scenario_hull("trivariate"), "alpha")
+        rows = vars(bs)["_rows"]
+        evaluate_bounds(bs, load("lipid"))
+        model_check(bs, load("vitamin-a"))
+        assert vars(bs)["_rows"] is rows
+
+    def test_hand_built_rows_are_compiled_at_first_evaluation_and_kept(self):
+        built = derive("trivariate")
+        bs = BoundSet(**{name: getattr(built, name) for name in BoundSet._fields})
         assert "_rows" not in vars(bs)
         evaluate_bounds(bs, load("lipid"))
         rows = vars(bs)["_rows"]
         model_check(bs, load("vitamin-a"))
-        assert vars(bs)["_rows"] is rows
+        assert vars(bs)["_rows"] is rows == built._rows
 
 
 def _check_tables():
@@ -743,6 +752,30 @@ def hand_built_hulls(draw):
     return h, draw(st.sampled_from([None, "alpha", *labels]))
 
 
+_VIEWS = ("lower_forms", "upper_forms", "observable_tests", "hull_equalities", "trivial_tests")
+
+
+def assert_matches_the_fraction_path(h, target):
+    """partition equals reference.partition, exceptions included. An unread BoundSet
+    compares, hashes, prints and serialises like the reference's, and its rows are the
+    integer rows of its forms once they are built."""
+    expected = outcome(reference.partition, h, target)
+    if not isinstance(expected, BoundSet):
+        assert outcome(partition, h, target) == expected
+        return
+    for compare in (lambda bs: bs, hash, repr, BoundSet.to_json_dict):
+        bs = partition(h, target)
+        assert not set(_VIEWS) & vars(bs).keys()
+        assert compare(bs) == compare(expected)
+    rows, den = bs._rows
+    forms = [bs.lower_forms, bs.upper_forms]
+    forms += [[c.form for c in getattr(bs, view)] for view in _VIEWS[2:]]
+    groups = integer_rows([[(*f.coefficients, f.constant) for f in g] for g in forms])
+    names = ("lower", "upper", "observable", "equality", "trivial")
+    assert ([rows[name] for name in names], den) == groups
+    assert rows["checks"] == rows["observable"] + rows["equality"] + rows["trivial"]
+
+
 def _reference_classify(h):
     forms = [reference.reduce_mod_equalities(f.form, h.equalities) for f in h.facets]
     return reference.classify(h.space, h.equalities, forms)
@@ -753,14 +786,14 @@ class TestIntegerPartition:
     def test_registry_hulls_match_the_fraction_path(self, name):
         h = scenario_hull(name)
         for target in (get_scenario(name).causal_target, None, "alpha", *h.space.labels):
-            assert outcome(partition, h, target) == outcome(reference.partition, h, target)
+            assert_matches_the_fraction_path(h, target)
         assert classify_observable(h) == _reference_classify(h)
 
     @settings(max_examples=300, deadline=None)
     @given(hand_built_hulls())
     def test_hand_built_hulls_match_the_fraction_path(self, case):
         h, target = case
-        assert outcome(partition, h, target) == outcome(reference.partition, h, target)
+        assert_matches_the_fraction_path(h, target)
         assert outcome(classify_observable, h) == outcome(_reference_classify, h)
         for facet in h.facets:
             assert outcome(reduce_mod_equalities, facet.form, h.equalities) == outcome(

@@ -1,11 +1,15 @@
 """Exact rational forms, constraints and their canonicalization."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ivbounds
+from ivbounds.bounds import BoundSet, ConstraintReport
 from ivbounds.forms import (
     AffineForm,
     CoordinateSpace,
@@ -13,6 +17,7 @@ from ivbounds.forms import (
     LinearConstraint,
     MissingCoordinate,
     Relation,
+    canonical_row,
     canonicalize,
     format_decimal,
     format_rational,
@@ -252,3 +257,36 @@ class TestConstraints:
             )
         # a plainly true constant constraint is fine
         canonicalize(LinearConstraint(AffineForm.const(SPACE, 1), Relation.GEQ))
+
+
+def test_canonical_row_signs_equalities_and_rejects_void_rows():
+    assert canonical_row([0, -2, 1], Relation.EQ) == (0, 2, -1)
+    assert canonical_row([0, -2, 1], Relation.GEQ) == (0, -2, 1)
+    assert canonical_row((0, 0, 3), Relation.GEQ) == (0, 0, 3)
+    with pytest.raises(IdenticallyFalse, match="^equality reduces to 3 = 0$"):
+        canonical_row([0, 0, 3], Relation.EQ)
+    with pytest.raises(IdenticallyFalse, match="^inequality reduces to -1 >= 0$"):
+        canonical_row([0, 0, -1], Relation.GEQ)
+
+
+def test_a_view_is_not_a_default():
+    # A field that is a view of the rows must still be passed to the constructor.
+    with pytest.raises(TypeError, match="missing"):
+        BoundSet("s", None, SPACE, (), (), (), ())
+    with pytest.raises(TypeError, match="missing"):
+        ConstraintReport("s", Fraction(0), passed=True)
+
+
+def test_source_has_no_vars_writes_or_class_getattr():
+    # Views are cached_propertys that a class fills itself, on first read; nothing
+    # reaches into an instance's __dict__ from outside or answers missing attributes.
+    for path in Path(ivbounds.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+                call = node.value
+                is_vars = isinstance(call, ast.Call) and getattr(call.func, "id", None) == "vars"
+                assert not is_vars, f"{path.name}:{node.lineno} writes through vars()"
+            if isinstance(node, ast.ClassDef):
+                methods = {n.name for n in node.body if isinstance(n, ast.FunctionDef)}
+                assert "__getattr__" not in methods, f"{path.name}: {node.name}.__getattr__"

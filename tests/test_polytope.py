@@ -302,6 +302,29 @@ def test_json_dict_is_integral():
         assert all(isinstance(v, int) for v in row)
 
 
+def test_json_dict_names_the_first_non_integer_row():
+    sp = space(2)
+    half = LinearConstraint(AffineForm(sp, (Fraction(1, 2), 0)), Relation.GEQ)
+    whole = LinearConstraint(AffineForm(sp, (1, 0)), Relation.GEQ)
+    line = LinearConstraint(AffineForm(sp, (0, 1), -1), Relation.EQ)
+    h = HRepresentation(sp, (line,), (whole, half), 1)
+    with pytest.raises(ValueError, match=r"^facet 1 has a non-integer coefficient: 1/2\*x0 >= 0$"):
+        h.to_json_dict()
+    third = LinearConstraint(AffineForm(sp, (0, 1), Fraction(-1, 3)), Relation.EQ)
+    with pytest.raises(ValueError, match=r"^equality 1 has a non-integer coefficient: x1 = 1/3$"):
+        HRepresentation(sp, (line, third), (whole, half), 1).to_json_dict()
+    assert HRepresentation(sp, (line,), (whole,), 1).to_json_dict()["facets"] == [[1, 0, 0]]
+
+
+def test_equalities_given_by_hand_must_be_equalities():
+    sp = space(2)
+    geq = LinearConstraint(AffineForm(sp, (1, 0)), Relation.GEQ)
+    with pytest.raises(ValueError, match="^reduce_mod_equalities expects EQ constraints$"):
+        reduce_mod_equalities(AffineForm(sp, (1, 1)), [geq])
+    with pytest.raises(ValueError, match="^reduce_mod_equalities expects EQ constraints$"):
+        bounds.partition(HRepresentation(sp, (geq,), (geq,), 1))
+
+
 def reference_contains(h, point):
     """contains as it was written on Fractions: each form evaluated in turn."""
     vec = h.space.vector(point)
@@ -466,3 +489,33 @@ def test_double_description_matches_the_mask_scan_on_registry_charts(name, inclu
     assert all(primitive(ray) == ray for ray in rays)
     assert sorted(rays) == sorted(reference.polar_extreme_rays(chart, hull.dimension))
     assert len(set(rays)) == len(rays) == len(scenario_hull(name, include_target).facets)
+
+
+# Each derived object holds its integer rows; the field views are built on first read.
+VIEWS = {
+    VertexSet: ("vertices",),
+    polytope.AffineHull: ("equalities",),
+    HRepresentation: ("equalities", "facets"),
+    bounds.BoundSet: (
+        "lower_forms", "upper_forms", "observable_tests", "trivial_tests", "hull_equalities"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_derivation_leaves_every_view_unbuilt_until_read(name):
+    vs = scenario_vertex_set.__wrapped__(name)
+    hull, (h, bs) = affine_hull(vs), fresh_derivation(name)
+    for obj in (vs, hull, h, bs):
+        views = VIEWS[type(obj)]
+        assert not set(views) & vars(obj).keys()
+        for view in views:
+            built = getattr(obj, view)
+            assert vars(obj)[view] is built and getattr(obj, view) is built
+        hand = type(obj)(**{field: getattr(obj, field) for field in obj._fields})
+        assert hand == obj and repr(hand) == repr(obj)
+        # A hand-built object compiles the same rows from its tuples (only
+        # affine_hull makes an AffineHull's rows, which facet_enumeration reads).
+        assert type(obj) is polytope.AffineHull or hand._rows == obj._rows
+    assert vs == scenario_vertex_set(name) and len(vs) == len(vs.vertices)
+    assert hull.equalities == h.equalities == scenario_hull(name).equalities
