@@ -95,15 +95,14 @@ class BoundSet(Record):
         }
 
     @cached_property
-    def _checks(self) -> tuple[tuple[tuple[str, int, LinearConstraint, bool], ...], tuple[int, ...]]:
-        """model_check's plan: (section, index, constraint, is equality) per entry, in report
-        order, and the positions of the equalities among the entries."""
-        plan = tuple(
-            (s, i, c, c.relation is Relation.EQ)
-            for s, f in _SECTIONS
-            for i, c in enumerate(getattr(self, f))
-        )
-        return plan, tuple(k for k, (*_, eq) in enumerate(plan) if eq)
+    def _checks(self) -> tuple[tuple[str, int, LinearConstraint], ...]:
+        """ConstraintReport.entries' plan: (section, index, constraint), in report order."""
+        return tuple((s, i, c) for s, f in _SECTIONS for i, c in enumerate(getattr(self, f)))
+
+    @cached_property
+    def _equalities(self) -> Sequence[int]:
+        """The positions of the equalities among the "checks" (partition hands them over)."""
+        return tuple(k for k, (*_, c) in enumerate(self._checks) if c.relation is Relation.EQ)
 
     @cached_property
     def _rows(self) -> tuple[dict[str, list[tuple[int, ...]]], int]:
@@ -197,7 +196,9 @@ def partition(h: HRepresentation, target: str | None = None) -> BoundSet:
     for name, tests in (("observable", observable), ("equality", equality), ("trivial", trivial)):
         rows[name] = tests if den == 1 else [tuple(v * den for v in r) for r in tests]
     rows["checks"] = [r for s, _ in _SECTIONS for r in rows[s]]
-    return BoundSet._unbuilt(scenario=h.space.name, target=target, space=space, _rows=(rows, den))
+    at = len(observable)
+    return BoundSet._unbuilt(scenario=h.space.name, target=target, space=space, _rows=(rows, den),
+                             _equalities=range(at, at + len(equality)))
 
 
 @lru_cache(maxsize=None)
@@ -295,8 +296,7 @@ def _shortfall(bs: BoundSet, slacks: Sequence[int]) -> int:
 
     An inequality with slack n misses by -n and an equality by |n|; 0 when all hold.
     """
-    _, equalities = bs._checks
-    return max(0, -min(slacks, default=0), *(abs(slacks[k]) for k in equalities))
+    return max(0, -min(slacks, default=0), *(abs(slacks[k]) for k in bs._equalities))
 
 
 class CheckEntry(Record):
@@ -324,10 +324,11 @@ class ConstraintReport(Record):
     def entries(self) -> tuple[CheckEntry, ...]:
         bs, slacks, den = self._slacks
         bar, scale = self.tolerance.numerator * den, self.tolerance.denominator
+        eqs = bs._equalities
         # slack n / den passes if >= -tol, or if |slack| <= tol for an equality
         return tuple(
-            CheckEntry(name, i, con, Fraction(n, den), (abs(n) if eq else -n) * scale <= bar)
-            for (name, i, con, eq), n in zip(bs._checks[0], slacks)
+            CheckEntry(name, i, con, Fraction(n, den), (abs(n) if k in eqs else -n) * scale <= bar)
+            for k, ((name, i, con), n) in enumerate(zip(bs._checks, slacks))
         )
 
     def failures(self) -> tuple[CheckEntry, ...]:

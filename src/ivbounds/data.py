@@ -21,7 +21,6 @@ from .introws import clear_denominators
 from .scenarios import parse_coordinate
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 _CB_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 _ARMS = (1, 2)
@@ -326,39 +325,11 @@ def load(
     path = Path(source)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     if path.suffix.lower() == ".csv":
         return _load_csv_text(text, max_deviation)
     return _load_json_text(text, max_deviation)
-
-
-def serialize(t: ObservedTables) -> dict:
-    """JSON-ready dict with exact 'p/q' strings; load(serialize(t)) == t.
-
-    Tables that came from rounded decimals carry "decimal_input": true, so
-    a reloaded copy keeps their tolerance.
-    """
-    out: dict = {}
-    if t.zeta is not None:
-        out["zeta"] = {
-            f"a{a}": [format_rational(t.zeta[(c, b, a)]) for c, b in _CB_PAIRS] for a in _ARMS
-        }
-    if t.gamma is not None:
-        out["gamma"] = {f"a{a}": [format_rational(t.gamma[(c, a)]) for c in (0, 1)] for a in _ARMS}
-    if t.theta is not None:
-        out["theta"] = {f"a{a}": [format_rational(t.theta[(b, a)]) for b in (0, 1)] for a in _ARMS}
-    if t.phi is not None:
-        out["phi"] = [format_rational(t.phi[cb]) for cb in _CB_PAIRS]
-    if t.arm_weights is not None:
-        out["arm_weights"] = [format_rational(w) for w in t.arm_weights]
-    if t.decimal_input:
-        out["decimal_input"] = True
-    return out
-
-
-def save(t: ObservedTables, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(serialize(t), indent=2) + "\n", encoding="utf-8")
 
 
 def derive_marginals(t: ObservedTables, *, require_phi: bool = False) -> ObservedTables:
@@ -377,54 +348,6 @@ def derive_marginals(t: ObservedTables, *, require_phi: bool = False) -> Observe
     if phi is None and require_phi:
         raise MissingArmWeights("phi requires arm weights; no equal-weight default is assumed")
     return ObservedTables(t.zeta, gamma, theta, phi, t.arm_weights, t.decimal_input)
-
-
-def renormalize(
-    t: ObservedTables,
-    *,
-    max_deviation: RationalLike = DEFAULT_SUM_DEVIATION,
-) -> ObservedTables:
-    """Rescale each probability block to sum exactly to 1.
-
-    Blocks whose sum deviates from 1 by more than max_deviation raise
-    ValidationError; renormalization is meant to absorb rounding, not to
-    repair structurally bad tables.
-    """
-    max_deviation = rational(max_deviation)
-    for name, values in t.blocks():
-        slack = sum(values) - 1
-        if abs(slack) > max_deviation:
-            raise ValidationError(
-                f"{name} sums to {format_rational(sum(values))}, "
-                f"slack {format_rational(slack)} exceeds {format_rational(max_deviation)}"
-            )
-
-    def scale_map(table, keys_sum):
-        scaled = {}
-        for key_group in keys_sum:
-            total = sum(table[k] for k in key_group)
-            for k in key_group:
-                scaled[k] = table[k] / total
-        return scaled
-
-    zeta = None
-    if t.zeta is not None:
-        zeta = scale_map(t.zeta, [[(c, b, a) for c, b in _CB_PAIRS] for a in _ARMS])
-    gamma = None
-    if t.gamma is not None:
-        gamma = scale_map(t.gamma, [[(c, a) for c in (0, 1)] for a in _ARMS])
-    theta = None
-    if t.theta is not None:
-        theta = scale_map(t.theta, [[(b, a) for b in (0, 1)] for a in _ARMS])
-    phi = None
-    if t.phi is not None:
-        total = sum(t.phi.values())
-        phi = {k: v / total for k, v in t.phi.items()}
-    weights = None
-    if t.arm_weights is not None:
-        total = sum(t.arm_weights)
-        weights = (t.arm_weights[0] / total, t.arm_weights[1] / total)
-    return ObservedTables(zeta, gamma, theta, phi, weights, t.decimal_input)
 
 
 def observable_point(

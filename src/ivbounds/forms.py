@@ -17,8 +17,6 @@ from typing import Mapping, Sequence, Union
 
 from .introws import primitive
 
-Rational = Fraction
-
 RationalLike = Union[int, str, Fraction]
 
 # One shared Fraction per small integer, the bulk of what derived rows hold.
@@ -218,18 +216,8 @@ class AffineForm(Record):
         self.__dict__.update(space=space, coefficients=coefficients, constant=constant)
 
     @classmethod
-    def zero(cls, space: CoordinateSpace) -> "AffineForm":
-        return cls(space, (_ZERO,) * space.dimension, _ZERO)
-
-    @classmethod
     def const(cls, space: CoordinateSpace, value: RationalLike) -> "AffineForm":
         return cls(space, (_ZERO,) * space.dimension, rational(value))
-
-    @classmethod
-    def coordinate(cls, space: CoordinateSpace, label: str) -> "AffineForm":
-        coeffs = [_ZERO] * space.dimension
-        coeffs[space.index(label)] = _ONE
-        return cls(space, tuple(coeffs), _ZERO)
 
     @classmethod
     def from_dict(
@@ -273,9 +261,6 @@ class AffineForm(Record):
                 coeffs[label] = coeffs.get(label, _ZERO) + value
         return cls.from_dict(space, coeffs, constant)
 
-    def coefficient(self, label: str) -> Fraction:
-        return self.coefficients[self.space.index(label)]
-
     def as_dict(self) -> dict[str, Fraction]:
         """Nonzero coefficients keyed by label."""
         return {
@@ -307,41 +292,6 @@ class AffineForm(Record):
                 total += c * v
         return total
 
-    def on_space(self, space: CoordinateSpace) -> "AffineForm":
-        """Re-express the form on another space carrying the same labels.
-
-        Any nonzero coefficient whose label the new space lacks is an error.
-        """
-        coeffs = [_ZERO] * space.dimension
-        for lab, c in zip(self.space.labels, self.coefficients):
-            if not c:
-                continue
-            coeffs[space.index(lab)] = c
-        return AffineForm(space, tuple(coeffs), self.constant)
-
-    def __add__(self, other: "AffineForm") -> "AffineForm":
-        self._check_space(other)
-        return AffineForm(
-            self.space,
-            tuple(a + b for a, b in zip(self.coefficients, other.coefficients)),
-            self.constant + other.constant,
-        )
-
-    def __sub__(self, other: "AffineForm") -> "AffineForm":
-        self._check_space(other)
-        return AffineForm(
-            self.space,
-            tuple(a - b for a, b in zip(self.coefficients, other.coefficients)),
-            self.constant - other.constant,
-        )
-
-    def __neg__(self) -> "AffineForm":
-        return AffineForm(self.space, tuple(-c for c in self.coefficients), -self.constant)
-
-    def scaled(self, factor: RationalLike) -> "AffineForm":
-        f = rational(factor)
-        return AffineForm(self.space, tuple(f * c for c in self.coefficients), f * self.constant)
-
     def key(self) -> tuple:
         """Hashable identity of the affine function (space layout implied)."""
         return (self.coefficients, self.constant)
@@ -366,12 +316,6 @@ class AffineForm(Record):
                 parts.append(f"+ {mag}" if self.constant > 0 else f"- {mag}")
         return " ".join(parts)
 
-    def _check_space(self, other: "AffineForm") -> None:
-        if self.space.labels != other.space.labels:
-            raise ValueError(
-                f"mixing forms over different spaces: {self.space.name!r} and {other.space.name!r}"
-            )
-
 
 class Relation(Enum):
     EQ = "="
@@ -386,12 +330,6 @@ class LinearConstraint(Record):
 
     def __init__(self, form: AffineForm, relation: Relation):
         self.__dict__.update(form=form, relation=relation)
-
-    def slack(self, point: Mapping[str, RationalLike]) -> Fraction:
-        return self.form.evaluate(point)
-
-    def key(self) -> tuple:
-        return (self.relation.value, self.form.coefficients, self.form.constant)
 
     def render(self) -> str:
         if self.relation is Relation.EQ:

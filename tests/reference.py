@@ -62,7 +62,7 @@ def classify(space: CoordinateSpace, equalities: tuple, reduced: list) -> tuple[
     """(nontrivial, trivial) canonical GEQ constraints of forms reduced modulo the equalities."""
     trivial_keys = set()
     for label in space.labels:
-        nonneg = reduce_mod_equalities(AffineForm.coordinate(space, label), equalities)
+        nonneg = reduce_mod_equalities(AffineForm.from_dict(space, {label: 1}), equalities)
         trivial_keys.add(canonicalize(LinearConstraint(nonneg, Relation.GEQ)).form.key())
     cons = [canonicalize(LinearConstraint(form, Relation.GEQ)) for form in reduced]
     return (

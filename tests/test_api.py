@@ -1,0 +1,90 @@
+"""The package's public names, and the README's Quickstart run as written."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+import ivbounds
+
+ROOT = Path(__file__).resolve().parent.parent
+
+PUBLIC_API = [
+    "AffineForm",
+    "AffineHull",
+    "BoundSet",
+    "ConstraintReport",
+    "CoordinateSpace",
+    "CrossCheckReport",
+    "DimensionOverflow",
+    "HRepresentation",
+    "IdenticallyFalse",
+    "InstrumentalReport",
+    "Interval",
+    "LPResult",
+    "LinearConstraint",
+    "MembershipReport",
+    "MismatchError",
+    "MissingArmWeights",
+    "MissingCoordinate",
+    "MixtureLP",
+    "ObservedTables",
+    "ParameterPoint",
+    "ParseError",
+    "Relation",
+    "SCENARIOS",
+    "Scenario",
+    "TargetUnconstrained",
+    "UnsupportedCoordinateError",
+    "ValidationError",
+    "VertexSet",
+    "affine_hull",
+    "beta_bounds",
+    "build_tables",
+    "canonicalize",
+    "coordinate_function",
+    "cross_check",
+    "derive",
+    "derive_marginals",
+    "enumerate_parameter_vertices",
+    "evaluate_bounds",
+    "facet_enumeration",
+    "format_decimal",
+    "format_rational",
+    "get_scenario",
+    "instrumental_inequality",
+    "load",
+    "make_scenario",
+    "model_check",
+    "observable_point",
+    "oracle_interval",
+    "partition",
+    "rational",
+    "reduce_mod_equalities",
+    "scenario_hull",
+    "scenario_vertex_set",
+    "solve",
+    "xi_transform",
+]
+
+
+def test_public_api_is_pinned():
+    # A name added to or dropped from __all__ must be added to or dropped from this list.
+    assert len(PUBLIC_API) == 55 and PUBLIC_API == sorted(set(PUBLIC_API))
+    assert ivbounds.__all__ == PUBLIC_API
+    for name in PUBLIC_API:
+        assert getattr(ivbounds, name) is not None, name
+
+
+def test_readme_quickstart_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    quickstart = readme.split("## Quickstart", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```python\n(.*?)^```$", quickstart, re.M | re.S)
+    assert len(blocks) == 2
+    namespace, out = {}, io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for block in blocks:  # in order, in one namespace; cross_check raises on a mismatch
+            exec(compile(block, "README.md", "exec"), namespace)
+    lines = out.getvalue().splitlines()
+    assert lines[0] == "49/125 39/50"
+    assert lines[1:] and all(line.startswith("alpha <= ") for line in lines[1:])

@@ -26,6 +26,7 @@ from ivbounds.bounds import (
     derive,
     evaluate_bounds,
     instrumental_inequality,
+    interval_and_fit,
     model_check,
     partition,
     scenario_hull,
@@ -225,7 +226,7 @@ class TestPublishedForms:
                 "g01": g01, "g11": 1 - g01, "g02": g02, "g12": 1 - g02,
                 "t01": t01, "t11": 1 - t01, "t02": t02, "t12": 1 - t02,
             }
-            derived_ok = all(c.slack(point) >= 0 for c in bs.observable_tests)
+            derived_ok = all(c.form.evaluate(point) >= 0 for c in bs.observable_tests)
             gap = abs(g01 - g02)
             published_ok = gap <= t01 + t02 <= 2 - gap
             assert derived_ok == published_ok
@@ -479,7 +480,7 @@ def reference_report(bs: BoundSet, data, tolerance=None) -> ConstraintReport:
         ("trivial", bs.trivial_tests),
     ):
         for i, con in enumerate(cons):
-            s = con.slack(point)
+            s = con.form.evaluate(point)
             ok = abs(s) <= tol if con.relation is Relation.EQ else s >= -tol
             entries.append(CheckEntry(section, i, con, s, ok))
     return ConstraintReport(bs.scenario, tol, tuple(entries), all(e.passed for e in entries))
@@ -688,6 +689,37 @@ class TestLazyReport:
             assert report.failures() == expected.failures()
             outcomes.add(report.passed)
         assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("name", TARGETED)
+    def test_checking_a_partitioned_set_builds_no_constraints(self, name):
+        # passed and the fit need only the rows and the equality positions partition hands over
+        views = {"observable_tests", "hull_equalities", "trivial_tests"}
+        for tables in _check_tables().values():
+            bs = partition(scenario_hull(name), get_scenario(name).causal_target)
+            expected = reference_report(derive(name), tables)
+            assert model_check(bs, tables).passed == expected.passed
+            assert evaluate_bounds(bs, tables) == reference_interval(derive(name), tables)
+            fit = interval_and_fit(bs, tables)[1]
+            assert fit == reference_report(derive(name), tables, 0).passed
+            assert not views & vars(bs).keys()
+        bs = partition(scenario_hull(name), get_scenario(name).causal_target)
+        bs.observable_tests  # one view read leaves the others unbuilt
+        model_check(bs, tables)
+        assert not {"hull_equalities", "trivial_tests"} & vars(bs).keys()
+        # partition puts the equalities where the built constraints say they are
+        assert tuple(bs._equalities) == BoundSet._equalities.func(bs)
+
+    def test_hand_built_constraints_are_checked_by_their_own_relation(self):
+        # a hand-built set may hold an equality among the tests or an inequality among the
+        # hull equalities, so its sections do not tell the relations
+        space = CoordinateSpace("toy-observables", ("u",))
+        eq = LinearConstraint(AffineForm.parse(space, "u - 1"), Relation.EQ)
+        geq = LinearConstraint(AffineForm.parse(space, "u"), Relation.GEQ)
+        for tests, equalities, passed in (((eq,), (), False), ((), (geq,), True)):
+            forms = (AffineForm.const(space, 0),)
+            bs = BoundSet("toy", "t", space, forms, forms, tests, (), equalities)
+            assert model_check(bs, {"u": 2}) == reference_report(bs, {"u": 2})
+            assert model_check(bs, {"u": 2}).passed is passed
 
     @pytest.mark.parametrize("case", ["exact", "decimal", "failing", "inconsistent"])
     def test_unread_report_compares_as_the_eager_one(self, case):

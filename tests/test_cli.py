@@ -306,6 +306,13 @@ class TestUsageErrors:
         code, _, err = run(capsys, "check", "--scenario", "trivariate", "--data", str(path))
         assert code == EXIT_USAGE
 
+    def test_data_file_that_is_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{")
+        code, out, err = run(capsys, "check", "--scenario", "trivariate", "--data", str(path))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith(f"error: cannot read {path}: ")
+
     def test_data_missing_needed_table(self, capsys, tmp_path):
         path = tmp_path / "theta-only.json"
         path.write_text(json.dumps({"theta": {"a1": ["1", "0"], "a2": ["0.5", "0.5"]}}))

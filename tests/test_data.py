@@ -1,7 +1,8 @@
-"""Table parsing, validation, marginals, renormalization, bundled datasets."""
+"""Table parsing, validation, marginals, bundled datasets."""
 
 import json
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -15,9 +16,6 @@ from ivbounds.data import (
     derive_marginals,
     load,
     observable_point,
-    renormalize,
-    save,
-    serialize,
 )
 from ivbounds.scenarios import SCENARIOS
 
@@ -174,6 +172,14 @@ class TestLoadJson:
         with pytest.raises(ParseError, match="cannot read"):
             load("/no/such/file.json")
 
+    @pytest.mark.parametrize("suffix", [".json", ".csv"])
+    def test_file_that_is_not_utf8(self, tmp_path, suffix):
+        path = tmp_path / f"bad{suffix}"
+        path.write_bytes(b"\xff\xfe{")
+        with pytest.raises(ParseError) as exc:
+            load(path)
+        assert str(exc.value).startswith(f"cannot read {path}: 'utf-8' codec can't decode")
+
     def test_gamma_contradicting_zeta_rejected(self, tmp_path):
         path = tmp_path / "t.json"
         gamma = {"a1": ["0.5", "0.5"], "a2": ["0.5", "0.5"]}
@@ -208,7 +214,8 @@ class TestLoadJson:
 
     def test_phi_checked_against_zeta_and_arm_weights(self, tmp_path):
         path = tmp_path / "t.json"
-        tables = json.loads(json.dumps(serialize(load("lipid"))))
+        bundled = resources.files("ivbounds") / "datasets" / "lipid.json"
+        tables = json.loads(bundled.read_text(encoding="utf-8"))
         tables["phi"] = tables["phi"][::-1]
         path.write_text(json.dumps(tables))
         with pytest.raises(ValidationError, match="phi"):
@@ -273,26 +280,6 @@ class TestLoadCsv:
             load(self.write(tmp_path, rows + [rows[0]]))
 
 
-class TestSerialize:
-    def test_round_trip_preserves_everything(self, tmp_path):
-        t = load("lipid")
-        path = tmp_path / "out.json"
-        save(t, path)
-        again = load(path)
-        assert again.zeta == t.zeta
-        assert again.gamma == t.gamma
-        assert again.theta == t.theta
-        assert again.phi == t.phi
-        assert again.arm_weights == t.arm_weights
-        assert again.decimal_input
-
-    def test_serialized_values_are_exact_strings(self):
-        t = build_tables(theta={"a1": ["1", "0"], "a2": ["0.388", "0.612"]})
-        d = serialize(t)
-        assert d["theta"]["a2"] == ["97/250", "153/250"]
-        assert "zeta" not in d
-
-
 class TestDeriveMarginals:
     def test_fills_gamma_theta(self):
         t = derive_marginals(build_tables(zeta=LIPID_ZETA))
@@ -322,38 +309,6 @@ class TestDeriveMarginals:
     def test_requires_zeta(self):
         with pytest.raises(ValidationError, match="zeta"):
             derive_marginals(build_tables(theta={"a1": ["1", "0"], "a2": ["0", "1"]}))
-
-
-class TestRenormalize:
-    def test_rescales_each_block(self):
-        t = build_tables(
-            gamma={"a1": ["0.5", "0.6"], "a2": ["0.49", "0.5"]}, max_deviation="1/5"
-        )
-        r = renormalize(t, max_deviation="1/5")
-        assert r.gamma[(0, 1)] == Fraction(5, 11)
-        assert r.gamma[(1, 1)] == Fraction(6, 11)
-        assert r.gamma[(0, 2)] == Fraction(49, 99)
-        assert sum(v for (c, a), v in r.gamma.items() if a == 2) == 1
-
-    def test_caps_deviation(self):
-        t = build_tables(gamma={"a1": ["0.5", "0.6"], "a2": ["0.5", "0.5"]}, max_deviation="1/5")
-        with pytest.raises(ValidationError, match="exceeds"):
-            renormalize(t)  # default cap 1/100 is tighter than the 1/10 slack
-
-    def test_weights_and_phi_blocks(self):
-        t = build_tables(
-            phi=["0.3", "0.3", "0.2", "0.21"],
-            arm_weights=["0.5", "0.51"],
-            max_deviation="1/20",
-        )
-        r = renormalize(t, max_deviation="1/20")
-        assert sum(r.phi.values()) == 1
-        assert sum(r.arm_weights) == 1
-
-    def test_already_normalized_is_identity(self):
-        t = load("lipid")
-        r = renormalize(t)
-        assert r.zeta == t.zeta and r.arm_weights == t.arm_weights
 
 
 # lipid with zeta-derived marginals, at every observable label of the

@@ -133,13 +133,13 @@ class TestAffineForm:
 
     def test_parse_fractional_and_decimal_coefficients(self):
         f = AffineForm.parse(SPACE, "1/2*g01 + 0.25*t02 + 1/4")
-        assert f.coefficient("g01") == Fraction(1, 2)
-        assert f.coefficient("t02") == Fraction(1, 4)
+        assert f.coefficients[SPACE.index("g01")] == Fraction(1, 2)
+        assert f.coefficients[SPACE.index("t02")] == Fraction(1, 4)
         assert f.constant == Fraction(1, 4)
 
     def test_parse_repeated_label_accumulates(self):
         f = AffineForm.parse(SPACE, "g01 + g01 - 1")
-        assert f.coefficient("g01") == 2
+        assert f.coefficients[SPACE.index("g01")] == 2
 
     def test_parse_unknown_label(self):
         with pytest.raises(MissingCoordinate):
@@ -165,26 +165,9 @@ class TestAffineForm:
         with pytest.raises(MissingCoordinate):
             f.evaluate({"g01": 1})
 
-    def test_arithmetic(self):
-        a = AffineForm.parse(SPACE, "g01 + 1")
-        b = AffineForm.parse(SPACE, "g01 - t01")
-        assert (a + b).render() == "2*g01 - t01 + 1"
-        assert (a - b).render() == "t01 + 1"
-        assert (-b).render() == "-g01 + t01"
-        assert b.scaled("1/2").coefficient("g01") == Fraction(1, 2)
-
     def test_render_zero_and_constant(self):
-        assert AffineForm.zero(SPACE).render() == "0"
+        assert AffineForm.const(SPACE, 0).render() == "0"
         assert AffineForm.const(SPACE, -2).render() == "-2"
-
-    def test_on_space(self):
-        small = CoordinateSpace("small", ("t01", "g01"))
-        f = AffineForm.parse(SPACE, "g01 - t01 + 2")
-        g = f.on_space(small)
-        assert g.space is small
-        assert g.coefficient("g01") == 1 and g.coefficient("t01") == -1
-        with pytest.raises(MissingCoordinate):
-            AffineForm.parse(SPACE, "g02").on_space(small)
 
 
 LABELS = st.sampled_from(SPACE.labels)
@@ -220,7 +203,7 @@ def test_canonicalize_idempotent_and_integral(coeffs, const):
 class TestConstraints:
     def test_slack_and_satisfied(self):
         con = LinearConstraint(AffineForm.parse(SPACE, "g01 + t01 - 1"), Relation.GEQ)
-        assert con.slack({"g01": "0.25", "t01": "0.5"}) == Fraction(-1, 4)
+        assert con.form.evaluate({"g01": "0.25", "t01": "0.5"}) == Fraction(-1, 4)
 
     def test_equality_render(self):
         con = LinearConstraint(AffineForm.parse(SPACE, "g01 + g02 - 1"), Relation.EQ)

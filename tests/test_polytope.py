@@ -196,7 +196,7 @@ def assert_exact_facets(vs, h):
         assert h.contains(v).member
     assert affine_rank(vs.vertices) == h.affine_dimension + 1
     assert len(h.equalities) == vs.space.dimension - h.affine_dimension
-    assert len({f.key() for f in h.facets}) == len(h.facets)
+    assert len(set(h.facets)) == len(h.facets)
     for facet in h.facets:
         on = [v for v in vs.vertices if facet.form.evaluate_vector(v) == 0]
         assert on and affine_rank(on) == h.affine_dimension
@@ -353,10 +353,14 @@ def hulls_and_points(draw):
     if draw(st.booleans()):
         # Positive multiples with denominators: the same polytope, non-integer rows.
         factors = draw(st.lists(positive_rational, min_size=1, max_size=3))
+
+        def scaled(i, c):
+            f = factors[i % len(factors)]
+            form = AffineForm(c.form.space, [f * v for v in c.form.coefficients], f * c.form.constant)
+            return LinearConstraint(form, c.relation)
+
         eqs, facets = (
-            tuple(LinearConstraint(c.form.scaled(factors[i % len(factors)]), c.relation)
-                  for i, c in enumerate(cons))
-            for cons in (h.equalities, h.facets)
+            tuple(scaled(i, c) for i, c in enumerate(cons)) for cons in (h.equalities, h.facets)
         )
         h = HRepresentation(h.space, eqs, facets, h.affine_dimension)
     weights = draw(st.lists(st.integers(0, 6), min_size=len(vs), max_size=len(vs)))
