@@ -27,6 +27,8 @@ _ZERO, _ONE = _SMALL[16:18]
 # could never be printed, and a huge one stalls Fraction() for seconds.
 _MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)$")
+# ASCII "p/q" and "p.q", the usual table cell, parsed without Fraction's own regex.
+_PLAIN = re.compile(r"(-?)([0-9]+)([./])([0-9]+)")
 
 
 class MissingCoordinate(KeyError):
@@ -62,13 +64,22 @@ def rational(value: RationalLike) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip()
-        exponent = _EXPONENT.search(text)
+        plain = _PLAIN.fullmatch(text)
+        exponent = None if plain else _EXPONENT.search(text)
         # Five significant digits already exceed the limit.
         digits = exponent.group(1).replace("_", "").lstrip("0")[:5] if exponent else ""
         if int(digits or 0) > _MAX_EXPONENT:
             raise ValueError(f"exponent of {value!r} exceeds {_MAX_EXPONENT} in magnitude")
         try:
-            return Fraction(text)
+            if not plain:
+                return Fraction(text)
+            sign, whole, sep, part = plain.groups()
+            if sep == "/":
+                n, d = int(whole), int(part)
+            else:
+                d = 10 ** len(part)
+                n = int(whole) * d + int(part)
+            return Fraction(-n if sign else n, d)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse {value!r} as a rational") from exc
     if isinstance(value, float):

@@ -8,6 +8,9 @@ the sign of what it evaluates to). ``evaluate_rows`` is the one
 evaluator of such rows at a rational point. Elimination is fraction-free
 in Bareiss's style: each intermediate entry is a minor of the input, so
 every division is exact and entries stay bounded by the input's minors.
+A step does only the integer work that changes a row: it skips a row with
+0 in the pivot column while the common scale stays the same, and only
+rescales such a row when the scale changes.
 Callers turn results back into ``Fraction`` only at the package's API
 boundary.
 """
@@ -63,12 +66,27 @@ def pivot(rows: list[list[int]], r: int, col: int, prev: int) -> int:
     ``prev`` is the rows' common scale (1 at the start). Row r is kept and
     every other row becomes (p * row - row[col] * rows[r]) // prev, with
     p = rows[r][col] the new common scale, which is returned.
+
+    Only the integer work that changes a row is done: a row with 0 in
+    column col is just rescaled to p * row // prev, and left as it is when
+    p == prev; with p == prev a row that changes becomes
+    row - row[col] * rows[r] // p, since that quotient is exact too. Rows
+    are replaced by new lists, never mutated, so a row left as it is may
+    stay shared with another tableau that holds it: the oracle's phase 2
+    starts from a shallow copy of its cached phase-1 tableau.
     """
     top = rows[r]
     p = top[col]
     for i, row in enumerate(rows):
-        if i != r:
-            f = row[col]
+        if i == r:
+            continue
+        f = row[col]
+        if not f:
+            if p != prev:
+                rows[i] = [p * a // prev for a in row]
+        elif p == prev:
+            rows[i] = [a - f * b // p if b else a for a, b in zip(row, top)]
+        else:
             rows[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
     return p
 

@@ -8,9 +8,12 @@ bounds catches derivation errors on either side. The equality system is
 reduced once per scenario by fraction-free integer elimination
 (introws.rref); then a two-phase simplex with Bland's rule, immune to
 cycling, runs on an integer tableau in the style of lrs (Avis & Fukuda,
-1992): the objective row is carried along and every pivot is introws.pivot.
-Phase 1 runs once per data point, phase 2 once per sense. Fractions appear
-only in the LP's inputs and in the final weights and value.
+1992): the objective row is carried along and every pivot is introws.pivot,
+which skips the rows it leaves unchanged. Phase 1 runs once per data point,
+phase 2 once per sense. Every basic column holds the tableau's common scale,
+so the value is read out on integers: one dot product of the objective's
+numerators with the basic right-hand sides. Fractions appear only in the
+LP's inputs and in the final weights and value.
 """
 
 from __future__ import annotations
@@ -76,12 +79,16 @@ class MixtureLP(Record):
         )
 
     @cached_property
-    def _system(self) -> tuple[list[list[int]], list[list[int]], list[list[int]], int, tuple]:
-        """(rows, E, null, d, cost): rref([A | I]) once, A's rows scaled to integers.
+    def _system(self) -> tuple[list, list[list[int]], list[list[int]], int, tuple, tuple]:
+        """(templates, E, null, d, cost, (nums, den)): one rref([A | I]), A scaled to integers.
 
-        rows are d times the reduced row echelon form of A, and E (row scales
-        folded in) has E.A = rows, so E.b is a feasible rhs b reduced at scale
-        d. Each null row y has y.A = 0: b is infeasible if some y.b is not 0.
+        Row i of A's reduction is d times row i of the reduced row echelon
+        form of A; templates[i] is the pair (that row, its negation), each
+        followed by the artificial column d * e_i, for phase 1 to pick from
+        by the sign of the reduced rhs. E (row scales folded in) has
+        E.A = A's reduction, so E.b is a feasible rhs b reduced at scale d.
+        Each null row y has y.A = 0: b is infeasible if some y.b is not 0.
+        The objective is nums / den, and cost is nums made primitive.
         """
         n, m = len(self.columns), len(self.rhs)
         scaled = [clear_denominators([col[i] for col in self.columns]) for i in range(m)]
@@ -89,7 +96,10 @@ class MixtureLP(Record):
         reduced, d, pivots = rref(aug, n + m)
         r = sum(p < n for p in pivots)
         E = [[v * c for v, (_, c) in zip(row[n:], scaled)] for row in reduced]
-        return [row[:n] for row in reduced[:r]], E[:r], E[r:], d, primitive(self.objective)
+        eye = [[d if k == i else 0 for k in range(r)] for i in range(r)]
+        templates = [(row[:n] + e, [-v for v in row[:n]] + e) for row, e in zip(reduced, eye)]
+        nums, den = clear_denominators(self.objective)
+        return templates, E[:r], E[r:], d, primitive(nums), (nums, den)
 
     @cached_property
     def _phase1(self) -> tuple[list[list[int]], list[int], int] | None:
@@ -98,20 +108,19 @@ class MixtureLP(Record):
         With rhs = b / D, this is the tableau of [A | rhs] reduced afresh times
         D * d over that reduction's scale: a positive factor, so no pivot moves.
         """
-        rows, E, null, d, cost = self._system
+        templates, E, null, d, cost, _ = self._system
         b, den = clear_denominators(self.rhs)
         if any(sum(map(mul, y, b)) for y in null):
             return None
-        n, m, s = len(self.columns), len(rows), den * d
+        n, m, s = len(self.columns), len(templates), den * d
 
         # Integer tableau at scale s: constraint rows with nonnegative right-hand
         # sides and artificial columns s*I, the phase-2 row (a positive multiple
         # of the cost), and the phase-1 row, whose objective is the artificials' sum.
         T = []
-        for i, (row, e) in enumerate(zip(rows, E)):
+        for pair, e in zip(templates, E):
             r = sum(map(mul, e, b))
-            f = -den if r < 0 else den
-            T.append([f * v for v in row] + [s if k == i else 0 for k in range(m)] + [abs(r)])
+            T.append([den * v for v in pair[r < 0]] + [abs(r)])
         T.append([s * c for c in cost] + [0] * (m + 1))
         sums = [sum(col) for col in zip(*T[:m])] or [0] * (n + m + 1)
         T.append([-v for v in sums[:n]] + [0] * m + [-sums[-1]])
@@ -183,14 +192,19 @@ def solve(lp: MixtureLP, sense: Literal["min", "max"] = "min") -> LPResult:
     T, basis = list(T), list(basis)  # phase 2 must leave the cached tableau as it is
     if sense == "max":
         T[-1] = [-v for v in T[-1]]
-    n = len(lp.columns)
-    if _simplex(T, basis, n, s) is None:
+    s = _simplex(T, basis, len(lp.columns), s)
+    if s is None:
         return LPResult(status="unbounded", value=None, weights=None)
-    weights = [_ZERO] * n
+    # Every basic column holds the scale s, so basic weight i is T[i][-1] / s
+    # and the value is one integer dot product over the objective's denominator.
+    nums, den = lp._system[-1]
+    weights = [_ZERO] * len(lp.columns)
+    top = 0
     for i, b in enumerate(basis):
-        weights[b] = Fraction(T[i][-1], T[i][b])
-    value = sum((lp.objective[b] * weights[b] for b in basis), _ZERO)
-    return LPResult(status="optimal", value=value, weights=tuple(weights))
+        x = T[i][-1]
+        weights[b] = Fraction(x, s)
+        top += nums[b] * x
+    return LPResult(status="optimal", value=Fraction(top, den * s), weights=tuple(weights))
 
 
 def oracle_interval(

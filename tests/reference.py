@@ -8,10 +8,14 @@ other ray for each positive/negative pair, and that starts from two
 eliminations (independent_rows, then scaled_inverse of the chosen rows)
 where the package makes one. solve is the LP oracle's simplex
 that reduces the equality system and runs phase 1 afresh on every call.
+pivot and rref are the dense fraction-free kernel, which rewrites every
+row on every step, and rational is the string parser that sends every
+string through Fraction().
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Literal, Sequence
 
@@ -21,14 +25,93 @@ from ivbounds.forms import (
     CoordinateSpace,
     IdenticallyFalse,
     LinearConstraint,
+    RationalLike,
     Relation,
     canonicalize,
 )
-from ivbounds.introws import clear_denominators, pivot, primitive, rref
+from ivbounds.introws import clear_denominators, primitive
 from ivbounds.oracle import LPResult, MixtureLP
 from ivbounds.polytope import HRepresentation
 
 _ZERO = Fraction(0)
+_SMALL = tuple(Fraction(n) for n in range(-16, 17))
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)$")
+
+
+def pivot(rows: list[list[int]], r: int, col: int, prev: int) -> int:
+    """One fraction-free Gauss-Jordan step on entry (r, col), in place.
+
+    ``prev`` is the rows' common scale (1 at the start). Row r is kept and
+    every other row becomes (p * row - row[col] * rows[r]) // prev, with
+    p = rows[r][col] the new common scale, which is returned.
+    """
+    top = rows[r]
+    p = top[col]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[col]
+            rows[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+    return p
+
+
+def rref(rows: Sequence[Sequence[int]], width: int) -> tuple[list[list[int]], int, list[int]]:
+    """Fraction-free reduced row echelon form (Bareiss-style Gauss-Jordan).
+
+    Returns (reduced, d, pivots): the nonzero rows of d times the reduced
+    row echelon form of the integer rows, an integer d > 0, and the pivot
+    columns. Only the first ``width`` columns may hold pivots; a row that
+    is zero there is dropped. Each column is one ``pivot`` step, so all
+    pivot entries end up equal to d.
+    """
+    work = [list(r) for r in rows]
+    pivots: list[int] = []
+    prev = 1
+    for col in range(width):
+        rank = len(pivots)
+        pivot_row = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if pivot_row is None:
+            continue
+        work[rank], work[pivot_row] = work[pivot_row], work[rank]
+        prev = pivot(work, rank, col, prev)
+        pivots.append(col)
+    reduced = work[: len(pivots)]
+    if prev < 0:
+        prev = -prev
+        reduced = [[-v for v in row] for row in reduced]
+    return reduced, prev, pivots
+
+
+def rational(value: RationalLike) -> Fraction:
+    """Coerce ``value`` to an exact rational.
+
+    Accepts ints, Fractions and strings in either "p/q" or decimal form;
+    "0.919" parses to exactly 919/1000. Floats are refused because they
+    have already lost exactness, and so are decimal exponents beyond
+    4300 in magnitude.
+    """
+    if type(value) is Fraction:
+        return value
+    if type(value) is int and -16 <= value <= 16:
+        return _SMALL[value + 16]
+    if isinstance(value, bool):
+        raise TypeError("expected a rational value, got a bool")
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    if isinstance(value, str):
+        text = value.strip()
+        exponent = _EXPONENT.search(text)
+        # Five significant digits already exceed the limit.
+        digits = exponent.group(1).replace("_", "").lstrip("0")[:5] if exponent else ""
+        if int(digits or 0) > _MAX_EXPONENT:
+            raise ValueError(f"exponent of {value!r} exceeds {_MAX_EXPONENT} in magnitude")
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"cannot parse {value!r} as a rational") from exc
+    if isinstance(value, float):
+        raise TypeError(f"refusing inexact float {value!r}; pass a string such as '0.919'")
+    raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 
 def reduce_mod_equalities(form: AffineForm, equalities: Sequence[LinearConstraint]) -> AffineForm:

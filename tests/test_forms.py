@@ -5,10 +5,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ivbounds
+import reference
 from ivbounds.bounds import BoundSet, ConstraintReport
 from ivbounds.forms import (
     AffineForm,
@@ -61,6 +62,49 @@ class TestRational:
             with pytest.raises(ValueError, match="exponent"):
                 rational(text)
         assert rational("1.5e-3") == Fraction(3, 2000)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.one_of(
+            # The plain "p/q" and "p.q" cells, then near misses that Fraction() must decide.
+            st.tuples(
+                st.sampled_from(("", " ", "\t")),
+                st.sampled_from(("", "-")),
+                st.text("0123456789", min_size=1, max_size=25),
+                st.sampled_from((".", "/")),
+                st.text("0123456789", min_size=1, max_size=25),
+                st.sampled_from(("", " ", "\n")),
+            ).map("".join),
+            st.tuples(
+                st.sampled_from(("", " ", "\t", "\u00a0")),
+                st.sampled_from(("", "-", "+", "--")),
+                st.text("0123456789", max_size=6) | st.text("012_", max_size=5) | st.text("0\u0663\u06f5", max_size=3),
+                st.sampled_from(("", ".", "/", " / ", ". ", "/-", "..")),
+                st.text("0123456789", max_size=6) | st.text("05_", max_size=4) | st.text("1\u0663", max_size=2),
+                st.sampled_from(("", "e5", "E-3", "e+2", "e_1", "e99999", " e1")),
+                st.sampled_from(("", " ", "\n")),
+            ).map("".join),
+            st.text(max_size=8),
+        )
+    )
+    @example("1/0")
+    @example("-0/5")
+    @example(".5")
+    @example("5.")
+    @example("-1/-2")
+    @example("1_000.5")
+    @example("9" * 4000 + "." + "7" * 400)
+    @example("9" * 4301 + ".5")
+    def test_strings_parse_as_the_fraction_parser_does(self, text):
+        def outcome(parse):
+            try:
+                value = parse(text)
+            except (TypeError, ValueError) as exc:
+                return type(exc), str(exc)
+            assert type(value) is Fraction
+            return value
+
+        assert outcome(rational) == outcome(reference.rational)
 
     def test_formatting(self):
         assert format_rational(Fraction(3, 8)) == "3/8"

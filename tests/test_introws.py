@@ -15,6 +15,7 @@ from ivbounds.introws import (
     primitive,
     rref,
 )
+import reference
 from reference import independent_rows, scaled_inverse
 
 
@@ -78,6 +79,55 @@ def test_pivot_is_a_scaled_gauss_jordan_step(rows, data):
         reference_step(expected, r, col)
         assert scale == rows[r][col]
         assert [[Fraction(v, scale) for v in row] for row in rows] == expected
+
+
+@st.composite
+def sparse_tableaux(draw):
+    """Mostly-zero rows of 0 and +-1, like the oracle's tableaux of vertex images.
+
+    A few +-2 entries make pivots whose quotients are not integers, also
+    among those that leave the scale as it was.
+    """
+    cols = draw(st.integers(min_value=2, max_value=9))
+    entries = st.sampled_from((0, 0, 0, 0, 0, 0, 1, -1, 1, -1, 2, -2))
+    return draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=2, max_size=8))
+
+
+def test_sparse_pivots_give_the_dense_steps_integers():
+    # Pivots on entries equal to the scale keep it, so runs with p == prev are
+    # common. Which update each row needs is read off its input, and every
+    # kind must occur: skipped (0 in the pivot column, p == prev), rescaled
+    # only (0 there, p != prev) and rewritten with p == prev and with p != prev.
+    kinds = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_tableaux(), st.data())
+    def check(rows, data):
+        dense = [list(r) for r in rows]
+        scale = 1
+        for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+            nonzero = [(i, j) for i, row in enumerate(rows) for j, v in enumerate(row) if v]
+            if not nonzero:
+                return
+            r, col = data.draw(st.sampled_from(nonzero))
+            before = list(rows)
+            p = rows[r][col]
+            assert pivot(rows, r, col, scale) == reference.pivot(dense, r, col, scale) == p
+            assert rows == dense
+            assert rows[r] is before[r]
+            for i, row in enumerate(before):
+                if i == r:
+                    continue
+                if row[col]:
+                    kinds.add("subtract" if p == scale else "rewrite")
+                else:
+                    kinds.add("skip" if p == scale else "rescale")
+                # A skipped row is the very list it was, shared with whoever else holds it.
+                assert (rows[i] is row) == (p == scale and not row[col])
+            scale = p
+
+    check()
+    assert kinds == {"skip", "rescale", "subtract", "rewrite"}
 
 
 rationals = st.one_of(st.integers(-50, 50), st.fractions(-5, 5, max_denominator=60))
