@@ -378,6 +378,40 @@ def test_derive_output_matches_golden(capsys, name):
     assert out.encode("utf-8") == (GOLDEN_DERIVE / name).read_bytes()
 
 
+# Each verb's argparse fields: its help line, then per option the option
+# strings, dest, choices, default, required and help. Raw --help text is not
+# compared, since its layout differs between Python versions.
+GOLDEN_PARSER = json.loads(
+    (Path(__file__).parent / "golden" / "parser.json").read_text(encoding="utf-8")
+)
+
+
+def _parser_fields() -> dict:
+    sub = cli_mod.build_parser()._subparsers._group_actions[0]
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    return {
+        verb: {
+            "help": helps[verb],
+            "options": [
+                [a.option_strings, a.dest, None if a.choices is None else list(a.choices),
+                 a.default, a.required, a.help]
+                for a in p._actions
+                if a.dest != "help"
+            ],
+        }
+        for verb, p in sub.choices.items()
+    }
+
+
+def test_parser_verbs_match_golden():
+    assert list(_parser_fields()) == list(GOLDEN_PARSER)
+
+
+@pytest.mark.parametrize("verb", sorted(GOLDEN_PARSER))
+def test_parser_fields_match_golden(verb):
+    assert _parser_fields()[verb] == GOLDEN_PARSER[verb]
+
+
 @pytest.mark.parametrize("verb", ["bound", "check"])
 def test_marginals_contradicting_zeta_exit_1(capsys, tmp_path, verb):
     """gamma 0.5/0.5 beside lipid's zeta once gave PASS and non-nested intervals."""

@@ -135,6 +135,65 @@ class TestBuildTables:
             build_tables(**tables)
 
 
+# One valid row of each table, for the malformed shapes below to break.
+_ROWS = {
+    "zeta": ["1/4"] * 4,
+    "gamma": ["1/2", "1/2"],
+    "theta": ["1/2", "1/2"],
+    "phi": ["1/4"] * 4,
+    "arm_weights": ["1/2", "1/2"],
+}
+_LONG = f"1/{10**100}"
+
+
+def _malformed():
+    """(table, shape, value, error, message) for each table and each malformed shape.
+
+    Per-arm tables break their a2 row, except in the missing-key shape,
+    which drops a2 altogether; phi and arm weights break their one row.
+    """
+    for table, row in _ROWS.items():
+        armed = table in ("zeta", "gamma", "theta")
+        width = len(row)
+        cells = f"{table} a2" if armed else table
+        block = f"{table}[a=2]" if armed else table
+        rows = {
+            "wrong row length": (row + ["0"], ParseError,
+                                 f"{table}{' row a2' if armed else ''} needs {width} entries, got {width + 1}"),
+            "cell over 100 digits": ([_LONG] + row[1:], ParseError,
+                                     f"{cells}[0] = {_LONG!r} needs more than 100 digits"),
+            "entry outside [0, 1]": (["-1/2", "3/2"] + row[2:], ValidationError,
+                                     f"{block} entry -1/2 is outside [0, 1]"),
+            "block sum off": (["3/4"] + row[1:], ValidationError,
+                              f"{block} sums to {'3/2' if width == 4 else '5/4'}, "
+                              f"slack {'1/2' if width == 4 else '1/4'}"),
+        }
+        if armed:
+            yield (table, "missing arm key", {"a1": row}, ParseError,
+                   f"{table} table needs exactly the keys 'a1' and 'a2'")
+        for shape, (bad, error, message) in rows.items():
+            yield table, shape, {"a1": row, "a2": bad} if armed else bad, error, message
+
+
+@pytest.mark.parametrize("route", ["build_tables", "load"])
+@pytest.mark.parametrize(
+    "table, shape, value, error, message",
+    list(_malformed()),
+    ids=[f"{t}-{s}" for t, s, *_ in _malformed()],
+)
+def test_malformed_table_messages(tmp_path, route, table, shape, value, error, message):
+    """The exact error for each table and malformed shape, from the Python API and from a file."""
+    with pytest.raises(error) as exc:
+        if route == "load":
+            path = tmp_path / "t.json"
+            path.write_text(json.dumps({table: value}))
+            load(path)
+        else:
+            build_tables(**{table: value})
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
 class TestLoadJson:
     def test_json_file(self, tmp_path):
         path = tmp_path / "t.json"
