@@ -41,7 +41,7 @@ from .forms import (
 )
 from .introws import evaluate_rows, integer_rows, primitive
 from .polytope import HRepresentation, facet_enumeration
-from .scenarios import get_scenario, scenario_vertex_set
+from .scenarios import Scenario, get_scenario, scenario_vertex_set
 
 _ZERO = Fraction(0)
 
@@ -202,15 +202,15 @@ def partition(h: HRepresentation, target: str | None = None) -> BoundSet:
 
 
 @lru_cache(maxsize=None)
-def scenario_hull(name: str, include_target: bool = True) -> HRepresentation:
-    """Facet system of a named scenario's vertex images (cached)."""
+def scenario_hull(name: str | Scenario, include_target: bool = True) -> HRepresentation:
+    """Facet system of a scenario's vertex images (cached), given by name or as a Scenario."""
     scenario = get_scenario(name)
     return facet_enumeration(scenario_vertex_set(scenario, include_target=include_target))
 
 
 @lru_cache(maxsize=None)
-def derive(name: str) -> BoundSet:
-    """Full pipeline for a named scenario: vertices, hull, partition (cached).
+def derive(name: str | Scenario) -> BoundSet:
+    """Full pipeline for a scenario, by name or as a Scenario: vertices, hull, partition (cached).
 
     Every scenario derives; one without a causal target gets a BoundSet
     with target None, no bound forms and all facets as model tests.

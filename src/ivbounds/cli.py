@@ -57,55 +57,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", metavar="verb", required=True)
 
-    def add_common(p, data: bool, tolerance: bool = False, target: bool = True):
-        p.add_argument(
-            "--scenario",
-            required=True,
-            choices=tuple(SCENARIOS),
-            help="which observable scheme to use",
-        )
-        if data:
-            p.add_argument(
-                "--data",
-                required=True,
-                help=f"JSON/CSV table file or a bundled name {BUNDLED_DATASETS}",
-            )
-        if tolerance:
-            p.add_argument(
-                "--tolerance",
-                default=None,
-                help="slack tolerance as a rational such as 1/2000 or 0.0005 "
-                "(default: 1/2000 for decimal input, 0 for exact input)",
-            )
-        if target:
-            p.add_argument(
-                "--target",
-                choices=("alpha", "beta"),
-                default=None,
-                help="causal target; must match the scenario's own target",
-            )
-        p.add_argument(
-            "--format",
-            choices=("text", "json"),
-            default="text",
-            help="output format (default text)",
-        )
-
-    p = sub.add_parser("derive", help="derive hull equalities, model tests and bound forms")
-    add_common(p, data=False)
-    p.set_defaults(func=_cmd_derive)
-
-    p = sub.add_parser("check", help="evaluate model-falsification constraints on data")
-    add_common(p, data=True, tolerance=True)
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("bound", help="evaluate the bound interval on data")
-    add_common(p, data=True)
-    p.set_defaults(func=_cmd_bound)
-
-    p = sub.add_parser("oracle", help="cross-check derived bounds against an exact LP")
-    add_common(p, data=True)
-    p.set_defaults(func=_cmd_oracle)
+    options = {
+        "--scenario": dict(
+            required=True, choices=tuple(SCENARIOS), help="which observable scheme to use"
+        ),
+        "--data": dict(
+            required=True, help=f"JSON/CSV table file or a bundled name {BUNDLED_DATASETS}"
+        ),
+        "--tolerance": dict(
+            help="slack tolerance as a rational such as 1/2000 or 0.0005 "
+            "(default: 1/2000 for decimal input, 0 for exact input)"
+        ),
+        "--target": dict(
+            choices=("alpha", "beta"), help="causal target; must match the scenario's own target"
+        ),
+        "--format": dict(
+            choices=("text", "json"), default="text", help="output format (default text)"
+        ),
+    }
+    # Each verb's help, handler and options beyond --scenario, --target and --format.
+    verbs = {
+        "derive": ("derive hull equalities, model tests and bound forms", _cmd_derive, ()),
+        "check": (
+            "evaluate model-falsification constraints on data", _cmd_check, ("--data", "--tolerance")
+        ),
+        "bound": ("evaluate the bound interval on data", _cmd_bound, ("--data",)),
+        "oracle": ("cross-check derived bounds against an exact LP", _cmd_oracle, ("--data",)),
+    }
+    for verb, (help_, func, extra) in verbs.items():
+        p = sub.add_parser(verb, help=help_)
+        for flag, kwargs in options.items():
+            if flag in extra or flag in ("--scenario", "--target", "--format"):
+                p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("scenario", help="inspect the scenario registry")
     p.add_argument("action", choices=("list",))
@@ -117,11 +101,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_scenario(args):
     s = get_scenario(args.scenario)
-    wanted = getattr(args, "target", None)
+    wanted = args.target
     if wanted is not None and s.causal_target != wanted:
         have = s.causal_target or "no target"
         raise UsageError(f"scenario {s.name!r} has {have}, not {wanted!r}")
     return s
+
+
+def _targeted(args, goal: str):
+    """The scenario, which must have a causal target (to ``goal``), and the tables to use on it."""
+    s = _resolve_scenario(args)
+    if s.causal_target is None:
+        raise UsageError(f"scenario {s.name!r} has no causal target to {goal}")
+    return s, _load_data(args.data)
 
 
 def _load_data(source: str) -> ObservedTables:
@@ -129,6 +121,10 @@ def _load_data(source: str) -> ObservedTables:
     if tables.zeta is not None:
         tables = derive_marginals(tables)
     return tables
+
+
+def _endpoint(v: Fraction | None) -> dict | None:
+    return None if v is None else {"value": format_rational(v), "decimal": format_decimal(v)}
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -236,8 +232,7 @@ def _cmd_check(args) -> int:
     lines = [
         f"model check: {s.name} on {args.data} (tolerance {format_rational(report.tolerance)})"
     ]
-    for name in ("observable", "equality", "trivial"):
-        entries = sections[name]
+    for name, entries in sections.items():
         ok = sum(1 for e in entries if e.passed)
         lines.append(f"{name} constraints: {ok}/{len(entries)} passed")
         for e in entries:
@@ -253,10 +248,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    s = _resolve_scenario(args)
-    if s.causal_target is None:
-        raise UsageError(f"scenario {s.name!r} has no causal target to bound")
-    tables = _load_data(args.data)
+    s, tables = _targeted(args, "bound")
     bs = derive(s.name)
     interval = evaluate_bounds(bs, tables)
 
@@ -266,14 +258,12 @@ def _cmd_bound(args) -> int:
         "data": args.data,
         "empty": interval.empty,
         "lower": {
-            "value": format_rational(interval.lower),
-            "decimal": format_decimal(interval.lower),
+            **_endpoint(interval.lower),
             "witness": interval.lower_witness,
             "form": bs.lower_forms[interval.lower_witness].render(),
         },
         "upper": {
-            "value": format_rational(interval.upper),
-            "decimal": format_decimal(interval.upper),
+            **_endpoint(interval.upper),
             "witness": interval.upper_witness,
             "form": bs.upper_forms[interval.upper_witness].render(),
         },
@@ -294,14 +284,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    s = _resolve_scenario(args)
-    if s.causal_target is None:
-        raise UsageError(f"scenario {s.name!r} has no causal target to optimize")
-    tables = _load_data(args.data)
+    s, tables = _targeted(args, "optimize")
     report = cross_check(s, tables)
-
-    def endpoint(v):
-        return None if v is None else {"value": format_rational(v), "decimal": format_decimal(v)}
 
     payload = {
         "scenario": report.scenario,
@@ -309,8 +293,8 @@ def _cmd_oracle(args) -> int:
         "data": args.data,
         "member": report.member,
         "feasible": report.feasible,
-        "forms": {"lower": endpoint(report.form_lower), "upper": endpoint(report.form_upper)},
-        "lp": {"lower": endpoint(report.lp_lower), "upper": endpoint(report.lp_upper)},
+        "forms": {"lower": _endpoint(report.form_lower), "upper": _endpoint(report.form_upper)},
+        "lp": {"lower": _endpoint(report.lp_lower), "upper": _endpoint(report.lp_upper)},
         "consistent": report.consistent,
     }
 

@@ -25,6 +25,10 @@ _ZERO = Fraction(0)
 _CB_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 _ARMS = (1, 2)
 
+# Each table's cell keys in row order. Every table but phi has a row per arm,
+# and its keys end in the arm.
+_LAYOUT = {"zeta": _CB_PAIRS, "gamma": ((0,), (1,)), "theta": ((0,), (1,)), "phi": _CB_PAIRS}
+
 BUNDLED_DATASETS = ("lipid", "vitamin-a")
 
 DEFAULT_SUM_DEVIATION = Fraction(1, 100)
@@ -74,17 +78,14 @@ class ObservedTables(Record):
     def blocks(self) -> list[tuple[str, list[Fraction]]]:
         """The per-condition probability blocks that must each sum to 1."""
         out: list[tuple[str, list[Fraction]]] = []
-        if self.zeta is not None:
-            for a in _ARMS:
-                out.append((f"zeta[a={a}]", [self.zeta[(c, b, a)] for c, b in _CB_PAIRS]))
-        if self.gamma is not None:
-            for a in _ARMS:
-                out.append((f"gamma[a={a}]", [self.gamma[(c, a)] for c in (0, 1)]))
-        if self.theta is not None:
-            for a in _ARMS:
-                out.append((f"theta[a={a}]", [self.theta[(b, a)] for b in (0, 1)]))
-        if self.phi is not None:
-            out.append(("phi", [self.phi[cb] for cb in _CB_PAIRS]))
+        for name, keys in _LAYOUT.items():
+            table = getattr(self, name)
+            if table is None:
+                continue
+            if name == "phi":
+                out.append((name, [table[k] for k in keys]))
+            else:
+                out += [(f"{name}[a={a}]", [table[k + (a,)] for k in keys]) for a in _ARMS]
         if self.arm_weights is not None:
             out.append(("arm_weights", list(self.arm_weights)))
         return out
@@ -136,53 +137,39 @@ def build_tables(
 ) -> ObservedTables:
     """Construct validated tables from the JSON-shaped nested values."""
     max_deviation = rational(max_deviation)
-
-    def cells(values, where: str) -> list[Fraction]:
-        row = []
-        for i, v in enumerate(values):
-            q = rational(v)
-            if q.denominator >= _CELL_LIMIT or abs(q.numerator) >= _CELL_LIMIT:
-                raise ParseError(f"{where}[{i}] = {v!r} needs more than {_CELL_DIGITS} digits")
-            row.append(q)
-        return row
-
-    def arm_block(table: Mapping[str, Sequence[RationalLike]], width: int, what: str):
+    given = {"zeta": zeta, "gamma": gamma, "theta": theta, "phi": phi}
+    maps = {}
+    for name, keys in _LAYOUT.items():
+        table = given[name]
+        if table is None:
+            continue
+        if name == "phi":
+            maps[name] = dict(zip(keys, _row(table, len(keys), name)))
+            continue
         if not isinstance(table, Mapping) or set(table) != {"a1", "a2"}:
-            raise ParseError(f"{what} table needs exactly the keys 'a1' and 'a2'")
-        rows = {}
-        for a in _ARMS:
-            row = cells(table[f"a{a}"], f"{what} a{a}")
-            if len(row) != width:
-                raise ParseError(f"{what} row a{a} needs {width} entries, got {len(row)}")
-            rows[a] = row
-        return rows
-
-    zeta_map = None
-    if zeta is not None:
-        rows = arm_block(zeta, 4, "zeta")
-        zeta_map = {(c, b, a): rows[a][i] for a in _ARMS for i, (c, b) in enumerate(_CB_PAIRS)}
-    gamma_map = None
-    if gamma is not None:
-        rows = arm_block(gamma, 2, "gamma")
-        gamma_map = {(c, a): rows[a][c] for a in _ARMS for c in (0, 1)}
-    theta_map = None
-    if theta is not None:
-        rows = arm_block(theta, 2, "theta")
-        theta_map = {(b, a): rows[a][b] for a in _ARMS for b in (0, 1)}
-    phi_map = None
-    if phi is not None:
-        row = cells(phi, "phi")
-        if len(row) != 4:
-            raise ParseError(f"phi needs 4 entries, got {len(row)}")
-        phi_map = {cb: row[i] for i, cb in enumerate(_CB_PAIRS)}
-    weights = None
-    if arm_weights is not None:
-        row = cells(arm_weights, "arm_weights")
-        if len(row) != 2:
-            raise ParseError(f"arm_weights needs 2 entries, got {len(row)}")
-        weights = (row[0], row[1])
-    t = ObservedTables(zeta_map, gamma_map, theta_map, phi_map, weights, decimal_input)
+            raise ParseError(f"{name} table needs exactly the keys 'a1' and 'a2'")
+        rows = {a: _row(table[f"a{a}"], len(keys), name, a) for a in _ARMS}
+        maps[name] = {k + (a,): q for a in _ARMS for k, q in zip(keys, rows[a])}
+    weights = None if arm_weights is None else tuple(_row(arm_weights, 2, "arm_weights"))
+    t = ObservedTables(**maps, arm_weights=weights, decimal_input=decimal_input)
     return _validate(t, max_deviation)
+
+
+def _row(values, width: int, name: str, arm: int | None = None) -> list[Fraction]:
+    """One table row as exact cells: a JSON array of ``width`` cells of at most 100 digits."""
+    where = name if arm is None else f"{name} a{arm}"
+    if not isinstance(values, (list, tuple)):
+        raise ParseError(f"{where} must be a JSON array of {width} entries")
+    out = []
+    for i, v in enumerate(values):
+        q = rational(v)
+        if q.denominator >= _CELL_LIMIT or abs(q.numerator) >= _CELL_LIMIT:
+            raise ParseError(f"{where}[{i}] = {v!r} needs more than {_CELL_DIGITS} digits")
+        out.append(q)
+    if len(out) != width:
+        row = name if arm is None else f"{name} row a{arm}"
+        raise ParseError(f"{row} needs {width} entries, got {len(out)}")
+    return out
 
 
 def default_tolerance(
@@ -288,6 +275,8 @@ def _load_csv_text(text: str, max_deviation: Fraction) -> ObservedTables:
             raise ParseError(f"bad CSV row {row}: {exc}") from exc
         if row["value"] is None:
             raise ParseError(f"bad CSV row {row}: no value")
+        if None in row:  # DictReader files fields past the header's under None
+            raise ParseError(f"bad CSV row {row}: more than 4 fields")
         if key in entries:
             raise ParseError(f"duplicate CSV row for (c,b,a) = {key}")
         entries[key] = row["value"]

@@ -93,12 +93,12 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def format_decimal(q: Fraction, digits: int = 6) -> str:
-    """Decimal rendering with at most ``digits`` significant digits.
+def format_decimal(q: Fraction) -> str:
+    """Decimal rendering with at most 6 significant digits.
 
     Report text only; nothing ever parses this back.
     """
-    return f"{float(q):.{digits}g}"
+    return f"{float(q):.6g}"
 
 
 class Record:

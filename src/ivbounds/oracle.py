@@ -26,7 +26,7 @@ from typing import Literal, Mapping
 from .bounds import derive, interval_and_fit
 from .data import ObservedTables, observable_point
 from .forms import RationalLike, Record
-from .introws import clear_denominators, pivot, primitive, rref
+from .introws import clear_denominators, pivot, rref
 from .scenarios import Scenario, get_scenario, scenario_vertex_set
 
 _ZERO = Fraction(0)
@@ -79,8 +79,8 @@ class MixtureLP(Record):
         )
 
     @cached_property
-    def _system(self) -> tuple[list, list[list[int]], list[list[int]], int, tuple, tuple]:
-        """(templates, E, null, d, cost, (nums, den)): one rref([A | I]), A scaled to integers.
+    def _system(self) -> tuple[list, list[list[int]], list[list[int]], int, list[int], int]:
+        """(templates, E, null, d, nums, den): one rref([A | I]), A scaled to integers.
 
         Row i of A's reduction is d times row i of the reduced row echelon
         form of A; templates[i] is the pair (that row, its negation), each
@@ -88,7 +88,7 @@ class MixtureLP(Record):
         by the sign of the reduced rhs. E (row scales folded in) has
         E.A = A's reduction, so E.b is a feasible rhs b reduced at scale d.
         Each null row y has y.A = 0: b is infeasible if some y.b is not 0.
-        The objective is nums / den, and cost is nums made primitive.
+        The objective is nums / den.
         """
         n, m = len(self.columns), len(self.rhs)
         scaled = [clear_denominators([col[i] for col in self.columns]) for i in range(m)]
@@ -98,8 +98,7 @@ class MixtureLP(Record):
         E = [[v * c for v, (_, c) in zip(row[n:], scaled)] for row in reduced]
         eye = [[d if k == i else 0 for k in range(r)] for i in range(r)]
         templates = [(row[:n] + e, [-v for v in row[:n]] + e) for row, e in zip(reduced, eye)]
-        nums, den = clear_denominators(self.objective)
-        return templates, E[:r], E[r:], d, primitive(nums), (nums, den)
+        return templates, E[:r], E[r:], d, *clear_denominators(self.objective)
 
     @cached_property
     def _phase1(self) -> tuple[list[list[int]], list[int], int] | None:
@@ -108,20 +107,20 @@ class MixtureLP(Record):
         With rhs = b / D, this is the tableau of [A | rhs] reduced afresh times
         D * d over that reduction's scale: a positive factor, so no pivot moves.
         """
-        templates, E, null, d, cost, _ = self._system
+        templates, E, null, d, nums, _ = self._system
         b, den = clear_denominators(self.rhs)
         if any(sum(map(mul, y, b)) for y in null):
             return None
         n, m, s = len(self.columns), len(templates), den * d
 
         # Integer tableau at scale s: constraint rows with nonnegative right-hand
-        # sides and artificial columns s*I, the phase-2 row (a positive multiple
-        # of the cost), and the phase-1 row, whose objective is the artificials' sum.
+        # sides and artificial columns s*I, the phase-2 row (the objective's
+        # numerators times s), and the phase-1 row, whose objective is the artificials' sum.
         T = []
         for pair, e in zip(templates, E):
             r = sum(map(mul, e, b))
             T.append([den * v for v in pair[r < 0]] + [abs(r)])
-        T.append([s * c for c in cost] + [0] * (m + 1))
+        T.append([s * c for c in nums] + [0] * (m + 1))
         sums = [sum(col) for col in zip(*T[:m])] or [0] * (n + m + 1)
         T.append([-v for v in sums[:n]] + [0] * m + [-sums[-1]])
         basis = list(range(n, n + m))
@@ -197,7 +196,7 @@ def solve(lp: MixtureLP, sense: Literal["min", "max"] = "min") -> LPResult:
         return LPResult(status="unbounded", value=None, weights=None)
     # Every basic column holds the scale s, so basic weight i is T[i][-1] / s
     # and the value is one integer dot product over the objective's denominator.
-    nums, den = lp._system[-1]
+    nums, den = lp._system[-2:]
     weights = [_ZERO] * len(lp.columns)
     top = 0
     for i, b in enumerate(basis):
@@ -241,7 +240,7 @@ def cross_check(
     MismatchError, since it means the derivation itself is wrong.
     """
     s = get_scenario(scenario)
-    bs = derive(s.name)
+    bs = derive(scenario)
     interval, fit = interval_and_fit(bs, data)
     member = fit and not interval.empty
     lo, hi = oracle_interval(s, data)

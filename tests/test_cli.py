@@ -338,6 +338,19 @@ class TestUsageErrors:
         assert err == "error: zeta a1[0] = '1e-4300' needs more than 100 digits\n"
 
 
+@pytest.mark.parametrize("row, message", [
+    ('"1000"', "error: zeta a1 must be a JSON array of 4 entries\n"),
+    ("null", "error: zeta a2 must be a JSON array of 4 entries\n"),
+])
+def test_row_that_is_not_an_array_exits_1(capsys, tmp_path, row, message):
+    """"1000" once loaded as the cells 1, 0, 0, 0 and bound answered with exit 3."""
+    path = tmp_path / "string-row.json"
+    a1, a2 = (row, '["0", "0", "1", "0"]') if row != "null" else ('["1", "0", "0", "0"]', row)
+    path.write_text(f'{{"zeta": {{"a1": {a1}, "a2": {a2}}}}}')
+    code, out, err = run(capsys, "bound", "--scenario", "trivariate", "--data", str(path))
+    assert (code, out, err) == (EXIT_USAGE, "", message)
+
+
 _LONG_CELL = '{"zeta": {"a1": ["1e-4300", "0.5", "0.25", "0.25"], "a2": ["0", "0", "1", "0"]}}'
 
 

@@ -194,6 +194,23 @@ def test_malformed_table_messages(tmp_path, route, table, shape, value, error, m
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("table, row", [
+    *((t, r) for t in ("zeta", "gamma") for r in ('"1000"', '{"c": "1"}', "null")),
+    # phi and arm weights are rows themselves; a null one is an absent table
+    *((t, r) for t in ("phi", "arm_weights") for r in ('"1000"', '{"c": "1"}')),
+])
+def test_row_that_is_not_an_array_is_named(tmp_path, table, row):
+    """A string row was once split into its characters; a null row raised a TypeError."""
+    path = tmp_path / "t.json"
+    armed = table in ("zeta", "gamma")
+    rows = f'{{"a1": {row}, "a2": {json.dumps(_ROWS[table])}}}' if armed else row
+    path.write_text(f'{{"{table}": {rows}}}')
+    with pytest.raises(ParseError) as exc:
+        load(path)
+    where = f"{table} a1" if armed else table
+    assert str(exc.value) == f"{where} must be a JSON array of {len(_ROWS[table])} entries"
+
+
 class TestLoadJson:
     def test_json_file(self, tmp_path):
         path = tmp_path / "t.json"
@@ -332,6 +349,15 @@ class TestLoadCsv:
         rows[0] = "0,0,1,1e-200"
         with pytest.raises(ParseError, match=r"zeta a1\[0\] = '1e-200'"):
             load(self.write(tmp_path, rows))
+
+    def test_extra_field_is_named(self, tmp_path):
+        """A fifth field was once filed under DictReader's None key and ignored."""
+        rows = self.full_rows()
+        rows[0] = "0,0,1,0.5,0.25"
+        with pytest.raises(ParseError) as exc:
+            load(self.write(tmp_path, rows))
+        row = {"c": "0", "b": "0", "a": "1", "value": "0.5", None: ["0.25"]}
+        assert str(exc.value) == f"bad CSV row {row}: more than 4 fields"
 
     def test_duplicate(self, tmp_path):
         rows = self.full_rows()

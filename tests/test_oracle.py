@@ -15,7 +15,7 @@ from ivbounds.bounds import (
     interval_and_fit,
     model_check,
 )
-from ivbounds.data import build_tables, load
+from ivbounds.data import build_tables, derive_marginals, load
 from ivbounds.forms import MissingCoordinate
 from ivbounds.oracle import (
     CrossCheckReport,
@@ -29,6 +29,7 @@ from ivbounds.oracle import (
 from ivbounds.scenarios import (
     coordinate_function,
     get_scenario,
+    make_scenario,
     scenario_vertex_set,
 )
 
@@ -335,6 +336,24 @@ class TestCrossCheck:
             assert rep.member and rep.feasible
             truth = coordinate_function(s.causal_target)(pp)
             assert rep.form_lower <= truth <= rep.form_upper
+
+    def test_unregistered_scenario_is_derived_as_given(self):
+        """A scenario outside the registry was once looked up by name, raising KeyError."""
+        s = make_scenario("custom", ["t01", "t11", "t02", "t12", "beta"], causal_target="beta")
+        rep = cross_check(s, load("lipid"))
+        assert (rep.scenario, rep.member, rep.feasible) == ("custom", True, True)
+        assert (rep.form_lower, rep.form_upper) == (F(-153, 250), F(153, 250))
+        assert (rep.lp_lower, rep.lp_upper) == (rep.form_lower, rep.form_upper)
+
+    def test_scenario_reusing_a_registry_name_is_derived_as_given(self):
+        """A "beta" over gamma and theta once got the registry beta's forms: a false MismatchError."""
+        labels = ["g01", "g11", "g02", "g12", "t01", "t11", "t02", "t12", "beta"]
+        s = make_scenario("beta", labels, causal_target="beta")
+        rep = cross_check(s, derive_marginals(load("lipid")))
+        assert (rep.member, rep.feasible) == (True, True)
+        assert (rep.form_lower, rep.form_upper) == (F(93, 200), F(93, 200))
+        assert (rep.lp_lower, rep.lp_upper) == (rep.form_lower, rep.form_upper)
+        assert derive("beta") == derive(get_scenario("beta")) != derive(s)
 
 
 def _outcome(fn, *args):
