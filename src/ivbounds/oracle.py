@@ -237,7 +237,8 @@ def cross_check(
     constraint slacks plus a nonempty interval) and must coincide with LP
     feasibility; when both agree the data is consistent, the two interval
     computations must agree exactly. Any disagreement raises
-    MismatchError, since it means the derivation itself is wrong.
+    MismatchError, since it means the derivation itself is wrong. A
+    Scenario is derived as given, not looked up by its name.
     """
     s = get_scenario(scenario)
     bs = derive(scenario)
