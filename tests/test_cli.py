@@ -338,14 +338,13 @@ class TestUsageErrors:
         assert err == "error: zeta a1[0] = '1e-4300' needs more than 100 digits\n"
 
 
-@pytest.mark.parametrize("row, message", [
-    ('"1000"', "error: zeta a1 must be a JSON array of 4 entries\n"),
-    ("null", "error: zeta a2 must be a JSON array of 4 entries\n"),
+@pytest.mark.parametrize("a1, a2, message", [
+    ('"1000"', '["0", "0", "1", "0"]', "error: zeta a1 must be a JSON array of 4 entries\n"),
+    ('["1", "0", "0", "0"]', "null", "error: zeta a2 must be a JSON array of 4 entries\n"),
 ])
-def test_row_that_is_not_an_array_exits_1(capsys, tmp_path, row, message):
+def test_row_that_is_not_an_array_exits_1(capsys, tmp_path, a1, a2, message):
     """"1000" once loaded as the cells 1, 0, 0, 0 and bound answered with exit 3."""
     path = tmp_path / "string-row.json"
-    a1, a2 = (row, '["0", "0", "1", "0"]') if row != "null" else ('["1", "0", "0", "0"]', row)
     path.write_text(f'{{"zeta": {{"a1": {a1}, "a2": {a2}}}}}')
     code, out, err = run(capsys, "bound", "--scenario", "trivariate", "--data", str(path))
     assert (code, out, err) == (EXIT_USAGE, "", message)
