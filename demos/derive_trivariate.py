@@ -21,8 +21,10 @@ print(f"scenario {s.name}: coordinates {', '.join(s.space.labels)}")
 print(f"causal target: {s.causal_target}")
 
 # Step 1: parameter vertices. The latent-conditional parameters live in a
-# hypercube, and the transformation is multilinear, so the image polytope
-# is the convex hull of the images of the hypercube's corners.
+# hypercube whose corners are the response types: each fixes C(b) = eta_b
+# and B(a) = delta_a, and every coordinate is an event on it. Any other
+# point maps to the multilinear extension of the types' images, so the
+# image polytope is the convex hull of the images of the corners.
 corners = enumerate_parameter_vertices(s)
 print(f"\n{len(corners)} parameter corners (eta0, eta1, delta1, delta2 in {{0,1}})")
 

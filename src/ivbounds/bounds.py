@@ -19,7 +19,7 @@ evaluate_bounds and model_check are integer dot products, still exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from math import lcm
 from typing import Mapping, Sequence
 
@@ -201,21 +201,26 @@ def partition(h: HRepresentation, target: str | None = None) -> BoundSet:
                              _equalities=range(at, at + len(equality)))
 
 
-@lru_cache(maxsize=None)
-def scenario_hull(name: str | Scenario, include_target: bool = True) -> HRepresentation:
+def _per_scenario(fn):
+    """lru_cache keyed on the resolved Scenario, so a name and its Scenario share one entry."""
+    cached = lru_cache(maxsize=None)(fn)
+    return wraps(fn)(lambda name, *args, **kwargs: cached(get_scenario(name), *args, **kwargs))
+
+
+@_per_scenario
+def scenario_hull(scenario: Scenario, include_target: bool = True) -> HRepresentation:
     """Facet system of a scenario's vertex images (cached), given by name or as a Scenario."""
-    scenario = get_scenario(name)
     return facet_enumeration(scenario_vertex_set(scenario, include_target=include_target))
 
 
-@lru_cache(maxsize=None)
-def derive(name: str | Scenario) -> BoundSet:
+@_per_scenario
+def derive(scenario: Scenario) -> BoundSet:
     """Full pipeline for a scenario, by name or as a Scenario: vertices, hull, partition (cached).
 
     Every scenario derives; one without a causal target gets a BoundSet
     with target None, no bound forms and all facets as model tests.
     """
-    return partition(scenario_hull(name), get_scenario(name).causal_target)
+    return partition(scenario_hull(scenario), scenario.causal_target)
 
 
 class Interval(Record):

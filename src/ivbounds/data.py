@@ -162,7 +162,10 @@ def _row(values, width: int, name: str, arm: int | None = None) -> list[Fraction
         raise ParseError(f"{where} must be a JSON array of {width} entries")
     out = []
     for i, v in enumerate(values):
-        q = rational(v)
+        try:
+            q = rational(v)
+        except (TypeError, ValueError) as exc:
+            raise type(exc)(f"{where}[{i}] = {v!r}: {exc}") from exc
         if q.denominator >= _CELL_LIMIT or abs(q.numerator) >= _CELL_LIMIT:
             raise ParseError(f"{where}[{i}] = {v!r} needs more than {_CELL_DIGITS} digits")
         out.append(q)

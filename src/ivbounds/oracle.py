@@ -168,13 +168,13 @@ def _simplex(T: list[list[int]], basis: list[int], width: int, s: int) -> int | 
         entering = next((j for j in range(width) if z[j] < 0), None)
         if entering is None:
             return s
-        # Rows in basis-index order: the strict ratio comparison (by
-        # cross-multiplication) then keeps the lowest index among ties.
-        rows = sorted((i for i in range(len(basis)) if T[i][entering] > 0), key=basis.__getitem__)
+        # One scan for the smallest ratio T[i][-1] / T[i][entering], compared
+        # by cross-multiplication, then the lowest basis index among ties.
         leave = None
-        for i in rows:
-            if leave is None or T[i][-1] * T[leave][entering] < T[leave][-1] * T[i][entering]:
-                leave = i
+        for i, b in enumerate(basis):
+            e = T[i][entering]
+            if e > 0 and (leave is None or (T[i][-1] * entry, b) < (T[leave][-1] * e, basis[leave])):
+                leave, entry = i, e
         if leave is None:
             return None
         s = pivot(T, leave, entering, s)

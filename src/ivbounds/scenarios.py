@@ -1,32 +1,33 @@
-"""Built-in binary instrumental-variable scenarios and their observable transforms.
+"""Built-in binary instrumental-variable scenarios, modelled by their response types.
 
 The model has a binary instrument A (arms 1 and 2), binary treatment B,
 binary outcome C and an arbitrary confounder U acting on B and C but not
 on A. Conditional on U the model is parameterised by five probabilities
 (see ParameterPoint). Each scenario names the observable coordinates that
-a study reports, plus optionally a causal target coordinate; the scenario
-transform maps a parameter point to that coordinate vector. Observed
-distributions are mixtures over U of transformed parameter points, which
-is what makes the convex-polytope analysis downstream exact. Every
-parameter vertex is 0/1, so scenario_vertex_set runs the transforms on
-ints and hands the distinct int images to the VertexSet as the integer
-rows facet_enumeration reads; its Fraction vertices are built only on
+a study reports, plus optionally a causal target coordinate. A 0/1
+parameter point is a response type (Balke & Pearl 1997) that fixes the
+outcome C(b) = eta_b, the uptake B(a) = delta_a and the arm taken, 2 iff
+psi; every coordinate is an integer event on it, and any other point's
+image is the multilinear extension of the types' images. Observed
+distributions are mixtures over U of such images, which is what makes the
+convex-polytope analysis downstream exact; the distinct type images are
+the VertexSet's integer rows, and its Fraction vertices are built only on
 first read.
 
 Scenarios are data: a label list and an optional target. parse_coordinate
-is the one reader of the label scheme; the transforms, the observable
-point built from data and whether psi enters all follow from its parse,
-so adding a scenario means listing labels, not writing new branching code.
+is the one reader of the label scheme; the events, the observable point
+built from data and whether psi enters all follow from its parse, so
+adding a scenario means listing labels, not writing new branching code.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
-from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .forms import CoordinateSpace, Record, rational
 from .polytope import VertexSet
@@ -46,7 +47,8 @@ class ParameterPoint(Record):
     instrument arm. delta1 and delta2 are the uptake probabilities
     P(B=1 | A=a, U) for arms a = 1 and a = 2. psi is P(A=2 | U), used only
     by scenarios that model the instrument distribution itself; it
-    defaults to 0 and is ignored elsewhere.
+    defaults to 0 and is ignored elsewhere. A point whose parameters are
+    all 0 or 1 is a response type; xi_transform maps the others.
     """
 
     eta0: Fraction
@@ -61,46 +63,6 @@ class ParameterPoint(Record):
             if not 0 <= value <= 1:
                 raise ValueError(f"{name} = {value} is outside [0, 1]")
             object.__setattr__(self, name, value)
-
-
-def _delta(p: ParameterPoint, a: int) -> Fraction:
-    return p.delta1 if a == 1 else p.delta2
-
-
-def _eta(p: ParameterPoint, b: int) -> Fraction:
-    return p.eta1 if b == 1 else p.eta0
-
-
-def _gamma_star(p: ParameterPoint, c: int, a: int) -> Fraction:
-    d = _delta(p, a)
-    hit = p.eta0 * (1 - d) + p.eta1 * d
-    return hit if c == 1 else 1 - hit
-
-
-def _theta_star(p: ParameterPoint, b: int, a: int) -> Fraction:
-    d = _delta(p, a)
-    return d if b == 1 else 1 - d
-
-
-def _zeta_star(p: ParameterPoint, c: int, b: int, a: int) -> Fraction:
-    e = _eta(p, b)
-    return _theta_star(p, b, a) * (e if c == 1 else 1 - e)
-
-
-def _phi_star(p: ParameterPoint, c: int, b: int) -> Fraction:
-    return _zeta_star(p, c, b, 1) * (1 - p.psi) + _zeta_star(p, c, b, 2) * p.psi
-
-
-def _xi_star(p: ParameterPoint, c: int, b: int, a: int) -> Fraction:
-    return _zeta_star(p, c, b, a) * (p.psi if a == 2 else 1 - p.psi)
-
-
-def _alpha_star(p: ParameterPoint) -> Fraction:
-    return p.eta1 - p.eta0
-
-
-def _beta_star(p: ParameterPoint) -> Fraction:
-    return _gamma_star(p, 1, 2) - _gamma_star(p, 1, 1)
 
 
 class Coordinate(Record):
@@ -122,16 +84,15 @@ class Coordinate(Record):
         return tuple(i for i in (self.c, self.b, self.a) if i is not None)
 
 
-# kind -> (label pattern, transform). A transform takes a parameter point,
-# then the indices the label carries in Coordinate.key order.
-_KINDS: dict[str, tuple[re.Pattern, Callable[..., Fraction]]] = {
-    "gamma": (re.compile(r"g(?P<c>[01])(?P<a>[12])"), _gamma_star),
-    "theta": (re.compile(r"t(?P<b>[01])(?P<a>[12])"), _theta_star),
-    "zeta": (re.compile(r"z(?P<c>[01])(?P<b>[01])\.(?P<a>[12])"), _zeta_star),
-    "phi": (re.compile(r"p(?P<c>[01])(?P<b>[01])"), _phi_star),
-    "xi": (re.compile(r"x(?P<c>[01])(?P<b>[01])(?P<a>[12])"), _xi_star),
-    "alpha": (re.compile("alpha"), _alpha_star),
-    "beta": (re.compile("beta"), _beta_star),
+# kind -> label pattern; the groups are the indices the label carries.
+_KINDS: dict[str, re.Pattern] = {
+    "gamma": re.compile(r"g(?P<c>[01])(?P<a>[12])"),
+    "theta": re.compile(r"t(?P<b>[01])(?P<a>[12])"),
+    "zeta": re.compile(r"z(?P<c>[01])(?P<b>[01])\.(?P<a>[12])"),
+    "phi": re.compile(r"p(?P<c>[01])(?P<b>[01])"),
+    "xi": re.compile(r"x(?P<c>[01])(?P<b>[01])(?P<a>[12])"),
+    "alpha": re.compile("alpha"),
+    "beta": re.compile("beta"),
 }
 
 
@@ -148,7 +109,7 @@ def parse_coordinate(label: str) -> Coordinate:
     observed P(C | B) table is not a convex mixture of its latent
     counterparts and none of the polytope machinery applies to it.
     """
-    for kind, (pattern, _) in _KINDS.items():
+    for kind, pattern in _KINDS.items():
         m = pattern.fullmatch(label)
         if m:
             return Coordinate(kind, **{k: int(v) for k, v in m.groupdict().items()})
@@ -159,14 +120,6 @@ def parse_coordinate(label: str) -> Coordinate:
             "no convex (polytope) analysis applies to them"
         )
     raise UnsupportedCoordinateError(f"unknown coordinate label {label!r}")
-
-
-@lru_cache(maxsize=None)
-def coordinate_function(label: str) -> Callable[[ParameterPoint], Fraction]:
-    """Map a coordinate label (see parse_coordinate) to its transform on parameter points."""
-    coord = parse_coordinate(label)
-    fn, key = _KINDS[coord.kind][1], coord.key
-    return (lambda p: fn(p, *key)) if key else fn
 
 
 class Scenario(Record):
@@ -249,35 +202,65 @@ def get_scenario(name: str | Scenario) -> Scenario:
         raise KeyError(f"unknown scenario {name!r}; known scenarios: {known}") from None
 
 
+def _event(coord: Coordinate, r: tuple[int, ...]) -> int:
+    """The label's value on the response type r: C(b) = r[b], B(a) = r[a + 1], arm taken 1 + r[4].
+
+    A probability label is the indicator [B(a) = b and C(b) = c], reading b
+    as B(a) where it carries no b (gamma), a as the arm taken where it
+    carries no a (phi), and adding [A = a] for xi. alpha is C(1) - C(0) and
+    beta is C(B(2)) - C(B(1)).
+    """
+    if coord.kind == "alpha":
+        return r[1] - r[0]
+    if coord.kind == "beta":
+        return r[r[3]] - r[r[2]]
+    taken = 1 + r[4]
+    a = taken if coord.a is None else coord.a
+    b = r[a + 1] if coord.b is None else coord.b
+    return int(r[a + 1] == b and coord.c in (None, r[b]) and (coord.kind != "xi" or a == taken))
+
+
+def _response_types(s: Scenario) -> list[tuple[int, ...]]:
+    """The 0/1 types (eta0, eta1, delta1, delta2, psi) in counting order; psi is 0 where unused."""
+    return list(itertools.product(*[(0, 1)] * 4, (0, 1) if s.uses_psi else (0,)))
+
+
+@lru_cache(maxsize=None)
+def _type_images(s: Scenario) -> tuple[tuple[int, ...], ...]:
+    """Each response type's integer image on the scenario's labels, in type order (cached)."""
+    coords = [parse_coordinate(label) for label in s.space.labels]
+    return tuple(tuple(_event(c, r) for c in coords) for r in _response_types(s))
+
+
 def xi_transform(scenario: str | Scenario, p: ParameterPoint) -> dict[str, Fraction]:
-    """Image of one parameter point in the scenario's coordinate space."""
+    """Image of one parameter point: the multilinear extension of the response types' images.
+
+    Type r weighs the product of x or 1 - x, as r has a 1 or a 0 there, over
+    the k free parameters x: an integer over D**k, D their common denominator.
+    """
     s = get_scenario(scenario)
-    return {label: coordinate_function(label)(p) for label in s.space.labels}
-
-
-# A 0/1 parameter vertex on plain ints, which the transforms read as a ParameterPoint.
-_Bits = namedtuple("_Bits", "eta0 eta1 delta1 delta2 psi", defaults=(0,))
-
-
-def _vertex_bits(s: Scenario) -> list[_Bits]:
-    """All 0/1 assignments of the scenario's free parameters; psi stays 0 where unused."""
-    return [_Bits(*bits) for bits in itertools.product((0, 1), repeat=5 if s.uses_psi else 4)]
+    fields = (p.eta0, p.eta1, p.delta1, p.delta2, p.psi)[: 5 if s.uses_psi else 4]
+    d = math.lcm(*(x.denominator for x in fields))
+    weights = [1]
+    for x in fields:
+        n = x.numerator * (d // x.denominator)
+        weights = [w * y for w in weights for y in (d - n, n)]
+    return {
+        label: Fraction(sum(w * v for w, v in zip(weights, column) if v), d ** len(fields))
+        for label, column in zip(s.space.labels, zip(*_type_images(s)))
+    }
 
 
 def enumerate_parameter_vertices(scenario: str | Scenario) -> tuple[ParameterPoint, ...]:
-    """All 0/1 assignments of the scenario's free parameters."""
-    return tuple(ParameterPoint(*bits) for bits in _vertex_bits(get_scenario(scenario)))
+    """All 0/1 assignments of the scenario's free parameters: its response types."""
+    return tuple(ParameterPoint(*r) for r in _response_types(get_scenario(scenario)))
 
 
 @lru_cache(maxsize=None)
 def scenario_vertex_set(scenario: str | Scenario, include_target: bool = True) -> VertexSet:
-    """Distinct images of the parameter vertices under the scenario transform (cached).
-
-    The images are computed on ints and deduplicated in first-seen order;
-    they are the VertexSet's integer rows.
-    """
+    """The response types' distinct integer images in first-seen order, as a VertexSet (cached)."""
     s = get_scenario(scenario)
     space = s.space if include_target or s.causal_target is None else s.observable_space
-    fns = [coordinate_function(label) for label in space.labels]
-    images = dict.fromkeys(tuple(f(p) for f in fns) for p in _vertex_bits(s))
+    keep = [s.space.index(label) for label in space.labels]
+    images = dict.fromkeys(tuple(row[i] for i in keep) for row in _type_images(s))
     return VertexSet._unbuilt(space=space, _rows=([list(images)], 1))

@@ -10,7 +10,9 @@ where the package makes one. solve is the LP oracle's simplex
 that reduces the equality system and runs phase 1 afresh on every call.
 pivot and rref are the dense fraction-free kernel, which rewrites every
 row on every step, and rational is the string parser that sends every
-string through Fraction().
+string through Fraction(). transform is the closed form of each
+coordinate kind as a polynomial in the parameters, on Fractions, where
+the package reads labels as events on 0/1 response types.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from ivbounds.forms import (
 from ivbounds.introws import clear_denominators, primitive
 from ivbounds.oracle import LPResult, MixtureLP
 from ivbounds.polytope import HRepresentation
+from ivbounds.scenarios import ParameterPoint
 
 _ZERO = Fraction(0)
 _SMALL = tuple(Fraction(n) for n in range(-16, 17))
@@ -112,6 +115,59 @@ def rational(value: RationalLike) -> Fraction:
     if isinstance(value, float):
         raise TypeError(f"refusing inexact float {value!r}; pass a string such as '0.919'")
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
+
+
+def _delta(p: ParameterPoint, a: int) -> Fraction:
+    return p.delta1 if a == 1 else p.delta2
+
+
+def _eta(p: ParameterPoint, b: int) -> Fraction:
+    return p.eta1 if b == 1 else p.eta0
+
+
+def _gamma_star(p: ParameterPoint, c: int, a: int) -> Fraction:
+    d = _delta(p, a)
+    hit = p.eta0 * (1 - d) + p.eta1 * d
+    return hit if c == 1 else 1 - hit
+
+
+def _theta_star(p: ParameterPoint, b: int, a: int) -> Fraction:
+    d = _delta(p, a)
+    return d if b == 1 else 1 - d
+
+
+def _zeta_star(p: ParameterPoint, c: int, b: int, a: int) -> Fraction:
+    e = _eta(p, b)
+    return _theta_star(p, b, a) * (e if c == 1 else 1 - e)
+
+
+def _phi_star(p: ParameterPoint, c: int, b: int) -> Fraction:
+    return _zeta_star(p, c, b, 1) * (1 - p.psi) + _zeta_star(p, c, b, 2) * p.psi
+
+
+def _xi_star(p: ParameterPoint, c: int, b: int, a: int) -> Fraction:
+    return _zeta_star(p, c, b, a) * (p.psi if a == 2 else 1 - p.psi)
+
+
+def _alpha_star(p: ParameterPoint) -> Fraction:
+    return p.eta1 - p.eta0
+
+
+def _beta_star(p: ParameterPoint) -> Fraction:
+    return _gamma_star(p, 1, 2) - _gamma_star(p, 1, 1)
+
+
+# Label prefix -> closed form, taking the label's digits in order.
+_STARS = {"g": _gamma_star, "t": _theta_star, "z": _zeta_star, "p": _phi_star, "x": _xi_star}
+
+
+def transform(label: str, p: ParameterPoint) -> Fraction:
+    """The closed form of one coordinate label at a parameter point."""
+    if label == "alpha":
+        return _alpha_star(p)
+    if label == "beta":
+        return _beta_star(p)
+    return _STARS[label[0]](p, *(int(ch) for ch in label if ch.isdigit()))
 
 
 def reduce_mod_equalities(form: AffineForm, equalities: Sequence[LinearConstraint]) -> AffineForm:

@@ -29,9 +29,9 @@ from ivbounds.polytope import reduce_mod_equalities
 from ivbounds.scenarios import (
     SCENARIOS,
     ParameterPoint,
-    coordinate_function,
     get_scenario,
     scenario_vertex_set,
+    xi_transform,
 )
 
 from sampling import random_parameter_point
@@ -244,7 +244,7 @@ def test_criterion_09_parameter_images_are_members():
         h = scenario_hull(name)
         for _ in range(1000):
             pp = random_parameter_point(rng, uses_psi=s.uses_psi)
-            point = {lab: coordinate_function(lab)(pp) for lab in s.space.labels}
+            point = xi_transform(s, pp)
             if not h.contains(point).member:
                 ok = False
                 break
@@ -297,8 +297,9 @@ def test_criterion_12_interval_nesting():
         ivs = {}
         for name in names:
             s = scens[name]
+            images = [xi_transform(s, a) for a in atoms]
             point = {
-                lab: sum(w * coordinate_function(lab)(a) for w, a in zip(weights, atoms))
+                lab: sum(w * img[lab] for w, img in zip(weights, images))
                 for lab in s.observable_labels
             }
             if not model_check(sets[name], point, 0).passed:

@@ -1,5 +1,6 @@
 """The package's public names, and the README's Quickstart run as written."""
 
+import ast
 import contextlib
 import io
 import re
@@ -42,7 +43,6 @@ PUBLIC_API = [
     "beta_bounds",
     "build_tables",
     "canonicalize",
-    "coordinate_function",
     "cross_check",
     "derive",
     "derive_marginals",
@@ -70,10 +70,21 @@ PUBLIC_API = [
 
 def test_public_api_is_pinned():
     # A name added to or dropped from __all__ must be added to or dropped from this list.
-    assert len(PUBLIC_API) == 55 and PUBLIC_API == sorted(set(PUBLIC_API))
+    assert len(PUBLIC_API) == 54 and PUBLIC_API == sorted(set(PUBLIC_API))
     assert ivbounds.__all__ == PUBLIC_API
     for name in PUBLIC_API:
         assert getattr(ivbounds, name) is not None, name
+
+
+def test_no_module_imports_another_modules_private_names():
+    """Each module's underscore names are its own; the others use its public ones."""
+    paths, found = sorted((ROOT / "src" / "ivbounds").glob("*.py")), []
+    assert len(paths) > 1
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("ivbounds")):
+                found += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert found == []
 
 
 def test_readme_quickstart_runs():

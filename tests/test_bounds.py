@@ -50,7 +50,7 @@ from ivbounds.forms import (
 )
 from ivbounds.introws import integer_rows
 from ivbounds.polytope import HRepresentation, reduce_mod_equalities
-from ivbounds.scenarios import SCENARIOS, get_scenario
+from ivbounds.scenarios import SCENARIOS, get_scenario, make_scenario
 
 import reference
 
@@ -171,6 +171,15 @@ class TestDerivedCounts:
                 assert f.space is bs.space
             for c in bs.observable_tests + bs.trivial_tests + bs.hull_equalities:
                 assert c.form.space.labels == bs.space.labels
+
+    def test_a_name_and_its_scenario_share_one_cached_derivation(self):
+        """Both caches were once keyed on the argument as given, so these were two derivations."""
+        s = get_scenario("pairwise3")
+        twin = make_scenario(s.name, s.space.labels, s.causal_target)
+        assert twin is not s
+        assert derive("pairwise3") is derive(s) is derive(twin)
+        assert scenario_hull("pairwise3") is scenario_hull(s) is scenario_hull(twin)
+        assert scenario_hull("bivariate", False) is scenario_hull(get_scenario("bivariate"), False)
 
     def test_derive_fig3_has_no_target(self):
         bs = derive("fig3")

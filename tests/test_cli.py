@@ -340,6 +340,10 @@ class TestUsageErrors:
 
 @pytest.mark.parametrize("a1, a2, message", [
     ('"1000"', '["0", "0", "1", "0"]', "error: zeta a1 must be a JSON array of 4 entries\n"),
+    ('[true, 0, 0, 0]', '["0", "0", "1", "0"]',
+     "error: zeta a1[0] = True: expected a rational value, got a bool\n"),
+    ('["1", "0", "0", "0"]', '["0", "1/0", "1", "0"]',
+     "error: zeta a2[1] = '1/0': cannot parse '1/0' as a rational\n"),
     ('["1", "0", "0", "0"]', "null", "error: zeta a2 must be a JSON array of 4 entries\n"),
 ])
 def test_row_that_is_not_an_array_exits_1(capsys, tmp_path, a1, a2, message):

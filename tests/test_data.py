@@ -88,6 +88,26 @@ class TestBuildTables:
         with pytest.raises(TypeError):
             build_tables(gamma={"a1": [0.9, 0.1], "a2": ["1", "0"]})
 
+    @pytest.mark.parametrize("cell, error, reason", [
+        (0.9, TypeError, "refusing inexact float 0.9; pass a string such as '0.919'"),
+        (True, TypeError, "expected a rational value, got a bool"),
+        ("abc", ValueError, "cannot parse 'abc' as a rational"),
+    ])
+    def test_unreadable_cell_is_named(self, tmp_path, cell, error, reason):
+        """The message once gave the reason alone, without the table and the cell."""
+        gamma = {"a1": ["1", "0"], "a2": ["1", cell]}
+        message = f"gamma a2[1] = {cell!r}: {reason}"
+        with pytest.raises(error) as exc:
+            build_tables(gamma=gamma)
+        assert type(exc.value) is error and str(exc.value) == message
+        if isinstance(cell, float):
+            return  # a JSON number loads as exact decimal text, so a file holds no float
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"gamma": gamma}))
+        with pytest.raises(ParseError) as exc:
+            load(path)
+        assert str(exc.value) == message
+
     def test_tolerance_accepts_rational_like(self):
         t = build_tables(gamma={"a1": ["0.2", "0.3"], "a2": ["0.3", "0.3"]}, max_deviation="1/2")
         assert t.gamma[(0, 1)] == Fraction(1, 5)

@@ -23,7 +23,7 @@ from ivbounds.forms import (
     format_rational,
 )
 from ivbounds.introws import integer_rows, primitive
-from ivbounds.scenarios import SCENARIOS, scenario_vertex_set
+from ivbounds.scenarios import SCENARIOS, get_scenario, scenario_vertex_set
 from ivbounds.polytope import (
     DimensionOverflow,
     HRepresentation,
@@ -439,7 +439,7 @@ def fresh_derivation(name):
         return hulls[-1]
 
     with patch.object(bounds, "scenario_hull", fresh_hull):
-        bs = bounds.derive.__wrapped__(name)
+        bs = bounds.derive.__wrapped__(get_scenario(name))
     return hulls[0], bs
 
 

@@ -10,7 +10,6 @@ from ivbounds.scenarios import (
     Coordinate,
     ParameterPoint,
     UnsupportedCoordinateError,
-    coordinate_function,
     enumerate_parameter_vertices,
     get_scenario,
     make_scenario,
@@ -19,6 +18,7 @@ from ivbounds.scenarios import (
     xi_transform,
 )
 
+import reference
 from sampling import random_parameter_point
 
 # One interior point, all transforms worked out by hand.
@@ -29,6 +29,20 @@ P = ParameterPoint(
     delta2=Fraction(3, 5),
     psi=Fraction(1, 3),
 )
+
+# Every label of every kind, read at a point through one scenario's transform.
+EVERY_KIND = make_scenario("every-kind", [
+    *(f"g{c}{a}" for c in (0, 1) for a in (1, 2)),
+    *(f"t{b}{a}" for b in (0, 1) for a in (1, 2)),
+    *(f"z{c}{b}.{a}" for c in (0, 1) for b in (0, 1) for a in (1, 2)),
+    *(f"p{c}{b}" for c in (0, 1) for b in (0, 1)),
+    *(f"x{c}{b}{a}" for c in (0, 1) for b in (0, 1) for a in (1, 2)),
+    "alpha", "beta",
+])
+
+
+def image(label: str, p: ParameterPoint) -> Fraction:
+    return xi_transform(EVERY_KIND, p)[label]
 
 
 class TestTransform:
@@ -54,19 +68,16 @@ class TestTransform:
         ],
     )
     def test_hand_computed_values(self, label, expected):
-        assert coordinate_function(label)(P) == expected
+        assert image(label, P) == expected
 
     def test_blocks_sum_to_one(self):
         for a in (1, 2):
-            assert sum(
-                coordinate_function(f"z{c}{b}.{a}")(P) for c in (0, 1) for b in (0, 1)
-            ) == 1
-            assert sum(coordinate_function(f"g{c}{a}")(P) for c in (0, 1)) == 1
-            assert sum(coordinate_function(f"t{b}{a}")(P) for b in (0, 1)) == 1
-        assert sum(coordinate_function(f"p{c}{b}")(P) for c in (0, 1) for b in (0, 1)) == 1
+            assert sum(image(f"z{c}{b}.{a}", P) for c in (0, 1) for b in (0, 1)) == 1
+            assert sum(image(f"g{c}{a}", P) for c in (0, 1)) == 1
+            assert sum(image(f"t{b}{a}", P) for b in (0, 1)) == 1
+        assert sum(image(f"p{c}{b}", P) for c in (0, 1) for b in (0, 1)) == 1
         assert sum(
-            coordinate_function(f"x{c}{b}{a}")(P)
-            for c in (0, 1) for b in (0, 1) for a in (1, 2)
+            image(f"x{c}{b}{a}", P) for c in (0, 1) for b in (0, 1) for a in (1, 2)
         ) == 1
 
     def test_multilinearity_in_each_parameter(self):
@@ -84,18 +95,37 @@ class TestTransform:
                 hi = ParameterPoint(**{**_asdict(base), field: Fraction(1)})
                 mid = ParameterPoint(**{**_asdict(base), field: Fraction(1, 2)})
                 for label in labels:
-                    fn = coordinate_function(label)
-                    assert fn(mid) == (fn(lo) + fn(hi)) / 2, (field, label)
+                    assert image(label, mid) == (image(label, lo) + image(label, hi)) / 2, (
+                        field, label,
+                    )
 
     def test_q_label_rejected_with_explanation(self):
         with pytest.raises(UnsupportedCoordinateError, match="convex"):
-            coordinate_function("q01")
+            parse_coordinate("q01")
 
     def test_unknown_label_rejected(self):
         with pytest.raises(UnsupportedCoordinateError):
-            coordinate_function("w00")
+            parse_coordinate("w00")
         with pytest.raises(UnsupportedCoordinateError):
-            coordinate_function("g13")  # arm 3 does not exist
+            parse_coordinate("g13")  # arm 3 does not exist
+
+    @pytest.mark.parametrize("scenario", [*SCENARIOS.values(), EVERY_KIND], ids=lambda s: s.name)
+    def test_equals_the_closed_forms_on_random_points(self, scenario):
+        rng = random.Random(17)
+        for _ in range(200):
+            p = random_parameter_point(rng, denominator=rng.choice((7, 60, 1000)))
+            expected = {label: reference.transform(label, p) for label in scenario.space.labels}
+            assert xi_transform(scenario, p) == expected
+
+    @pytest.mark.parametrize("scenario", [*SCENARIOS.values(), EVERY_KIND], ids=lambda s: s.name)
+    def test_each_response_type_image_equals_the_closed_forms_at_its_corner(self, scenario):
+        """At a 0/1 point one type has weight 1, so the image is that type's integer image."""
+        corners = enumerate_parameter_vertices(scenario)
+        assert len(corners) == (32 if scenario.uses_psi else 16)
+        for p in corners:
+            img = xi_transform(scenario, p)
+            assert img == {label: reference.transform(label, p) for label in scenario.space.labels}
+            assert all(v.denominator == 1 for v in img.values())
 
     def test_parameter_point_range_checked(self):
         with pytest.raises(ValueError, match="outside"):
@@ -135,13 +165,12 @@ class TestRegistry:
     @pytest.mark.parametrize("include_target", [True, False])
     @pytest.mark.parametrize("name", list(SCENARIOS))
     def test_vertex_set_equals_the_fraction_reference(self, name, include_target):
-        """Integer images, wrapped once, equal Fraction images deduplicated in first-seen order."""
+        """Integer images, wrapped once, equal the closed forms at the corners, first seen first."""
         s = get_scenario(name)
         space = s.space if include_target or s.causal_target is None else s.observable_space
         expected = []
         for p in enumerate_parameter_vertices(s):
-            image = xi_transform(s, p)
-            vec = tuple(image[label] for label in space.labels)
+            vec = tuple(reference.transform(label, p) for label in space.labels)
             if vec not in expected:
                 expected.append(vec)
         vs = scenario_vertex_set(name, include_target=include_target)
