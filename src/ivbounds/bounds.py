@@ -202,19 +202,19 @@ def partition(h: HRepresentation, target: str | None = None) -> BoundSet:
 
 
 def _per_scenario(fn):
-    """lru_cache keyed on the resolved Scenario, so a name and its Scenario share one entry."""
+    """Cache fn on the resolved Scenario, which fn is given: a name and its Scenario share one entry."""
     cached = lru_cache(maxsize=None)(fn)
-    return wraps(fn)(lambda name, *args, **kwargs: cached(get_scenario(name), *args, **kwargs))
+    return wraps(fn)(lambda scenario, *a, **kw: cached(get_scenario(scenario), *a, **kw))
 
 
 @_per_scenario
-def scenario_hull(scenario: Scenario, include_target: bool = True) -> HRepresentation:
+def scenario_hull(scenario: str | Scenario, include_target: bool = True) -> HRepresentation:
     """Facet system of a scenario's vertex images (cached), given by name or as a Scenario."""
     return facet_enumeration(scenario_vertex_set(scenario, include_target=include_target))
 
 
 @_per_scenario
-def derive(scenario: Scenario) -> BoundSet:
+def derive(scenario: str | Scenario) -> BoundSet:
     """Full pipeline for a scenario, by name or as a Scenario: vertices, hull, partition (cached).
 
     Every scenario derives; one without a causal target gets a BoundSet

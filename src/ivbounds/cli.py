@@ -137,8 +137,8 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 def _cmd_derive(args) -> int:
     s = _resolve_scenario(args)
-    bs = derive(s.name)
-    dim = scenario_hull(s.name).affine_dimension
+    bs = derive(s)
+    dim = scenario_hull(s).affine_dimension
     equalities = [c.render() for c in bs.hull_equalities]
     tests = [c.render() for c in bs.observable_tests]
     trivial = [c.render() for c in bs.trivial_tests]
@@ -187,7 +187,7 @@ def _cmd_derive(args) -> int:
 def _cmd_check(args) -> int:
     s = _resolve_scenario(args)
     tables = _load_data(args.data)
-    report = model_check(derive(s.name), tables, args.tolerance)
+    report = model_check(derive(s), tables, args.tolerance)
 
     sections: dict[str, list] = {"observable": [], "equality": [], "trivial": []}
     for e in report.entries:
@@ -249,7 +249,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_bound(args) -> int:
     s, tables = _targeted(args, "bound")
-    bs = derive(s.name)
+    bs = derive(s)
     interval = evaluate_bounds(bs, tables)
 
     payload = {

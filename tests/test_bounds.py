@@ -8,6 +8,7 @@ comparison independent of which representative of each bound the
 derivation happens to print.
 """
 
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -180,6 +181,13 @@ class TestDerivedCounts:
         assert derive("pairwise3") is derive(s) is derive(twin)
         assert scenario_hull("pairwise3") is scenario_hull(s) is scenario_hull(twin)
         assert scenario_hull("bivariate", False) is scenario_hull(get_scenario("bivariate"), False)
+
+    def test_the_cached_functions_show_and_take_what_callers_pass(self):
+        assert str(inspect.signature(derive)) == "(scenario: 'str | Scenario') -> 'BoundSet'"
+        assert str(inspect.signature(scenario_hull)).startswith("(scenario: 'str | Scenario', ")
+        s = get_scenario("trivariate")
+        assert derive(scenario=s) is derive("trivariate")
+        assert scenario_hull(scenario="trivariate").facets == scenario_hull(s).facets
 
     def test_derive_fig3_has_no_target(self):
         bs = derive("fig3")
