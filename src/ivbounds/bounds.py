@@ -208,9 +208,9 @@ def _per_scenario(fn):
 
 
 @_per_scenario
-def scenario_hull(scenario: str | Scenario, include_target: bool = True) -> HRepresentation:
-    """Facet system of a scenario's vertex images (cached), given by name or as a Scenario."""
-    return facet_enumeration(scenario_vertex_set(scenario, include_target=include_target))
+def scenario_hull(scenario: str | Scenario) -> HRepresentation:
+    """Facets of the hull of scenario_vertex_set (cached), given by name or as a Scenario."""
+    return facet_enumeration(scenario_vertex_set(scenario))
 
 
 @_per_scenario

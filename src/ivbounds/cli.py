@@ -317,7 +317,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_scenario(args) -> int:
     rows = []
     for name, s in SCENARIOS.items():
-        images = scenario_vertex_set(s, include_target=True)
+        images = scenario_vertex_set(s)
         rows.append(
             {
                 "name": name,

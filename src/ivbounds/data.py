@@ -31,7 +31,7 @@ _LAYOUT = {"zeta": _CB_PAIRS, "gamma": ((0,), (1,)), "theta": ((0,), (1,)), "phi
 
 BUNDLED_DATASETS = ("lipid", "vitamin-a")
 
-DEFAULT_SUM_DEVIATION = Fraction(1, 100)
+SUM_DEVIATION = Fraction(1, 100)
 
 # Half a unit in the fourth decimal: how far rounded decimal tables may
 # stray from exact agreement.
@@ -104,13 +104,13 @@ class ObservedTables(Record):
         return out
 
 
-def _validate(t: ObservedTables, max_deviation: Fraction) -> ObservedTables:
-    """Every entry in [0, 1] and every block's sum within max_deviation of 1.
+def _validate(t: ObservedTables) -> ObservedTables:
+    """Every entry in [0, 1] and every block's sum within SUM_DEVIATION (1/100) of 1.
 
     Decided on numerators: a block's sum is taken over its least common
     denominator. Fractions are built only to word an error.
     """
-    bar, scale = max_deviation.numerator, max_deviation.denominator
+    bar, scale = SUM_DEVIATION.numerator, SUM_DEVIATION.denominator
     for name, values in t.blocks():
         for v in values:
             if not 0 <= v.numerator <= v.denominator:
@@ -133,10 +133,8 @@ def build_tables(
     arm_weights: Sequence[RationalLike] | None = None,
     *,
     decimal_input: bool = False,
-    max_deviation: RationalLike = DEFAULT_SUM_DEVIATION,
 ) -> ObservedTables:
     """Construct validated tables from the JSON-shaped nested values."""
-    max_deviation = rational(max_deviation)
     given = {"zeta": zeta, "gamma": gamma, "theta": theta, "phi": phi}
     maps = {}
     for name, keys in _LAYOUT.items():
@@ -152,7 +150,7 @@ def build_tables(
         maps[name] = {k + (a,): q for a in _ARMS for k, q in zip(keys, rows[a])}
     weights = None if arm_weights is None else tuple(_row(arm_weights, 2, "arm_weights"))
     t = ObservedTables(**maps, arm_weights=weights, decimal_input=decimal_input)
-    return _validate(t, max_deviation)
+    return _validate(t)
 
 
 def _row(values, width: int, name: str, arm: int | None = None) -> list[Fraction]:
@@ -229,7 +227,7 @@ def _contains_decimal(value) -> bool:
 _TABLE_KEYS = ("zeta", "gamma", "theta", "phi", "arm_weights")
 
 
-def _load_json_text(text: str, max_deviation: Fraction) -> ObservedTables:
+def _load_json_text(text: str) -> ObservedTables:
     try:
         # Keeping float literals as their source text preserves exactness.
         raw = json.loads(text, parse_float=str)
@@ -251,7 +249,6 @@ def _load_json_text(text: str, max_deviation: Fraction) -> ObservedTables:
             phi=raw.get("phi"),
             arm_weights=raw.get("arm_weights"),
             decimal_input=rounded or _contains_decimal(raw),
-            max_deviation=max_deviation,
         )
     except (TypeError, ValueError, RecursionError) as exc:
         if isinstance(exc, (ParseError, ValidationError)):
@@ -261,7 +258,7 @@ def _load_json_text(text: str, max_deviation: Fraction) -> ObservedTables:
     return tables
 
 
-def _load_csv_text(text: str, max_deviation: Fraction) -> ObservedTables:
+def _load_csv_text(text: str) -> ObservedTables:
     reader = csv.DictReader(text.splitlines())
     try:
         reader.fieldnames = [f.strip() for f in reader.fieldnames or ()]
@@ -292,20 +289,11 @@ def _load_csv_text(text: str, max_deviation: Fraction) -> ObservedTables:
         f"a{a}": [entries[(c, b, a)] for c, b in _CB_PAIRS]
         for a in _ARMS
     }
-    return build_tables(
-        zeta=zeta,
-        decimal_input=_contains_decimal(zeta),
-        max_deviation=max_deviation,
-    )
+    return build_tables(zeta=zeta, decimal_input=_contains_decimal(zeta))
 
 
-def load(
-    source: str | Path,
-    *,
-    max_deviation: RationalLike = DEFAULT_SUM_DEVIATION,
-) -> ObservedTables:
+def load(source: str | Path) -> ObservedTables:
     """Load tables from a bundled dataset name or a JSON/CSV file path."""
-    max_deviation = rational(max_deviation)
     if isinstance(source, str) and source in BUNDLED_DATASETS:
         from importlib import resources  # here: on some interpreters it loads inspect
         text = (
@@ -313,23 +301,23 @@ def load(
             .joinpath("datasets", f"{source}.json")
             .read_text(encoding="utf-8")
         )
-        return _load_json_text(text, max_deviation)
+        return _load_json_text(text)
     path = Path(source)
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     if path.suffix.lower() == ".csv":
-        return _load_csv_text(text, max_deviation)
-    return _load_json_text(text, max_deviation)
+        return _load_csv_text(text)
+    return _load_json_text(text)
 
 
-def derive_marginals(t: ObservedTables, *, require_phi: bool = False) -> ObservedTables:
-    """Fill missing gamma/theta (and phi when arm weights allow) from zeta.
+def derive_marginals(t: ObservedTables) -> ObservedTables:
+    """Fill missing gamma/theta, and phi when arm weights exist, from zeta.
 
     Explicitly provided tables are never overwritten, so the operation is
-    idempotent. With require_phi, absent arm weights raise
-    MissingArmWeights instead of silently skipping phi.
+    idempotent. Without arm weights phi stays None: no equal-weight
+    default is assumed.
     """
     if t.zeta is None:
         raise ValidationError("cannot derive marginals without a zeta table")
@@ -337,8 +325,6 @@ def derive_marginals(t: ObservedTables, *, require_phi: bool = False) -> Observe
     gamma = implied["gamma"] if t.gamma is None else t.gamma
     theta = implied["theta"] if t.theta is None else t.theta
     phi = implied.get("phi") if t.phi is None else t.phi
-    if phi is None and require_phi:
-        raise MissingArmWeights("phi requires arm weights; no equal-weight default is assumed")
     return ObservedTables(t.zeta, gamma, theta, phi, t.arm_weights, t.decimal_input)
 
 

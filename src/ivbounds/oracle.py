@@ -25,7 +25,7 @@ from typing import Literal, Mapping
 
 from .bounds import derive, interval_and_fit
 from .data import ObservedTables, observable_point
-from .forms import RationalLike, Record
+from .forms import MissingCoordinate, RationalLike, Record
 from .introws import clear_denominators, pivot, rref
 from .scenarios import Scenario, get_scenario, scenario_vertex_set
 
@@ -72,7 +72,10 @@ class MixtureLP(Record):
         if s.causal_target is None:
             raise ValueError(f"scenario {s.name!r} has no causal target to optimize")
         base, point = _scenario_lp(s), observable_point(s.observable_labels, data)
-        rhs = tuple(point[lab] for lab in s.observable_labels) + (_ONE,)
+        try:
+            rhs = tuple(point[lab] for lab in s.observable_labels) + (_ONE,)
+        except KeyError as exc:
+            raise MissingCoordinate(exc.args[0]) from None
         # The same columns and one rhs entry per row: base's checks hold, and its system is shared.
         return cls._unbuilt(
             columns=base.columns, rhs=rhs, objective=base.objective, _system=base._system
@@ -145,7 +148,7 @@ class MixtureLP(Record):
 @lru_cache(maxsize=None)
 def _scenario_lp(s: Scenario) -> MixtureLP:
     """A targeted scenario's LP at rhs 0; from_scenario reuses its columns, objective and system."""
-    vs = scenario_vertex_set(s, include_target=True)
+    vs = scenario_vertex_set(s)
     idx = [s.space.index(lab) for lab in s.observable_labels]
     ti = s.space.index(s.causal_target)
     columns = tuple(tuple(v[i] for i in idx) + (_ONE,) for v in vs.vertices)

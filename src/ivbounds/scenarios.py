@@ -256,11 +256,7 @@ def enumerate_parameter_vertices(scenario: str | Scenario) -> tuple[ParameterPoi
     return tuple(ParameterPoint(*r) for r in _response_types(get_scenario(scenario)))
 
 
-@lru_cache(maxsize=None)
-def scenario_vertex_set(scenario: str | Scenario, include_target: bool = True) -> VertexSet:
-    """The response types' distinct integer images in first-seen order, as a VertexSet (cached)."""
+def scenario_vertex_set(scenario: str | Scenario) -> VertexSet:
+    """The response types' distinct integer images on all the scenario's labels, first seen first."""
     s = get_scenario(scenario)
-    space = s.space if include_target or s.causal_target is None else s.observable_space
-    keep = [s.space.index(label) for label in space.labels]
-    images = dict.fromkeys(tuple(row[i] for i in keep) for row in _type_images(s))
-    return VertexSet._unbuilt(space=space, _rows=([list(images)], 1))
+    return VertexSet._unbuilt(space=s.space, _rows=([list(dict.fromkeys(_type_images(s)))], 1))

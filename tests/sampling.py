@@ -1,7 +1,9 @@
-"""Seeded sampling of latent parameter points for the tests.
+"""Seeded sampling of latent parameter points, and vertex sets, for the tests.
 
 random_parameter_point draws eta0, eta1, delta1, delta2 and then psi, in
 that order, so a seeded generator always yields the same points.
+observable_vertex_set projects a scenario's vertex images onto its
+observable labels.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from ivbounds import ParameterPoint
+from ivbounds import ParameterPoint, Scenario, VertexSet, get_scenario, scenario_vertex_set
 
 _ZERO = Fraction(0)
 
@@ -31,6 +33,13 @@ def random_parameter_point(
         delta2=draw(),
         psi=draw() if uses_psi else _ZERO,
     )
+
+
+def observable_vertex_set(scenario: str | Scenario) -> VertexSet:
+    """The distinct images on the observable labels alone, first seen first: the target dropped."""
+    s = get_scenario(scenario)
+    vertices = scenario_vertex_set(s).vertices
+    return VertexSet.from_points(s.observable_space, [dict(zip(s.space.labels, v)) for v in vertices])
 
 
 def random_mixture(rng: random.Random, vertices: list[tuple], k: int) -> tuple[Fraction, ...]:

@@ -25,7 +25,7 @@ from ivbounds.bounds import (
 from ivbounds.data import build_tables, load
 from ivbounds.forms import AffineForm, LinearConstraint, Relation, canonicalize, rational
 from ivbounds.oracle import oracle_interval
-from ivbounds.polytope import reduce_mod_equalities
+from ivbounds.polytope import facet_enumeration, reduce_mod_equalities
 from ivbounds.scenarios import (
     SCENARIOS,
     ParameterPoint,
@@ -34,7 +34,7 @@ from ivbounds.scenarios import (
     xi_transform,
 )
 
-from sampling import random_parameter_point
+from sampling import observable_vertex_set, random_parameter_point
 
 # Published bivariate bounds (ten per side, alpha >= lower, alpha <= upper).
 PUBLISHED_BIVARIATE_LOWER = [
@@ -195,7 +195,7 @@ def test_criterion_06_joint_hull_is_trivial():
 
 
 def test_criterion_07_observable_bivariate_dimension():
-    h = scenario_hull("bivariate", include_target=False)
+    h = facet_enumeration(observable_vertex_set("bivariate"))
     ok = h.affine_dimension == 4
     report(7, "observable-only bivariate hull has affine dimension 4", ok)
 

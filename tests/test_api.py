@@ -2,7 +2,9 @@
 
 import ast
 import contextlib
+import inspect
 import io
+import json
 import re
 from pathlib import Path
 
@@ -74,6 +76,19 @@ def test_public_api_is_pinned():
     assert ivbounds.__all__ == PUBLIC_API
     for name in PUBLIC_API:
         assert getattr(ivbounds, name) is not None, name
+
+
+def test_public_function_signatures_are_pinned():
+    """A parameter added, renamed or dropped shows as a diff of the golden file.
+
+    After an intended change, rewrite tests/golden/api_signatures.json as
+    json.dumps(signatures, indent=2) plus a newline.
+    """
+    functions = [name for name in PUBLIC_API if inspect.isfunction(getattr(ivbounds, name))]
+    signatures = {name: str(inspect.signature(getattr(ivbounds, name))) for name in functions}
+    golden = json.loads((ROOT / "tests" / "golden" / "api_signatures.json").read_text(encoding="utf-8"))
+    assert len(signatures) == 26
+    assert signatures == golden
 
 
 def test_no_module_imports_another_modules_private_names():

@@ -394,6 +394,14 @@ def test_derive_output_matches_golden(capsys, name):
     assert out.encode("utf-8") == (GOLDEN_DERIVE / name).read_bytes()
 
 
+# Byte-for-byte output of scenario list in both formats.
+@pytest.mark.parametrize("fmt, name", [("text", "scenario-list.txt"), ("json", "scenario-list.json")])
+def test_scenario_list_matches_golden(capsys, fmt, name):
+    code, out, err = run(capsys, "scenario", "list", "--format", fmt)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.encode("utf-8") == (Path(__file__).parent / "golden" / name).read_bytes()
+
+
 # Each verb's argparse fields: its help line, then per option the option
 # strings, dest, choices, default, required and help. Raw --help text is not
 # compared, since its layout differs between Python versions.

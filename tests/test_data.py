@@ -61,7 +61,7 @@ class TestBuildTables:
 
     def test_range_validation(self):
         with pytest.raises(ValidationError, match="outside"):
-            build_tables(gamma={"a1": ["1.5", "-0.5"], "a2": ["0.5", "0.5"]}, max_deviation=1)
+            build_tables(gamma={"a1": ["1.5", "-0.5"], "a2": ["0.5", "0.5"]})
 
     def test_sum_validation_names_block(self):
         with pytest.raises(ValidationError, match=r"gamma\[a=1\]"):
@@ -108,15 +108,11 @@ class TestBuildTables:
             load(path)
         assert str(exc.value) == message
 
-    def test_tolerance_accepts_rational_like(self):
-        t = build_tables(gamma={"a1": ["0.2", "0.3"], "a2": ["0.3", "0.3"]}, max_deviation="1/2")
-        assert t.gamma[(0, 1)] == Fraction(1, 5)
-
     # The messages the Fraction-by-Fraction check printed, byte for byte.
     @pytest.mark.parametrize("tables, message", [
-        (dict(gamma={"a1": ["1.5", "-0.5"], "a2": ["0.5", "0.5"]}, max_deviation=1),
+        (dict(gamma={"a1": ["1.5", "-0.5"], "a2": ["0.5", "0.5"]}),
          "gamma[a=1] entry 3/2 is outside [0, 1]"),
-        (dict(gamma={"a1": ["0.5", "0.5"], "a2": ["-1/3", "4/3"]}, max_deviation=1),
+        (dict(gamma={"a1": ["0.5", "0.5"], "a2": ["-1/3", "4/3"]}),
          "gamma[a=2] entry -1/3 is outside [0, 1]"),
         (dict(theta={"a1": ["0.4", "0.5"], "a2": ["0.5", "0.5"]}),
          "theta[a=1] sums to 9/10, slack -1/10"),
@@ -130,7 +126,7 @@ class TestBuildTables:
         assert str(exc.value) == message
 
     def test_slack_of_exactly_max_deviation_passes(self):
-        build_tables(theta={"a1": ["0.5", "0.51"], "a2": ["0.5", "0.49"]}, max_deviation="1/100")
+        build_tables(theta={"a1": ["0.5", "0.51"], "a2": ["0.5", "0.49"]})
         # one unit of the cells' denominator past it, either way, fails
         with pytest.raises(ValidationError, match=r"^theta\[a=1\] sums to 1011/1000, slack 11/1000$"):
             build_tables(theta={"a1": ["0.5", "0.511"], "a2": ["0.5", "0.5"]})
@@ -395,12 +391,7 @@ class TestDeriveMarginals:
         assert t.phi is None
 
     def test_phi_needs_weights(self):
-        t = build_tables(zeta=LIPID_ZETA)
-        with pytest.raises(MissingArmWeights):
-            derive_marginals(t, require_phi=True)
-        t2 = derive_marginals(
-            build_tables(zeta=LIPID_ZETA, arm_weights=["1/2", "1/2"]), require_phi=True
-        )
+        t2 = derive_marginals(build_tables(zeta=LIPID_ZETA, arm_weights=["1/2", "1/2"]))
         assert t2.phi[(0, 0)] == (Fraction(919, 1000) + Fraction(315, 1000)) / 2
 
     def test_never_overwrites(self):

@@ -217,6 +217,13 @@ class TestMixtureLP:
         with pytest.raises(ValueError, match="causal target"):
             MixtureLP.from_scenario("fig3", load("lipid"))
 
+    @pytest.mark.parametrize("call", [MixtureLP.from_scenario, oracle_interval])
+    def test_missing_label_is_named(self, call):
+        """As in cross_check and beta_bounds, not a bare KeyError."""
+        with pytest.raises(MissingCoordinate) as exc:
+            call("beta", {"t01": "1/2", "t11": "1/2", "t02": "1/4"})
+        assert exc.value.args == ("t12",)
+
 
 class TestOracleInterval:
     @pytest.mark.parametrize(

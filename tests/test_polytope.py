@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from sampling import observable_vertex_set
 from ivbounds import bounds, polytope
 from ivbounds.bounds import scenario_hull
 from ivbounds.forms import (
@@ -474,25 +475,30 @@ def test_unbuilt_facets_compare_and_print_like_a_hand_built_hull(name):
     assert lazy._rows == hand._rows
 
 
+def vertex_set(name, with_target):
+    """The scenario's vertex images on all its labels, or on its observable labels only."""
+    return scenario_vertex_set(name) if with_target else observable_vertex_set(name)
+
+
 @pytest.mark.parametrize("name", list(SCENARIOS))
-@pytest.mark.parametrize("include_target", [True, False])
-def test_scenario_vertex_rows_are_the_integer_rows_of_the_vertices(name, include_target):
-    vs = scenario_vertex_set(name, include_target=include_target)
+@pytest.mark.parametrize("with_target", [True, False])
+def test_scenario_vertex_rows_are_the_integer_rows_of_the_vertices(name, with_target):
+    vs = vertex_set(name, with_target)
     assert vs._rows == integer_rows([vs.vertices])
     assert VertexSet(vs.space, vs.vertices)._rows == vs._rows
 
 
 @pytest.mark.parametrize("name", list(SCENARIOS))
-@pytest.mark.parametrize("include_target", [True, False])
-def test_double_description_matches_the_mask_scan_on_registry_charts(name, include_target):
-    vs = scenario_vertex_set(name, include_target=include_target)
+@pytest.mark.parametrize("with_target", [True, False])
+def test_double_description_matches_the_mask_scan_on_registry_charts(name, with_target):
+    vs = vertex_set(name, with_target)
     hull = affine_hull(vs)
     (points,), scale = vs._rows
     chart = [primitive((scale, *(v[p] for p in hull.pivots))) for v in points]
     rays = polytope._polar_extreme_rays(chart, hull.dimension)
     assert all(primitive(ray) == ray for ray in rays)
     assert sorted(rays) == sorted(reference.polar_extreme_rays(chart, hull.dimension))
-    assert len(set(rays)) == len(rays) == len(scenario_hull(name, include_target).facets)
+    assert len(set(rays)) == len(rays) == len(facet_enumeration(vs).facets)
 
 
 # Each derived object holds its integer rows; the field views are built on first read.
@@ -508,7 +514,7 @@ VIEWS = {
 
 @pytest.mark.parametrize("name", list(SCENARIOS))
 def test_derivation_leaves_every_view_unbuilt_until_read(name):
-    vs = scenario_vertex_set.__wrapped__(name)
+    vs = scenario_vertex_set(name)
     hull, (h, bs) = affine_hull(vs), fresh_derivation(name)
     for obj in (vs, hull, h, bs):
         views = VIEWS[type(obj)]

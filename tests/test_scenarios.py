@@ -19,7 +19,7 @@ from ivbounds.scenarios import (
 )
 
 import reference
-from sampling import random_parameter_point
+from sampling import observable_vertex_set, random_parameter_point
 
 # One interior point, all transforms worked out by hand.
 P = ParameterPoint(
@@ -162,18 +162,18 @@ class TestRegistry:
         for name, count in expected.items():
             assert len(scenario_vertex_set(name)) == count, name
 
-    @pytest.mark.parametrize("include_target", [True, False])
+    @pytest.mark.parametrize("with_target", [True, False])
     @pytest.mark.parametrize("name", list(SCENARIOS))
-    def test_vertex_set_equals_the_fraction_reference(self, name, include_target):
+    def test_vertex_set_equals_the_fraction_reference(self, name, with_target):
         """Integer images, wrapped once, equal the closed forms at the corners, first seen first."""
         s = get_scenario(name)
-        space = s.space if include_target or s.causal_target is None else s.observable_space
+        space = s.space if with_target else s.observable_space
         expected = []
         for p in enumerate_parameter_vertices(s):
             vec = tuple(reference.transform(label, p) for label in space.labels)
             if vec not in expected:
                 expected.append(vec)
-        vs = scenario_vertex_set(name, include_target=include_target)
+        vs = scenario_vertex_set(name) if with_target else observable_vertex_set(name)
         assert vs.space == space
         assert vs.vertices == tuple(expected)
         assert all(type(v) is Fraction for vertex in vs.vertices for v in vertex)
@@ -194,7 +194,7 @@ class TestRegistry:
         s = get_scenario("trivariate")
         assert "alpha" not in s.observable_labels
         assert len(s.observable_labels) == 8
-        obs = scenario_vertex_set(s, include_target=False)
+        obs = observable_vertex_set(s)
         assert obs.space.dimension == 8
 
     def test_beta_vertex_targets(self):
