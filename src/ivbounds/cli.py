@@ -343,6 +343,10 @@ def _cmd_scenario(args) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Python 3.10-3.12 read "--option=--" as [] and skip its choices.
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            raise UsageError(f"argument --{name}: expected one argument")
     return args.func(args)
 
 

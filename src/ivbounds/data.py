@@ -5,6 +5,12 @@ Tables hold exact rationals. Decimal text such as "0.919" parses to
 literal digits are kept. Two named datasets ship with the package: "lipid"
 (a cholesterol-lowering trial with partial compliance) and "vitamin-a"
 (a supplementation trial with one-sided compliance).
+
+Every source, bundled or a JSON or CSV file, is read one way: as UTF-8 (a
+leading byte-order mark is dropped) into the JSON-shaped object (a key given
+twice is refused) that build_tables, the one validator, takes. So a malformed
+file of either format raises ParseError or ValidationError, and build_tables
+rejects marginals that contradict zeta just as load does.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ _ARMS = (1, 2)
 # Each table's cell keys in row order. Every table but phi has a row per arm,
 # and its keys end in the arm.
 _LAYOUT = {"zeta": _CB_PAIRS, "gamma": ((0,), (1,)), "theta": ((0,), (1,)), "phi": _CB_PAIRS}
+_TABLE_KEYS = (*_LAYOUT, "arm_weights")
 
 BUNDLED_DATASETS = ("lipid", "vitamin-a")
 
@@ -43,12 +50,17 @@ _CELL_DIGITS = 100
 _CELL_LIMIT = 10**_CELL_DIGITS
 
 
+def _too_long(q: Fraction) -> bool:
+    """Whether a cell or tolerance needs more than _CELL_DIGITS digits above or below the bar."""
+    return q.denominator >= _CELL_LIMIT or abs(q.numerator) >= _CELL_LIMIT
+
+
 class ParseError(ValueError):
     """Input text or structure cannot be read as tables."""
 
 
 class ValidationError(ValueError):
-    """Tables parsed but violate a range or sum invariant."""
+    """Tables parsed but violate a range, sum or agreement invariant."""
 
 
 class MissingArmWeights(ValueError):
@@ -105,10 +117,12 @@ class ObservedTables(Record):
 
 
 def _validate(t: ObservedTables) -> ObservedTables:
-    """Every entry in [0, 1] and every block's sum within SUM_DEVIATION (1/100) of 1.
+    """Entries in [0, 1], block sums within SUM_DEVIATION (1/100) of 1, marginals as zeta implies.
 
-    Decided on numerators: a block's sum is taken over its least common
-    denominator. Fractions are built only to word an error.
+    Explicit gamma/theta/phi must match the tables' own zeta and arm weights: exactly
+    for exact input, within DECIMAL_TOLERANCE per entry for rounded decimals. Decided on
+    numerators (block sums over a least common denominator, marginals cross-multiplied);
+    Fractions are built only to word an error.
     """
     bar, scale = SUM_DEVIATION.numerator, SUM_DEVIATION.denominator
     for name, values in t.blocks():
@@ -122,6 +136,19 @@ def _validate(t: ObservedTables) -> ObservedTables:
                 f"{name} sums to {format_rational(Fraction(total, d))}, "
                 f"slack {format_rational(Fraction(total - d, d))}"
             )
+    if t.zeta is None:
+        return t
+    tol = default_tolerance(t)
+    for name, implied in t._implied.items():
+        for key, value in (getattr(t, name) or {}).items():
+            want = implied[key]
+            d = value.denominator * want.denominator
+            gap = value.numerator * want.denominator - want.numerator * value.denominator
+            if abs(gap) * tol.denominator > tol.numerator * d:
+                raise ValidationError(
+                    f"{name}{list(key)} = {format_rational(value)} contradicts zeta, "
+                    f"which implies {format_rational(want)}"
+                )
     return t
 
 
@@ -134,7 +161,7 @@ def build_tables(
     *,
     decimal_input: bool = False,
 ) -> ObservedTables:
-    """Construct validated tables from the JSON-shaped nested values."""
+    """Construct validated tables from the JSON-shaped nested values (see _validate)."""
     given = {"zeta": zeta, "gamma": gamma, "theta": theta, "phi": phi}
     maps = {}
     for name, keys in _LAYOUT.items():
@@ -149,8 +176,7 @@ def build_tables(
         rows = {a: _row(table[f"a{a}"], len(keys), name, a) for a in _ARMS}
         maps[name] = {k + (a,): q for a in _ARMS for k, q in zip(keys, rows[a])}
     weights = None if arm_weights is None else tuple(_row(arm_weights, 2, "arm_weights"))
-    t = ObservedTables(**maps, arm_weights=weights, decimal_input=decimal_input)
-    return _validate(t)
+    return _validate(ObservedTables(**maps, arm_weights=weights, decimal_input=decimal_input))
 
 
 def _row(values, width: int, name: str, arm: int | None = None) -> list[Fraction]:
@@ -164,7 +190,7 @@ def _row(values, width: int, name: str, arm: int | None = None) -> list[Fraction
             q = rational(v)
         except (TypeError, ValueError) as exc:
             raise type(exc)(f"{where}[{i}] = {v!r}: {exc}") from exc
-        if q.denominator >= _CELL_LIMIT or abs(q.numerator) >= _CELL_LIMIT:
+        if _too_long(q):
             raise ParseError(f"{where}[{i}] = {v!r} needs more than {_CELL_DIGITS} digits")
         out.append(q)
     if len(out) != width:
@@ -188,51 +214,28 @@ def default_tolerance(
     tol = rational(tolerance)
     if tol.numerator < 0:
         raise ValidationError(f"tolerance {tolerance!r} is negative")
-    if tol.denominator >= _CELL_LIMIT or tol.numerator >= _CELL_LIMIT:
+    if _too_long(tol):
         raise ParseError(f"tolerance {tolerance!r} needs more than {_CELL_DIGITS} digits")
     return tol
-
-
-def _check_marginals(t: ObservedTables) -> None:
-    """Explicit gamma/theta/phi must agree with the tables' own zeta and arm weights.
-
-    Exact input must agree exactly; rounded decimal input within
-    DECIMAL_TOLERANCE per entry. Compared by cross-multiplying numerators.
-    """
-    if t.zeta is None:
-        return
-    tol = default_tolerance(t)
-    for name, implied in t._implied.items():
-        for key, value in (getattr(t, name) or {}).items():
-            want = implied[key]
-            d = value.denominator * want.denominator
-            gap = value.numerator * want.denominator - want.numerator * value.denominator
-            if abs(gap) * tol.denominator > tol.numerator * d:
-                raise ValidationError(
-                    f"{name}{list(key)} = {format_rational(value)} contradicts zeta, "
-                    f"which implies {format_rational(want)}"
-                )
 
 
 def _contains_decimal(value) -> bool:
     if isinstance(value, str):
         return "." in value or "e" in value.lower()
     if isinstance(value, Mapping):
-        return any(_contains_decimal(v) for v in value.values())
-    if isinstance(value, (list, tuple)):
-        return any(_contains_decimal(v) for v in value)
-    return False
+        value = list(value.values())
+    return isinstance(value, (list, tuple)) and any(map(_contains_decimal, value))
 
 
-_TABLE_KEYS = ("zeta", "gamma", "theta", "phi", "arm_weights")
-
-
-def _load_json_text(text: str) -> ObservedTables:
+def load(source: str | Path) -> ObservedTables:
+    """Load tables from a bundled dataset name or a JSON/CSV file path; build_tables validates."""
+    bundled = isinstance(source, str) and source in BUNDLED_DATASETS
+    path = Path(__file__).parent / "datasets" / f"{source}.json" if bundled else Path(source)
     try:
-        # Keeping float literals as their source text preserves exactness.
-        raw = json.loads(text, parse_float=str)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
+        text = path.read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    raw = _parse_csv(text) if path.suffix.lower() == ".csv" else _parse_json(text)
     if not isinstance(raw, dict):
         raise ParseError("top-level JSON value must be an object")
     unknown = set(raw) - set(_TABLE_KEYS) - {"decimal_input"}
@@ -242,23 +245,33 @@ def _load_json_text(text: str) -> ObservedTables:
     if not isinstance(rounded, bool):
         raise ParseError("decimal_input must be true or false")
     try:
-        tables = build_tables(
-            zeta=raw.get("zeta"),
-            gamma=raw.get("gamma"),
-            theta=raw.get("theta"),
-            phi=raw.get("phi"),
-            arm_weights=raw.get("arm_weights"),
-            decimal_input=rounded or _contains_decimal(raw),
-        )
+        rounded = rounded or _contains_decimal(raw)
+        return build_tables(**{k: raw.get(k) for k in _TABLE_KEYS}, decimal_input=rounded)
     except (TypeError, ValueError, RecursionError) as exc:
         if isinstance(exc, (ParseError, ValidationError)):
             raise
         raise ParseError(str(exc)) from exc
-    _check_marginals(tables)
-    return tables
 
 
-def _load_csv_text(text: str) -> ObservedTables:
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a key given twice is a ParseError, not silently the last."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        raise ParseError(f"repeated JSON key {key!r}")
+    return out
+
+
+def _parse_json(text: str):
+    try:
+        # Keeping float literals as their source text preserves exactness.
+        return json.loads(text, parse_float=str, object_pairs_hook=_unique_keys)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+
+
+def _parse_csv(text: str) -> dict:
+    """A c,b,a,value CSV as the JSON-shaped {"zeta": {"a1": [...], "a2": [...]}}."""
     reader = csv.DictReader(text.splitlines())
     try:
         reader.fieldnames = [f.strip() for f in reader.fieldnames or ()]
@@ -285,31 +298,7 @@ def _load_csv_text(text: str) -> ObservedTables:
         missing = sorted(expected - set(entries))
         extra = sorted(set(entries) - expected)
         raise ParseError(f"CSV zeta table incomplete; missing {missing}, unexpected {extra}")
-    zeta = {
-        f"a{a}": [entries[(c, b, a)] for c, b in _CB_PAIRS]
-        for a in _ARMS
-    }
-    return build_tables(zeta=zeta, decimal_input=_contains_decimal(zeta))
-
-
-def load(source: str | Path) -> ObservedTables:
-    """Load tables from a bundled dataset name or a JSON/CSV file path."""
-    if isinstance(source, str) and source in BUNDLED_DATASETS:
-        from importlib import resources  # here: on some interpreters it loads inspect
-        text = (
-            resources.files("ivbounds")
-            .joinpath("datasets", f"{source}.json")
-            .read_text(encoding="utf-8")
-        )
-        return _load_json_text(text)
-    path = Path(source)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    if path.suffix.lower() == ".csv":
-        return _load_csv_text(text)
-    return _load_json_text(text)
+    return {"zeta": {f"a{a}": [entries[(c, b, a)] for c, b in _CB_PAIRS] for a in _ARMS}}
 
 
 def derive_marginals(t: ObservedTables) -> ObservedTables:

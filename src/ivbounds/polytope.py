@@ -152,6 +152,14 @@ class HRepresentation(Record):
     facets: tuple[LinearConstraint, ...] = rows_view(1, Relation.GEQ)
     affine_dimension: int
 
+    def __post_init__(self) -> None:
+        # Only hand-built ones get here (reduce_mod_equalities builds one, hence its message);
+        # facet_enumeration's rows are EQ and GEQ by construction.
+        if any(c.relation is not Relation.EQ for c in self.equalities):
+            raise ValueError("reduce_mod_equalities expects EQ constraints")
+        if any(c.relation is not Relation.GEQ for c in self.facets):
+            raise ValueError("HRepresentation facets must be >= constraints")
+
     @cached_property
     def _rows(self) -> tuple[list[list[tuple[int, ...]]], int]:
         """Equality rows and facet rows (a..., k) over one L > 0, each form (a . x + k) / L."""
@@ -161,9 +169,6 @@ class HRepresentation(Record):
     @cached_property
     def _triangular(self) -> tuple[list[tuple[int, list[int]]], int]:
         """(trailing coordinate, row) per equality, and d: each row is d there, 0 in the rest."""
-        # Only given equalities can hold another relation; rows from facet_enumeration are all EQ.
-        if any(eq.relation is not Relation.EQ for eq in vars(self).get("equalities", ())):
-            raise ValueError("reduce_mod_equalities expects EQ constraints")
         (eq, _), _ = self._rows
         m = self.space.dimension
         # Reversed coordinates, so elimination prefers pivots from the right.

@@ -4,6 +4,7 @@ All tests drive entry() in process and read captured stdout/stderr; one
 subprocess test confirms the module is runnable as a script.
 """
 
+import codecs
 import contextlib
 import io
 import json
@@ -263,6 +264,15 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert err
 
+    @pytest.mark.parametrize("option", ["--scenario", "--data", "--tolerance", "--target", "--format"])
+    def test_option_given_as_double_dash(self, capsys, option):
+        """Python 3.10-3.12 parse --option=-- as [] past its choices: a traceback, or text for --format."""
+        code, out, err = run(
+            capsys, "check", "--scenario", "trivariate", "--data", "lipid", f"{option}=--"
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_bad_tolerance_string(self, capsys):
         code, _, err = run(
             capsys, "check", "--scenario", "trivariate", "--data", "lipid",
@@ -359,8 +369,9 @@ _LONG_CELL = '{"zeta": {"a1": ["1e-4300", "0.5", "0.25", "0.25"], "a2": ["0", "0
 
 # Byte-for-byte CLI output of check, bound and oracle, in both formats, on
 # the bundled studies and on violating.json (every slack, endpoint, witness
-# and LP interval the CLI prints). Each file is named <verb>-<data>-<scenario>.<txt|json>;
-# exit_codes.json holds the exit code of each.
+# and LP interval the CLI prints), and of check on lipid-zeta.csv, lipid's zeta
+# table saved with a UTF-8 byte-order mark as spreadsheets export it. Each file
+# is named <verb>-<data>-<scenario>.<txt|json>; exit_codes.json holds the exit code of each.
 GOLDEN_CLI = Path(__file__).parent / "golden" / "cli"
 GOLDEN_EXIT_CODES = json.loads((GOLDEN_CLI / "exit_codes.json").read_text(encoding="utf-8"))
 
@@ -370,13 +381,17 @@ def test_output_matches_golden(capsys, monkeypatch, name):
     verb, rest = name.split("-", 1)
     stem, ext = rest.rsplit(".", 1)
     data, scenario = stem.rsplit("-", 1)
-    monkeypatch.chdir(GOLDEN_CLI)  # violating.json is named as given, so it prints the same
+    monkeypatch.chdir(GOLDEN_CLI)  # a data file is named as given, so it prints the same
     if data == "violating":
         data += ".json"
     fmt = "json" if ext == "json" else "text"
     code, out, err = run(capsys, verb, "--scenario", scenario, "--data", data, "--format", fmt)
     assert (code, err) == (GOLDEN_EXIT_CODES[name], "")
     assert out.encode("utf-8") == (GOLDEN_CLI / name).read_bytes()
+
+
+def test_csv_golden_starts_with_a_byte_order_mark():
+    assert (GOLDEN_CLI / "lipid-zeta.csv").read_bytes().startswith(codecs.BOM_UTF8)
 
 
 # Byte-for-byte output of derive for every scenario in both formats, named

@@ -1,5 +1,6 @@
 """Table parsing, validation, marginals, bundled datasets."""
 
+import codecs
 import json
 from fractions import Fraction
 from importlib import resources
@@ -150,6 +151,31 @@ class TestBuildTables:
         with pytest.raises(ValidationError, match=r"^arm_weights sums to 9/5"):
             build_tables(**tables)
 
+    @pytest.mark.parametrize(
+        "zeta_a2, theta_a2, decimal, ok",
+        [
+            (["3/10", "1/10", "1/10", "1/2"], ["2/5", "3/5"], False, True),
+            (["3/10", "1/10", "1/10", "1/2"], ["4001/10000", "5999/10000"], False, False),
+            (["0.3", "0.1", "0.1", "0.5"], ["0.4005", "0.5995"], True, True),
+            (["0.3", "0.1", "0.1", "0.5"], ["0.40051", "0.59949"], True, False),
+        ],
+    )
+    def test_marginals_must_agree_with_zeta(self, zeta_a2, theta_a2, decimal, ok):
+        """Only load once compared them, so evaluate_bounds answered from a contradicting table.
+
+        Exact input must agree exactly; rounded decimals within 1/2000 (0.4005 is exactly that).
+        """
+        tables = dict(
+            zeta={"a1": ["1", "0", "0", "0"], "a2": zeta_a2},
+            theta={"a1": ["1", "0"], "a2": theta_a2},
+            decimal_input=decimal,
+        )
+        if ok:
+            assert build_tables(**tables).theta[(0, 2)] == Fraction(theta_a2[0])
+        else:
+            with pytest.raises(ValidationError, match=r"^theta\[0, 2\] = .* contradicts zeta"):
+                build_tables(**tables)
+
 
 # One valid row of each table, for the malformed shapes below to break.
 _ROWS = {
@@ -260,6 +286,19 @@ class TestLoadJson:
         with pytest.raises(ParseError, match="invalid JSON"):
             load(path)
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"theta": {"a1": ["1", "0"], "a2": ["1", "0"]}, "theta": {"a1": ["0", "1"], "a2": ["0", "1"]}}',
+         "theta"),
+        ('{"theta": {"a1": ["1", "0"], "a2": ["1", "0"], "a1": ["0", "1"]}}', "a1"),
+    ], ids=["top-level", "nested"])
+    def test_repeated_key_is_refused(self, tmp_path, text, key):
+        """The last of a repeated key was once answered from silently."""
+        path = tmp_path / "t.json"
+        path.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            load(path)
+        assert str(exc.value) == f"repeated JSON key {key!r}"
+
     def test_missing_file(self):
         with pytest.raises(ParseError, match="cannot read"):
             load("/no/such/file.json")
@@ -366,6 +405,14 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match=r"zeta a1\[0\] = '1e-200'"):
             load(self.write(tmp_path, rows))
 
+    def test_bad_cell_is_a_parse_error(self, tmp_path):
+        """A bad CSV cell once raised a bare ValueError; the same cell in JSON raised ParseError."""
+        rows = self.full_rows()
+        rows[0] = "0,0,1,abc"
+        with pytest.raises(ParseError) as exc:
+            load(self.write(tmp_path, rows))
+        assert str(exc.value) == "zeta a1[0] = 'abc': cannot parse 'abc' as a rational"
+
     def test_extra_field_is_named(self, tmp_path):
         """A fifth field was once filed under DictReader's None key and ignored."""
         rows = self.full_rows()
@@ -379,6 +426,25 @@ class TestLoadCsv:
         rows = self.full_rows()
         with pytest.raises(ParseError, match="duplicate"):
             load(self.write(tmp_path, rows + [rows[0]]))
+
+
+@pytest.mark.parametrize("suffix", [".json", ".csv"])
+def test_byte_order_mark_is_dropped(tmp_path, suffix):
+    """Spreadsheets save UTF-8 with a leading byte-order mark, which was once refused."""
+    if suffix == ".json":
+        text = json.dumps({"zeta": LIPID_ZETA, "arm_weights": ["172/337", "165/337"]})
+    else:
+        cells = [(c, b, a) for a in (1, 2) for c in (0, 1) for b in (0, 1)]
+        text = "c,b,a,value\n" + "".join(
+            f"{c},{b},{a},{LIPID_ZETA[f'a{a}'][2 * c + b]}\n" for c, b, a in cells
+        )
+    plain, marked = tmp_path / f"plain{suffix}", tmp_path / f"marked{suffix}"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == codecs.BOM_UTF8 + plain.read_bytes()
+    want, got = load(plain), load(marked)
+    assert got == want and got.decimal_input and want.decimal_input
+    assert got.zeta == build_tables(zeta=LIPID_ZETA).zeta
 
 
 class TestDeriveMarginals:
@@ -395,10 +461,9 @@ class TestDeriveMarginals:
         assert t2.phi[(0, 0)] == (Fraction(919, 1000) + Fraction(315, 1000)) / 2
 
     def test_never_overwrites(self):
-        t = build_tables(
-            zeta=LIPID_ZETA,
-            gamma={"a1": ["0.5", "0.5"], "a2": ["0.5", "0.5"]},  # deliberately off
-        )
+        # Built by hand: build_tables refuses a gamma that contradicts zeta.
+        gamma = {(c, a): Fraction(1, 2) for c in (0, 1) for a in (1, 2)}  # deliberately off
+        t = ObservedTables(zeta=build_tables(zeta=LIPID_ZETA).zeta, gamma=gamma)
         d = derive_marginals(t)
         assert d.gamma[(0, 1)] == Fraction(1, 2)
 

@@ -326,6 +326,14 @@ def test_equalities_given_by_hand_must_be_equalities():
         bounds.partition(HRepresentation(sp, (geq,), (geq,), 1))
 
 
+def test_facets_given_by_hand_must_be_inequalities():
+    """An EQ facet was once read as >=: contains took a point off t = x as a member."""
+    sp = CoordinateSpace("tx", ("t", "x"))
+    on_diagonal = LinearConstraint(AffineForm(sp, (1, -1)), Relation.EQ)
+    with pytest.raises(ValueError, match="^HRepresentation facets must be >= constraints$"):
+        HRepresentation(sp, (), (on_diagonal,), 2)
+
+
 def reference_contains(h, point):
     """contains as it was written on Fractions: each form evaluated in turn."""
     vec = h.space.vector(point)
