@@ -12,8 +12,10 @@ partition works on the hull's integer rows: it reduces them modulo the
 equalities, recognises trivial facets by their primitive rows, and hands
 the BoundSet its bound rows (solved for the target) and test rows on the
 observable space. Its forms and constraints are views built on first read
-(a hand-built one keeps its tuples and compiles rows at first use), and
-evaluate_bounds and model_check are integer dot products, still exact.
+(a hand-built one keeps its tuples and compiles rows at first use).
+evaluate_bounds and model_check stay exact on integers: rows compiled once,
+at a BoundSet's first evaluation, read only their nonzero columns of the
+point that data.integer_point reads from the tables' integer cells.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import cached_property, lru_cache, wraps
 from math import lcm
 from typing import Mapping, Sequence
 
-from .data import ObservedTables, ValidationError, default_tolerance, observable_point
+from .data import ObservedTables, ValidationError, default_tolerance, integer_point
 from .forms import (
     AffineForm,
     CoordinateSpace,
@@ -36,14 +38,14 @@ from .forms import (
     canonical_row,
     constraint_from_row,
     format_rational,
-    rational,
     rows_view,
 )
-from .introws import evaluate_rows, integer_rows, primitive
+from .introws import evaluate_rows, integer_rows, primitive, sparse_rows
 from .polytope import HRepresentation, facet_enumeration
 from .scenarios import Scenario, get_scenario, scenario_vertex_set
 
-_ZERO = Fraction(0)
+# zeta's labels as instrumental_inequality reads them: for each b, for each c, both arms.
+_ZETA_BY_B = tuple(f"z{c}{b}.{a}" for b in (0, 1) for c in (0, 1) for a in (1, 2))
 
 # model_check's sections, in report order, and the BoundSet field of each.
 _SECTIONS = (("observable", "observable_tests"), ("equality", "hull_equalities"),
@@ -115,6 +117,13 @@ class BoundSet(Record):
         rows = dict(zip(forms, rows))
         rows["checks"] = [r for s, _ in _SECTIONS for r in rows[s]]
         return rows, den
+
+    @cached_property
+    def _sparse(self) -> tuple[tuple, dict[str, list]]:
+        """_rows compiled for evaluate_rows at the first evaluation: (products, getters by group)."""
+        groups, _ = self._rows
+        products, rows = sparse_rows(list(groups.values()))
+        return products, dict(zip(groups, rows))
 
 
 def classify_observable(
@@ -275,25 +284,18 @@ def _numerators(
 ) -> tuple[list[list[int]], int]:
     """Every form of the named lists at the data point, as numerators over one denominator.
 
-    evaluate_rows scales the point to integers once for all of them. Raises what
-    evaluating each form in turn would, such as MissingCoordinate for an absent used label.
+    Raises what evaluating each form in turn would, such as MissingCoordinate for an absent
+    used label.
     """
     labels = bs.space.labels
-    point = observable_point(labels, data)
-    values, unusable = [], []
-    for j, label in enumerate(labels):
-        try:
-            values.append(rational(point[label]))
-        except (KeyError, TypeError, ValueError):
-            values.append(_ZERO)
-            unusable.append(j)
-    rows, den = bs._rows
-    for j in (j for name in names for row in rows[name] for j in unusable if row[j]):
-        if labels[j] not in point:
+    xs, d, absent = integer_point(labels, data)
+    if absent:
+        rows = bs._rows[0]
+        for j in (j for name in names for row in rows[name] for j in absent if row[j]):
             raise MissingCoordinate(labels[j])
-        rational(point[labels[j]])  # raises this value's own error
-    numerators, scale = evaluate_rows([rows[name] for name in names], values)
-    return numerators, den * scale
+    products, groups = bs._sparse
+    xs.append(d)
+    return evaluate_rows(products, [groups[name] for name in names], xs), bs._rows[1] * d
 
 
 def _shortfall(bs: BoundSet, slacks: Sequence[int]) -> int:
@@ -373,21 +375,18 @@ def instrumental_inequality(
     data: ObservedTables, tolerance: RationalLike | None = None
 ) -> InstrumentalReport:
     """max_b sum_c max_a P(C=c, B=b | A=a) <= 1, the classic necessary test."""
-    if data.zeta is None:
-        raise ValidationError("the instrumental inequality needs a zeta table")
+    try:
+        z, d, _ = integer_point(_ZETA_BY_B, data)
+    except ValidationError:
+        raise ValidationError("the instrumental inequality needs a zeta table") from None
     tol = default_tolerance(data, tolerance)
-    sums = []
-    for b in (0, 1):
-        total = _ZERO
-        for c in (0, 1):
-            total += max(data.zeta[(c, b, 1)], data.zeta[(c, b, 2)])
-        sums.append(total)
-    maximum = max(sums)
+    sums = [max(z[k], z[k + 1]) + max(z[k + 2], z[k + 3]) for k in (0, 4)]
+    top = max(sums)
     return InstrumentalReport(
-        b_sums=(sums[0], sums[1]),
-        maximum=maximum,
+        b_sums=(Fraction(sums[0], d), Fraction(sums[1], d)),
+        maximum=Fraction(top, d),
         tolerance=tol,
-        passed=maximum <= 1 + tol,
+        passed=top * tol.denominator <= (tol.denominator + tol.numerator) * d,
     )
 
 
@@ -396,9 +395,8 @@ def beta_bounds(data: ObservedTables | Mapping[str, RationalLike]) -> Interval:
 
     max(-t01 - t02, -t11 - t12) <= beta <= min(t01 + t02, t11 + t12).
     """
-    point = observable_point(get_scenario("beta").observable_labels, data)
-    try:
-        t01, t02, t11, t12 = (point[label] for label in ("t01", "t02", "t11", "t12"))
-    except KeyError as exc:
-        raise MissingCoordinate(exc.args[0]) from None
-    return _interval([-t01 - t02, -t11 - t12], [t01 + t02, t11 + t12])
+    labels = ("t01", "t02", "t11", "t12")
+    (t01, t02, t11, t12), d, absent = integer_point(labels, data)
+    if absent:
+        raise MissingCoordinate(labels[absent[0]])
+    return _interval([-t01 - t02, -t11 - t12], [t01 + t02, t11 + t12], d)

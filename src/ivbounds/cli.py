@@ -22,7 +22,6 @@ from .bounds import (
 )
 from .data import BUNDLED_DATASETS, ObservedTables, derive_marginals, load
 from .forms import MissingCoordinate, format_decimal, format_rational
-from .oracle import MismatchError, cross_check
 from .scenarios import SCENARIOS, enumerate_parameter_vertices, get_scenario, scenario_vertex_set
 
 EXIT_OK = 0
@@ -284,8 +283,14 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import MismatchError, cross_check  # the one verb that loads the oracle
+
     s, tables = _targeted(args, "optimize")
-    report = cross_check(s, tables)
+    try:
+        report = cross_check(s, tables)
+    except MismatchError as exc:
+        print(f"oracle mismatch: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
 
     payload = {
         "scenario": report.scenario,
@@ -356,9 +361,6 @@ def entry(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except MismatchError as exc:
-        print(f"oracle mismatch: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
     except (ValueError, MissingCoordinate) as exc:
         # ParseError, ValidationError, MissingArmWeights, TargetUnconstrained
         # and UnsupportedCoordinateError all descend from ValueError.

@@ -11,19 +11,25 @@ leading byte-order mark is dropped) into the JSON-shaped object (a key given
 twice is refused) that build_tables, the one validator, takes. So a malformed
 file of either format raises ParseError or ValidationError, and build_tables
 rejects marginals that contradict zeta just as load does.
+
+A study stays on integers from the moment a cell is parsed: ObservedTables
+holds every cell as a numerator over one common denominator (``_cells``),
+which validation, derive_marginals and integer_point (for bounds) read. Its
+Fraction dicts are views built on first read; hand-built tables keep the
+dicts they are given and compile their cells at first use.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .forms import RationalLike, Record, format_rational, rational
-from .introws import clear_denominators
+from .forms import RationalLike, Record, format_rational, ratio, rational
+from .introws import clear_denominators, picker
 from .scenarios import parse_coordinate
 
 _ZERO = Fraction(0)
@@ -31,10 +37,20 @@ _ZERO = Fraction(0)
 _CB_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 _ARMS = (1, 2)
 
-# Each table's cell keys in row order. Every table but phi has a row per arm,
-# and its keys end in the arm.
-_LAYOUT = {"zeta": _CB_PAIRS, "gamma": ((0,), (1,)), "theta": ((0,), (1,)), "phi": _CB_PAIRS}
-_TABLE_KEYS = (*_LAYOUT, "arm_weights")
+_TABLE_KEYS = ("zeta", "gamma", "theta", "phi", "arm_weights")
+
+# The blocks that must each sum to 1, in validation order: (name, table, keys). Their cells,
+# in this order, are the slots of ObservedTables._cells: zeta's a1 and a2 rows (0-7), gamma
+# (8-11) and theta (12-15) with arm 1 first, phi (16-19) and the arm weights (20, 21).
+_BLOCKS = (
+    *((f"{t}[a={a}]", t, [k + (a,) for k in keys]) for t, keys in
+      (("zeta", _CB_PAIRS), ("gamma", ((0,), (1,))), ("theta", ((0,), (1,)))) for a in _ARMS),
+    ("phi", "phi", list(_CB_PAIRS)),
+    ("arm_weights", "arm_weights", [0, 1]),
+)
+_SLOTS = [(table, key) for _, table, keys in _BLOCKS for key in keys]
+_SLOT = {cell: i for i, cell in enumerate(_SLOTS)}
+_FIRST = {table: _SLOT[table, keys[0]] for _, table, keys in _BLOCKS}
 
 BUNDLED_DATASETS = ("lipid", "vitamin-a")
 
@@ -50,9 +66,13 @@ _CELL_DIGITS = 100
 _CELL_LIMIT = 10**_CELL_DIGITS
 
 
-def _too_long(q: Fraction) -> bool:
-    """Whether a cell or tolerance needs more than _CELL_DIGITS digits above or below the bar."""
-    return q.denominator >= _CELL_LIMIT or abs(q.numerator) >= _CELL_LIMIT
+def _too_long(n: int, d: int) -> bool:
+    """Whether a cell or tolerance n / d needs more than _CELL_DIGITS digits above or below."""
+    return d >= _CELL_LIMIT or abs(n) >= _CELL_LIMIT
+
+
+def _fmt(n: int, d: int) -> str:
+    return format_rational(Fraction(n, d))
 
 
 class ParseError(ValueError):
@@ -67,6 +87,19 @@ class MissingArmWeights(ValueError):
     """A joint-over-arms table was requested but no arm weights are present."""
 
 
+def _view(name: str) -> cached_property:
+    """Table ``name`` of tables built from integer cells, as Fractions, built on first read."""
+
+    def build(self):
+        nums, den = self._cells
+        if nums[_FIRST[name]] is None:
+            return None
+        cells = {key: Fraction(nums[i], den) for (table, key), i in _SLOT.items() if table == name}
+        return tuple(cells.values()) if name == "arm_weights" else cells
+
+    return cached_property(build)
+
+
 class ObservedTables(Record):
     """Any subset of the observable tables of one study.
 
@@ -75,81 +108,85 @@ class ObservedTables(Record):
     P(C=c, B=b); arm_weights is (P(A=1), P(A=2)). decimal_input records
     whether any entry arrived as a rounded decimal literal, which controls
     the default model-check tolerance downstream; it is not part of the
-    table identity.
+    table identity. Tables from load, build_tables and derive_marginals
+    hold integer cells, and these dicts are views of them built on first
+    read; hand-built tables keep the dicts they are given.
     """
 
     _uncompared = ("decimal_input",)
 
-    zeta: dict[tuple[int, int, int], Fraction] | None = None
-    gamma: dict[tuple[int, int], Fraction] | None = None
-    theta: dict[tuple[int, int], Fraction] | None = None
-    phi: dict[tuple[int, int], Fraction] | None = None
-    arm_weights: tuple[Fraction, Fraction] | None = None
+    zeta: dict[tuple[int, int, int], Fraction] | None = _view("zeta")
+    gamma: dict[tuple[int, int], Fraction] | None = _view("gamma")
+    theta: dict[tuple[int, int], Fraction] | None = _view("theta")
+    phi: dict[tuple[int, int], Fraction] | None = _view("phi")
+    arm_weights: tuple[Fraction, Fraction] | None = _view("arm_weights")
     decimal_input: bool = False
+
+    def __init__(self, zeta=None, gamma=None, theta=None, phi=None, arm_weights=None,
+                 decimal_input=False):
+        self.__dict__.update(zeta=zeta, gamma=gamma, theta=theta, phi=phi,
+                             arm_weights=arm_weights, decimal_input=decimal_input)
+
+    @cached_property
+    def _cells(self) -> tuple[tuple[int | None, ...], int]:
+        """Every cell and arm weight in _SLOTS order, as numerators over one denominator d > 0.
+
+        None stands for the cells of an absent table. Compiled at first use for
+        hand-built tables, where a cell that is not a rational raises its own error.
+        """
+        tables = [getattr(self, name) for name, _ in _SLOTS]
+        return _common([None if t is None else ratio(t[key]) for t, (_, key) in zip(tables, _SLOTS)])
 
     def blocks(self) -> list[tuple[str, list[Fraction]]]:
         """The per-condition probability blocks that must each sum to 1."""
-        out: list[tuple[str, list[Fraction]]] = []
-        for name, keys in _LAYOUT.items():
-            table = getattr(self, name)
-            if table is None:
-                continue
-            if name == "phi":
-                out.append((name, [table[k] for k in keys]))
-            else:
-                out += [(f"{name}[a={a}]", [table[k + (a,)] for k in keys]) for a in _ARMS]
-        if self.arm_weights is not None:
-            out.append(("arm_weights", list(self.arm_weights)))
-        return out
-
-    @cached_property
-    def _implied(self) -> dict[str, dict]:
-        """gamma, theta and (given arm weights) phi as implied by the zeta table, computed once."""
-        z = self.zeta
-        out = {
-            "gamma": {(c, a): z[(c, 0, a)] + z[(c, 1, a)] for c in (0, 1) for a in _ARMS},
-            "theta": {(b, a): z[(0, b, a)] + z[(1, b, a)] for b in (0, 1) for a in _ARMS},
-        }
-        if self.arm_weights is not None:
-            w1, w2 = self.arm_weights
-            out["phi"] = {(c, b): z[(c, b, 1)] * w1 + z[(c, b, 2)] * w2 for c, b in _CB_PAIRS}
-        return out
+        tables = {name: getattr(self, name) for name in _TABLE_KEYS}
+        return [(n, [tables[t][k] for k in keys]) for n, t, keys in _BLOCKS if tables[t] is not None]
 
 
-def _validate(t: ObservedTables) -> ObservedTables:
+def _common(pairs: Sequence[tuple[int, int] | None]) -> tuple[tuple[int | None, ...], int]:
+    """Reduced pairs (n, d), or None, as numerators over their least common denominator."""
+    den = lcm(*(p[1] for p in pairs if p is not None))
+    return tuple(None if p is None else p[0] * (den // p[1]) for p in pairs), den
+
+
+def _implied(nums: Sequence[int | None], den: int) -> list[int]:
+    """gamma, theta and, given arm weights, phi as zeta implies them: slots 8 on, over den * den."""
+    z, (w1, w2) = nums[:8], nums[20:]
+    out = [(z[k] + z[k + d]) * den for d, ks in ((1, (0, 2, 4, 6)), (2, (0, 1, 4, 5))) for k in ks]
+    return out if w1 is None else out + [z[k] * w1 + z[k + 4] * w2 for k in range(4)]
+
+
+def _validate(nums: Sequence[int | None], den: int, tol: Fraction) -> None:
     """Entries in [0, 1], block sums within SUM_DEVIATION (1/100) of 1, marginals as zeta implies.
 
-    Explicit gamma/theta/phi must match the tables' own zeta and arm weights: exactly
-    for exact input, within DECIMAL_TOLERANCE per entry for rounded decimals. Decided on
-    numerators (block sums over a least common denominator, marginals cross-multiplied);
-    Fractions are built only to word an error.
+    Explicit gamma/theta/phi must match the tables' own zeta and arm weights
+    within ``tol``: exactly for exact input, within DECIMAL_TOLERANCE per
+    entry for rounded decimals. Decided on the cells' numerators over their
+    common denominator; Fractions are built only to word an error.
     """
     bar, scale = SUM_DEVIATION.numerator, SUM_DEVIATION.denominator
-    for name, values in t.blocks():
-        for v in values:
-            if not 0 <= v.numerator <= v.denominator:
-                raise ValidationError(f"{name} entry {format_rational(v)} is outside [0, 1]")
-        ints, d = clear_denominators(values)
-        total = sum(ints)
-        if abs(total - d) * scale > bar * d:
+    at = 0
+    for name, _, keys in _BLOCKS:
+        values, at = nums[at : at + len(keys)], at + len(keys)
+        if values[0] is None:
+            continue
+        for n in values:
+            if not 0 <= n <= den:
+                raise ValidationError(f"{name} entry {_fmt(n, den)} is outside [0, 1]")
+        total = sum(values)
+        if abs(total - den) * scale > bar * den:
+            slack = _fmt(total - den, den)
+            raise ValidationError(f"{name} sums to {_fmt(total, den)}, slack {slack}")
+    if nums[0] is None:
+        return
+    square = den * den
+    for slot, (n, want) in enumerate(zip(nums[8:], _implied(nums, den)), 8):
+        if n is not None and abs(n * den - want) * tol.denominator > tol.numerator * square:
+            name, key = _SLOTS[slot]
             raise ValidationError(
-                f"{name} sums to {format_rational(Fraction(total, d))}, "
-                f"slack {format_rational(Fraction(total - d, d))}"
+                f"{name}{list(key)} = {_fmt(n, den)} contradicts zeta, "
+                f"which implies {_fmt(want, square)}"
             )
-    if t.zeta is None:
-        return t
-    tol = default_tolerance(t)
-    for name, implied in t._implied.items():
-        for key, value in (getattr(t, name) or {}).items():
-            want = implied[key]
-            d = value.denominator * want.denominator
-            gap = value.numerator * want.denominator - want.numerator * value.denominator
-            if abs(gap) * tol.denominator > tol.numerator * d:
-                raise ValidationError(
-                    f"{name}{list(key)} = {format_rational(value)} contradicts zeta, "
-                    f"which implies {format_rational(want)}"
-                )
-    return t
 
 
 def build_tables(
@@ -162,37 +199,38 @@ def build_tables(
     decimal_input: bool = False,
 ) -> ObservedTables:
     """Construct validated tables from the JSON-shaped nested values (see _validate)."""
-    given = {"zeta": zeta, "gamma": gamma, "theta": theta, "phi": phi}
-    maps = {}
-    for name, keys in _LAYOUT.items():
+    given = {"zeta": zeta, "gamma": gamma, "theta": theta, "phi": phi, "arm_weights": arm_weights}
+    pairs: list[tuple[int, int] | None] = []
+    for _, name, keys in _BLOCKS:
         table = given[name]
         if table is None:
-            continue
-        if name == "phi":
-            maps[name] = dict(zip(keys, _row(table, len(keys), name)))
-            continue
-        if not isinstance(table, Mapping) or set(table) != {"a1", "a2"}:
+            pairs += [None] * len(keys)
+        elif name in ("phi", "arm_weights"):
+            pairs += _row(table, len(keys), name)
+        elif not isinstance(table, Mapping) or set(table) != {"a1", "a2"}:
             raise ParseError(f"{name} table needs exactly the keys 'a1' and 'a2'")
-        rows = {a: _row(table[f"a{a}"], len(keys), name, a) for a in _ARMS}
-        maps[name] = {k + (a,): q for a in _ARMS for k, q in zip(keys, rows[a])}
-    weights = None if arm_weights is None else tuple(_row(arm_weights, 2, "arm_weights"))
-    return _validate(ObservedTables(**maps, arm_weights=weights, decimal_input=decimal_input))
+        else:
+            arm = keys[0][-1]
+            pairs += _row(table[f"a{arm}"], len(keys), name, arm)
+    nums, den = _common(pairs)
+    _validate(nums, den, DECIMAL_TOLERANCE if decimal_input else _ZERO)
+    return ObservedTables._unbuilt(_cells=(nums, den), decimal_input=decimal_input)
 
 
-def _row(values, width: int, name: str, arm: int | None = None) -> list[Fraction]:
-    """One table row as exact cells: a JSON array of ``width`` cells of at most 100 digits."""
+def _row(values, width: int, name: str, arm: int | None = None) -> list[tuple[int, int]]:
+    """One row as reduced integer pairs: a JSON array of ``width`` cells of at most 100 digits."""
     where = name if arm is None else f"{name} a{arm}"
     if not isinstance(values, (list, tuple)):
         raise ParseError(f"{where} must be a JSON array of {width} entries")
     out = []
     for i, v in enumerate(values):
         try:
-            q = rational(v)
+            n, d = ratio(v)
         except (TypeError, ValueError) as exc:
             raise type(exc)(f"{where}[{i}] = {v!r}: {exc}") from exc
-        if _too_long(q):
+        if _too_long(n, d):
             raise ParseError(f"{where}[{i}] = {v!r} needs more than {_CELL_DIGITS} digits")
-        out.append(q)
+        out.append((n, d))
     if len(out) != width:
         row = name if arm is None else f"{name} row a{arm}"
         raise ParseError(f"{row} needs {width} entries, got {len(out)}")
@@ -206,17 +244,20 @@ def default_tolerance(
 
     The default is zero for exact input and a half-unit in the fourth
     decimal for rounded tables. A given tolerance must be nonnegative and,
-    like a table cell, fit in 100 digits.
+    like a table cell, fit in 100 digits; an error names it as a cell's does.
     """
     if tolerance is None:
         decimal = isinstance(data, ObservedTables) and data.decimal_input
         return DECIMAL_TOLERANCE if decimal else _ZERO
-    tol = rational(tolerance)
-    if tol.numerator < 0:
+    try:
+        n, d = ratio(tolerance)
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(f"tolerance {tolerance!r}: {exc}") from exc
+    if n < 0:
         raise ValidationError(f"tolerance {tolerance!r} is negative")
-    if _too_long(tol):
+    if _too_long(n, d):
         raise ParseError(f"tolerance {tolerance!r} needs more than {_CELL_DIGITS} digits")
-    return tol
+    return Fraction(n, d)
 
 
 def _contains_decimal(value) -> bool:
@@ -272,6 +313,8 @@ def _parse_json(text: str):
 
 def _parse_csv(text: str) -> dict:
     """A c,b,a,value CSV as the JSON-shaped {"zeta": {"a1": [...], "a2": [...]}}."""
+    import csv  # only CSV input pays for it
+
     reader = csv.DictReader(text.splitlines())
     try:
         reader.fieldnames = [f.strip() for f in reader.fieldnames or ()]
@@ -306,15 +349,18 @@ def derive_marginals(t: ObservedTables) -> ObservedTables:
 
     Explicitly provided tables are never overwritten, so the operation is
     idempotent. Without arm weights phi stays None: no equal-weight
-    default is assumed.
+    default is assumed. The implied cells are computed on the integer
+    cells; an implied phi puts them all over the square of the denominator.
     """
-    if t.zeta is None:
+    nums, den = t._cells
+    if nums[0] is None:
         raise ValidationError("cannot derive marginals without a zeta table")
-    implied = t._implied
-    gamma = implied["gamma"] if t.gamma is None else t.gamma
-    theta = implied["theta"] if t.theta is None else t.theta
-    phi = implied.get("phi") if t.phi is None else t.phi
-    return ObservedTables(t.zeta, gamma, theta, phi, t.arm_weights, t.decimal_input)
+    fill = {i: n for i, n in enumerate(_implied(nums, den), 8) if nums[i] is None}
+    if any(i >= _FIRST["phi"] for i in fill):
+        nums, den = tuple(fill.get(i, n and n * den) for i, n in enumerate(nums)), den * den
+    else:
+        nums = tuple(fill[i] // den if i in fill else n for i, n in enumerate(nums))
+    return ObservedTables._unbuilt(_cells=(nums, den), decimal_input=t.decimal_input)
 
 
 def observable_point(
@@ -327,34 +373,67 @@ def observable_point(
     instrument) are zeta scaled by the arm weight. A label whose table is
     absent raises ValidationError; x-labels without arm weights raise
     MissingArmWeights. A plain mapping is taken as the point itself, its
-    values coerced to exact rationals.
+    values coerced to exact rationals. Tables give the Fractions of the
+    integers that integer_point reads.
     """
     if not isinstance(data, ObservedTables):
         return {k: rational(v) for k, v in data.items()}
-    point: dict[str, Fraction] = {}
-    for label in labels:
+    xs, d, _ = integer_point(labels, data)
+    return {label: Fraction(x, d) for label, x in zip(labels, xs)}
+
+
+def integer_point(
+    labels: Sequence[str], data: ObservedTables | Mapping[str, RationalLike]
+) -> tuple[list[int], int, list[int]]:
+    """observable_point's values at ``labels`` as integers over one d > 0, and the absent ones.
+
+    Tables are read from their integer cells, over their denominator (its
+    square with an x-label); they raise as observable_point does. A label
+    that a plain mapping lacks is 0 in the list and its position is listed.
+    """
+    if not isinstance(data, ObservedTables):
+        point = observable_point(labels, data)
+        xs, d = clear_denominators([point.get(label, _ZERO) for label in labels])
+        return xs, d, [j for j, label in enumerate(labels) if label not in point]
+    nums, den = data._cells
+    pick = _picker(tuple(labels))
+    if pick and None not in (values := pick[0](nums)):
+        if not pick[1]:
+            return list(values), den, []
+        if nums[_FIRST["arm_weights"]] is not None:
+            xs = [v * (den if w is None else nums[w]) for v, w in zip(values, pick[1])]
+            return xs, den * den, []
+    for label in labels:  # some label has no table rule or no table: the first one raises
         rule = _table_rule(label)
         if rule is None:
             raise ValidationError(f"no table rule for coordinate label {label!r}")
-        name, key, arm = rule
-        table = getattr(data, name)
-        if table is None:
+        name, _, arm = rule
+        if nums[_FIRST[name]] is None:
             raise ValidationError(f"coordinate {label} needs a {name} table")
-        value = table[key]
-        if arm is not None:
-            if data.arm_weights is None:
-                raise MissingArmWeights(f"coordinate {label} needs arm weights")
-            value *= data.arm_weights[arm]
-        point[label] = value
-    return point
+        if arm is not None and nums[arm] is None:
+            raise MissingArmWeights(f"coordinate {label} needs arm weights")
 
 
 @lru_cache(maxsize=None)
-def _table_rule(label: str) -> tuple[str, tuple[int, ...], int | None] | None:
-    """(table, key, arm-weight index or None) that a label reads; None if no table holds it."""
+def _picker(labels: tuple[str, ...]) -> tuple | None:
+    """(getter of the labels' cells, their arm weight slots or () without x-labels); None
+    if some label has no table rule, for integer_point to name the first in order."""
+    try:
+        rules = [_table_rule(label) for label in labels]
+    except ValueError:
+        return None
+    if None in rules:
+        return None
+    arms = tuple(arm for *_, arm in rules)
+    return picker([i for _, i, _ in rules]), arms if any(w is not None for w in arms) else ()
+
+
+@lru_cache(maxsize=None)
+def _table_rule(label: str) -> tuple[str, int, int | None] | None:
+    """(table, cell slot, arm weight slot or None) that a label reads; None if no table holds it."""
     coord = parse_coordinate(label)
     if not coord.key:
         return None
     if coord.kind == "xi":
-        return "zeta", coord.key, coord.a - 1
-    return coord.kind, coord.key, None
+        return "zeta", _SLOT["zeta", coord.key], _FIRST["arm_weights"] + coord.a - 1
+    return coord.kind, _SLOT[coord.kind, coord.key], None

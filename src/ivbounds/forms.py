@@ -12,6 +12,7 @@ import re
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from operator import attrgetter
 from typing import Mapping, Sequence, Union
 
@@ -27,8 +28,8 @@ _ZERO, _ONE = _SMALL[16:18]
 # could never be printed, and a huge one stalls Fraction() for seconds.
 _MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)$")
-# ASCII "p/q" and "p.q", the usual table cell, parsed without Fraction's own regex.
-_PLAIN = re.compile(r"(-?)([0-9]+)([./])([0-9]+)")
+# ASCII "p", "p/q" and "p.q", the usual table cell, parsed without Fraction's own regex.
+_PLAIN = re.compile(r"(-?)([0-9]+)(?:([./])([0-9]+))?")
 
 
 class MissingCoordinate(KeyError):
@@ -58,10 +59,15 @@ def rational(value: RationalLike) -> Fraction:
         return value
     if type(value) is int and -16 <= value <= 16:
         return _SMALL[value + 16]
+    return Fraction(*ratio(value))
+
+
+def ratio(value: RationalLike) -> tuple[int, int]:
+    """``value`` as a reduced integer pair (n, d > 0), n / d = rational(value), with its errors."""
     if isinstance(value, bool):
         raise TypeError("expected a rational value, got a bool")
     if isinstance(value, (int, Fraction)):
-        return Fraction(value)
+        return value.numerator, value.denominator
     if isinstance(value, str):
         text = value.strip()
         plain = _PLAIN.fullmatch(text)
@@ -72,14 +78,19 @@ def rational(value: RationalLike) -> Fraction:
             raise ValueError(f"exponent of {value!r} exceeds {_MAX_EXPONENT} in magnitude")
         try:
             if not plain:
-                return Fraction(text)
+                q = Fraction(text)
+                return q.numerator, q.denominator
             sign, whole, sep, part = plain.groups()
+            n, d = int(whole), 1
             if sep == "/":
-                n, d = int(whole), int(part)
-            else:
+                d = int(part)
+            elif sep:
                 d = 10 ** len(part)
-                n = int(whole) * d + int(part)
-            return Fraction(-n if sign else n, d)
+                n = n * d + int(part)
+            if not d:
+                raise ZeroDivisionError(text)
+            g = gcd(n, d)
+            return -n // g if sign else n // g, d // g
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse {value!r} as a rational") from exc
     if isinstance(value, float):

@@ -5,9 +5,12 @@ the derivation path's, and the LP oracle's equality pre-reduction and
 simplex pivots. Rational input is scaled to integers first, always by
 ``clear_denominators`` (scaling a row changes neither its row space nor
 the sign of what it evaluates to). ``evaluate_rows`` is the one
-evaluator of such rows at a rational point. Elimination is fraction-free
-in Bareiss's style: each intermediate entry is a minor of the input, so
-every division is exact and entries stay bounded by the input's minors.
+evaluator of such rows, at an integer point, sparsely: ``sparse_rows``
+compiles the rows once so that each nonzero (column, entry) product is
+computed once per point and a row reads only its own nonzero columns.
+Elimination is fraction-free in Bareiss's style: each intermediate entry
+is a minor of the input, so every division is exact and entries stay
+bounded by the input's minors.
 A step does only the integer work that changes a row: it skips a row with
 0 in the pivot column while the common scale stays the same, and only
 rescales such a row when the scale changes.
@@ -19,8 +22,8 @@ from __future__ import annotations
 
 from itertools import islice
 from math import gcd, lcm
-from operator import mul
-from typing import Sequence
+from operator import itemgetter, mul
+from typing import Callable, Sequence
 
 
 def clear_denominators(values: Sequence) -> tuple[list[int], int]:
@@ -36,17 +39,33 @@ def integer_rows(groups: Sequence[Sequence[Sequence]]) -> tuple[list[list[tuple[
     return [[tuple(islice(it, len(row))) for row in rows] for rows in groups], d
 
 
-def evaluate_rows(
-    groups: Sequence[Sequence[Sequence[int]]], point: Sequence
-) -> tuple[list[list[int]], int]:
-    """Groups of integer rows (a..., k) at a rational point x, as numerators over one d > 0.
+def picker(columns: Sequence[int]) -> Callable[[Sequence], Sequence]:
+    """A getter of the given entries of a sequence, in order; a sequence even for one or none."""
+    if len(columns) == 1:
+        return itemgetter(slice(columns[0], columns[0] + 1))
+    return itemgetter(*columns) if columns else itemgetter(slice(0))
 
-    Row (a..., k) evaluates to a . x + k = n / d, where d is the point's
-    least common denominator.
+
+def sparse_rows(groups: Sequence[Sequence[Sequence[int]]]) -> tuple[tuple, list[list]]:
+    """Groups of integer rows compiled for evaluate_rows: (products, a getter per row).
+
+    Every distinct nonzero (column, entry) pair of the rows is one product;
+    each row becomes the getter of its products.
     """
-    xs, d = clear_denominators(point)
-    xs.append(d)
-    return [[sum(map(mul, row, xs)) for row in rows] for rows in groups], d
+    index: dict[tuple[int, int], int] = {}  # each product's number, in first-use order
+    rows = [[picker([index.setdefault(p, len(index)) for p in enumerate(r) if p[1]]) for r in g]
+            for g in groups]
+    return (tuple(a for _, a in index), picker([j for j, _ in index])), rows
+
+
+def evaluate_rows(products: tuple, groups: Sequence, xs: Sequence[int]) -> list[list[int]]:
+    """Groups of sparse_rows at the integer point xs = (x..., d): each row (a..., k) as a . x + k * d.
+
+    That is d times the row's form a . (x / d) + k at the rational point x / d.
+    """
+    entries, columns = products
+    values = list(map(mul, entries, columns(xs)))
+    return [[sum(get(values)) for get in rows] for rows in groups]
 
 
 def primitive(values: Sequence) -> tuple[int, ...]:

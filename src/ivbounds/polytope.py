@@ -32,7 +32,7 @@ from .forms import (
     canonical_row,
     rows_view,
 )
-from .introws import clear_denominators, evaluate_rows, integer_rows, primitive, rref
+from .introws import clear_denominators, evaluate_rows, integer_rows, primitive, rref, sparse_rows
 
 
 class DimensionOverflow(ValueError):
@@ -188,10 +188,15 @@ class HRepresentation(Record):
             out = [a - f * b for a, b in zip(out, eq)]
         return out
 
+    @cached_property
+    def _sparse(self) -> tuple[tuple, list]:
+        """_rows compiled for evaluate_rows, at the first contains."""
+        return sparse_rows(self._rows[0])
+
     def contains(self, point: Mapping | Sequence) -> MembershipReport:
-        rows, den = self._rows
-        (eq, facets), scale = evaluate_rows(rows, self.space.vector(point))
-        den *= scale
+        xs, scale = clear_denominators(self.space.vector(point))
+        eq, facets = evaluate_rows(*self._sparse, [*xs, scale])
+        den = self._rows[1] * scale
         eq_slacks = tuple(Fraction(n, den) for n in eq)
         facet_slacks = tuple(Fraction(n, den) for n in facets)
         # Each slack has its numerator's sign, so the tests stay on ints.

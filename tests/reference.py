@@ -12,7 +12,11 @@ pivot and rref are the dense fraction-free kernel, which rewrites every
 row on every step, and rational is the string parser that sends every
 string through Fraction(). transform is the closed form of each
 coordinate kind as a polynomial in the parameters, on Fractions, where
-the package reads labels as events on 0/1 response types.
+the package reads labels as events on 0/1 response types. tables,
+derive_marginals, point, instrumental and beta_interval are the Fraction
+path of the observed tables: a table is a dict of Fractions, validated,
+filled and read cell by cell, where the package keeps every cell as an
+integer numerator over one common denominator.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ import re
 from fractions import Fraction
 from typing import Literal, Sequence
 
-from ivbounds.bounds import BoundSet, TargetUnconstrained
+from ivbounds.bounds import BoundSet, InstrumentalReport, Interval, TargetUnconstrained
+from ivbounds.data import MissingArmWeights, ValidationError
 from ivbounds.forms import (
     AffineForm,
     CoordinateSpace,
@@ -34,7 +39,7 @@ from ivbounds.forms import (
 from ivbounds.introws import clear_denominators, primitive
 from ivbounds.oracle import LPResult, MixtureLP
 from ivbounds.polytope import HRepresentation
-from ivbounds.scenarios import ParameterPoint
+from ivbounds.scenarios import ParameterPoint, parse_coordinate
 
 _ZERO = Fraction(0)
 _SMALL = tuple(Fraction(n) for n in range(-16, 17))
@@ -411,3 +416,107 @@ def solve(lp: MixtureLP, sense: Literal["min", "max"] = "min") -> LPResult:
         weights[b] = Fraction(T[i][-1], T[i][b])
     value = sum((c * w for c, w in zip(lp.objective, weights)), _ZERO)
     return LPResult(status="optimal", value=value, weights=tuple(weights))
+
+
+_CB_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+_LAYOUT = {"zeta": _CB_PAIRS, "gamma": ((0,), (1,)), "theta": ((0,), (1,)), "phi": _CB_PAIRS}
+
+
+def _blocks(t: dict) -> list[tuple[str, list[Fraction]]]:
+    out = []
+    for name, keys in _LAYOUT.items():
+        if t[name] is not None:
+            if name == "phi":
+                out.append((name, [t[name][k] for k in keys]))
+            else:
+                out += [(f"{name}[a={a}]", [t[name][k + (a,)] for k in keys]) for a in (1, 2)]
+    if t["arm_weights"] is not None:
+        out.append(("arm_weights", list(t["arm_weights"])))
+    return out
+
+
+def _implied(t: dict) -> dict[str, dict]:
+    z = t["zeta"]
+    out = {
+        "gamma": {(c, a): z[(c, 0, a)] + z[(c, 1, a)] for c in (0, 1) for a in (1, 2)},
+        "theta": {(b, a): z[(0, b, a)] + z[(1, b, a)] for b in (0, 1) for a in (1, 2)},
+    }
+    if t["arm_weights"] is not None:
+        w1, w2 = t["arm_weights"]
+        out["phi"] = {(c, b): z[(c, b, 1)] * w1 + z[(c, b, 2)] * w2 for c, b in _CB_PAIRS}
+    return out
+
+
+def tables(raw: dict, decimal_input: bool) -> dict:
+    """Well-shaped JSON-style tables as Fraction dicts, validated as build_tables words it."""
+    t = {}
+    for name, keys in _LAYOUT.items():
+        table = raw.get(name)
+        if table is None or name == "phi":
+            t[name] = None if table is None else dict(zip(keys, map(rational, table)))
+        else:
+            t[name] = {k + (a,): rational(v) for a in (1, 2) for k, v in zip(keys, table[f"a{a}"])}
+    weights = raw.get("arm_weights")
+    t["arm_weights"] = None if weights is None else tuple(map(rational, weights))
+    for name, values in _blocks(t):
+        for v in values:
+            if not 0 <= v <= 1:
+                raise ValidationError(f"{name} entry {_text(v)} is outside [0, 1]")
+        total = sum(values)
+        if abs(total - 1) > Fraction(1, 100):
+            raise ValidationError(f"{name} sums to {_text(total)}, slack {_text(total - 1)}")
+    if t["zeta"] is not None:
+        tol = Fraction(1, 2000) if decimal_input else 0
+        for name, implied in _implied(t).items():
+            for key, value in (t[name] or {}).items():
+                if abs(value - implied[key]) > tol:
+                    raise ValidationError(
+                        f"{name}{list(key)} = {_text(value)} contradicts zeta, "
+                        f"which implies {_text(implied[key])}"
+                    )
+    return t
+
+
+def _text(q: Fraction) -> str:
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def derive_marginals(t: dict) -> dict:
+    if t["zeta"] is None:
+        raise ValidationError("cannot derive marginals without a zeta table")
+    return {**t, **{name: v for name, v in _implied(t).items() if t[name] is None}}
+
+
+def point(labels: Sequence[str], t: dict) -> dict[str, Fraction]:
+    """The coordinates read from Fraction tables one label at a time, first failure first."""
+    out = {}
+    for label in labels:
+        coord = parse_coordinate(label)
+        if not coord.key:
+            raise ValidationError(f"no table rule for coordinate label {label!r}")
+        name = "zeta" if coord.kind == "xi" else coord.kind
+        if t.get(name) is None:
+            raise ValidationError(f"coordinate {label} needs a {name} table")
+        value = t[name][coord.key]
+        if coord.kind == "xi":
+            if t["arm_weights"] is None:
+                raise MissingArmWeights(f"coordinate {label} needs arm weights")
+            value *= t["arm_weights"][coord.a - 1]
+        out[label] = value
+    return out
+
+
+def instrumental(t: dict, tolerance: Fraction) -> InstrumentalReport:
+    if t["zeta"] is None:
+        raise ValidationError("the instrumental inequality needs a zeta table")
+    z = t["zeta"]
+    sums = [max(z[(0, b, 1)], z[(0, b, 2)]) + max(z[(1, b, 1)], z[(1, b, 2)]) for b in (0, 1)]
+    return InstrumentalReport((sums[0], sums[1]), max(sums), tolerance, max(sums) <= 1 + tolerance)
+
+
+def beta_interval(t: dict) -> Interval:
+    p = point(("t01", "t11", "t02", "t12"), t)
+    lows = [-p["t01"] - p["t02"], -p["t11"] - p["t12"]]
+    highs = [p["t01"] + p["t02"], p["t11"] + p["t12"]]
+    lo, hi = max(lows), min(highs)
+    return Interval(lo, hi, lows.index(lo), highs.index(hi), lo > hi)

@@ -9,7 +9,11 @@ derivation happens to print.
 """
 
 import inspect
+import json
+import tempfile
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -55,6 +59,8 @@ from ivbounds.scenarios import SCENARIOS, get_scenario, make_scenario
 
 import reference
 from sampling import observable_vertex_set
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 BIVARIATE_LOWER = [
     "2*g01 - g02 + 2*t01 - 3",
@@ -627,8 +633,8 @@ class TestCompiledEvaluation:
 
     def test_hand_built_tables_with_loose_values(self):
         # Tables built without build_tables may hold ints, strings or
-        # floats; a value raises only where a form uses its label, as
-        # evaluating form by form did.
+        # floats; their cells are compiled at first use, where a value that
+        # is not a rational raises its own error, on both paths alike.
         lipid = load("lipid")
         for cell in (1, "1/2", "0.5", 0.5, "abc"):
             tables = ObservedTables(
@@ -757,49 +763,196 @@ class TestLazyReport:
         assert len(entries) == 16 and all(e.passed for e in entries)
 
 
+@st.composite
+def studies(draw):
+    """A JSON-shaped study and whether its cells are rounded decimals.
+
+    Exact cells are n/q, decimal ones four places (eight for a phi made from
+    zeta and the arm weights). zeta is always given, arm weights and each of
+    gamma, theta and phi (from zeta) maybe; the arms may be equal, which the
+    model always fits. One cell may then be moved: slightly (a rounding error
+    for decimal input), far (a contradiction or a block that does not sum to
+    1) or out of [0, 1].
+    """
+    decimal = draw(st.booleans())
+    unit = 10000 if decimal else draw(st.sampled_from([6, 35, 97]))
+
+    def text(n, scale=unit):
+        if not decimal:
+            return f"{n}/{scale}"
+        whole, part = divmod(abs(n), scale)
+        return f"{'-' if n < 0 else ''}{whole}.{part:0{len(str(scale)) - 1}d}"
+
+    def row(k):  # k nonnegative counts of unit that sum to unit
+        cuts = sorted(draw(st.lists(st.integers(0, unit), min_size=k - 1, max_size=k - 1)))
+        return [b - a for a, b in zip([0, *cuts], [*cuts, unit])]
+
+    z1 = row(4)
+    z2 = list(z1) if draw(st.booleans()) else row(4)
+    cells = {"zeta": {"a1": z1, "a2": z2}}
+    weights = row(2) if draw(st.booleans()) else None
+    if weights:
+        cells["arm_weights"] = weights
+    for name in sorted(draw(st.sets(st.sampled_from(["gamma", "theta", "phi"])))):
+        if name == "gamma":
+            cells[name] = {f"a{a}": [z[0] + z[1], z[2] + z[3]] for a, z in ((1, z1), (2, z2))}
+        elif name == "theta":
+            cells[name] = {f"a{a}": [z[0] + z[2], z[1] + z[3]] for a, z in ((1, z1), (2, z2))}
+        elif weights:
+            cells[name] = [z1[k] * weights[0] + z2[k] * weights[1] for k in range(4)]
+    raw = {
+        name: {arm: [text(n) for n in r] for arm, r in t.items()} if isinstance(t, dict)
+        else [text(n, unit * unit if name == "phi" else unit) for n in t]
+        for name, t in cells.items()
+    }
+    move = draw(st.sampled_from([0, 0, 1, -1, unit // 20, -unit]))
+    if move:  # onto one cell, and maybe off another of its row, keeping the row's sum
+        name = draw(st.sampled_from(sorted(cells)))
+        values = raw[name] if isinstance(raw[name], list) else raw[name][draw(st.sampled_from(["a1", "a2"]))]
+        scale = unit * unit if name == "phi" else unit
+        shifts = [move, -move][: draw(st.integers(1, 2))]
+        for k, shift in zip(draw(st.permutations(range(len(values)))), shifts):
+            q = rational(values[k])
+            values[k] = text(q.numerator * (scale // q.denominator) + shift * (scale // unit), scale)
+    return raw, decimal
+
+
+def _analysis(tables):
+    """What the study path answers on the tables, errors included, scenario by scenario."""
+    out = [outcome(instrumental_inequality, tables), outcome(beta_bounds, tables)]
+    for name in SCENARIOS:
+        bs = derive(name)
+        out.append(outcome(model_check, bs, tables))
+        if bs.target is not None:
+            out.append(outcome(evaluate_bounds, bs, tables))
+    return out
+
+
+def _reference_analysis(t, decimal):
+    """_analysis on the Fraction path: reference tables, points and forms."""
+    tol = Fraction(1, 2000) if decimal else Fraction(0)
+    out = [outcome(reference.instrumental, t, tol), outcome(reference.beta_interval, t)]
+    for name in SCENARIOS:
+        bs = derive(name)
+        out.append(outcome(lambda: reference_report(bs, reference.point(bs.space.labels, t), tol)))
+        if bs.target is not None:
+            out.append(outcome(lambda: reference_interval(bs, reference.point(bs.space.labels, t))))
+    return out
+
+
+_TABLES = ("zeta", "gamma", "theta", "phi", "arm_weights")
+
+
+class TestIntegerTables:
+    """load keeps a study's cells as integers; the study path answers as the Fraction path."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(studies())
+    def test_loaded_tables_analyse_as_the_fraction_path(self, study):
+        raw, decimal = study
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "study.json"
+            path.write_text(json.dumps(raw))
+            loaded = outcome(load, path)
+        expected = outcome(reference.tables, raw, decimal)
+        if not isinstance(expected, dict):  # a table the validation refuses
+            assert loaded == expected
+            return
+        assert loaded.decimal_input is decimal
+        # Absent tables raise (ValidationError, MissingArmWeights) as the Fraction path does.
+        assert _analysis(loaded) == _reference_analysis(expected, decimal)
+        derived, filled = derive_marginals(loaded), reference.derive_marginals(expected)
+        assert _analysis(derived) == _reference_analysis(filled, decimal)
+        # The Fraction views, read last, are the reference's tables.
+        for tables, t in ((loaded, expected), (derived, filled)):
+            assert {n: getattr(tables, n) for n in _TABLES} == {n: t.get(n) for n in _TABLES}
+
+    @pytest.mark.parametrize("source", ["lipid", "vitamin-a", "lipid-zeta.csv"])
+    def test_analysis_builds_no_fraction_table(self, source):
+        path = source if "." not in source else GOLDEN / "cli" / source
+        loaded = load(path)
+        for tables in (loaded, derive_marginals(loaded)):
+            _analysis(tables)
+            outcome(observable_point, derive("pairwise3").space.labels, tables)
+            assert vars(tables).keys() == {"_cells", "decimal_input"}
+            zeta = tables.zeta  # a view is built at its first read and kept
+            assert vars(tables)["zeta"] is zeta and tables.zeta is zeta
+            assert not {"gamma", "theta", "phi", "arm_weights"} & vars(tables).keys()
+
+    def test_hand_built_tables_compile_their_cells_at_first_use(self):
+        lipid = derive_marginals(load("lipid"))
+        given = {n: getattr(lipid, n) for n in ObservedTables._fields}
+        hand = ObservedTables(**given)
+        assert "_cells" not in vars(hand)
+        assert hand == lipid and repr(hand) == repr(lipid)
+        assert _analysis(hand) == _analysis(lipid)
+        assert "_cells" in vars(hand) and all(getattr(hand, n) is given[n] for n in given)
+        # a cell that is not a rational raises its own error at first use
+        bad = ObservedTables(**{**given, "theta": {**lipid.theta, (0, 1): "abc"}})
+        assert outcome(beta_bounds, bad) == ("ValueError", "cannot parse 'abc' as a rational")
+
+
 # partition runs on a hull's integer rows; reference.partition is the Fraction
 # path it replaced (reduce each facet as an AffineForm, canonicalize, classify,
 # then move to the observable space). Both must agree exactly, exceptions included.
 
-_fraction = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+# The strategies hand_built_hulls draws from, built once: building them on every draw
+# (st.fractions builds new ones on each of its own draws too) was most of the time its
+# 300 examples took. Rows are keyed by their width.
+_FRACTIONS = sorted({Fraction(n, d) for d in (1, 2, 3) for n in range(-2 * d, 2 * d + 1)})
+_fraction = st.sampled_from(_FRACTIONS)  # the rationals in [-2, 2] with denominator <= 3
 _coefficient = st.one_of(st.just(0), _fraction)
+_NONZERO = st.sampled_from([q for q in _FRACTIONS if q])
+_ROWS = {m: st.lists(_coefficient, min_size=m + 1, max_size=m + 1) for m in range(2, 6)}
+_DENSE = {m: st.lists(_fraction, min_size=m + 1, max_size=m + 1) for m in range(2, 6)}
+_INDEX = {n: st.integers(0, n) for n in range(7)}
+_SCALE = st.sampled_from([Fraction(n, 2) for n in range(2, 7)])  # in [1, 3], denominator <= 2
+_COIN = st.booleans()
+_FALSE_CONSTANT = st.integers(1, 3)
 
 
 @st.composite
 def hand_built_hulls(draw):
-    """An HRepresentation over 2-4 coordinates, maybe with alpha, from fractional rows.
+    """An HRepresentation over 2-4 coordinates, maybe with alpha, from fractional rows; a
+    target; and the kinds of its rows, in the order drawn.
 
-    Facets mix arbitrary rows, trivial ones (a positive multiple of one
-    coordinate plus a multiple of an equality) and identically false ones.
+    Equalities are sparse or dense. Facets mix arbitrary rows (some coefficient nonzero),
+    trivial ones (a positive multiple of one coordinate plus a multiple of an equality)
+    and identically false ones.
     """
-    labels = [f"x{i}" for i in range(draw(st.integers(2, 4)))]
-    if draw(st.booleans()):
-        labels.insert(draw(st.integers(0, len(labels))), "alpha")
+    labels = [f"x{i}" for i in range(2 + draw(_INDEX[2]))]
+    if draw(_COIN):
+        labels.insert(draw(_INDEX[len(labels)]), "alpha")
     space = CoordinateSpace("hand", tuple(labels))
     m = len(labels)
-    rows = st.lists(_coefficient, min_size=m + 1, max_size=m + 1)
-    dense = st.lists(_fraction, min_size=m + 1, max_size=m + 1)
-    equalities = draw(st.lists(st.one_of(rows, dense), max_size=2))
-
-    @st.composite
-    def trivial(draw):
-        row = [Fraction(0)] * (m + 1)
-        scale = draw(st.fractions(min_value=1, max_value=3, max_denominator=2))
-        row[draw(st.integers(0, m - 1))] = scale
-        for eq in equalities:
-            t = draw(_coefficient)
-            row = [a + t * b for a, b in zip(row, eq)]
-        return row
-
-    facets = draw(st.lists(st.one_of(rows.filter(lambda r: any(r[:-1])), trivial()), max_size=6))
-    if draw(st.integers(0, 4)) == 4:
-        facets.insert(draw(st.integers(0, len(facets))), [0] * m + [-draw(st.integers(1, 3))])
+    equalities, facets, kinds = [], [], []
+    for _ in range(draw(_INDEX[2])):
+        dense = draw(_COIN)
+        equalities.append(draw((_DENSE if dense else _ROWS)[m]))
+        kinds.append("dense equality" if dense else "sparse equality")
+    for _ in range(draw(_INDEX[6])):
+        if draw(_COIN):
+            row = draw(_ROWS[m])
+            if not any(row[:-1]):  # an arbitrary facet names some coordinate
+                row[draw(_INDEX[m - 1])] = draw(_NONZERO)
+            kinds.append("arbitrary")
+        else:
+            row = [Fraction(0)] * (m + 1)
+            row[draw(_INDEX[m - 1])] = draw(_SCALE)
+            for eq in equalities:
+                t = draw(_coefficient)
+                row = [a + t * b for a, b in zip(row, eq)]
+            kinds.append("trivial")
+        facets.append(row)
+    if draw(_INDEX[4]) == 4:
+        facets.insert(draw(_INDEX[len(facets)]), [0] * m + [-draw(_FALSE_CONSTANT)])
+        kinds.append("identically false")
 
     def cons(rows, relation):
         return tuple(LinearConstraint(AffineForm(space, r[:-1], r[-1]), relation) for r in rows)
 
     h = HRepresentation(space, cons(equalities, Relation.EQ), cons(facets, Relation.GEQ), m)
-    return h, draw(st.sampled_from([None, "alpha", *labels]))
+    return h, [None, "alpha", *labels][draw(_INDEX[m + 1])], kinds
 
 
 _VIEWS = ("lower_forms", "upper_forms", "observable_tests", "hull_equalities", "trivial_tests")
@@ -839,13 +992,22 @@ class TestIntegerPartition:
             assert_matches_the_fraction_path(h, target)
         assert classify_observable(h) == _reference_classify(h)
 
-    @settings(max_examples=300, deadline=None)
-    @given(hand_built_hulls())
-    def test_hand_built_hulls_match_the_fraction_path(self, case):
-        h, target = case
-        assert_matches_the_fraction_path(h, target)
-        assert outcome(classify_observable, h) == outcome(_reference_classify, h)
-        for facet in h.facets:
-            assert outcome(reduce_mod_equalities, facet.form, h.equalities) == outcome(
-                reference.reduce_mod_equalities, facet.form, h.equalities
-            )
+    def test_hand_built_hulls_match_the_fraction_path(self):
+        kinds = Counter()
+
+        @settings(max_examples=300, deadline=None)
+        @given(hand_built_hulls())
+        def check(case):
+            h, target, drawn = case
+            kinds.update(drawn)
+            assert_matches_the_fraction_path(h, target)
+            assert outcome(classify_observable, h) == outcome(_reference_classify, h)
+            for facet in h.facets:
+                assert outcome(reduce_mod_equalities, facet.form, h.equalities) == outcome(
+                    reference.reduce_mod_equalities, facet.form, h.equalities
+                )
+
+        check()
+        # Every kind of row is drawn, over the run.
+        kinds_drawn = {"sparse equality", "dense equality", "arbitrary", "trivial", "identically false"}
+        assert kinds.keys() == kinds_drawn, kinds

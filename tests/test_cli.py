@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ivbounds.cli as cli_mod
+import ivbounds.oracle as oracle_mod
 from ivbounds.cli import (
     EXIT_CHECK_FAILED,
     EXIT_EMPTY,
@@ -217,7 +218,7 @@ class TestOracle:
         def boom(scenario, data):
             raise MismatchError("planted disagreement")
 
-        monkeypatch.setattr(cli_mod, "cross_check", boom)
+        monkeypatch.setattr(oracle_mod, "cross_check", boom)
         code, _, err = run(capsys, "oracle", "--scenario", "trivariate", "--data", "lipid")
         assert code == EXIT_MISMATCH
         assert "oracle mismatch" in err
@@ -288,6 +289,7 @@ class TestUsageErrors:
             ("1e-4300", "error: tolerance '1e-4300' needs more than 100 digits\n"),
             ("-1", "error: tolerance '-1' is negative\n"),
             ("-1/2000", "error: tolerance '-1/2000' is negative\n"),
+            ("lots", "error: tolerance 'lots': cannot parse 'lots' as a rational\n"),
         ],
     )
     def test_unusable_tolerance_is_an_input_error(self, capsys, fmt, tolerance, message):
@@ -647,3 +649,15 @@ def test_module_is_runnable():
     )
     assert proc.returncode == 0
     assert "pairwise3" in proc.stdout
+
+
+def test_importing_the_cli_loads_neither_the_oracle_nor_csv():
+    """The package once imported every module, so bound, check and derive paid for both."""
+    code = (
+        "import sys; before = set(sys.modules); import ivbounds.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    loaded = proc.stdout.split()
+    assert "ivbounds.cli" in loaded and "ivbounds.data" in loaded
+    assert not {"ivbounds.oracle", "csv", "_csv"} & set(loaded)

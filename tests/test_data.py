@@ -14,6 +14,7 @@ from ivbounds.data import (
     ParseError,
     ValidationError,
     build_tables,
+    default_tolerance,
     derive_marginals,
     load,
     observable_point,
@@ -108,6 +109,17 @@ class TestBuildTables:
         with pytest.raises(ParseError) as exc:
             load(path)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("tolerance, error, reason", [
+        (0.5, TypeError, "refusing inexact float 0.5; pass a string such as '0.919'"),
+        (True, TypeError, "expected a rational value, got a bool"),
+        ("lots", ValueError, "cannot parse 'lots' as a rational"),
+    ])
+    def test_unreadable_tolerance_is_named(self, tolerance, error, reason):
+        """The message once gave the reason alone, without naming the tolerance."""
+        with pytest.raises(error) as exc:
+            default_tolerance(load("lipid"), tolerance)
+        assert type(exc.value) is error and str(exc.value) == f"tolerance {tolerance!r}: {reason}"
 
     # The messages the Fraction-by-Fraction check printed, byte for byte.
     @pytest.mark.parametrize("tables, message", [

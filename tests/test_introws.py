@@ -14,6 +14,7 @@ from ivbounds.introws import (
     pivot,
     primitive,
     rref,
+    sparse_rows,
 )
 import reference
 from reference import independent_rows, scaled_inverse
@@ -174,8 +175,8 @@ def test_integer_rows_and_evaluate_rows_are_exact(groups, data):
     assert [[[Fraction(v, d) for v in r] for r in g] for g in ints] == groups
     assert d == clear_denominators([v for g in groups for r in g for v in r])[1]
     x = data.draw(st.lists(st.fractions(-3, 3, max_denominator=30), min_size=2, max_size=2))
-    numerators, scale = evaluate_rows(ints, x)
-    assert scale > 0
+    xs, scale = clear_denominators(x)
+    numerators = evaluate_rows(*sparse_rows(ints), [*xs, scale])
     expected = [[r[0] * x[0] + r[1] * x[1] + r[2] for r in g] for g in ints]
     assert [[Fraction(n, scale) for n in g] for g in numerators] == expected
 
