@@ -120,9 +120,9 @@ class BoundSet(Record):
 
     @cached_property
     def _sparse(self) -> tuple[tuple, dict[str, list]]:
-        """_rows compiled for evaluate_rows at the first evaluation: (products, getters by group)."""
-        groups, _ = self._rows
-        products, rows = sparse_rows(list(groups.values()))
+        """The evaluated groups compiled at the first evaluation: (products, getters by group)."""
+        groups = ("lower", "upper", "checks")
+        products, rows = sparse_rows([self._rows[0][name] for name in groups])
         return products, dict(zip(groups, rows))
 
 

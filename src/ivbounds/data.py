@@ -25,8 +25,9 @@ import json
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
+from collections.abc import Mapping
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .forms import RationalLike, Record, format_rational, ratio, rational
 from .introws import clear_denominators, picker

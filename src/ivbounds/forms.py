@@ -9,12 +9,13 @@ a derivation. Floating point appears only when rendering report text.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from operator import attrgetter
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 from .introws import primitive
 

@@ -4,16 +4,18 @@ Any distribution consistent with a scenario is a convex mixture of the
 scenario's parameter-vertex images, so the sharp range of the causal
 target at a data point is the min/max of a linear program over mixture
 weights. Solving that program exactly and comparing with the closed-form
-bounds catches derivation errors on either side. The equality system is
-reduced once per scenario by fraction-free integer elimination
+bounds catches derivation errors on either side. It runs on integers from
+the vertex set's rows and the data's integer cells to the value. The
+equality system is reduced once per scenario by fraction-free elimination
 (introws.rref); then a two-phase simplex with Bland's rule, immune to
-cycling, runs on an integer tableau in the style of lrs (Avis & Fukuda,
-1992): the objective row is carried along and every pivot is introws.pivot,
-which skips the rows it leaves unchanged. Phase 1 runs once per data point,
-phase 2 once per sense. Every basic column holds the tableau's common scale,
-so the value is read out on integers: one dot product of the objective's
-numerators with the basic right-hand sides. Fractions appear only in the
-LP's inputs and in the final weights and value.
+cycling, runs on an integer tableau of the structural columns (an
+artificial that leaves the basis never re-enters) in the style of lrs
+(Avis & Fukuda, 1992): the objective row is carried along and every pivot
+is introws.pivot, which skips the rows it leaves unchanged. Phase 1 runs
+once per data point, phase 2 once per sense. Every basic column holds the
+tableau's common scale, so the value is one integer dot product of the
+objective's numerators with the basic right-hand sides. A scenario LP's
+columns, rhs and objective and an optimum's weights are built on read.
 """
 
 from __future__ import annotations
@@ -24,13 +26,12 @@ from operator import mul
 from typing import Literal, Mapping
 
 from .bounds import derive, interval_and_fit
-from .data import ObservedTables, observable_point
+from .data import ObservedTables, integer_point
 from .forms import MissingCoordinate, RationalLike, Record
 from .introws import clear_denominators, pivot, rref
 from .scenarios import Scenario, get_scenario, scenario_vertex_set
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class MismatchError(AssertionError):
@@ -40,7 +41,14 @@ class MismatchError(AssertionError):
 class LPResult(Record):
     status: str  # "optimal", "infeasible" or "unbounded"
     value: Fraction | None
-    weights: tuple[Fraction, ...] | None
+    weights: tuple[Fraction, ...] | None  # a field; the cached_property below is its view
+
+    @cached_property
+    def weights(self) -> tuple[Fraction, ...]:
+        """solve's optimal basic weights, from its (n, scale, basis, basic right-hand sides)."""
+        n, s, basis, xs = self._basic
+        basic = dict(zip(basis, xs))
+        return tuple(Fraction(basic[j], s) if j in basic else _ZERO for j in range(n))
 
 
 class MixtureLP(Record):
@@ -51,7 +59,7 @@ class MixtureLP(Record):
     lengths of columns, rhs and objective raise ValueError.
     """
 
-    columns: tuple[tuple[Fraction, ...], ...]
+    columns: tuple[tuple[Fraction, ...], ...]  # fields; the cached_properties below are views
     rhs: tuple[Fraction, ...]
     objective: tuple[Fraction, ...]
 
@@ -71,37 +79,55 @@ class MixtureLP(Record):
         s = get_scenario(scenario)
         if s.causal_target is None:
             raise ValueError(f"scenario {s.name!r} has no causal target to optimize")
-        base, point = _scenario_lp(s), observable_point(s.observable_labels, data)
-        try:
-            rhs = tuple(point[lab] for lab in s.observable_labels) + (_ONE,)
-        except KeyError as exc:
-            raise MissingCoordinate(exc.args[0]) from None
+        base, labels = _scenario_lp(s), s.observable_labels
+        xs, d, absent = integer_point(labels, data)
+        if absent:
+            raise MissingCoordinate(labels[absent[0]])
         # The same columns and one rhs entry per row: base's checks hold, and its system is shared.
-        return cls._unbuilt(
-            columns=base.columns, rhs=rhs, objective=base.objective, _system=base._system
-        )
+        return cls._unbuilt(_ints=base._ints, _system=base._system, _rhs=(xs + [d], d))
 
     @cached_property
-    def _system(self) -> tuple[list, list[list[int]], list[list[int]], int, list[int], int]:
-        """(templates, E, null, d, nums, den): one rref([A | I]), A scaled to integers.
+    def _ints(self) -> tuple[list[list[int]], list[int], list[int], int]:
+        """(rows, scales, nums, den): row i of the columns is rows[i] / scales[i], the objective
+        nums / den; a hand-built LP's, each over its least denominator."""
+        scaled = [clear_denominators([col[i] for col in self.columns]) for i in range(len(self.rhs))]
+        return [r for r, _ in scaled], [c for _, c in scaled], *clear_denominators(self.objective)
+
+    @cached_property
+    def _rhs(self) -> tuple[list[int], int]:
+        return clear_denominators(self.rhs)  # (b, den): the rhs is b / den
+
+    @cached_property
+    def columns(self) -> tuple[tuple[Fraction, ...], ...]:
+        rows, scales, _, _ = self._ints
+        return tuple(zip(*([Fraction(v, c) for v in row] for row, c in zip(rows, scales))))
+
+    @cached_property
+    def rhs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self._rhs[1]) for v in self._rhs[0])
+
+    @cached_property
+    def objective(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self._ints[3]) for v in self._ints[2])
+
+    @cached_property
+    def _system(self) -> tuple[list, list[list[int]], list[list[int]], int]:
+        """(templates, E, null, d): one rref([A | I]) of A's integer rows.
 
         Row i of A's reduction is d times row i of the reduced row echelon
-        form of A; templates[i] is the pair (that row, its negation), each
-        followed by the artificial column d * e_i, for phase 1 to pick from
-        by the sign of the reduced rhs. E (row scales folded in) has
-        E.A = A's reduction, so E.b is a feasible rhs b reduced at scale d.
-        Each null row y has y.A = 0: b is infeasible if some y.b is not 0.
-        The objective is nums / den.
+        form of A; templates[i] is the pair (that row, its negation), for
+        phase 1 to pick from by the sign of the reduced rhs. E (row scales
+        folded in) has E.A = A's reduction, so E.b is a feasible rhs b
+        reduced at scale d. Each null row y has y.A = 0: b is infeasible if
+        some y.b is not 0.
         """
-        n, m = len(self.columns), len(self.rhs)
-        scaled = [clear_denominators([col[i] for col in self.columns]) for i in range(m)]
-        aug = [ints + [int(k == i) for k in range(m)] for i, (ints, _) in enumerate(scaled)]
+        rows, scales, nums, _ = self._ints
+        n, m = len(nums), len(rows)
+        aug = [row + [int(k == i) for k in range(m)] for i, row in enumerate(rows)]
         reduced, d, pivots = rref(aug, n + m)
         r = sum(p < n for p in pivots)
-        E = [[v * c for v, (_, c) in zip(row[n:], scaled)] for row in reduced]
-        eye = [[d if k == i else 0 for k in range(r)] for i in range(r)]
-        templates = [(row[:n] + e, [-v for v in row[:n]] + e) for row, e in zip(reduced, eye)]
-        return templates, E[:r], E[r:], d, *clear_denominators(self.objective)
+        E = [[v * c for v, c in zip(row[n:], scales)] for row in reduced]
+        return [(row[:n], [-v for v in row[:n]]) for row in reduced[:r]], E[:r], E[r:], d
 
     @cached_property
     def _phase1(self) -> tuple[list[list[int]], list[int], int] | None:
@@ -109,26 +135,28 @@ class MixtureLP(Record):
 
         With rhs = b / D, this is the tableau of [A | rhs] reduced afresh times
         D * d over that reduction's scale: a positive factor, so no pivot moves.
+        Rows hold the structural columns only; the artificials, basis ids n on,
+        have none. Phase 1's optimum over the rest is 0 iff b is feasible.
         """
-        templates, E, null, d, nums, _ = self._system
-        b, den = clear_denominators(self.rhs)
+        templates, E, null, d = self._system
+        b, den = self._rhs
         if any(sum(map(mul, y, b)) for y in null):
             return None
-        n, m, s = len(self.columns), len(templates), den * d
+        nums = self._ints[2]
+        n, m, s = len(nums), len(templates), den * d
 
         # Integer tableau at scale s: constraint rows with nonnegative right-hand
-        # sides and artificial columns s*I, the phase-2 row (the objective's
-        # numerators times s), and the phase-1 row, whose objective is the artificials' sum.
+        # sides, the phase-2 row (the objective's numerators times s), and the
+        # phase-1 row: the artificials' sum, priced out over the constraint rows.
         T = []
         for pair, e in zip(templates, E):
             r = sum(map(mul, e, b))
             T.append([den * v for v in pair[r < 0]] + [abs(r)])
-        T.append([s * c for c in nums] + [0] * (m + 1))
-        sums = [sum(col) for col in zip(*T[:m])] or [0] * (n + m + 1)
-        T.append([-v for v in sums[:n]] + [0] * m + [-sums[-1]])
+        T.append([s * c for c in nums] + [0])
+        T.append([-sum(col) for col in zip(*T[:m])] or [0] * (n + 1))
         basis = list(range(n, n + m))
 
-        s = _simplex(T, basis, n + m, s)
+        s = _simplex(T, basis, n, s)
         # The phase-1 row's last entry is -s times the artificials' sum.
         if T.pop()[-1]:
             return None
@@ -142,28 +170,27 @@ class MixtureLP(Record):
                     T[i] = [-v for v in T[i]]
                 s = pivot(T, i, col, s)
                 basis[i] = col
-        return [row[:n] + row[-1:] for row in T], basis, s
+        return T, basis, s
 
 
 @lru_cache(maxsize=None)
 def _scenario_lp(s: Scenario) -> MixtureLP:
-    """A targeted scenario's LP at rhs 0; from_scenario reuses its columns, objective and system."""
-    vs = scenario_vertex_set(s)
-    idx = [s.space.index(lab) for lab in s.observable_labels]
-    ti = s.space.index(s.causal_target)
-    columns = tuple(tuple(v[i] for i in idx) + (_ONE,) for v in vs.vertices)
-    objective = tuple(v[ti] for v in vs.vertices)
-    return MixtureLP(columns=columns, rhs=(_ZERO,) * len(columns[0]), objective=objective)
+    """A targeted scenario's LP at rhs 0 from its integer vertex rows; from_scenario shares it."""
+    (points,), d = scenario_vertex_set(s)._rows
+    rows = [[p[s.space.index(lab)] for p in points] for lab in s.observable_labels]
+    objective = [p[s.space.index(s.causal_target)] for p in points]
+    ints = rows + [[1] * len(points)], [d] * len(rows) + [1], objective, d
+    return MixtureLP._unbuilt(_ints=ints, _rhs=([0] * len(ints[0]), 1))
 
 
 def _simplex(T: list[list[int]], basis: list[int], width: int, s: int) -> int | None:
     """Bland-rule simplex on an integer tableau in canonical form, in place.
 
-    Row i < len(basis) is a constraint whose basic column basis[i] holds
-    the common scale s > 0; the last row is the objective's reduced costs
-    times a positive factor. Entering: the lowest column below ``width``
-    with negative reduced cost; leaving: the lowest basis index among the
-    ratio-test ties. Together they rule out cycling, so degeneracy (rampant
+    Row i < len(basis) is a constraint whose basic column basis[i] (none
+    from ``width`` on) holds the common scale s > 0; the last row is the
+    objective's reduced costs times a positive factor. Entering: the lowest
+    column below ``width`` with negative reduced cost; leaving: the lowest
+    basis index among the ratio-test ties. Together they rule out cycling, so degeneracy (rampant
     here) is harmless. Returns the final scale, or None if unbounded below.
     """
     while True:
@@ -185,7 +212,10 @@ def _simplex(T: list[list[int]], basis: list[int], width: int, s: int) -> int | 
 
 
 def solve(lp: MixtureLP, sense: Literal["min", "max"] = "min") -> LPResult:
-    """Exact two-phase simplex. Infeasibility is an answer, not an error."""
+    """Exact two-phase simplex. Infeasibility is an answer, not an error.
+
+    Phase 2 runs on a copy of the cached phase-1 tableau; an optimum's weights are built on read.
+    """
     if sense not in ("min", "max"):
         raise ValueError(f"sense must be 'min' or 'max', not {sense!r}")
     if lp._phase1 is None:
@@ -194,19 +224,15 @@ def solve(lp: MixtureLP, sense: Literal["min", "max"] = "min") -> LPResult:
     T, basis = list(T), list(basis)  # phase 2 must leave the cached tableau as it is
     if sense == "max":
         T[-1] = [-v for v in T[-1]]
-    s = _simplex(T, basis, len(lp.columns), s)
+    *_, nums, den = lp._ints
+    s = _simplex(T, basis, len(nums), s)
     if s is None:
         return LPResult(status="unbounded", value=None, weights=None)
     # Every basic column holds the scale s, so basic weight i is T[i][-1] / s
     # and the value is one integer dot product over the objective's denominator.
-    nums, den = lp._system[-2:]
-    weights = [_ZERO] * len(lp.columns)
-    top = 0
-    for i, b in enumerate(basis):
-        x = T[i][-1]
-        weights[b] = Fraction(x, s)
-        top += nums[b] * x
-    return LPResult(status="optimal", value=Fraction(top, den * s), weights=tuple(weights))
+    xs = [row[-1] for row in T[: len(basis)]]
+    value = Fraction(sum(map(mul, map(nums.__getitem__, basis), xs)), den * s)
+    return LPResult._unbuilt(status="optimal", value=value, _basic=(len(nums), s, basis, xs))
 
 
 def oracle_interval(

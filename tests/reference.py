@@ -7,7 +7,9 @@ description whose adjacency test scans the tight-constraint mask of every
 other ray for each positive/negative pair, and that starts from two
 eliminations (independent_rows, then scaled_inverse of the chosen rows)
 where the package makes one. solve is the LP oracle's simplex
-that reduces the equality system and runs phase 1 afresh on every call.
+that reduces the equality system and runs phase 1 afresh on every call,
+with the artificial columns in the tableau, so an artificial that left
+the basis may enter again (the package's phase 1 has no such columns).
 pivot and rref are the dense fraction-free kernel, which rewrites every
 row on every step, and rational is the string parser that sends every
 string through Fraction(). transform is the closed form of each
@@ -333,7 +335,9 @@ def polar_extreme_rays(cons: list[tuple[int, ...]], dim: int) -> list[tuple[int,
     return rays
 
 
-def _simplex(T: list[list[int]], basis: list[int], width: int, s: int) -> int | None:
+def _simplex(
+    T: list[list[int]], basis: list[int], width: int, s: int, entered: list | None = None
+) -> int | None:
     """Bland-rule simplex on an integer tableau in canonical form, in place.
 
     Row i < len(basis) is a constraint whose basic column basis[i] holds
@@ -342,6 +346,7 @@ def _simplex(T: list[list[int]], basis: list[int], width: int, s: int) -> int | 
     with negative reduced cost; leaving: the lowest basis index among the
     ratio-test ties. Together they rule out cycling, so degeneracy (rampant
     here) is harmless. Returns the final scale, or None if unbounded below.
+    Each entering column is appended to ``entered`` if given.
     """
     while True:
         z = T[-1]
@@ -357,12 +362,18 @@ def _simplex(T: list[list[int]], basis: list[int], width: int, s: int) -> int | 
                 leave = i
         if leave is None:
             return None
+        if entered is not None:
+            entered.append(entering)
         s = pivot(T, leave, entering, s)
         basis[leave] = entering
 
 
-def solve(lp: MixtureLP, sense: Literal["min", "max"] = "min") -> LPResult:
-    """Exact two-phase simplex. Infeasibility is an answer, not an error."""
+def solve(lp: MixtureLP, sense: Literal["min", "max"] = "min", entered: list | None = None) -> LPResult:
+    """Exact two-phase simplex. Infeasibility is an answer, not an error.
+
+    Given a list ``entered``, phase 1 appends each entering column to it:
+    a column at or past len(lp.columns) is an artificial entering again.
+    """
     if sense not in ("min", "max"):
         raise ValueError(f"sense must be 'min' or 'max', not {sense!r}")
     n = len(lp.columns)
@@ -392,7 +403,7 @@ def solve(lp: MixtureLP, sense: Literal["min", "max"] = "min") -> LPResult:
     T.append([-v for v in sums[:n]] + [0] * m + [-sums[-1]])
     basis = list(range(n, n + m))
 
-    s = _simplex(T, basis, n + m, d)
+    s = _simplex(T, basis, n + m, d, entered)
     # The phase-1 row's last entry is -s times the artificials' sum.
     if T.pop()[-1]:
         return LPResult(status="infeasible", value=None, weights=None)

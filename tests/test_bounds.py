@@ -879,6 +879,13 @@ class TestIntegerTables:
             assert vars(tables)["zeta"] is zeta and tables.zeta is zeta
             assert not {"gamma", "theta", "phi", "arm_weights"} & vars(tables).keys()
 
+    @pytest.mark.parametrize("name", ["bivariate", "trivariate", "pairwise3", "beta"])
+    def test_evaluation_compiles_only_the_groups_it_reads(self, name):
+        """Every section's test is also a "checks" row, so no section is compiled on its own."""
+        bs = derive(name)
+        assert interval_and_fit(bs, load("lipid")) == (evaluate_bounds(bs, load("lipid")), True)
+        assert bs._sparse[1].keys() == {"lower", "upper", "checks"}
+
     def test_hand_built_tables_compile_their_cells_at_first_use(self):
         lipid = derive_marginals(load("lipid"))
         given = {n: getattr(lipid, n) for n in ObservedTables._fields}

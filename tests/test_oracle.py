@@ -15,7 +15,7 @@ from ivbounds.bounds import (
     interval_and_fit,
     model_check,
 )
-from ivbounds.data import build_tables, derive_marginals, load
+from ivbounds.data import build_tables, derive_marginals, load, observable_point
 from ivbounds.forms import MissingCoordinate
 from ivbounds.oracle import (
     CrossCheckReport,
@@ -71,6 +71,19 @@ HAND_BUILT = [
         ("1/3", "-2/7", "5/6", "1/10"),
     ),
 ]
+
+# LPs on which the reference's phase 1, which keeps the artificial columns,
+# enters an artificial column again: the first two optimal and the first two
+# infeasible ones of a seeded search (random.Random(2020), 2 to 5 columns of
+# 1 to 3 entries in [-2, 3]). The package's phase 1 has no artificial
+# columns, so an artificial that leaves never enters again.
+REENTERING = [
+    (((3, 0, -1), (2, 1, -1), (2, -1, -2), (3, 3, 2), (1, -2, 1)), (-2, -2, 3), (-1, -2, 2, -2, 3)),
+    (((-2, -2, 2), (-2, 3, -2), (-2, 0, 1), (3, 3, 3), (1, 3, -1)), (2, 3, -2), (1, 3, 3, 0, 1)),
+    (((1, 2, 2), (1, 1, 1), (0, 2, -1), (3, 0, 0), (-2, -2, 3)), (-1, -2, 3), (-1, 2, 3, 3, -2)),
+    (((0, 1, 1), (-2, 2, 3), (3, 2, 1), (-1, 3, -2), (3, -1, -2)), (0, 1, -1), (0, 3, -2, 3, 2)),
+]
+HAND_BUILT += REENTERING
 
 
 class TestSolve:
@@ -436,6 +449,15 @@ class TestAgainstReference:
         p = lp(*case)
         assert solve(p, sense) == reference.solve(p, sense)
 
+    def test_reference_phase1_enters_an_artificial_again(self):
+        """REENTERING keeps testing what it was picked for: the reference's phase 1 re-entry."""
+        statuses = set()
+        for case in REENTERING:
+            p, entered = lp(*case), []
+            statuses.add(reference.solve(p, "min", entered).status)
+            assert any(j >= len(p.columns) for j in entered)
+        assert statuses == {"optimal", "infeasible"}
+
     def test_random_rational_lps(self):
         rng = random.Random(11)
         statuses = set()
@@ -501,3 +523,48 @@ class TestCachedState:
         assert hand == scenario_lp
         for sense in ("min", "max"):
             assert solve(hand, sense) == solve(scenario_lp, sense)
+
+
+class TestViews:
+    """A scenario LP holds integers: its Fraction inputs and an optimum's weights are views."""
+
+    @pytest.mark.parametrize("name", TARGETED)
+    @pytest.mark.parametrize("dataset", ["lipid", "vitamin-a"])
+    @pytest.mark.parametrize("plain", [False, True], ids=["tables", "mapping"])
+    def test_cross_check_builds_no_fraction_view(self, monkeypatch, name, dataset, plain):
+        data = load(dataset)
+        if plain:
+            data = observable_point(get_scenario(name).observable_labels, data)
+        solved = []
+
+        def spy(lp, sense="min"):
+            solved.append((lp, solve(lp, sense)))
+            return solved[-1][1]
+
+        monkeypatch.setattr(oracle_mod, "solve", spy)
+        assert cross_check(name, data).consistent
+        (p, lo), (q, hi) = solved
+        assert p is q
+        assert not {"columns", "rhs", "objective"} & vars(p).keys()
+        assert not {"weights"} & (vars(lo).keys() | vars(hi).keys())
+        for view in ("columns", "rhs", "objective"):
+            built = getattr(p, view)
+            assert vars(p)[view] is built and getattr(p, view) is built
+        # Read, the views are those of a hand-built LP made from the same Fractions.
+        hand = MixtureLP(p.columns, p.rhs, p.objective)
+        assert hand == p and repr(hand) == repr(p) and hand._ints == p._ints
+        assert (solve(hand, "min"), solve(hand, "max")) == (lo, hi)
+        assert repr(lo) == repr(solve(hand, "min")) and vars(lo)["weights"] is lo.weights
+
+    @pytest.mark.parametrize("name", TARGETED)
+    @pytest.mark.parametrize("dataset", ["lipid", "vitamin-a"])
+    def test_tables_and_their_plain_mapping_give_one_interval(self, name, dataset):
+        tables = load(dataset)
+        point = observable_point(get_scenario(name).observable_labels, tables)
+        assert oracle_interval(name, tables) == oracle_interval(name, point)
+        bad = derive_marginals(
+            build_tables(zeta={"a1": ["1", "0", "0", "0"], "a2": ["0", "0", "1", "0"]}, arm_weights=["1/3", "2/3"])
+        )
+        point = observable_point(get_scenario(name).observable_labels, bad)
+        assert oracle_interval(name, bad) == oracle_interval(name, point)
+        assert {r.status for r in oracle_interval(name, bad)} == {"infeasible" if name != "beta" else "optimal"}
