@@ -261,16 +261,17 @@ def evaluate_bounds(
 
 def interval_and_fit(
     bs: BoundSet, data: ObservedTables | Mapping, sections: Sequence[str] = ("checks",)
-) -> tuple[Interval, bool]:
-    """evaluate_bounds and whether model_check passes at tolerance 0, from one numerator pass.
+) -> tuple[Interval, bool, tuple[list[int], int, list[int]]]:
+    """evaluate_bounds, whether model_check passes at tolerance 0 (one numerator pass for both)
+    and the point (xs, d, absent) that data.integer_point read, for oracle.cross_check.
 
-    Raises what evaluate_bounds and then model_check would, in that order.
-    oracle.cross_check reads both through it; it stays out of the package API.
+    Raises what evaluate_bounds and then model_check would, in that order; not package API.
     """
     if bs.target is None:
         raise TargetUnconstrained(f"scenario {bs.scenario!r} has no causal target to bound")
-    (lows, highs, *slacks), den = _numerators(bs, ("lower", "upper", *sections), data)
-    return _interval(lows, highs, den), all(_shortfall(bs, s) == 0 for s in slacks)
+    point = integer_point(bs.space.labels, data)
+    (lows, highs, *slacks), den = _numerators(bs, ("lower", "upper", *sections), point)
+    return _interval(lows, highs, den), all(_shortfall(bs, s) == 0 for s in slacks), point
 
 
 def _interval(lows: list, highs: list, den: int = 1) -> Interval:
@@ -280,22 +281,20 @@ def _interval(lows: list, highs: list, den: int = 1) -> Interval:
 
 
 def _numerators(
-    bs: BoundSet, names: Sequence[str], data: ObservedTables | Mapping[str, RationalLike]
+    bs: BoundSet, names: Sequence[str], point: tuple[list[int], int, list[int]]
 ) -> tuple[list[list[int]], int]:
-    """Every form of the named lists at the data point, as numerators over one denominator.
+    """Every form of the named lists at integer_point's point, as numerators over one denominator.
 
     Raises what evaluating each form in turn would, such as MissingCoordinate for an absent
     used label.
     """
-    labels = bs.space.labels
-    xs, d, absent = integer_point(labels, data)
+    xs, d, absent = point
     if absent:
         rows = bs._rows[0]
         for j in (j for name in names for row in rows[name] for j in absent if row[j]):
-            raise MissingCoordinate(labels[j])
+            raise MissingCoordinate(bs.space.labels[j])
     products, groups = bs._sparse
-    xs.append(d)
-    return evaluate_rows(products, [groups[name] for name in names], xs), bs._rows[1] * d
+    return evaluate_rows(products, [groups[name] for name in names], [*xs, d]), bs._rows[1] * d
 
 
 def _shortfall(bs: BoundSet, slacks: Sequence[int]) -> int:
@@ -355,7 +354,7 @@ def model_check(
     report's entries are built only when read.
     """
     tol = default_tolerance(data, tolerance)
-    (slacks,), den = _numerators(bs, ("checks",), data)
+    (slacks,), den = _numerators(bs, ("checks",), integer_point(bs.space.labels, data))
     passed = _shortfall(bs, slacks) * tol.denominator <= tol.numerator * den
     return ConstraintReport._unbuilt(
         scenario=bs.scenario, tolerance=tol, passed=passed, _slacks=(bs, slacks, den)
@@ -374,11 +373,13 @@ class InstrumentalReport(Record):
 def instrumental_inequality(
     data: ObservedTables, tolerance: RationalLike | None = None
 ) -> InstrumentalReport:
-    """max_b sum_c max_a P(C=c, B=b | A=a) <= 1, the classic necessary test."""
+    """max_b sum_c max_a P(C=c, B=b | A=a) <= 1, the classic necessary test; needs every zeta label."""
     try:
-        z, d, _ = integer_point(_ZETA_BY_B, data)
+        z, d, absent = integer_point(_ZETA_BY_B, data)
     except ValidationError:
         raise ValidationError("the instrumental inequality needs a zeta table") from None
+    if absent:
+        raise MissingCoordinate(_ZETA_BY_B[absent[0]])
     tol = default_tolerance(data, tolerance)
     sums = [max(z[k], z[k + 1]) + max(z[k + 2], z[k + 3]) for k in (0, 4)]
     top = max(sums)

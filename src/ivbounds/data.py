@@ -29,8 +29,8 @@ from collections.abc import Mapping
 from pathlib import Path
 from typing import Sequence
 
-from .forms import RationalLike, Record, format_rational, ratio, rational
-from .introws import clear_denominators, picker
+from .forms import RationalLike, Record, format_ratio, ratio, rational
+from .introws import picker
 from .scenarios import parse_coordinate
 
 _ZERO = Fraction(0)
@@ -70,10 +70,6 @@ _CELL_LIMIT = 10**_CELL_DIGITS
 def _too_long(n: int, d: int) -> bool:
     """Whether a cell or tolerance n / d needs more than _CELL_DIGITS digits above or below."""
     return d >= _CELL_LIMIT or abs(n) >= _CELL_LIMIT
-
-
-def _fmt(n: int, d: int) -> str:
-    return format_rational(Fraction(n, d))
 
 
 class ParseError(ValueError):
@@ -138,11 +134,6 @@ class ObservedTables(Record):
         tables = [getattr(self, name) for name, _ in _SLOTS]
         return _common([None if t is None else ratio(t[key]) for t, (_, key) in zip(tables, _SLOTS)])
 
-    def blocks(self) -> list[tuple[str, list[Fraction]]]:
-        """The per-condition probability blocks that must each sum to 1."""
-        tables = {name: getattr(self, name) for name in _TABLE_KEYS}
-        return [(n, [tables[t][k] for k in keys]) for n, t, keys in _BLOCKS if tables[t] is not None]
-
 
 def _common(pairs: Sequence[tuple[int, int] | None]) -> tuple[tuple[int | None, ...], int]:
     """Reduced pairs (n, d), or None, as numerators over their least common denominator."""
@@ -173,11 +164,11 @@ def _validate(nums: Sequence[int | None], den: int, tol: Fraction) -> None:
             continue
         for n in values:
             if not 0 <= n <= den:
-                raise ValidationError(f"{name} entry {_fmt(n, den)} is outside [0, 1]")
+                raise ValidationError(f"{name} entry {format_ratio(n, den)} is outside [0, 1]")
         total = sum(values)
         if abs(total - den) * scale > bar * den:
-            slack = _fmt(total - den, den)
-            raise ValidationError(f"{name} sums to {_fmt(total, den)}, slack {slack}")
+            slack = format_ratio(total - den, den)
+            raise ValidationError(f"{name} sums to {format_ratio(total, den)}, slack {slack}")
     if nums[0] is None:
         return
     square = den * den
@@ -185,8 +176,8 @@ def _validate(nums: Sequence[int | None], den: int, tol: Fraction) -> None:
         if n is not None and abs(n * den - want) * tol.denominator > tol.numerator * square:
             name, key = _SLOTS[slot]
             raise ValidationError(
-                f"{name}{list(key)} = {_fmt(n, den)} contradicts zeta, "
-                f"which implies {_fmt(want, square)}"
+                f"{name}{list(key)} = {format_ratio(n, den)} contradicts zeta, "
+                f"which implies {format_ratio(want, square)}"
             )
 
 
@@ -389,13 +380,15 @@ def integer_point(
     """observable_point's values at ``labels`` as integers over one d > 0, and the absent ones.
 
     Tables are read from their integer cells, over their denominator (its
-    square with an x-label); they raise as observable_point does. A label
-    that a plain mapping lacks is 0 in the list and its position is listed.
+    square with an x-label); they raise as observable_point does. Every
+    value of a plain mapping is parsed, so it raises as observable_point
+    does too; those at ``labels`` go over their least common denominator,
+    and a label it lacks is 0 in the list and its position is listed.
     """
     if not isinstance(data, ObservedTables):
-        point = observable_point(labels, data)
-        xs, d = clear_denominators([point.get(label, _ZERO) for label in labels])
-        return xs, d, [j for j, label in enumerate(labels) if label not in point]
+        point = {k: ratio(v) for k, v in data.items()}
+        xs, d = _common([point.get(label, (0, 1)) for label in labels])
+        return list(xs), d, [j for j, label in enumerate(labels) if label not in point]
     nums, den = data._cells
     pick = _picker(tuple(labels))
     if pick and None not in (values := pick[0](nums)):

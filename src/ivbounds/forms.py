@@ -17,7 +17,7 @@ from math import gcd
 from operator import attrgetter
 from typing import Sequence, Union
 
-from .introws import primitive
+from .introws import clear_denominators, primitive
 
 RationalLike = Union[int, str, Fraction]
 
@@ -99,10 +99,14 @@ def ratio(value: RationalLike) -> tuple[int, int]:
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 
+def format_ratio(n: int, d: int) -> str:
+    """The rational n / d (d > 0) in lowest terms: "n" or "n/d"."""
+    g = gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
+
+
 def format_rational(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return format_ratio(q.numerator, q.denominator)
 
 
 def format_decimal(q: Fraction) -> str:
@@ -290,9 +294,6 @@ class AffineForm(Record):
             lab: c for lab, c in zip(self.space.labels, self.coefficients) if c
         }
 
-    def is_zero(self) -> bool:
-        return self.constant == 0 and not any(self.coefficients)
-
     def evaluate(self, point: Mapping[str, RationalLike]) -> Fraction:
         """Evaluate at a point given as a label mapping.
 
@@ -321,23 +322,7 @@ class AffineForm(Record):
 
     def render(self) -> str:
         """Human form, terms in coordinate order, e.g. "2*g01 - g02 - 3"."""
-        parts: list[str] = []
-        for lab, c in zip(self.space.labels, self.coefficients):
-            if not c:
-                continue
-            mag = abs(c)
-            term = lab if mag == 1 else f"{format_rational(mag)}*{lab}"
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        if self.constant or not parts:
-            mag = format_rational(abs(self.constant))
-            if not parts:
-                parts.append(mag if self.constant >= 0 else f"-{mag}")
-            else:
-                parts.append(f"+ {mag}" if self.constant > 0 else f"- {mag}")
-        return " ".join(parts)
+        return render_row(self.space.labels, *clear_denominators((*self.coefficients, self.constant)))
 
 
 class Relation(Enum):
@@ -355,13 +340,25 @@ class LinearConstraint(Record):
         self.__dict__.update(form=form, relation=relation)
 
     def render(self) -> str:
-        if self.relation is Relation.EQ:
-            lhs = AffineForm(self.form.space, self.form.coefficients, _ZERO)
-            rhs = -self.form.constant
-            if lhs.is_zero():
-                return f"0 = {format_rational(rhs)}"
-            return f"{lhs.render()} = {format_rational(rhs)}"
-        return f"{self.form.render()} >= 0"
+        f = self.form
+        row = clear_denominators((*f.coefficients, f.constant))
+        return render_row(f.space.labels, *row, self.relation)
+
+
+def render_row(labels: Sequence[str], row: Sequence[int], d: int = 1,
+               relation: Relation | None = None) -> str:
+    """The text of the integer row (a..., k) read as (a . x + k) / d, d > 0, with the terms in
+    label order ("2*g01 - g02 - 3"), or of that constraint: "a . x = -k" or "a . x + k >= 0"."""
+    *a, k = row
+    if relation is Relation.EQ:
+        return f"{render_row(labels, (*a, 0), d)} = {format_ratio(-k, d)}"
+    terms = [(c, lab if abs(c) == d else f"{format_ratio(abs(c), d)}*{lab}")
+             for lab, c in zip(labels, a) if c]
+    if k or not terms:
+        terms.append((k, format_ratio(abs(k), d)))
+    text = " ".join(f"{'-' if c < 0 else '+'} {term}" for c, term in terms)
+    text = text[2:] if text[0] == "+" else f"-{text[2:]}"
+    return text if relation is None else f"{text} >= 0"
 
 
 def canonicalize(constraint: LinearConstraint) -> LinearConstraint:

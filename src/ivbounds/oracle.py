@@ -79,12 +79,7 @@ class MixtureLP(Record):
         s = get_scenario(scenario)
         if s.causal_target is None:
             raise ValueError(f"scenario {s.name!r} has no causal target to optimize")
-        base, labels = _scenario_lp(s), s.observable_labels
-        xs, d, absent = integer_point(labels, data)
-        if absent:
-            raise MissingCoordinate(labels[absent[0]])
-        # The same columns and one rhs entry per row: base's checks hold, and its system is shared.
-        return cls._unbuilt(_ints=base._ints, _system=base._system, _rhs=(xs + [d], d))
+        return _lp_at(s, integer_point(s.observable_labels, data))
 
     @cached_property
     def _ints(self) -> tuple[list[list[int]], list[int], list[int], int]:
@@ -183,6 +178,16 @@ def _scenario_lp(s: Scenario) -> MixtureLP:
     return MixtureLP._unbuilt(_ints=ints, _rhs=([0] * len(ints[0]), 1))
 
 
+def _lp_at(s: Scenario, point: tuple[list[int], int, list[int]]) -> MixtureLP:
+    """_scenario_lp(s), its checks held and its system shared, at the rhs integer_point read on
+    s.observable_labels (one entry per row); a label the point lacks raises MissingCoordinate."""
+    xs, d, absent = point
+    if absent:
+        raise MissingCoordinate(s.observable_labels[absent[0]])
+    base = _scenario_lp(s)
+    return MixtureLP._unbuilt(_ints=base._ints, _system=base._system, _rhs=([*xs, d], d))
+
+
 def _simplex(T: list[list[int]], basis: list[int], width: int, s: int) -> int | None:
     """Bland-rule simplex on an integer tableau in canonical form, in place.
 
@@ -271,9 +276,10 @@ def cross_check(
     """
     s = get_scenario(scenario)
     bs = derive(scenario)
-    interval, fit = interval_and_fit(bs, data)
+    interval, fit, point = interval_and_fit(bs, data)
     member = fit and not interval.empty
-    lo, hi = oracle_interval(s, data)
+    lp = _lp_at(s, point)  # the forms' point: bs.space.labels are s.observable_labels
+    lo, hi = solve(lp, "min"), solve(lp, "max")
     feasible = lo.status == "optimal"
     if feasible != (hi.status == "optimal"):
         raise MismatchError(

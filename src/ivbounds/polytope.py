@@ -125,6 +125,8 @@ def reduce_mod_equalities(
     """
     if not equalities:
         return form
+    if any(c.relation is not Relation.EQ for c in equalities):
+        raise ValueError("reduce_mod_equalities expects EQ constraints")
     # A facet-free HRepresentation carries the same integer reducer partition uses.
     h = HRepresentation(form.space, tuple(equalities), (), 0)
     values, scale = clear_denominators(form.coefficients + (form.constant,))
@@ -153,10 +155,9 @@ class HRepresentation(Record):
     affine_dimension: int
 
     def __post_init__(self) -> None:
-        # Only hand-built ones get here (reduce_mod_equalities builds one, hence its message);
-        # facet_enumeration's rows are EQ and GEQ by construction.
+        # Only hand-built ones get here; facet_enumeration's rows are EQ and GEQ by construction.
         if any(c.relation is not Relation.EQ for c in self.equalities):
-            raise ValueError("reduce_mod_equalities expects EQ constraints")
+            raise ValueError("HRepresentation equalities must be = constraints")
         if any(c.relation is not Relation.GEQ for c in self.facets):
             raise ValueError("HRepresentation facets must be >= constraints")
 

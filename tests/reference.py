@@ -18,7 +18,9 @@ the package reads labels as events on 0/1 response types. tables,
 derive_marginals, point, instrumental and beta_interval are the Fraction
 path of the observed tables: a table is a dict of Fractions, validated,
 filled and read cell by cell, where the package keeps every cell as an
-integer numerator over one common denominator.
+integer numerator over one common denominator. render and
+render_constraint print forms and constraints term by term on Fractions,
+where the package prints integer rows over one denominator.
 """
 
 from __future__ import annotations
@@ -531,3 +533,34 @@ def beta_interval(t: dict) -> Interval:
     highs = [p["t01"] + p["t02"], p["t11"] + p["t12"]]
     lo, hi = max(lows), min(highs)
     return Interval(lo, hi, lows.index(lo), highs.index(hi), lo > hi)
+
+
+def render(form: AffineForm) -> str:
+    """Human form, terms in coordinate order, e.g. "2*g01 - g02 - 3"."""
+    parts: list[str] = []
+    for lab, c in zip(form.space.labels, form.coefficients):
+        if not c:
+            continue
+        mag = abs(c)
+        term = lab if mag == 1 else f"{_text(mag)}*{lab}"
+        if not parts:
+            parts.append(term if c > 0 else f"-{term}")
+        else:
+            parts.append(f"+ {term}" if c > 0 else f"- {term}")
+    if form.constant or not parts:
+        mag = _text(abs(form.constant))
+        if not parts:
+            parts.append(mag if form.constant >= 0 else f"-{mag}")
+        else:
+            parts.append(f"+ {mag}" if form.constant > 0 else f"- {mag}")
+    return " ".join(parts)
+
+
+def render_constraint(con: LinearConstraint) -> str:
+    if con.relation is Relation.EQ:
+        lhs = AffineForm(con.form.space, con.form.coefficients, _ZERO)
+        rhs = -con.form.constant
+        if not any(lhs.coefficients):
+            return f"0 = {_text(rhs)}"
+        return f"{render(lhs)} = {_text(rhs)}"
+    return f"{render(con.form)} >= 0"

@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import importlib.util
 import inspect
 import io
 import json
@@ -100,6 +101,27 @@ def test_no_module_imports_another_modules_private_names():
             if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("ivbounds")):
                 found += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
     assert found == []
+
+
+def test_the_names_the_benchmark_reads_exist():
+    """bench/tracer.py wraps each SPECS path by name and bench/child.py reads these attributes;
+    a name renamed or deleted would otherwise fail only the benchmark's traced runs."""
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.SPECS
+    for module_name, path, _, _ in tracer.SPECS:
+        module = importlib.import_module(f"ivbounds.{module_name}")
+        owner, _, attr = path.rpartition(".")
+        if owner:
+            assert attr in vars(getattr(module, owner)), path
+        else:
+            assert callable(getattr(module, attr, None)), path
+    bs, hull = ivbounds.derive("bivariate"), ivbounds.scenario_hull("fig3")
+    for obj, attrs in ((bs, ("to_json_dict", "observable_tests", "lower_forms", "upper_forms")),
+                       (hull, ("to_json_dict", "facets", "affine_dimension"))):
+        for attr in attrs:
+            assert hasattr(obj, attr), (type(obj).__name__, attr)
 
 
 def test_readme_quickstart_runs():

@@ -41,6 +41,7 @@ from ivbounds.data import (
     ValidationError,
     build_tables,
     derive_marginals,
+    integer_point,
     load,
     observable_point,
 )
@@ -400,6 +401,18 @@ class TestInstrumental:
 
         with pytest.raises(ValidationError, match="zeta"):
             instrumental_inequality(build_tables(theta={"a1": ["1", "0"], "a2": ["0", "1"]}))
+
+    def test_a_mapping_without_a_zeta_label_names_the_first_missing(self):
+        """Absent labels were once read as 0, so {"z00.1": 1} passed."""
+        with pytest.raises(MissingCoordinate) as exc:
+            instrumental_inequality({"z00.1": 1})
+        assert exc.value.args == ("z00.2",)
+        order = ("z00.1", "z00.2", "z10.1", "z10.2", "z01.1", "z01.2", "z11.1", "z11.2")
+        point = observable_point(order, load("lipid"))
+        assert instrumental_inequality(point, 0) == instrumental_inequality(load("lipid"), 0)
+        for k, label in enumerate(order):
+            partial = {lab: v for lab, v in point.items() if lab not in order[k::3]}
+            assert outcome(instrumental_inequality, partial) == ("MissingCoordinate", label)
 
 
 class TestBeta:
@@ -883,7 +896,8 @@ class TestIntegerTables:
     def test_evaluation_compiles_only_the_groups_it_reads(self, name):
         """Every section's test is also a "checks" row, so no section is compiled on its own."""
         bs = derive(name)
-        assert interval_and_fit(bs, load("lipid")) == (evaluate_bounds(bs, load("lipid")), True)
+        expected = evaluate_bounds(bs, load("lipid")), True, integer_point(bs.space.labels, load("lipid"))
+        assert interval_and_fit(bs, load("lipid")) == expected
         assert bs._sparse[1].keys() == {"lower", "upper", "checks"}
 
     def test_hand_built_tables_compile_their_cells_at_first_use(self):

@@ -51,7 +51,12 @@ class TestBundled:
     def test_all_blocks_sum_to_one_exactly(self):
         # the published tables happen to be exactly normalized
         for name in BUNDLED_DATASETS:
-            for block, values in load(name).blocks():
+            t = load(name)
+            rows = {f"{table}[a={a}]": [v for k, v in getattr(t, table).items() if k[-1] == a]
+                    for table in ("zeta", "gamma", "theta") for a in (1, 2)}
+            rows.update(phi=list(t.phi.values()), arm_weights=list(t.arm_weights))
+            assert len(rows) == 8
+            for block, values in rows.items():
                 assert sum(values) == 1, (name, block)
 
 

@@ -21,8 +21,10 @@ from ivbounds.forms import (
     canonical_row,
     canonicalize,
     format_decimal,
+    format_ratio,
     format_rational,
     rational,
+    render_row,
 )
 
 SPACE = CoordinateSpace("test", ("g01", "g02", "t01", "t02"))
@@ -227,6 +229,31 @@ COEFFS = st.fractions(
 def test_parse_render_roundtrip(coeffs, const):
     f = AffineForm.from_dict(SPACE, coeffs, const)
     assert AffineForm.parse(SPACE, f.render()) == f
+
+
+# A common denominator d > 1 and a row of four coefficient numerators and a constant one,
+# rich in 0 and +-d (coefficients 0 and +-1).
+ROWS = st.integers(2, 12).flatmap(
+    lambda d: st.tuples(
+        st.just(d),
+        st.lists(st.sampled_from([0, d, -d]) | st.integers(-3 * d, 3 * d), min_size=5, max_size=5),
+    )
+)
+
+
+@given(ROWS)
+@example((2, [0, 0, 0, 0, 0]))  # the zero form, and "0 = 0"
+@example((3, [0, 0, 0, 0, -7]))  # a constant alone; its equality's left side is 0
+@example((4, [4, -4, 0, 4, 0]))
+def test_render_matches_the_fraction_reference(case):
+    d, row = case
+    form = AffineForm(SPACE, [Fraction(v, d) for v in row[:4]], Fraction(row[4], d))
+    assert form.render() == reference.render(form) == render_row(SPACE.labels, row, d)
+    for relation in Relation:
+        con = LinearConstraint(form, relation)
+        assert con.render() == reference.render_constraint(con) == render_row(SPACE.labels, row, d, relation)
+    for n in row:
+        assert format_ratio(n, d) == format_rational(Fraction(n, d)) == reference._text(Fraction(n, d))
 
 
 @given(

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import ivbounds.bounds as bounds_mod
 import ivbounds.oracle as oracle_mod
 from ivbounds.bounds import (
     Interval,
@@ -15,7 +16,7 @@ from ivbounds.bounds import (
     interval_and_fit,
     model_check,
 )
-from ivbounds.data import build_tables, derive_marginals, load, observable_point
+from ivbounds.data import build_tables, derive_marginals, integer_point, load, observable_point
 from ivbounds.forms import MissingCoordinate
 from ivbounds.oracle import (
     CrossCheckReport,
@@ -230,9 +231,9 @@ class TestMixtureLP:
         with pytest.raises(ValueError, match="causal target"):
             MixtureLP.from_scenario("fig3", load("lipid"))
 
-    @pytest.mark.parametrize("call", [MixtureLP.from_scenario, oracle_interval])
+    @pytest.mark.parametrize("call", [MixtureLP.from_scenario, oracle_interval, cross_check])
     def test_missing_label_is_named(self, call):
-        """As in cross_check and beta_bounds, not a bare KeyError."""
+        """As in beta_bounds, not a bare KeyError; beta's forms do not read t12."""
         with pytest.raises(MissingCoordinate) as exc:
             call("beta", {"t01": "1/2", "t11": "1/2", "t02": "1/4"})
         assert exc.value.args == ("t12",)
@@ -385,8 +386,43 @@ def _outcome(fn, *args):
 
 
 def _composed(bs, point):
-    """What cross_check once computed: evaluate_bounds, then model_check at tolerance 0."""
-    return evaluate_bounds(bs, point), model_check(bs, point, tolerance=0).passed
+    """What cross_check once computed: evaluate_bounds, then model_check at tolerance 0, and
+    the integer point the LP then read."""
+    interval = evaluate_bounds(bs, point)
+    return interval, model_check(bs, point, tolerance=0).passed, integer_point(bs.space.labels, point)
+
+
+@pytest.mark.parametrize("plain", [False, True], ids=["tables", "mapping"])
+def test_cross_check_reads_the_data_point_once(monkeypatch, plain):
+    """The forms' point is the LP's right-hand side; it was once read twice."""
+    calls = []
+
+    def counting(labels, data):
+        calls.append(tuple(labels))
+        return integer_point(labels, data)
+
+    monkeypatch.setattr(bounds_mod, "integer_point", counting)
+    monkeypatch.setattr(oracle_mod, "integer_point", counting)
+    for name in TARGETED:
+        labels = get_scenario(name).observable_labels
+        data = observable_point(labels, load("lipid")) if plain else load("lipid")
+        calls.clear()
+        assert cross_check(name, data).consistent
+        assert calls == [labels]
+
+
+@pytest.mark.parametrize("name", ["bivariate", "trivariate", "pairwise3", "beta"])
+def test_cross_check_raises_what_the_forms_and_then_the_lp_would(name):
+    """Each point lacks a label, and some also hold a value that is not a rational."""
+    base = observable_point(get_scenario(name).observable_labels, load("vitamin-a"))
+    labels = list(base)
+    points = [{k: v for k, v in base.items() if k != lab} for lab in labels]
+    points += [{**p, other: "abc"} for p, other in zip(points, labels[1:] + labels[:1])]
+    bs = derive(name)
+    for point in points:
+        expected = _outcome(lambda: (interval_and_fit(bs, point), oracle_interval(name, point)))
+        assert _outcome(cross_check, name, point) == expected
+        assert expected[0] in (MissingCoordinate, ValueError)
 
 
 @pytest.mark.parametrize("name", ["fig3", "bivariate", "trivariate", "pairwise3", "beta"])

@@ -322,7 +322,7 @@ def test_equalities_given_by_hand_must_be_equalities():
     geq = LinearConstraint(AffineForm(sp, (1, 0)), Relation.GEQ)
     with pytest.raises(ValueError, match="^reduce_mod_equalities expects EQ constraints$"):
         reduce_mod_equalities(AffineForm(sp, (1, 1)), [geq])
-    with pytest.raises(ValueError, match="^reduce_mod_equalities expects EQ constraints$"):
+    with pytest.raises(ValueError, match="^HRepresentation equalities must be = constraints$"):
         bounds.partition(HRepresentation(sp, (geq,), (geq,), 1))
 
 
