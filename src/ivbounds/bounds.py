@@ -371,7 +371,7 @@ class InstrumentalReport(Record):
 
 
 def instrumental_inequality(
-    data: ObservedTables, tolerance: RationalLike | None = None
+    data: ObservedTables | Mapping[str, RationalLike], tolerance: RationalLike | None = None
 ) -> InstrumentalReport:
     """max_b sum_c max_a P(C=c, B=b | A=a) <= 1, the classic necessary test; needs every zeta label."""
     try:

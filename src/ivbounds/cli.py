@@ -1,26 +1,24 @@
 """Command-line surface: derive, check, bound, oracle, scenario.
 
 Exit codes: 0 success, 1 usage or input error, 2 model check failed,
-3 empty bound interval, 4 oracle disagreement. JSON output is built from
-insertion-ordered dicts only, so identical invocations are byte-identical.
+3 empty bound interval, 4 oracle disagreement. Each verb's _cmd_<verb>
+returns its report, a payload of insertion-ordered dicts only (so identical
+invocations give byte-identical JSON), with its exit code; --format text
+prints the lines _text_<verb> renders from that payload alone. main is the
+one place that prints a report.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .bounds import (
-    derive,
-    evaluate_bounds,
-    instrumental_inequality,
-    model_check,
-    scenario_hull,
-)
-from .data import BUNDLED_DATASETS, ObservedTables, derive_marginals, load
+from .bounds import derive, evaluate_bounds, instrumental_inequality, model_check, scenario_hull
+from .data import BUNDLED_DATASETS, derive_marginals, load
 from .forms import MissingCoordinate, format_decimal, format_rational
 from .scenarios import SCENARIOS, enumerate_parameter_vertices, get_scenario, scenario_vertex_set
 
@@ -40,10 +38,6 @@ class _Parser(argparse.ArgumentParser):
     # is exit 1, so route everything through UsageError instead.
     def error(self, message):
         raise UsageError(message)
-
-
-def _fmt(q: Fraction) -> str:
-    return f"{format_rational(q)} ({format_decimal(q)})"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,26 +68,25 @@ def build_parser() -> argparse.ArgumentParser:
             choices=("text", "json"), default="text", help="output format (default text)"
         ),
     }
-    # Each verb's help, handler and options beyond --scenario, --target and --format.
-    verbs = {
-        "derive": ("derive hull equalities, model tests and bound forms", _cmd_derive, ()),
-        "check": (
-            "evaluate model-falsification constraints on data", _cmd_check, ("--data", "--tolerance")
-        ),
-        "bound": ("evaluate the bound interval on data", _cmd_bound, ("--data",)),
-        "oracle": ("cross-check derived bounds against an exact LP", _cmd_oracle, ("--data",)),
-    }
-    for verb, (help_, func, extra) in verbs.items():
+    # Each verb's help, report, text renderer and options beyond --scenario, --target and --format.
+    verbs = dict(
+        derive=("derive hull equalities, model tests and bound forms", _cmd_derive, _text_derive),
+        check=("evaluate model-falsification constraints on data", _cmd_check, _text_check),
+        bound=("evaluate the bound interval on data", _cmd_bound, _text_bound),
+        oracle=("cross-check derived bounds against an exact LP", _cmd_oracle, _text_oracle),
+    )
+    extra = {"check": ("--data", "--tolerance"), "bound": ("--data",), "oracle": ("--data",)}
+    for verb, (help_, func, render) in verbs.items():
         p = sub.add_parser(verb, help=help_)
         for flag, kwargs in options.items():
-            if flag in extra or flag in ("--scenario", "--target", "--format"):
+            if flag in extra.get(verb, ()) or flag in ("--scenario", "--target", "--format"):
                 p.add_argument(flag, **kwargs)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, render=render)
 
     p = sub.add_parser("scenario", help="inspect the scenario registry")
     p.add_argument("action", choices=("list",))
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_scenario)
+    p.set_defaults(func=_cmd_scenario, render=_text_scenario)
 
     return parser
 
@@ -107,118 +100,86 @@ def _resolve_scenario(args):
     return s
 
 
-def _targeted(args, goal: str):
-    """The scenario, which must have a causal target (to ``goal``), and the tables to use on it."""
+def _with_data(args, goal: str | None = None):
+    """The scenario, which needs a causal target to ``goal`` if one is given, and its tables."""
     s = _resolve_scenario(args)
-    if s.causal_target is None:
+    if goal is not None and s.causal_target is None:
         raise UsageError(f"scenario {s.name!r} has no causal target to {goal}")
-    return s, _load_data(args.data)
-
-
-def _load_data(source: str) -> ObservedTables:
-    tables = load(source)
-    if tables.zeta is not None:
-        tables = derive_marginals(tables)
-    return tables
+    tables = load(args.data)
+    return s, tables if tables.zeta is None else derive_marginals(tables)
 
 
 def _endpoint(v: Fraction | None) -> dict | None:
     return None if v is None else {"value": format_rational(v), "decimal": format_decimal(v)}
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
+def _flag(passed: bool) -> str:
+    return "PASS" if passed else "FAIL"
 
 
-def _cmd_derive(args) -> int:
+def _both(value: str, decimal: str | None = None) -> str:
+    """An exact value from a payload as ``p/q (decimal)``, the decimal recomputed if not given."""
+    return f"{value} ({decimal or format_decimal(Fraction(value))})"
+
+
+def _cmd_derive(args) -> tuple[dict, int]:
     s = _resolve_scenario(args)
     bs = derive(s)
-    dim = scenario_hull(s).affine_dimension
-    equalities = [c.render() for c in bs.hull_equalities]
-    tests = [c.render() for c in bs.observable_tests]
-    trivial = [c.render() for c in bs.trivial_tests]
-    lower = [f.render() for f in bs.lower_forms]
-    upper = [f.render() for f in bs.upper_forms]
-
+    seqs = bs.hull_equalities, bs.observable_tests, bs.trivial_tests, bs.lower_forms, bs.upper_forms
+    equalities, tests, trivial, lower, upper = ([x.render() for x in xs] for xs in seqs)
     payload = {
         "scenario": s.name,
         "target": bs.target,
-        "dim": dim,
+        "dim": scenario_hull(s).affine_dimension,
         "labels": list(bs.space.labels),
-        "counts": {
-            "observable": len(tests),
-            "lower": len(lower),
-            "upper": len(upper),
-            "trivial": len(trivial),
-            "equalities": len(equalities),
-        },
+        "counts": dict(
+            observable=len(tests), lower=len(lower), upper=len(upper), trivial=len(trivial),
+            equalities=len(equalities),
+        ),
         "equalities": equalities,
         "observable_tests": tests,
         "trivial_tests": trivial,
         "lower": lower,
         "upper": upper,
     }
-
-    lines = [
-        f"scenario {s.name}: target {bs.target or 'none'}, affine dimension {dim}",
-        f"equalities ({len(equalities)}):",
-        *(f"  {r}" for r in equalities),
-        f"observable tests ({len(tests)}):",
-        *(f"  {r}" for r in tests),
-        f"trivial tests ({len(trivial)}):",
-        *(f"  {r}" for r in trivial),
-    ]
-    if bs.target is not None:
-        lines += [
-            f"lower bounds ({len(lower)}):",
-            *(f"  {bs.target} >= {r}" for r in lower),
-            f"upper bounds ({len(upper)}):",
-            *(f"  {bs.target} <= {r}" for r in upper),
-        ]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def _cmd_check(args) -> int:
-    s = _resolve_scenario(args)
-    tables = _load_data(args.data)
+def _text_derive(p: dict) -> list[str]:
+    target = p["target"]
+    lines = [f"scenario {p['scenario']}: target {target or 'none'}, affine dimension {p['dim']}"]
+    sections = [("equalities", "equalities", ""), ("observable tests", "observable_tests", "")]
+    sections.append(("trivial tests", "trivial_tests", ""))
+    if target is not None:
+        sections.append(("lower bounds", "lower", f"{target} >= "))
+        sections.append(("upper bounds", "upper", f"{target} <= "))
+    for title, key, prefix in sections:
+        lines += [f"{title} ({len(p[key])}):", *(f"  {prefix}{r}" for r in p[key])]
+    return lines
+
+
+def _cmd_check(args) -> tuple[dict, int]:
+    s, tables = _with_data(args)
     report = model_check(derive(s), tables, args.tolerance)
 
     sections: dict[str, list] = {"observable": [], "equality": [], "trivial": []}
     for e in report.entries:
-        sections[e.section].append(e)
-
+        sections[e.section].append({
+            "constraint": e.constraint.render(),
+            "slack": format_rational(e.slack),
+            "slack_decimal": format_decimal(e.slack),
+            "passed": e.passed,
+        })
     instrumental = None
     if s.name == "trivariate":
         instrumental = instrumental_inequality(tables, args.tolerance)
-
     passed = report.passed and (instrumental is None or instrumental.passed)
-    status = "PASS" if passed else "FAIL"
-
     payload = {
         "scenario": s.name,
         "data": args.data,
         "tolerance": format_rational(report.tolerance),
-        "status": status,
-        "model_check": {
-            "passed": report.passed,
-            "sections": {
-                name: [
-                    {
-                        "constraint": e.constraint.render(),
-                        "slack": format_rational(e.slack),
-                        "slack_decimal": format_decimal(e.slack),
-                        "passed": e.passed,
-                    }
-                    for e in entries
-                ]
-                for name, entries in sections.items()
-            },
-        },
+        "status": _flag(passed),
+        "model_check": {"passed": report.passed, "sections": sections},
         "instrumental": None
         if instrumental is None
         else {
@@ -227,71 +188,64 @@ def _cmd_check(args) -> int:
             "passed": instrumental.passed,
         },
     }
+    return payload, EXIT_OK if passed else EXIT_CHECK_FAILED
 
-    lines = [
-        f"model check: {s.name} on {args.data} (tolerance {format_rational(report.tolerance)})"
-    ]
-    for name, entries in sections.items():
-        ok = sum(1 for e in entries if e.passed)
+
+def _text_check(p: dict) -> list[str]:
+    lines = [f"model check: {p['scenario']} on {p['data']} (tolerance {p['tolerance']})"]
+    for name, entries in p["model_check"]["sections"].items():
+        ok = sum(e["passed"] for e in entries)
         lines.append(f"{name} constraints: {ok}/{len(entries)} passed")
-        for e in entries:
-            flag = "PASS" if e.passed else "FAIL"
-            lines.append(f"  [{e.index}] {flag} slack {_fmt(e.slack)}  {e.constraint.render()}")
+        for i, e in enumerate(entries):
+            slack = _both(e["slack"], e["slack_decimal"])
+            lines.append(f"  [{i}] {_flag(e['passed'])} slack {slack}  {e['constraint']}")
+    instrumental = p["instrumental"]
     if instrumental is not None:
-        flag = "PASS" if instrumental.passed else "FAIL"
-        sums = ", ".join(_fmt(v) for v in instrumental.b_sums)
+        sums = ", ".join(_both(v) for v in instrumental["b_sums"])
+        flag = _flag(instrumental["passed"])
         lines.append(f"instrumental inequality: {flag} (per-b sums {sums})")
-    lines.append(status)
-    _emit(args, payload, lines)
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+    return lines + [p["status"]]
 
 
-def _cmd_bound(args) -> int:
-    s, tables = _targeted(args, "bound")
+def _cmd_bound(args) -> tuple[dict, int]:
+    s, tables = _with_data(args, "bound")
     bs = derive(s)
     interval = evaluate_bounds(bs, tables)
+
+    def end(value, witness, forms):
+        return {**_endpoint(value), "witness": witness, "form": forms[witness].render()}
 
     payload = {
         "scenario": s.name,
         "target": bs.target,
         "data": args.data,
         "empty": interval.empty,
-        "lower": {
-            **_endpoint(interval.lower),
-            "witness": interval.lower_witness,
-            "form": bs.lower_forms[interval.lower_witness].render(),
-        },
-        "upper": {
-            **_endpoint(interval.upper),
-            "witness": interval.upper_witness,
-            "form": bs.upper_forms[interval.upper_witness].render(),
-        },
+        "lower": end(interval.lower, interval.lower_witness, bs.lower_forms),
+        "upper": end(interval.upper, interval.upper_witness, bs.upper_forms),
     }
+    return payload, EXIT_EMPTY if interval.empty else EXIT_OK
 
-    lines = [
-        f"{format_decimal(interval.lower)} ≤ {bs.target} ≤ {format_decimal(interval.upper)}",
-        f"exact: [{format_rational(interval.lower)}, {format_rational(interval.upper)}]",
-        f"lower witness [{interval.lower_witness}]: "
-        f"{bs.target} >= {bs.lower_forms[interval.lower_witness].render()}",
-        f"upper witness [{interval.upper_witness}]: "
-        f"{bs.target} <= {bs.upper_forms[interval.upper_witness].render()}",
+
+def _text_bound(p: dict) -> list[str]:
+    lo, hi, target = p["lower"], p["upper"], p["target"]
+    lines = ["EMPTY interval: data is inconsistent with the model"] if p["empty"] else []
+    return lines + [
+        f"{lo['decimal']} ≤ {target} ≤ {hi['decimal']}",
+        f"exact: [{lo['value']}, {hi['value']}]",
+        f"lower witness [{lo['witness']}]: {target} >= {lo['form']}",
+        f"upper witness [{hi['witness']}]: {target} <= {hi['form']}",
     ]
-    if interval.empty:
-        lines.insert(0, "EMPTY interval: data is inconsistent with the model")
-    _emit(args, payload, lines)
-    return EXIT_EMPTY if interval.empty else EXIT_OK
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> tuple[dict | None, int]:
     from .oracle import MismatchError, cross_check  # the one verb that loads the oracle
 
-    s, tables = _targeted(args, "optimize")
+    s, tables = _with_data(args, "optimize")
     try:
         report = cross_check(s, tables)
     except MismatchError as exc:
         print(f"oracle mismatch: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-
+        return None, EXIT_MISMATCH
     payload = {
         "scenario": report.scenario,
         "target": report.target,
@@ -302,47 +256,49 @@ def _cmd_oracle(args) -> int:
         "lp": {"lower": _endpoint(report.lp_lower), "upper": _endpoint(report.lp_upper)},
         "consistent": report.consistent,
     }
+    return payload, EXIT_OK
 
-    def span(lo, hi):
-        if lo is None:
+
+def _text_oracle(p: dict) -> list[str]:
+    def span(ends):
+        if ends["lower"] is None:
             return "infeasible"
-        return f"[{_fmt(lo)}, {_fmt(hi)}]"
+        return f"[{_both(**ends['lower'])}, {_both(**ends['upper'])}]"
 
-    lines = [
-        f"oracle cross-check: {s.name} on {args.data}",
-        f"membership: forms={'yes' if report.member else 'no'} lp={'yes' if report.feasible else 'no'}",
-        f"forms interval: {span(report.form_lower, report.form_upper)}",
-        f"lp interval:    {span(report.lp_lower, report.lp_upper)}",
-        "consistent: yes",
+    yes = {True: "yes", False: "no"}
+    return [
+        f"oracle cross-check: {p['scenario']} on {p['data']}",
+        f"membership: forms={yes[p['member']]} lp={yes[p['feasible']]}",
+        f"forms interval: {span(p['forms'])}",
+        f"lp interval:    {span(p['lp'])}",
+        f"consistent: {yes[p['consistent']]}",
     ]
-    _emit(args, payload, lines)
-    return EXIT_OK
 
 
-def _cmd_scenario(args) -> int:
-    rows = []
-    for name, s in SCENARIOS.items():
-        images = scenario_vertex_set(s)
-        rows.append(
-            {
-                "name": name,
-                "target": s.causal_target,
-                "uses_psi": s.uses_psi,
-                "labels": list(s.space.labels),
-                "parameter_vertices": len(enumerate_parameter_vertices(s)),
-                "distinct_images": len(images),
-            }
-        )
-    payload = {"scenarios": rows}
+def _cmd_scenario(args) -> tuple[dict, int]:
+    rows = [
+        {
+            "name": name,
+            "target": s.causal_target,
+            "uses_psi": s.uses_psi,
+            "labels": list(s.space.labels),
+            "parameter_vertices": len(enumerate_parameter_vertices(s)),
+            "distinct_images": len(scenario_vertex_set(s)),
+        }
+        for name, s in SCENARIOS.items()
+    ]
+    return {"scenarios": rows}, EXIT_OK
+
+
+def _text_scenario(p: dict) -> list[str]:
     lines = []
-    for r in rows:
-        lines.append(
+    for r in p["scenarios"]:
+        lines += [
             f"{r['name']}: target={r['target'] or 'none'} psi={'yes' if r['uses_psi'] else 'no'} "
-            f"vertices={r['parameter_vertices']} images={r['distinct_images']}"
-        )
-        lines.append(f"  coordinates: {', '.join(r['labels'])}")
-    _emit(args, payload, lines)
-    return EXIT_OK
+            f"vertices={r['parameter_vertices']} images={r['distinct_images']}",
+            f"  coordinates: {', '.join(r['labels'])}",
+        ]
+    return lines
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -352,16 +308,23 @@ def main(argv: Sequence[str] | None = None) -> int:
     for name, value in vars(args).items():
         if isinstance(value, list):
             raise UsageError(f"argument --{name}: expected one argument")
-    return args.func(args)
+    payload, code = args.func(args)
+    if payload is None:
+        return code
+    lines = [json.dumps(payload, indent=2)] if args.format == "json" else args.render(payload)
+    try:
+        print(*lines, sep="\n", flush=True)
+    except BrokenPipeError:
+        # The reader has gone. Python flushes stdout again at exit, so point
+        # it at devnull: that flush must not fail and print "Exception ignored".
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 def entry(argv: Sequence[str] | None = None) -> int:
     try:
         return main(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, MissingCoordinate) as exc:
+    except (UsageError, ValueError, MissingCoordinate) as exc:
         # ParseError, ValidationError, MissingArmWeights, TargetUnconstrained
         # and UnsupportedCoordinateError all descend from ValueError.
         print(f"error: {exc}", file=sys.stderr)

@@ -299,7 +299,9 @@ def _parse_json(text: str):
     try:
         # Keeping float literals as their source text preserves exactness.
         return json.loads(text, parse_float=str, object_pairs_hook=_unique_keys)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except ParseError:
+        raise
+    except (ValueError, RecursionError) as exc:  # also an integer past int's digit limit
         raise ParseError(f"invalid JSON: {exc}") from exc
 
 

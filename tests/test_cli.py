@@ -1,7 +1,7 @@
 """Command-line verbs, output formats and the exit-code contract.
 
-All tests drive entry() in process and read captured stdout/stderr; one
-subprocess test confirms the module is runnable as a script.
+All tests drive entry() in process and read captured stdout/stderr; a few
+subprocess tests run the module as a script.
 """
 
 import codecs
@@ -419,6 +419,50 @@ def test_scenario_list_matches_golden(capsys, fmt, name):
     assert out.encode("utf-8") == (Path(__file__).parent / "golden" / name).read_bytes()
 
 
+# Every golden pair <name>.json and <name>.txt: the text is the verb's renderer
+# applied to the JSON report alone, one line per item.
+GOLDEN_PAIRS = sorted(
+    [GOLDEN_CLI / name for name in GOLDEN_EXIT_CODES if name.endswith(".json")]
+    + [GOLDEN_DERIVE / name for name in DERIVE_EXIT_CODES if name.endswith(".json")]
+    + [Path(__file__).parent / "golden" / "scenario-list.json"]
+)
+RENDERERS = ["_text_bound", "_text_check", "_text_derive", "_text_oracle", "_text_scenario"]
+
+
+def test_every_json_golden_has_a_text_twin():
+    assert len(GOLDEN_PAIRS) == 42
+    assert all(path.with_suffix(".txt").exists() for path in GOLDEN_PAIRS)
+
+
+@pytest.mark.parametrize("path", GOLDEN_PAIRS, ids=lambda path: path.name)
+def test_text_golden_is_rendered_from_the_json_golden(path):
+    render = getattr(cli_mod, f"_text_{path.name.split('-')[0]}")
+    text = "".join(f"{line}\n" for line in render(json.loads(path.read_text(encoding="utf-8"))))
+    assert text.encode("utf-8") == path.with_suffix(".txt").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["derive", "--scenario", "pairwise3"],
+    ["check", "--scenario", "trivariate", "--data", "lipid"],
+    ["bound", "--scenario", "bivariate", "--data", "vitamin-a"],
+    ["oracle", "--scenario", "beta", "--data", "lipid"],
+    ["scenario", "list"],
+], ids=lambda argv: argv[0])
+def test_json_output_runs_no_text_renderer(capsys, monkeypatch, argv):
+    """Each verb once built its text lines as well as its JSON, then printed only one."""
+    def refuse(payload):
+        raise AssertionError("a text renderer ran")
+
+    assert sorted(name for name in vars(cli_mod) if name.startswith("_text_")) == RENDERERS
+    for name in RENDERERS:
+        monkeypatch.setattr(cli_mod, name, refuse)
+    code, payload, err = run_json(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert payload
+    with pytest.raises(AssertionError, match="a text renderer ran"):
+        entry([*argv, "--format", "text"])
+
+
 # Each verb's argparse fields: its help line, then per option the option
 # strings, dest, choices, default, required and help. Raw --help text is not
 # compared, since its layout differs between Python versions.
@@ -649,6 +693,17 @@ def test_module_is_runnable():
     )
     assert proc.returncode == 0
     assert "pairwise3" in proc.stdout
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_closed_stdout_exits_quietly_with_the_verbs_code(fmt):
+    """A reader that had gone, as in `ivbounds derive ... | head -1`, once gave a traceback."""
+    argv = [sys.executable, "-m", "ivbounds.cli", "check", "--scenario", "trivariate",
+            "--data", "lipid", "--format", fmt]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()  # before the child has written anything
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (EXIT_OK, b"")
 
 
 def test_importing_the_cli_loads_neither_the_oracle_nor_csv():

@@ -16,10 +16,11 @@ from ivbounds.data import (
     build_tables,
     default_tolerance,
     derive_marginals,
+    integer_point,
     load,
     observable_point,
 )
-from ivbounds.scenarios import SCENARIOS
+from ivbounds.scenarios import SCENARIOS, UnsupportedCoordinateError
 
 LIPID_ZETA = {
     "a1": ["0.919", "0", "0.081", "0"],
@@ -316,6 +317,13 @@ class TestLoadJson:
             load(path)
         assert str(exc.value) == f"repeated JSON key {key!r}"
 
+    def test_integer_past_the_digit_limit_is_a_parse_error(self, tmp_path):
+        """json.loads raised a bare ValueError for an int literal of more than 4,300 digits."""
+        path = tmp_path / "t.json"
+        path.write_text('{"zeta": {"a1": [' + "1" * 5000 + ', 0, 0, 0], "a2": ["1", 0, 0, 0]}}')
+        with pytest.raises(ParseError, match="^invalid JSON: "):
+            load(path)
+
     def test_missing_file(self):
         with pytest.raises(ParseError, match="cannot read"):
             load("/no/such/file.json")
@@ -538,6 +546,16 @@ class TestObservablePoint:
     def test_unknown_label(self):
         with pytest.raises(ValidationError, match="no table rule"):
             observable_point(("alpha",), load("lipid"))
+
+    @pytest.mark.parametrize("labels, error, message", [
+        (("q01",), UnsupportedCoordinateError, "coordinate 'q01' would be P(C|B)"),
+        (("g01", "bogus"), UnsupportedCoordinateError, "unknown coordinate label 'bogus'"),
+        (("g01", "alpha"), ValidationError, "no table rule for coordinate label 'alpha'"),
+    ])
+    def test_integer_point_on_tables_refuses_bad_labels(self, labels, error, message):
+        with pytest.raises(error) as exc:
+            integer_point(labels, load("lipid"))
+        assert str(exc.value).startswith(message)
 
     @pytest.mark.parametrize("labels, error, message", [
         (("t01", "alpha", "g01", "x001"), ValidationError, "no table rule for coordinate label 'alpha'"),

@@ -160,6 +160,11 @@ class TestAffineForm:
         assert all(type(c) is Fraction for c in f.coefficients + (f.constant,))
         assert f.constant == -2
 
+    def test_wrong_number_of_coefficients(self):
+        space = CoordinateSpace("pair", ("g01", "g02"))
+        with pytest.raises(ValueError, match="^expected 2 coefficients"):
+            AffineForm(space, (1,))
+
     def test_fraction_tuple_kept_as_given(self):
         coeffs = (Fraction(1, 2), Fraction(0), Fraction(3), Fraction(-1, 7))
         assert AffineForm(SPACE, coeffs, Fraction(1)).coefficients is coeffs
@@ -196,6 +201,8 @@ class TestAffineForm:
             AffineForm.parse(SPACE, "")
         with pytest.raises(ValueError):
             AffineForm.parse(SPACE, "g01 ** 2")
+        with pytest.raises(ValueError, match=r"^cannot parse expression 'x\+-\+y'$"):
+            AffineForm.parse(SPACE, "x+-+y")
 
     def test_evaluate(self):
         f = AffineForm.parse(SPACE, "t01 + t02 - g01 + g02")
