@@ -8,11 +8,11 @@ scenario without a target (fig3) simply has no bounds, and all its facets
 are model tests. Trivial observable facets (equivalent, modulo the
 hull equalities, to a single coordinate being nonnegative) are kept apart
 from the informative ones so reports mirror the usual presentation.
-partition works on the hull's integer rows: it reduces them modulo the
-equalities, recognises trivial facets by their primitive rows, and hands
-the BoundSet its bound rows (solved for the target) and test rows on the
-observable space. Its forms and constraints are views built on first read
-(a hand-built one keeps its tuples and compiles rows at first use).
+partition works on the hull's integer rows: it reads the facet rows
+reduced modulo the equalities, recognises trivial facets by their primitive
+rows, and hands the BoundSet its bound rows (solved for the target) and test
+rows on the observable space. Its forms and constraints are views built on
+first read (a hand-built one keeps its tuples and compiles rows at first use).
 evaluate_bounds and model_check stay exact on integers: rows compiled once,
 at a BoundSet's first evaluation, read only their nonzero columns of the
 point that data.integer_point reads from the tables' integer cells.
@@ -37,10 +37,11 @@ from .forms import (
     Relation,
     canonical_row,
     constraint_from_row,
-    format_rational,
+    format_ratio,
+    render_row,
     rows_view,
 )
-from .introws import evaluate_rows, integer_rows, primitive, sparse_rows
+from .introws import evaluate_rows, integer_rows, picker, primitive, sparse_rows
 from .polytope import HRepresentation, facet_enumeration
 from .scenarios import Scenario, get_scenario, scenario_vertex_set
 
@@ -76,25 +77,37 @@ class BoundSet(Record):
     hull_equalities: tuple[LinearConstraint, ...] = rows_view("equality", Relation.EQ)
 
     def to_json_dict(self) -> dict:
-        def form_dict(f: AffineForm) -> dict:
-            return {
-                "coeffs": {lab: format_rational(c) for lab, c in f.as_dict().items()},
-                "const": format_rational(f.constant),
-            }
+        (rows, den), labels = self._rows, self.space.labels
 
-        def con_list(cons: Sequence[LinearConstraint]) -> list[dict]:
-            return [dict(form_dict(c.form), relation=c.relation.value) for c in cons]
+        def row_dicts(group: str) -> list[dict]:
+            return [{"coeffs": {lab: format_ratio(c, den) for lab, c in zip(labels, a) if c},
+                     "const": format_ratio(k, den), **({} if r is None else {"relation": r.value})}
+                    for (*a, k), r in zip(rows[group], self._relations[group])]
 
         return {
             "scenario": self.scenario,
             "target": self.target,
-            "labels": list(self.space.labels),
-            "lower": [form_dict(f) for f in self.lower_forms],
-            "upper": [form_dict(f) for f in self.upper_forms],
-            "observable_tests": con_list(self.observable_tests),
-            "trivial_tests": con_list(self.trivial_tests),
-            "hull_equalities": con_list(self.hull_equalities),
+            "labels": list(labels),
+            "lower": row_dicts("lower"),
+            "upper": row_dicts("upper"),
+            "observable_tests": row_dicts("observable"),
+            "trivial_tests": row_dicts("trivial"),
+            "hull_equalities": row_dicts("equality"),
         }
+
+    def render(self, group: str) -> list[str]:
+        """Each "lower", "upper", "observable", "trivial" or "equality" row as its view renders."""
+        rows, den = self._rows
+        return [render_row(self.space.labels, row, den, r)
+                for row, r in zip(rows[group], self._relations[group])]
+
+    @cached_property
+    def _relations(self) -> dict[str, list[Relation | None]]:
+        """Each group's relation to 0 per row: None for a bound form, a test's by _equalities."""
+        rows, eqs = self._rows[0], self._equalities
+        tests = (Relation.EQ if k in eqs else Relation.GEQ for k in range(len(rows["checks"])))
+        out = {s: [next(tests) for _ in rows[s]] for s, _ in _SECTIONS}
+        return {**out, "lower": [None] * len(rows["lower"]), "upper": [None] * len(rows["upper"])}
 
     @cached_property
     def _checks(self) -> tuple[tuple[str, int, LinearConstraint], ...]:
@@ -134,8 +147,7 @@ def classify_observable(
     A facet is trivial when, modulo the hull equalities, it says nothing
     more than "some coordinate is nonnegative".
     """
-    (_, facets), _ = h._rows
-    parts = _classify(h, [primitive(h._reduce(row)) for row in facets])
+    parts = _classify(h, h._reduced)
     return tuple(tuple(constraint_from_row(h.space, r, Relation.GEQ) for r in p) for p in parts)
 
 
@@ -157,35 +169,29 @@ def partition(h: HRepresentation, target: str | None = None) -> BoundSet:
     contributes one matched lower/upper pair. If nothing mentions the
     target at all, effect-difference targets (alpha, beta) fall back to
     their trivial range [-1, 1]; any other target raises
-    TargetUnconstrained. With no target, every facet is a model test.
+    TargetUnconstrained. With no target, every facet is a model test. Lifted facet rows need no
+    reduction: the chart's pivot columns are the complement of the equalities' trailing coordinates.
     """
     ti = None if target is None else h.space.index(target)
-    keep = [j for j in range(h.space.dimension + 1) if j != ti]
+    drop = picker([j for j in range(h.space.dimension + 1) if j != ti])  # all but the target
     obs_labels = tuple(l for l in h.space.labels if l != target)
     space = CoordinateSpace(f"{h.space.name}-observables", obs_labels)
-    (eq_rows, facet_rows), _ = h._rows
-
-    def drop(row: Sequence[int]) -> tuple[int, ...]:  # the row without the target's column
-        return tuple(map(row.__getitem__, keep))
 
     lower, upper, obs_only, equality = [], [], [], []
-    for row in facet_rows:
-        row = primitive(h._reduce(row))
+    for row in h._reduced:
         if ti is None or row[ti] == 0:
             obs_only.append(row)
         else:
             (lower if row[ti] > 0 else upper).append(row)
-    for row in eq_rows:
-        row = primitive(row)
+    for row in map(primitive, h._rows[0][0]):  # the equality rows
         if ti is None or row[ti] == 0:
             # The target coefficient is zero, so dropping it keeps a primitive row primitive.
             equality.append(canonical_row(drop(row), Relation.EQ))
         else:
             lower.append(row)
             upper.append(row)
-    observable, trivial = (
-        [canonical_row(drop(r), Relation.GEQ) for r in part] for part in _classify(h, obs_only)
-    )
+    observable, trivial = ([canonical_row(drop(r), Relation.GEQ) for r in part]
+                           for part in _classify(h, obs_only))
 
     if target is not None and not lower and not upper:
         if target not in ("alpha", "beta"):

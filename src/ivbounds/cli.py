@@ -125,18 +125,16 @@ def _both(value: str, decimal: str | None = None) -> str:
 def _cmd_derive(args) -> tuple[dict, int]:
     s = _resolve_scenario(args)
     bs = derive(s)
-    seqs = bs.hull_equalities, bs.observable_tests, bs.trivial_tests, bs.lower_forms, bs.upper_forms
-    equalities, tests, trivial, lower, upper = ([x.render() for x in xs] for xs in seqs)
+    eqs, tests, trivial, lower, upper = map(
+        bs.render, ("equality", "observable", "trivial", "lower", "upper"))
+    counted = dict(observable=tests, lower=lower, upper=upper, trivial=trivial, equalities=eqs)
     payload = {
         "scenario": s.name,
         "target": bs.target,
         "dim": scenario_hull(s).affine_dimension,
         "labels": list(bs.space.labels),
-        "counts": dict(
-            observable=len(tests), lower=len(lower), upper=len(upper), trivial=len(trivial),
-            equalities=len(equalities),
-        ),
-        "equalities": equalities,
+        "counts": {key: len(rows) for key, rows in counted.items()},
+        "equalities": eqs,
         "observable_tests": tests,
         "trivial_tests": trivial,
         "lower": lower,

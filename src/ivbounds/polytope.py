@@ -3,15 +3,16 @@
 The instances this package cares about are tiny (at most a few dozen
 generating points in at most 13 coordinates) but highly degenerate: the
 points never span the ambient space. facet_enumeration therefore works
-affine-hull-first. It computes the hull equalities, projects the points
-onto an independent coordinate chart where they are full-dimensional, runs
-an incremental double description pass there, and lifts the resulting
-facets back. Points and forms are exact rationals at the API; inside,
-everything runs on integer rows (see introws). The VertexSet, AffineHull and
-HRepresentation that derivation passes along hold only their rows; their
-Fraction fields are views built on first read (hand-built ones keep their
-tuples). Rows are reduced modulo the equalities and tested for membership
-on ints (reduce_mod_equalities wraps the former).
+affine-hull-first. It computes the hull equalities, projects the points onto
+an independent coordinate chart where they are full-dimensional, runs an
+incremental double description pass there, adding the rows in lexmin order
+(Fukuda & Prodon, 1996; cdd's default), and lifts the resulting facets back.
+Points and forms are exact rationals at the API; inside, everything runs on
+integer rows (see introws). The VertexSet, AffineHull and HRepresentation
+that derivation passes along hold only their rows (and the triangular
+equalities); their Fraction fields are views built on first read (hand-built
+ones keep their tuples). Rows are reduced modulo the equalities and tested
+for membership on ints (reduce_mod_equalities wraps the former).
 """
 
 from __future__ import annotations
@@ -97,17 +98,16 @@ def affine_hull(vs: VertexSet) -> AffineHull:
     base = points[0]
     reduced, d, pivots = rref([[a - b for a, b in zip(v, base)] for v in points[1:]], m)
     pivot_set = set(pivots)
-    equalities = []
+    table = []  # _triangular: (free column, row), the row d * scale there and 0 at the others
     for free in (j for j in range(m) if j not in pivot_set):
         coeffs = [0] * m
         coeffs[free] = d
         for row, piv in zip(reduced, pivots):
             coeffs[piv] = -row[free]
-        row = [c * scale for c in coeffs] + [-sum(c * b for c, b in zip(coeffs, base))]
-        equalities.append(canonical_row(primitive(row), Relation.EQ))
-    return AffineHull._unbuilt(
-        space=vs.space, dimension=len(pivots), pivots=tuple(pivots), _rows=([equalities], 1)
-    )
+        table.append((free, [c * scale for c in coeffs] + [-sum(map(mul, coeffs, base))]))
+    equalities = [canonical_row(primitive(row), Relation.EQ) for _, row in table]
+    return AffineHull._unbuilt(space=vs.space, dimension=len(pivots), pivots=tuple(pivots),
+                               _rows=([equalities], 1), _triangular=(table, d * scale))
 
 
 def reduce_mod_equalities(
@@ -178,6 +178,11 @@ class HRepresentation(Record):
             raise IdenticallyFalse("equalities are mutually inconsistent")
         return [(m - 1 - p, row[m - 1 :: -1] + row[m:]) for row, p in zip(reduced, pivots)], d
 
+    @cached_property
+    def _reduced(self) -> list[tuple[int, ...]]:
+        """The facet rows reduced modulo the equalities and primitive: the rows partition reads."""
+        return [primitive(self._reduce(row)) for row in self._rows[0][1]]
+
     def _reduce(self, row: Sequence[int]) -> Sequence[int]:
         """A positive multiple of the integer row (a..., k) reduced modulo the equalities."""
         table, d = self._triangular
@@ -224,14 +229,15 @@ class HRepresentation(Record):
 def _polar_extreme_rays(cons: list[tuple[int, ...]], dim: int) -> list[tuple[int, ...]]:
     """Extreme rays (b, a) of the cone {(b, a) : (b, a) . c >= 0 for each row c = s * (1, y)}.
 
-    These are exactly the facets a.y + b >= 0 of conv(points y) when the
-    points span dim-dimensional space (s > 0 scales each row to integers).
-    Incremental double description (Fukuda & Prodon, 1996): start from the
-    first dim + 1 independent rows (their polar cone is simplicial), then add
-    the rest one at a time, keeping nonnegative rays and combining adjacent
-    positive/negative pairs on each new hyperplane. Rays carry stable ids:
-    masks[i] holds the constraints ray i is tight on, tight[c] the ids
-    (dead ones too) of the rays tight on constraint c.
+    These are exactly the facets a.y + b >= 0 of conv(points y) when the points
+    span dim-dimensional space (s > 0 scales each row to integers). Incremental
+    double description (Fukuda & Prodon, 1996): start from the first dim + 1
+    independent rows (their polar cone is simplicial), then add the rest one at
+    a time in the order given (facet_enumeration sorts them: the lexmin order
+    that Fukuda & Prodon recommend and cdd uses by default), keeping nonnegative
+    rays and combining adjacent positive/negative pairs on each new hyperplane.
+    Rays carry stable ids: masks[i] holds the constraints ray i is tight on,
+    tight[c] the ids (dead ones too) of the rays tight on constraint c.
     """
     # One elimination of [C^T | I] picks the start rows (the pivot columns) and
     # leaves d times the transposed inverse of their matrix on the right: the start rays.
@@ -303,17 +309,17 @@ def facet_enumeration(vs: VertexSet) -> HRepresentation:
         )
     hull = affine_hull(vs)
     (points,), scale = vs._rows
-    chart = [primitive((scale, *(v[p] for p in hull.pivots))) for v in points]
+    chart = sorted(primitive((scale, *(v[p] for p in hull.pivots))) for v in points)
     # A hull of dimension 0 is one point, which has no facets.
     rays = _polar_extreme_rays(chart, hull.dimension) if hull.dimension else []
+    if not all(any(ray[1:]) for ray in rays):
+        raise RuntimeError("polar ray with no linear part cannot be a facet")
     # lift takes a ray (b, a) padded with a 0 to its row: a at the pivots, 0 elsewhere, then b.
     at = {p: 1 + j for j, p in enumerate(hull.pivots)}
     lift = itemgetter(*(at.get(c, -1) for c in range(vs.space.dimension)), 0)
-    # A primitive ray is its facet's canonical row; sorting the rows orders
-    # the facets by coefficient tuple, then constant.
+    # A primitive ray is its facet's canonical row (sorted: by coefficients, then constant). It is
+    # 0 on the equalities' trailing coordinates, the non-pivots: reduced, as partition reads it.
     rows = sorted(lift(ray + (0,)) for ray in rays)
-    assert all(any(ray[1:]) for ray in rays), "polar ray with no linear part cannot be a facet"
     (equalities,), _ = hull._rows
-    return HRepresentation._unbuilt(
-        space=vs.space, affine_dimension=hull.dimension, _rows=([equalities, rows], 1)
-    )
+    return HRepresentation._unbuilt(space=vs.space, affine_dimension=hull.dimension, _reduced=rows,
+                                    _rows=([equalities, rows], 1), _triangular=hull._triangular)

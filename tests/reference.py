@@ -20,7 +20,8 @@ path of the observed tables: a table is a dict of Fractions, validated,
 filled and read cell by cell, where the package keeps every cell as an
 integer numerator over one common denominator. render and
 render_constraint print forms and constraints term by term on Fractions,
-where the package prints integer rows over one denominator.
+and bound_set_json writes a BoundSet's JSON from its views, where the
+package prints integer rows over one denominator.
 """
 
 from __future__ import annotations
@@ -564,3 +565,25 @@ def render_constraint(con: LinearConstraint) -> str:
             return f"0 = {_text(rhs)}"
         return f"{render(lhs)} = {_text(rhs)}"
     return f"{render(con.form)} >= 0"
+
+
+def bound_set_json(bs: BoundSet) -> dict:
+    """BoundSet.to_json_dict, written form by form from the Fraction views."""
+
+    def form_dict(f: AffineForm) -> dict:
+        coeffs = {lab: _text(c) for lab, c in zip(f.space.labels, f.coefficients) if c}
+        return {"coeffs": coeffs, "const": _text(f.constant)}
+
+    def con_list(cons: Sequence[LinearConstraint]) -> list[dict]:
+        return [dict(form_dict(c.form), relation=c.relation.value) for c in cons]
+
+    return {
+        "scenario": bs.scenario,
+        "target": bs.target,
+        "labels": list(bs.space.labels),
+        "lower": [form_dict(f) for f in bs.lower_forms],
+        "upper": [form_dict(f) for f in bs.upper_forms],
+        "observable_tests": con_list(bs.observable_tests),
+        "trivial_tests": con_list(bs.trivial_tests),
+        "hull_equalities": con_list(bs.hull_equalities),
+    }

@@ -634,6 +634,7 @@ class TestCompiledEvaluation:
         point = data.draw(st.one_of(_point(space.labels), st.just({"u": 0, "v": 0, "w": 0})))
         tol = data.draw(st.fractions(min_value=0, max_value=1, max_denominator=12))
         _assert_compiled_matches_reference(bs, point, tol)
+        assert_prints_like_its_views(bs)
 
     def test_empty_interval_matches_reference(self):
         bad = derive_marginals(build_tables(
@@ -977,6 +978,21 @@ def hand_built_hulls(draw):
 
 
 _VIEWS = ("lower_forms", "upper_forms", "observable_tests", "hull_equalities", "trivial_tests")
+_GROUPS = ("lower", "upper", "observable", "equality", "trivial")  # the _rows group of each view
+
+
+def assert_prints_like_its_views(bs):
+    """render and to_json_dict, which print the integer rows, print what the views do."""
+    unbuilt = set(_VIEWS) - vars(bs).keys()
+    printed = {group: bs.render(group) for group in _GROUPS}
+    json_dict = bs.to_json_dict()
+    assert unbuilt.isdisjoint(vars(bs))  # printing builds no view
+    for group, view in zip(_GROUPS, _VIEWS):
+        items = getattr(bs, view)
+        assert printed[group] == [x.render() for x in items]
+        by_hand = reference.render if group in ("lower", "upper") else reference.render_constraint
+        assert printed[group] == [by_hand(x) for x in items]
+    assert json_dict == reference.bound_set_json(bs)
 
 
 def assert_matches_the_fraction_path(h, target):
@@ -991,6 +1007,7 @@ def assert_matches_the_fraction_path(h, target):
         bs = partition(h, target)
         assert not set(_VIEWS) & vars(bs).keys()
         assert compare(bs) == compare(expected)
+    assert_prints_like_its_views(partition(h, target))
     rows, den = bs._rows
     forms = [bs.lower_forms, bs.upper_forms]
     forms += [[c.form for c in getattr(bs, view)] for view in _VIEWS[2:]]

@@ -151,21 +151,42 @@ def test_reduce_with_no_equalities_is_identity():
     assert reduce_mod_equalities(f, ()) is f
 
 
-def shuffle_invariance_case(points, dim, seed):
-    sp = space(dim)
+def image_order_rays(vs):
+    """The hull's chart columns, and the rays that the reference (mask-scan) double
+    description finds adding the chart rows in image order, where the package sorts them."""
+    hull = affine_hull(vs)
+    (points,), scale = vs._rows
+    chart = [primitive((scale, *(v[p] for p in hull.pivots))) for v in points]
+    return hull.pivots, reference.polar_extreme_rays(chart, hull.dimension)
+
+
+def shuffle_invariance_case(sp, points, seed):
+    """Shuffled points give the same hull, and its facets are the reference's rays in image
+    order: adding the chart rows in lexmin order changes no facet."""
     base = facet_enumeration(VertexSet.from_points(sp, points))
     rng = random.Random(seed)
     shuffled = list(points)
     rng.shuffle(shuffled)
-    again = facet_enumeration(VertexSet.from_points(sp, shuffled))
+    vs = VertexSet.from_points(sp, shuffled)
+    again = facet_enumeration(vs)
     assert again.facets == base.facets
     assert again.equalities == base.equalities
+    pivots, rays = image_order_rays(vs)
+    (_, rows), _ = again._rows
+    assert sorted((row[-1], *(row[p] for p in pivots)) for row in rows) == sorted(rays)
 
 
 def test_facets_do_not_depend_on_vertex_order():
-    shuffle_invariance_case(cube_vertices(4), 4, seed=7)
-    shuffle_invariance_case(cross_vertices(3), 3, seed=8)
-    shuffle_invariance_case(simplex_vertices(5), 5, seed=9)
+    shuffle_invariance_case(space(4), cube_vertices(4), seed=7)
+    shuffle_invariance_case(space(3), cross_vertices(3), seed=8)
+    shuffle_invariance_case(space(5), simplex_vertices(5), seed=9)
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_registry_facets_do_not_depend_on_image_order(name):
+    vs = scenario_vertex_set(name)
+    for seed in (11, 12, 13):
+        shuffle_invariance_case(vs.space, vs.vertices, seed)
 
 
 def affine_rank(points):
@@ -432,6 +453,45 @@ def test_indexed_adjacency_matches_the_mask_scan(vs):
     assert (h.equalities, h.facets, h.affine_dimension) == (
         expected.equalities, expected.facets, expected.affine_dimension,
     )
+
+
+# facet_enumeration hands partition the hull's triangular equalities and its
+# lifted facet rows as the reduced rows; a hand-built HRepresentation
+# eliminates and reduces afresh. Both must give the same rows and BoundSet.
+
+
+def handed_over_case(h, targets):
+    hand = HRepresentation(h.space, h.equalities, h.facets, h.affine_dimension)
+    assert {"_triangular", "_reduced"} <= vars(h).keys()
+    assert not {"_triangular", "_reduced"} & vars(hand).keys()
+    (_, facets), _ = h._rows
+    assert h._reduced == [primitive(hand._reduce(row)) for row in facets]
+    m = h.space.dimension
+    units = [(0,) * j + (1,) + (0,) * (m - j) for j in range(m + 1)]
+    assert [primitive(h._reduce(u)) for u in units] == [primitive(hand._reduce(u)) for u in units]
+    for target in targets:
+        got, expected = (outcome(lambda t: bounds.partition(x, t), target) for x in (h, hand))
+        assert got == expected
+        if isinstance(got, bounds.BoundSet):
+            assert bounds.partition(h, target)._rows == bounds.partition(hand, target)._rows
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_handed_over_rows_match_a_fresh_reduction_on_registry_hulls(name):
+    handed_over_case(fresh_derivation(name)[0], (get_scenario(name).causal_target, None))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(integer_point_sets, embedded_point_sets(), degenerate_point_sets()))
+def test_handed_over_rows_match_a_fresh_reduction(vs):
+    handed_over_case(facet_enumeration(vs), (None, *vs.space.labels[:2]))
+
+
+def test_a_polar_ray_with_no_linear_part_is_refused():
+    # An explicit check, not an assert, so that python -O keeps it.
+    with patch.object(polytope, "_polar_extreme_rays", lambda cons, dim: [(1,) + (0,) * dim]):
+        with pytest.raises(RuntimeError, match="^polar ray with no linear part cannot be a facet$"):
+            facet_enumeration(VertexSet.from_points(space(2), cube_vertices(2)))
 
 
 # facet_enumeration hands the HRepresentation its integer facet rows and
