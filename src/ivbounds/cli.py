@@ -158,12 +158,14 @@ def _text_derive(p: dict) -> list[str]:
 
 def _cmd_check(args) -> tuple[dict, int]:
     s, tables = _with_data(args)
-    report = model_check(derive(s), tables, args.tolerance)
+    bs = derive(s)
+    report = model_check(bs, tables, args.tolerance)
 
     sections: dict[str, list] = {"observable": [], "equality": [], "trivial": []}
+    rendered = {name: bs.render(name) for name in sections}  # from the integer rows
     for e in report.entries:
         sections[e.section].append({
-            "constraint": e.constraint.render(),
+            "constraint": rendered[e.section][e.index],
             "slack": format_rational(e.slack),
             "slack_decimal": format_decimal(e.slack),
             "passed": e.passed,

@@ -33,7 +33,9 @@ from .forms import (
     canonical_row,
     rows_view,
 )
-from .introws import clear_denominators, evaluate_rows, integer_rows, primitive, rref, sparse_rows
+from .introws import (
+    clear_denominators, evaluate_rows, integer_rows, picker, primitive, rref, sparse_rows,
+)
 
 
 class DimensionOverflow(ValueError):
@@ -236,8 +238,11 @@ def _polar_extreme_rays(cons: list[tuple[int, ...]], dim: int) -> list[tuple[int
     a time in the order given (facet_enumeration sorts them: the lexmin order
     that Fukuda & Prodon recommend and cdd uses by default), keeping nonnegative
     rays and combining adjacent positive/negative pairs on each new hyperplane.
-    Rays carry stable ids: masks[i] holds the constraints ray i is tight on,
-    tight[c] the ids (dead ones too) of the rays tight on constraint c.
+    Each ray is one record (mask, bit, ray), carried from step to step: mask
+    holds the rows it is tight on and bit is its stable id bit; tight[c] holds
+    the id bits (dead ones too) of the rays tight on row c. The start index is
+    read off the start rows: start ray j is tight on every one but init[j]. An
+    added row is evaluated on its nonzero columns only, through one getter.
     """
     # One elimination of [C^T | I] picks the start rows (the pivot columns) and
     # leaves d times the transposed inverse of their matrix on the right: the start rays.
@@ -246,35 +251,36 @@ def _polar_extreme_rays(cons: list[tuple[int, ...]], dim: int) -> list[tuple[int
     reduced, _, init = rref([[*col, *e] for col, e in zip(zip(*cons), eye)], n)
     if len(init) <= dim:
         raise ValueError("rows do not span the required rank")
-    rays = [primitive(row[n:]) for row in reduced]
-    ids = list(range(len(rays)))
-    next_id = len(rays)
-    alive = (1 << next_id) - 1  # the ids of the current rays
-    # Ray j of the simplicial start is tight on every initial constraint but the j-th.
-    start = sum(1 << i for i in init)
-    masks = [start & ~(1 << i) for i in init]
-    tight = [sum(1 << j for j, mask in enumerate(masks) if mask >> c & 1) for c in range(len(cons))]
+    start, fresh = sum(1 << i for i in init), 1 << len(init)  # fresh: the next id bit
+    rays = [(start & ~(1 << i), 1 << j, primitive(row[n:]))
+            for j, (i, row) in enumerate(zip(init, reduced))]
+    tight = [0] * n  # a row not yet added has no tight rays
+    for j, i in enumerate(init):
+        tight[i] = (fresh - 1) & ~(1 << j)
+    alive = fresh - 1  # the id bits of the current rays
     need = dim - 1
     for k, con in enumerate(cons):
         if start >> k & 1:
             continue
-        vals = [sum(map(mul, con, ray)) for ray in rays]
+        get = picker([j for j, c in enumerate(con) if c])
+        coeffs, bit_k = get(con), 1 << k
         pos, zero, neg = [], [], []
-        for i, v in enumerate(vals):
-            (pos if v > 0 else neg if v else zero).append(i)
-        new_rays = [rays[i] for i in pos + zero]
-        new_masks = [masks[i] for i in pos] + [masks[i] | 1 << k for i in zero]
-        new_ids = [ids[i] for i in pos + zero]
-        tight[k] = sum(1 << ids[i] for i in zero)
-        pos_rays = [(masks[i], 1 << ids[i], vals[i], rays[i]) for i in pos]
-        first = next_id
-        for im in neg:
-            m_neg, bit_neg, v_neg, ray_neg = masks[im], 1 << ids[im], vals[im], rays[im]
-            for m_pos, bit_pos, v_pos, ray_pos in pos_rays:
+        for ray in rays:
+            v = sum(map(mul, coeffs, get(ray[2])))
+            if v > 0:
+                pos.append((v, ray))
+            elif v:
+                neg.append((v, ray))
+            else:
+                zero.append((ray[0] | bit_k, ray[1], ray[2]))
+        tight[k] = sum(bit for _, bit, _ in zero)
+        first, made = fresh, []
+        for v_neg, (m_neg, bit_neg, ray_neg) in neg:
+            for v_pos, (m_pos, bit_pos, ray_pos) in pos:
                 shared = m_pos & m_neg
                 if shared.bit_count() < need:
                     continue
-                # Adjacent: dim - 1 common tight constraints that no third live ray shares.
+                # Adjacent: dim - 1 common tight rows that no third live ray shares.
                 pair, common, rest = bit_pos | bit_neg, alive, shared
                 while rest and common != pair:
                     low = rest & -rest
@@ -284,18 +290,17 @@ def _polar_extreme_rays(cons: list[tuple[int, ...]], dim: int) -> list[tuple[int
                     continue
                 combo = [v_pos * a - v_neg * b for a, b in zip(ray_neg, ray_pos)]
                 g = gcd(*combo)
-                new_rays.append(tuple(combo) if g == 1 else tuple(v // g for v in combo))
-                new_masks.append(mask := shared | 1 << k)
-                new_ids.append(next_id)
+                ray = tuple(combo) if g == 1 else tuple(v // g for v in combo)
+                made.append((mask := shared | bit_k, fresh, ray))
                 while mask:
                     low = mask & -mask
-                    tight[low.bit_length() - 1] |= 1 << next_id
+                    tight[low.bit_length() - 1] |= fresh
                     mask ^= low
-                next_id += 1
-        # The negative rays die; the rays made in this step have ids first .. next_id - 1.
-        alive = alive & ~sum(1 << ids[i] for i in neg) | ((1 << next_id) - (1 << first))
-        rays, masks, ids = new_rays, new_masks, new_ids
-    return rays
+                fresh <<= 1
+        # The negative rays die; the rays made in this step have the id bits first .. fresh / 2.
+        alive = alive & ~sum(ray[1] for _, ray in neg) | (fresh - first)
+        rays = [ray for _, ray in pos] + zero + made
+    return [ray for _, _, ray in rays]
 
 
 def facet_enumeration(vs: VertexSet) -> HRepresentation:
@@ -309,7 +314,7 @@ def facet_enumeration(vs: VertexSet) -> HRepresentation:
         )
     hull = affine_hull(vs)
     (points,), scale = vs._rows
-    chart = sorted(primitive((scale, *(v[p] for p in hull.pivots))) for v in points)
+    chart = sorted(primitive((scale, *v)) for v in map(picker(hull.pivots), points))
     # A hull of dimension 0 is one point, which has no facets.
     rays = _polar_extreme_rays(chart, hull.dimension) if hull.dimension else []
     if not all(any(ray[1:]) for ray in rays):

@@ -227,9 +227,9 @@ def _response_types(s: Scenario) -> list[tuple[int, ...]]:
 
 @lru_cache(maxsize=None)
 def _type_images(s: Scenario) -> tuple[tuple[int, ...], ...]:
-    """Each response type's integer image on the scenario's labels, in type order (cached)."""
-    coords = [parse_coordinate(label) for label in s.space.labels]
-    return tuple(tuple(_event(c, r) for c in coords) for r in _response_types(s))
+    """Each response type's integer image on the labels, in type order, built by column (cached)."""
+    types = _response_types(s)
+    return tuple(zip(*[[_event(c, r) for r in types] for c in map(parse_coordinate, s.space.labels)]))
 
 
 def xi_transform(scenario: str | Scenario, p: ParameterPoint) -> dict[str, Fraction]:

@@ -10,6 +10,7 @@ import re
 from pathlib import Path
 
 import ivbounds
+from ivbounds import bounds
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -122,6 +123,28 @@ def test_the_names_the_benchmark_reads_exist():
                        (hull, ("to_json_dict", "facets", "affine_dimension"))):
         for attr in attrs:
             assert hasattr(obj, attr), (type(obj).__name__, attr)
+
+
+def bench_module(name, monkeypatch):
+    """A module of bench/, loaded from its file with bench/ on the path for its own imports."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_fresh_registry_derivations_hash_to_the_benchmarks_pins(monkeypatch):
+    """The benchmark gates every derive op on these SHA-256s; a change to a derived object, such
+    as a double description that alters a hull, fails here too."""
+    workloads, child = bench_module("workloads", monkeypatch), bench_module("child", monkeypatch)
+    pins = workloads.PINNED_SHA256
+    assert sorted(pins) == sorted(workloads.REGISTRY) == sorted(ivbounds.SCENARIOS)
+    for name in workloads.REGISTRY:
+        s = ivbounds.get_scenario(name)
+        hull = bounds.scenario_hull.__wrapped__(s)  # bypasses the cache, so the DD runs here
+        obj = hull if s.causal_target is None else bounds.partition(hull, s.causal_target)
+        assert child.digest(obj) == pins[name], name
 
 
 def test_readme_quickstart_runs():

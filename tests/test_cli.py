@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import ivbounds.cli as cli_mod
 import ivbounds.oracle as oracle_mod
+from ivbounds.bounds import derive
 from ivbounds.cli import (
     EXIT_CHECK_FAILED,
     EXIT_EMPTY,
@@ -26,6 +27,7 @@ from ivbounds.cli import (
     EXIT_USAGE,
     entry,
 )
+from ivbounds.forms import LinearConstraint
 from ivbounds.oracle import MismatchError
 from ivbounds.scenarios import SCENARIOS
 
@@ -461,6 +463,25 @@ def test_json_output_runs_no_text_renderer(capsys, monkeypatch, argv):
     assert payload
     with pytest.raises(AssertionError, match="a text renderer ran"):
         entry([*argv, "--format", "text"])
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_check_prints_each_constraint_from_the_integer_rows(capsys, monkeypatch, name):
+    """check prints each constraint as its view renders, but from the BoundSet's integer rows:
+    no LinearConstraint view is rendered."""
+    bs = derive(name)
+    views = dict(observable=bs.observable_tests, equality=bs.hull_equalities,
+                 trivial=bs.trivial_tests)
+    expected = {section: [c.render() for c in cons] for section, cons in views.items()}
+
+    def refuse(self):
+        raise AssertionError("a constraint view rendered")
+
+    monkeypatch.setattr(LinearConstraint, "render", refuse)
+    _, payload, err = run_json(capsys, "check", "--scenario", name, "--data", "lipid")
+    assert err == ""
+    sections = payload["model_check"]["sections"]
+    assert {s: [e["constraint"] for e in entries] for s, entries in sections.items()} == expected
 
 
 # Each verb's argparse fields: its help line, then per option the option

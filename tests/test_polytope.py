@@ -556,6 +556,29 @@ def test_scenario_vertex_rows_are_the_integer_rows_of_the_vertices(name, with_ta
     assert VertexSet(vs.space, vs.vertices)._rows == vs._rows
 
 
+# The double description reads its start cone's tight index off the start
+# rows, wherever they are among the sorted chart rows, and evaluates each
+# added row through a getter of its nonzero columns only. Charts that
+# exercise each path are compared with the mask-scan reference.
+
+
+def sorted_chart(points):
+    """The chart rows of the points' hull in the order facet_enumeration adds them, and its dim."""
+    vs = VertexSet.from_points(space(len(points[0])), points)
+    hull = affine_hull(vs)
+    (rows,), scale = vs._rows
+    return sorted(primitive((scale, *(v[p] for p in hull.pivots))) for v in rows), hull.dimension
+
+
+def assert_rays_match_the_mask_scan(chart, dim):
+    """The package's rays of the chart: distinct, primitive and the reference's, in some order."""
+    rays = polytope._polar_extreme_rays(chart, dim)
+    assert all(primitive(ray) == ray for ray in rays)
+    assert len(set(rays)) == len(rays)
+    assert sorted(rays) == sorted(reference.polar_extreme_rays(chart, dim))
+    return rays
+
+
 @pytest.mark.parametrize("name", list(SCENARIOS))
 @pytest.mark.parametrize("with_target", [True, False])
 def test_double_description_matches_the_mask_scan_on_registry_charts(name, with_target):
@@ -563,10 +586,63 @@ def test_double_description_matches_the_mask_scan_on_registry_charts(name, with_
     hull = affine_hull(vs)
     (points,), scale = vs._rows
     chart = [primitive((scale, *(v[p] for p in hull.pivots))) for v in points]
-    rays = polytope._polar_extreme_rays(chart, hull.dimension)
-    assert all(primitive(ray) == ray for ray in rays)
-    assert sorted(rays) == sorted(reference.polar_extreme_rays(chart, hull.dimension))
-    assert len(set(rays)) == len(rays) == len(facet_enumeration(vs).facets)
+    rays = assert_rays_match_the_mask_scan(chart, hull.dimension)
+    assert len(rays) == len(facet_enumeration(vs).facets)
+
+
+def leading_points_on_a_face(seed):
+    """Points whose least first coordinate is shared by a few points that span less than a facet
+    of the hull, so the leading sorted chart rows are linearly dependent."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 6)
+    # n + 2 distinct points on x0 = 0, x1 = x2: they sort first and span only n - 1 dimensions.
+    face = [(0, i % 3, i % 3, i // 3, *(rng.randint(0, 2) for _ in range(n - 4)))
+            for i in range(n + 2)]
+    rest = [tuple(rng.randint(1, 3) for _ in range(n)) for _ in range(n + 3)]
+    return face + rest
+
+
+DEPENDENT_LEADS = [
+    [(0, 0), (0, 1), (0, 2), (1, 0), (2, 1), (1, 3)],
+    [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 2, 2), (1, 0, 0), (2, 1, 3), (1, 2, 0)],
+    *(leading_points_on_a_face(seed) for seed in range(12)),
+]
+
+
+@pytest.mark.parametrize("points", DEPENDENT_LEADS)
+def test_double_description_starts_from_rows_past_dependent_leading_rows(points):
+    chart, dim = sorted_chart(points)
+    init = reference.independent_rows(chart, dim + 1)
+    assert init != list(range(dim + 1))
+    assert_rays_match_the_mask_scan(chart, dim)
+
+
+def scaled_points_around_the_origin(seed):
+    """The origin, points that sort before it and rational points: the origin's chart row has
+    one nonzero entry and is added after the start, and the other rows have entries past 1."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 5)
+    fractions = [Fraction(p, q) for q in (2, 3, 5) for p in range(-2 * q, 2 * q + 1)]
+    corners = [tuple(-1 if j == i else 0 for j in range(n)) for i in range(n)]
+    corners.append((-1,) * n)
+    rest = [tuple(rng.choice(fractions) for _ in range(n)) for _ in range(n + 4)]
+    return [*corners, (0,) * n, *rest]
+
+
+SCALED = [
+    [(-1, -1), (-1, 0), (0, -1), (0, 0), (Fraction(2, 3), -1), (Fraction(3, 2), Fraction(5, 4))],
+    *(scaled_points_around_the_origin(seed) for seed in range(12)),
+]
+
+
+@pytest.mark.parametrize("points", SCALED)
+def test_double_description_on_single_entry_rows_and_scaled_entries(points):
+    chart, dim = sorted_chart(points)
+    init = reference.independent_rows(chart, dim + 1)
+    single = [k for k, row in enumerate(chart) if sum(map(bool, row)) == 1]
+    assert single and not set(single) & set(init)
+    assert any(abs(v) > 1 for row in chart for v in row)
+    assert_rays_match_the_mask_scan(chart, dim)
 
 
 # Each derived object holds its integer rows; the field views are built on first read.
