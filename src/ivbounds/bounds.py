@@ -110,19 +110,15 @@ class BoundSet(Record):
         return {**out, "lower": [None] * len(rows["lower"]), "upper": [None] * len(rows["upper"])}
 
     @cached_property
-    def _checks(self) -> tuple[tuple[str, int, LinearConstraint], ...]:
-        """ConstraintReport.entries' plan: (section, index, constraint), in report order."""
-        return tuple((s, i, c) for s, f in _SECTIONS for i, c in enumerate(getattr(self, f)))
-
-    @cached_property
     def _equalities(self) -> Sequence[int]:
         """The positions of the equalities among the "checks" (partition hands them over)."""
-        return tuple(k for k, (*_, c) in enumerate(self._checks) if c.relation is Relation.EQ)
+        tests = (c for _, f in _SECTIONS for c in getattr(self, f))
+        return tuple(k for k, c in enumerate(tests) if c.relation is Relation.EQ)
 
     @cached_property
     def _rows(self) -> tuple[dict[str, list[tuple[int, ...]]], int]:
-        """The "lower" and "upper" forms, each section's tests and all "checks" of _checks, in
-        order, as integer rows over one L > 0: the row (a..., k) is the form (a . x + k) / L."""
+        """The "lower" and "upper" forms, each section's tests and all "checks" (those in report
+        order) as integer rows over one L > 0: the row (a..., k) is the form (a . x + k) / L."""
         forms = {"lower": self.lower_forms, "upper": self.upper_forms}
         forms.update((s, [c.form for c in getattr(self, f)]) for s, f in _SECTIONS)
         groups = [[(*f.coefficients, f.constant) for f in g] for g in forms.values()]
@@ -314,7 +310,7 @@ def _shortfall(bs: BoundSet, slacks: Sequence[int]) -> int:
 class CheckEntry(Record):
     section: str
     index: int
-    constraint: LinearConstraint
+    constraint: LinearConstraint  # a field; model_check's entries read it off the checked BoundSet
     slack: Fraction
     passed: bool
 
@@ -322,6 +318,10 @@ class CheckEntry(Record):
         self.__dict__.update(
             section=section, index=index, constraint=constraint, slack=slack, passed=passed
         )
+
+    @cached_property
+    def constraint(self) -> LinearConstraint:
+        return getattr(self._bs, dict(_SECTIONS)[self.section])[self.index]
 
 
 class ConstraintReport(Record):
@@ -336,11 +336,13 @@ class ConstraintReport(Record):
     def entries(self) -> tuple[CheckEntry, ...]:
         bs, slacks, den = self._slacks
         bar, scale = self.tolerance.numerator * den, self.tolerance.denominator
-        eqs = bs._equalities
+        eqs, rows = bs._equalities, bs._rows[0]
+        plan = [(name, i) for name, _ in _SECTIONS for i in range(len(rows[name]))]
         # slack n / den passes if >= -tol, or if |slack| <= tol for an equality
         return tuple(
-            CheckEntry(name, i, con, Fraction(n, den), (abs(n) if k in eqs else -n) * scale <= bar)
-            for k, ((name, i, con), n) in enumerate(zip(bs._checks, slacks))
+            CheckEntry._unbuilt(section=name, index=i, slack=Fraction(n, den), _bs=bs,
+                                passed=(abs(n) if k in eqs else -n) * scale <= bar)
+            for k, ((name, i), n) in enumerate(zip(plan, slacks))
         )
 
     def failures(self) -> tuple[CheckEntry, ...]:

@@ -199,7 +199,7 @@ def build_tables(
             pairs += [None] * len(keys)
         elif name in ("phi", "arm_weights"):
             pairs += _row(table, len(keys), name)
-        elif not isinstance(table, Mapping) or set(table) != {"a1", "a2"}:
+        elif not (type(table) is dict or isinstance(table, Mapping)) or set(table) != {"a1", "a2"}:
             raise ParseError(f"{name} table needs exactly the keys 'a1' and 'a2'")
         else:
             arm = keys[0][-1]
@@ -253,9 +253,9 @@ def default_tolerance(
 
 
 def _contains_decimal(value) -> bool:
-    if isinstance(value, str):
+    if type(value) is str or isinstance(value, str):
         return "." in value or "e" in value.lower()
-    if isinstance(value, Mapping):
+    if type(value) is dict or type(value) is not list and isinstance(value, Mapping):
         value = list(value.values())
     return isinstance(value, (list, tuple)) and any(map(_contains_decimal, value))
 

@@ -65,11 +65,12 @@ def rational(value: RationalLike) -> Fraction:
 
 def ratio(value: RationalLike) -> tuple[int, int]:
     """``value`` as a reduced integer pair (n, d > 0), n / d = rational(value), with its errors."""
-    if isinstance(value, bool):
+    kind = type(value)  # exact types first: isinstance(value, Fraction) goes through ABCMeta
+    if kind is bool:  # bool has no subclasses
         raise TypeError("expected a rational value, got a bool")
-    if isinstance(value, (int, Fraction)):
+    if kind is int or kind is Fraction or kind is not str and isinstance(value, (int, Fraction)):
         return value.numerator, value.denominator
-    if isinstance(value, str):
+    if kind is str or isinstance(value, str):
         text = value.strip()
         plain = _PLAIN.fullmatch(text)
         exponent = None if plain else _EXPONENT.search(text)

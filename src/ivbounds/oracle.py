@@ -12,10 +12,12 @@ cycling, runs on an integer tableau of the structural columns (an
 artificial that leaves the basis never re-enters) in the style of lrs
 (Avis & Fukuda, 1992): the objective row is carried along and every pivot
 is introws.pivot, which skips the rows it leaves unchanged. Phase 1 runs
-once per data point, phase 2 once per sense. Every basic column holds the
-tableau's common scale, so the value is one integer dot product of the
-objective's numerators with the basic right-hand sides. A scenario LP's
-columns, rhs and objective and an optimum's weights are built on read.
+once per data point, phase 2 once per sense. With rhs = b / D, the tableau
+solves for D times the weights at the scenario's own scale: D enters only
+the right-hand sides and the scale that the value, one integer dot product
+of the objective's numerators with the basic right-hand sides, is read at
+(every basic column holds that scale). A scenario LP's columns, rhs and
+objective and an optimum's weights are built on read.
 """
 
 from __future__ import annotations
@@ -106,15 +108,15 @@ class MixtureLP(Record):
         return tuple(Fraction(v, self._ints[3]) for v in self._ints[2])
 
     @cached_property
-    def _system(self) -> tuple[list, list[list[int]], list[list[int]], int]:
-        """(templates, E, null, d): one rref([A | I]) of A's integer rows.
+    def _system(self) -> tuple[list, list[list[int]], list[list[int]], int, list[int], list[int]]:
+        """(templates, E, null, d, cost, start): one rref([A | I]) of A's integer rows.
 
         Row i of A's reduction is d times row i of the reduced row echelon
         form of A; templates[i] is the pair (that row, its negation), for
         phase 1 to pick from by the sign of the reduced rhs. E (row scales
         folded in) has E.A = A's reduction, so E.b is a feasible rhs b
         reduced at scale d. Each null row y has y.A = 0: b is infeasible if
-        some y.b is not 0.
+        some y.b is not 0. cost is the phase-2 row d * c and start the phase-1 row's.
         """
         rows, scales, nums, _ = self._ints
         n, m = len(nums), len(rows)
@@ -122,36 +124,39 @@ class MixtureLP(Record):
         reduced, d, pivots = rref(aug, n + m)
         r = sum(p < n for p in pivots)
         E = [[v * c for v, c in zip(row[n:], scales)] for row in reduced]
-        return [(row[:n], [-v for v in row[:n]]) for row in reduced[:r]], E[:r], E[r:], d
+        templates = [(row[:n], [-v for v in row[:n]]) for row in reduced[:r]]
+        start = [-sum(col) for col in zip(*(row for row, _ in templates))] or [0] * n
+        return templates, E[:r], E[r:], d, [d * c for c in nums] + [0], start
 
     @cached_property
     def _phase1(self) -> tuple[list[list[int]], list[int], int] | None:
         """The tableau, basis and scale that end phase 1 (cost row for "min"), or None.
 
-        With rhs = b / D, this is the tableau of [A | rhs] reduced afresh times
-        D * d over that reduction's scale: a positive factor, so no pivot moves.
+        With rhs = b / D, this is the tableau of the LP with rhs b at the reduction's
+        scale d: its weights are D times rhs's, and D > 0 moves no sign, ratio test or
+        pivot, so D stays out of every other column and the scale (solve scales it in).
         Rows hold the structural columns only; the artificials, basis ids n on,
         have none. Phase 1's optimum over the rest is 0 iff b is feasible.
         """
-        templates, E, null, d = self._system
-        b, den = self._rhs
+        templates, E, null, d, cost, z = self._system
+        b = self._rhs[0]
         if any(sum(map(mul, y, b)) for y in null):
             return None
-        nums = self._ints[2]
-        n, m, s = len(nums), len(templates), den * d
+        n, m = len(cost) - 1, len(templates)
 
-        # Integer tableau at scale s: constraint rows with nonnegative right-hand
-        # sides, the phase-2 row (the objective's numerators times s), and the
-        # phase-1 row: the artificials' sum, priced out over the constraint rows.
+        # Integer tableau at scale d: constraint rows with nonnegative right-hand
+        # sides, the phase-2 row, and the phase-1 row: the artificials' sum, priced
+        # out over the constraint rows.
         T = []
-        for pair, e in zip(templates, E):
+        for (row, neg), e in zip(templates, E):
             r = sum(map(mul, e, b))
-            T.append([den * v for v in pair[r < 0]] + [abs(r)])
-        T.append([s * c for c in nums] + [0])
-        T.append([-sum(col) for col in zip(*T[:m])] or [0] * (n + 1))
+            if r < 0:  # a flipped row adds twice its reduction to the phase-1 row
+                row, z = neg, [a - 2 * v for a, v in zip(z, neg)]
+            T.append(row + [abs(r)])
+        T += [cost, z + [-sum(row[-1] for row in T)]]
         basis = list(range(n, n + m))
 
-        s = _simplex(T, basis, n, s)
+        s = _simplex(T, basis, n, d)
         # The phase-1 row's last entry is -s times the artificials' sum.
         if T.pop()[-1]:
             return None
@@ -219,7 +224,8 @@ def _simplex(T: list[list[int]], basis: list[int], width: int, s: int) -> int | 
 def solve(lp: MixtureLP, sense: Literal["min", "max"] = "min") -> LPResult:
     """Exact two-phase simplex. Infeasibility is an answer, not an error.
 
-    Phase 2 runs on a copy of the cached phase-1 tableau; an optimum's weights are built on read.
+    Phase 2 runs on a copy of the cached phase-1 tableau, which leaves the rhs's denominator D
+    to the scale the optimum is read at; an optimum's weights are built on read.
     """
     if sense not in ("min", "max"):
         raise ValueError(f"sense must be 'min' or 'max', not {sense!r}")
@@ -233,8 +239,9 @@ def solve(lp: MixtureLP, sense: Literal["min", "max"] = "min") -> LPResult:
     s = _simplex(T, basis, len(nums), s)
     if s is None:
         return LPResult(status="unbounded", value=None, weights=None)
-    # Every basic column holds the scale s, so basic weight i is T[i][-1] / s
-    # and the value is one integer dot product over the objective's denominator.
+    # Every basic column holds the scale s and the rhs entries are over D * s, so basic weight
+    # i is T[i][-1] / (D * s) and the value is one integer dot product over den * D * s.
+    s *= lp._rhs[1]
     xs = [row[-1] for row in T[: len(basis)]]
     value = Fraction(sum(map(mul, map(nums.__getitem__, basis), xs)), den * s)
     return LPResult._unbuilt(status="optimal", value=value, _basic=(len(nums), s, basis, xs))

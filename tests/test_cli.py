@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 import ivbounds.cli as cli_mod
 import ivbounds.oracle as oracle_mod
-from ivbounds.bounds import derive
+from ivbounds.bounds import derive, model_check, partition, scenario_hull
+from ivbounds.data import load
 from ivbounds.cli import (
     EXIT_CHECK_FAILED,
     EXIT_EMPTY,
@@ -29,7 +30,7 @@ from ivbounds.cli import (
 )
 from ivbounds.forms import LinearConstraint
 from ivbounds.oracle import MismatchError
-from ivbounds.scenarios import SCENARIOS
+from ivbounds.scenarios import SCENARIOS, get_scenario
 
 VIOLATING = {
     "zeta": {
@@ -373,9 +374,11 @@ _LONG_CELL = '{"zeta": {"a1": ["1e-4300", "0.5", "0.25", "0.25"], "a2": ["0", "0
 
 # Byte-for-byte CLI output of check, bound and oracle, in both formats, on
 # the bundled studies and on violating.json (every slack, endpoint, witness
-# and LP interval the CLI prints), and of check on lipid-zeta.csv, lipid's zeta
-# table saved with a UTF-8 byte-order mark as spreadsheets export it. Each file
-# is named <verb>-<data>-<scenario>.<txt|json>; exit_codes.json holds the exit code of each.
+# and LP interval the CLI prints), of check on lipid-zeta.csv, lipid's zeta
+# table saved with a UTF-8 byte-order mark as spreadsheets export it, and of
+# oracle on digits40.json, a consistent study whose cells have 41- to 44-digit
+# denominators. Each file is named <verb>-<data>-<scenario>.<txt|json>;
+# exit_codes.json holds the exit code of each.
 GOLDEN_CLI = Path(__file__).parent / "golden" / "cli"
 GOLDEN_EXIT_CODES = json.loads((GOLDEN_CLI / "exit_codes.json").read_text(encoding="utf-8"))
 
@@ -432,7 +435,7 @@ RENDERERS = ["_text_bound", "_text_check", "_text_derive", "_text_oracle", "_tex
 
 
 def test_every_json_golden_has_a_text_twin():
-    assert len(GOLDEN_PAIRS) == 42
+    assert len(GOLDEN_PAIRS) == 43
     assert all(path.with_suffix(".txt").exists() for path in GOLDEN_PAIRS)
 
 
@@ -482,6 +485,34 @@ def test_check_prints_each_constraint_from_the_integer_rows(capsys, monkeypatch,
     assert err == ""
     sections = payload["model_check"]["sections"]
     assert {s: [e["constraint"] for e in entries] for s, entries in sections.items()} == expected
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_check_leaves_the_constraint_views_unbuilt(capsys, monkeypatch, name):
+    """check reads each entry's section, index, slack and passed, so the checked BoundSet's test
+    views stay unbuilt; read afterwards, the entries are those of a BoundSet with its views built."""
+    fresh = partition(scenario_hull(name), get_scenario(name).causal_target)
+    reports = []
+
+    def spy(bs, data, tolerance=None):
+        reports.append(model_check(bs, data, tolerance))
+        return reports[-1]
+
+    monkeypatch.setattr(cli_mod, "derive", lambda s: fresh)
+    monkeypatch.setattr(cli_mod, "model_check", spy)
+    for argv in (["check"], ["check", "--format", "json"]):
+        code, out, err = run(capsys, *argv, "--scenario", name, "--data", "lipid")
+        assert err == "" and code == EXIT_OK and out
+    views = {"observable_tests", "hull_equalities", "trivial_tests"}
+    assert not views & vars(fresh).keys()
+    assert not any("constraint" in vars(e) for r in reports for e in r.entries)
+
+    built = derive(name)
+    for field in views:
+        getattr(built, field)
+    expected = model_check(built, load("lipid")).entries
+    for report in reports:
+        assert report.entries == expected  # constraints and all
 
 
 # Each verb's argparse fields: its help line, then per option the option

@@ -514,6 +514,73 @@ class TestAgainstReference:
         assert statuses == {"optimal", "infeasible", "unbounded"}
 
 
+def _over(rng, digits, k, low=0):
+    """k rationals in [low, 1) over one random denominator of ``digits`` digits."""
+    q = rng.randrange(10 ** (digits - 1), 10**digits)
+    return [F(rng.randrange(low * q, q), q) for _ in range(k)]
+
+
+# Cap on the phase-1 tableau's structural entries: they are fixed by the LP's columns and
+# objective, whatever the rhs, so a data point's denominator never reaches them.
+STRUCTURAL_BOUND = 2**64
+
+
+def _structural_entries(p):
+    """The phase-1 tableau's entries in every column but the rhs, its scale, and its rhs entries."""
+    T, _, s = p._phase1
+    return [v for row in T for v in row[:-1]] + [s], [row[-1] for row in T]
+
+
+class TestLargeDenominators:
+    """Right-hand sides over 30- to 90-digit denominators: solve gives the reference's LPResults,
+    and only the tableau's rhs column carries the denominator."""
+
+    @pytest.mark.parametrize("name", TARGETED)
+    def test_scenario_points(self, name):
+        s = get_scenario(name)
+        vs = scenario_vertex_set(s).vertices
+        idx = [s.space.index(lab) for lab in s.observable_labels]
+        distinct = list({tuple(v[i] for i in idx): v for v in vs}.values())  # on the observables
+        rng = random.Random(f"large:{name}")
+        statuses, biggest = set(), 0
+        for digits in (30, 45, 60, 75, 90) * 2:
+            picks = rng.sample(distinct, rng.randint(2, min(6, len(distinct))))
+            w = _over(rng, digits, len(picks))
+            w = [x / sum(w) for x in w]
+            inside = tuple(sum(x * v[i] for x, v in zip(w, picks)) for i in range(len(vs[0])))
+            outside = pushed_outside(rng, vs, inside, idx)
+            for x in (inside, outside):
+                p = MixtureLP.from_scenario(name, {lab: x[i] for lab, i in zip(s.observable_labels, idx)})
+                assert 10 ** (digits - 12) < p._rhs[1] < 10**100
+                for sense in ("min", "max"):
+                    got = solve(p, sense)
+                    assert got == reference.solve(p, sense)
+                    statuses.add(got.status)
+                if p._phase1 is not None:
+                    structural, rhs = _structural_entries(p)
+                    assert max(map(abs, structural)) < STRUCTURAL_BOUND
+                    biggest = max(biggest, *map(abs, rhs))
+        assert statuses == {"optimal", "infeasible"}
+        assert biggest > 10**20
+
+    def test_hand_built(self):
+        rng = random.Random(97)
+        statuses = set()
+        for columns, rhs, objective in HAND_BUILT:
+            for digits in (30, 60, 90):
+                w = _over(rng, digits, len(columns))
+                feasible = [sum(F(c[i]) * x for c, x in zip(columns, w)) for i in range(len(rhs))]
+                for b in (feasible, _over(rng, digits, len(rhs), low=-1)):
+                    p = lp(columns, b, objective)
+                    for sense in ("min", "max"):
+                        got = solve(p, sense)
+                        assert got == reference.solve(p, sense)
+                        statuses.add(got.status)
+                    if p._phase1 is not None:
+                        assert max(map(abs, _structural_entries(p)[0])) < STRUCTURAL_BOUND
+        assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
 class TestCachedState:
     def test_repeated_solves_agree(self):
         p = MixtureLP.from_scenario("pairwise3", load("lipid"))
