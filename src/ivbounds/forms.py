@@ -23,7 +23,7 @@ RationalLike = Union[int, str, Fraction]
 
 # One shared Fraction per small integer, the bulk of what derived rows hold.
 _SMALL = tuple(Fraction(n) for n in range(-16, 17))
-_ZERO, _ONE = _SMALL[16:18]
+_ZERO = _SMALL[16]
 
 # A decimal exponent past the interpreter's default int<->str digit limit
 # could never be printed, and a huge one stalls Fraction() for seconds.
@@ -243,83 +243,12 @@ class AffineForm(Record):
             constant = rational(constant)
         self.__dict__.update(space=space, coefficients=coefficients, constant=constant)
 
-    @classmethod
-    def const(cls, space: CoordinateSpace, value: RationalLike) -> "AffineForm":
-        return cls(space, (_ZERO,) * space.dimension, rational(value))
-
-    @classmethod
-    def from_dict(
-        cls,
-        space: CoordinateSpace,
-        coefficients: Mapping[str, RationalLike],
-        constant: RationalLike = 0,
-    ) -> "AffineForm":
-        coeffs = [_ZERO] * space.dimension
-        for lab, val in coefficients.items():
-            coeffs[space.index(lab)] = rational(val)
-        return cls(space, tuple(coeffs), rational(constant))
-
-    @classmethod
-    def parse(cls, space: CoordinateSpace, text: str) -> "AffineForm":
-        """Parse a linear expression such as "2*g01 - g02 + 2*t01 - 3"."""
-        cleaned = text.replace(" ", "")
-        if not cleaned:
-            raise ValueError("empty expression")
-        chunks = re.findall(r"[+-]?[^+-]+", cleaned)
-        if "".join(chunks) != cleaned:
-            raise ValueError(f"cannot parse expression {text!r}")
-        coeffs: dict[str, Fraction] = {}
-        constant = _ZERO
-        term_re = re.compile(
-            r"^(?P<sign>[+-]?)(?:(?P<num>\d+(?:/\d+|\.\d+)?)\*?)?(?P<label>[A-Za-z][A-Za-z0-9_.]*)?$"
-        )
-        for chunk in chunks:
-            m = term_re.match(chunk)
-            if not m or (m.group("num") is None and m.group("label") is None):
-                raise ValueError(f"cannot parse term {chunk!r} in expression {text!r}")
-            value = rational(m.group("num")) if m.group("num") else _ONE
-            if m.group("sign") == "-":
-                value = -value
-            label = m.group("label")
-            if label is None:
-                constant += value
-            else:
-                if label not in space:
-                    raise MissingCoordinate(label)
-                coeffs[label] = coeffs.get(label, _ZERO) + value
-        return cls.from_dict(space, coeffs, constant)
-
-    def as_dict(self) -> dict[str, Fraction]:
-        """Nonzero coefficients keyed by label."""
-        return {
-            lab: c for lab, c in zip(self.space.labels, self.coefficients) if c
-        }
-
-    def evaluate(self, point: Mapping[str, RationalLike]) -> Fraction:
-        """Evaluate at a point given as a label mapping.
-
-        Labels with zero coefficient may be absent; a missing label with a
-        nonzero coefficient raises MissingCoordinate.
-        """
-        total = self.constant
-        for lab, c in zip(self.space.labels, self.coefficients):
-            if not c:
-                continue
-            if lab not in point:
-                raise MissingCoordinate(lab)
-            total += c * rational(point[lab])
-        return total
-
     def evaluate_vector(self, vec: Sequence[Fraction]) -> Fraction:
         total = self.constant
         for c, v in zip(self.coefficients, vec):
             if c:
                 total += c * v
         return total
-
-    def key(self) -> tuple:
-        """Hashable identity of the affine function (space layout implied)."""
-        return (self.coefficients, self.constant)
 
     def render(self) -> str:
         """Human form, terms in coordinate order, e.g. "2*g01 - g02 - 3"."""

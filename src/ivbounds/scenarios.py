@@ -148,6 +148,8 @@ def make_scenario(
     labels: Sequence[str],
     causal_target: str | None = None,
 ) -> Scenario:
+    if not labels:
+        raise ValueError(f"scenario {name!r} has no coordinate labels")
     for label in labels:
         parse_coordinate(label)
     if causal_target is not None and causal_target not in labels:

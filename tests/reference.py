@@ -21,7 +21,9 @@ filled and read cell by cell, where the package keeps every cell as an
 integer numerator over one common denominator. render and
 render_constraint print forms and constraints term by term on Fractions,
 and bound_set_json writes a BoundSet's JSON from its views, where the
-package prints integer rows over one denominator.
+package prints integer rows over one denominator. form reads back what
+render prints, such as "2*g01 - 1/2*t01 + 3", and is how the tests write
+a form down.
 """
 
 from __future__ import annotations
@@ -209,14 +211,12 @@ def reduce_mod_equalities(form: AffineForm, equalities: Sequence[LinearConstrain
 
 def classify(space: CoordinateSpace, equalities: tuple, reduced: list) -> tuple[tuple, tuple]:
     """(nontrivial, trivial) canonical GEQ constraints of forms reduced modulo the equalities."""
-    trivial_keys = set()
-    for label in space.labels:
-        nonneg = reduce_mod_equalities(AffineForm.from_dict(space, {label: 1}), equalities)
-        trivial_keys.add(canonicalize(LinearConstraint(nonneg, Relation.GEQ)).form.key())
-    cons = [canonicalize(LinearConstraint(form, Relation.GEQ)) for form in reduced]
+    nonneg = (reduce_mod_equalities(form(space, label), equalities) for label in space.labels)
+    trivial = {canonicalize(LinearConstraint(f, Relation.GEQ)).form for f in nonneg}
+    cons = [canonicalize(LinearConstraint(f, Relation.GEQ)) for f in reduced]
     return (
-        tuple(c for c in cons if c.form.key() not in trivial_keys),
-        tuple(c for c in cons if c.form.key() in trivial_keys),
+        tuple(c for c in cons if c.form not in trivial),
+        tuple(c for c in cons if c.form in trivial),
     )
 
 
@@ -266,8 +266,8 @@ def partition(h: HRepresentation, target: str | None = None) -> BoundSet:
 
     if target is not None and not lower and not upper:
         if target in ("alpha", "beta"):
-            lower.append(AffineForm.const(obs_space, -1))
-            upper.append(AffineForm.const(obs_space, 1))
+            lower.append(form(obs_space, "-1"))
+            upper.append(form(obs_space, "1"))
         else:
             raise TargetUnconstrained(f"no facet or equality involves {target!r}")
 
@@ -555,6 +555,19 @@ def render(form: AffineForm) -> str:
         else:
             parts.append(f"+ {mag}" if form.constant > 0 else f"- {mag}")
     return " ".join(parts)
+
+
+def form(space: CoordinateSpace, text: str) -> AffineForm:
+    """The form that render prints as ``text``; a label may repeat and a number be a decimal."""
+    coefficients, constant = dict.fromkeys(space.labels, _ZERO), _ZERO
+    for term in text.replace(" - ", " + -").split(" + "):
+        sign, term = (-1, term[1:]) if term[0] == "-" else (1, term)
+        number, _, label = term.rpartition("*")
+        if label[0].isalpha():
+            coefficients[label] += sign * Fraction(number or 1)
+        else:
+            constant += sign * Fraction(label)
+    return AffineForm(space, tuple(coefficients.values()), constant)
 
 
 def render_constraint(con: LinearConstraint) -> str:

@@ -23,7 +23,7 @@ from ivbounds.bounds import (
     scenario_hull,
 )
 from ivbounds.data import build_tables, load
-from ivbounds.forms import AffineForm, LinearConstraint, Relation, canonicalize, rational
+from ivbounds.forms import LinearConstraint, Relation, canonicalize, rational
 from ivbounds.oracle import oracle_interval
 from ivbounds.polytope import facet_enumeration, reduce_mod_equalities
 from ivbounds.scenarios import (
@@ -34,6 +34,7 @@ from ivbounds.scenarios import (
     xi_transform,
 )
 
+import reference
 from sampling import observable_vertex_set, random_parameter_point
 
 # Published bivariate bounds (ten per side, alpha >= lower, alpha <= upper).
@@ -111,12 +112,12 @@ def reduced_keys(bs, forms):
     out = set()
     for f in forms:
         red = reduce_mod_equalities(f, bs.hull_equalities)
-        out.add(canonicalize(LinearConstraint(red, Relation.GEQ)).form.key())
+        out.add(canonicalize(LinearConstraint(red, Relation.GEQ)).form)
     return out
 
 
 def reduced_strings(bs, strings):
-    return reduced_keys(bs, [AffineForm.parse(bs.space, s) for s in strings])
+    return reduced_keys(bs, [reference.form(bs.space, s) for s in strings])
 
 
 def test_criterion_01_bivariate_derivation():

@@ -80,6 +80,12 @@ def test_public_api_is_pinned():
         assert getattr(ivbounds, name) is not None, name
 
 
+def test_affine_form_has_only_the_methods_the_package_reads():
+    # Tests write a form with reference.form and evaluate it with evaluate_vector.
+    assert {name for name in vars(ivbounds.AffineForm) if not name.startswith("_")} == {
+        "constant", "evaluate_vector", "render"}
+
+
 def test_public_function_signatures_are_pinned():
     """A parameter added, renamed or dropped shows as a diff of the golden file.
 

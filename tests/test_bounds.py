@@ -126,12 +126,12 @@ def reduced_form_keys(bs: BoundSet, forms):
     out = set()
     for f in forms:
         red = reduce_mod_equalities(f, bs.hull_equalities)
-        out.add(canonicalize(LinearConstraint(red, Relation.GEQ)).form.key())
+        out.add(canonicalize(LinearConstraint(red, Relation.GEQ)).form)
     return out
 
 
 def reduced_string_keys(bs: BoundSet, strings):
-    return reduced_form_keys(bs, [AffineForm.parse(bs.space, s) for s in strings])
+    return reduced_form_keys(bs, [reference.form(bs.space, s) for s in strings])
 
 
 def reduced_constraint_keys(bs: BoundSet, cons):
@@ -251,7 +251,8 @@ class TestPublishedForms:
                 "g01": g01, "g11": 1 - g01, "g02": g02, "g12": 1 - g02,
                 "t01": t01, "t11": 1 - t01, "t02": t02, "t12": 1 - t02,
             }
-            derived_ok = all(c.form.evaluate(point) >= 0 for c in bs.observable_tests)
+            vec = bs.space.vector(point)
+            derived_ok = all(c.form.evaluate_vector(vec) >= 0 for c in bs.observable_tests)
             gap = abs(g01 - g02)
             published_ok = gap <= t01 + t02 <= 2 - gap
             assert derived_ok == published_ok
@@ -279,21 +280,18 @@ class TestEvaluate:
         bs = derive("trivariate")
         t = load("lipid")
         iv = evaluate_bounds(bs, t)
-        point = observable_point(bs.space.labels, t)
-        assert bs.lower_forms[iv.lower_witness].evaluate(point) == iv.lower
-        assert bs.upper_forms[iv.upper_witness].evaluate(point) == iv.upper
+        vec = bs.space.vector(observable_point(bs.space.labels, t))
+        assert bs.lower_forms[iv.lower_witness].evaluate_vector(vec) == iv.lower
+        assert bs.upper_forms[iv.upper_witness].evaluate_vector(vec) == iv.upper
 
     def test_tie_breaks_to_lowest_index(self):
-        space = CoordinateSpace("toy", ("u", "v"))
+        space = CoordinateSpace("toy-observables", ("u",))
         bs = BoundSet(
             scenario="toy",
             target="v",
-            space=CoordinateSpace("toy-observables", ("u",)),
-            lower_forms=(
-                AffineForm.parse(CoordinateSpace("toy-observables", ("u",)), "u"),
-                AffineForm.parse(CoordinateSpace("toy-observables", ("u",)), "2*u"),
-            ),
-            upper_forms=(AffineForm.const(CoordinateSpace("toy-observables", ("u",)), 1),),
+            space=space,
+            lower_forms=(AffineForm(space, (1,)), AffineForm(space, (2,))),
+            upper_forms=(AffineForm(space, (0,), 1),),
             observable_tests=(),
             trivial_tests=(),
             hull_equalities=(),
@@ -460,8 +458,8 @@ class TestPartitionFallback:
     def test_unconstrained_effect_target_gets_trivial_range(self):
         space = CoordinateSpace("loose", ("t01", "alpha"))
         facets = (
-            canonicalize(LinearConstraint(AffineForm.parse(space, "t01"), Relation.GEQ)),
-            canonicalize(LinearConstraint(AffineForm.parse(space, "1 - t01"), Relation.GEQ)),
+            canonicalize(LinearConstraint(reference.form(space, "t01"), Relation.GEQ)),
+            canonicalize(LinearConstraint(reference.form(space, "1 - t01"), Relation.GEQ)),
         )
         h = HRepresentation(space, (), facets, 2)
         bs = partition(h, "alpha")
@@ -471,7 +469,7 @@ class TestPartitionFallback:
     def test_other_targets_raise(self):
         space = CoordinateSpace("loose", ("t01", "g01"))
         facets = (
-            canonicalize(LinearConstraint(AffineForm.parse(space, "t01"), Relation.GEQ)),
+            canonicalize(LinearConstraint(reference.form(space, "t01"), Relation.GEQ)),
         )
         h = HRepresentation(space, (), facets, 2)
         with pytest.raises(TargetUnconstrained):
@@ -480,11 +478,11 @@ class TestPartitionFallback:
     def test_equality_involving_target_becomes_matched_pair(self):
         space = CoordinateSpace("tied", ("t01", "alpha"))
         eq = canonicalize(
-            LinearConstraint(AffineForm.parse(space, "alpha - t01"), Relation.EQ)
+            LinearConstraint(reference.form(space, "alpha - t01"), Relation.EQ)
         )
         facets = (
-            canonicalize(LinearConstraint(AffineForm.parse(space, "t01"), Relation.GEQ)),
-            canonicalize(LinearConstraint(AffineForm.parse(space, "1 - t01"), Relation.GEQ)),
+            canonicalize(LinearConstraint(reference.form(space, "t01"), Relation.GEQ)),
+            canonicalize(LinearConstraint(reference.form(space, "1 - t01"), Relation.GEQ)),
         )
         h = HRepresentation(space, (eq,), facets, 1)
         bs = partition(h, "alpha")
@@ -499,10 +497,16 @@ class TestPartitionFallback:
 # compiled integer rows. Both must agree with it exactly, exceptions included.
 
 
+def value(form: AffineForm, point) -> Fraction:
+    """The form at a label mapping, which may lack the labels the form does not use."""
+    unused = {lab: 0 for lab, c in zip(form.space.labels, form.coefficients) if not c}
+    return form.evaluate_vector(form.space.vector({**unused, **point}))
+
+
 def reference_interval(bs: BoundSet, data) -> Interval:
     point = observable_point(bs.space.labels, data)
-    lows = [f.evaluate(point) for f in bs.lower_forms]
-    highs = [f.evaluate(point) for f in bs.upper_forms]
+    lows = [value(f, point) for f in bs.lower_forms]
+    highs = [value(f, point) for f in bs.upper_forms]
     lo, hi = max(lows), min(highs)
     return Interval(lo, hi, lows.index(lo), highs.index(hi), lo > hi)
 
@@ -517,7 +521,7 @@ def reference_report(bs: BoundSet, data, tolerance=None) -> ConstraintReport:
         ("trivial", bs.trivial_tests),
     ):
         for i, con in enumerate(cons):
-            s = con.form.evaluate(point)
+            s = value(con.form, point)
             ok = abs(s) <= tol if con.relation is Relation.EQ else s >= -tol
             entries.append(CheckEntry(section, i, con, s, ok))
     return ConstraintReport(bs.scenario, tol, tuple(entries), all(e.passed for e in entries))
@@ -751,10 +755,10 @@ class TestLazyReport:
         # a hand-built set may hold an equality among the tests or an inequality among the
         # hull equalities, so its sections do not tell the relations
         space = CoordinateSpace("toy-observables", ("u",))
-        eq = LinearConstraint(AffineForm.parse(space, "u - 1"), Relation.EQ)
-        geq = LinearConstraint(AffineForm.parse(space, "u"), Relation.GEQ)
+        eq = LinearConstraint(reference.form(space, "u - 1"), Relation.EQ)
+        geq = LinearConstraint(reference.form(space, "u"), Relation.GEQ)
         for tests, equalities, passed in (((eq,), (), False), ((), (geq,), True)):
-            forms = (AffineForm.const(space, 0),)
+            forms = (reference.form(space, "0"),)
             bs = BoundSet("toy", "t", space, forms, forms, tests, (), equalities)
             assert model_check(bs, {"u": 2}) == reference_report(bs, {"u": 2})
             assert model_check(bs, {"u": 2}).passed is passed

@@ -135,10 +135,10 @@ def test_affine_hull_equalities_are_triangular():
 def test_reduce_mod_equalities_gives_unique_representative():
     sp = space(3)
     eq = canonicalize(
-        LinearConstraint(AffineForm.parse(sp, "x0 + x1 + x2 - 1"), Relation.EQ)
+        LinearConstraint(reference.form(sp, "x0 + x1 + x2 - 1"), Relation.EQ)
     )
-    a = AffineForm.parse(sp, "x0 + x2")
-    b = AffineForm.parse(sp, "1 - x1")  # equal modulo the equality
+    a = reference.form(sp, "x0 + x2")
+    b = reference.form(sp, "1 - x1")  # equal modulo the equality
     ra = reduce_mod_equalities(a, (eq,))
     rb = reduce_mod_equalities(b, (eq,))
     assert ra == rb
@@ -147,7 +147,7 @@ def test_reduce_mod_equalities_gives_unique_representative():
 
 def test_reduce_with_no_equalities_is_identity():
     sp = space(2)
-    f = AffineForm.parse(sp, "x0 - x1 + 3")
+    f = reference.form(sp, "x0 - x1 + 3")
     assert reduce_mod_equalities(f, ()) is f
 
 

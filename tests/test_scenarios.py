@@ -216,6 +216,8 @@ class TestRegistry:
             make_scenario("bad", ["g01", "q00"])
         with pytest.raises(ValueError, match="not among"):
             make_scenario("bad", ["g01", "g02"], causal_target="alpha")
+        with pytest.raises(ValueError, match="^scenario 'e' has no coordinate labels$"):
+            make_scenario("e", [])
 
     def test_xi_transform_covers_all_labels(self):
         img = xi_transform("pairwise3", P)
