@@ -13,6 +13,8 @@ reduced modulo the equalities, recognises trivial facets by their primitive
 rows, and hands the BoundSet its bound rows (solved for the target) and test
 rows on the observable space. Its forms and constraints are views built on
 first read (a hand-built one keeps its tuples and compiles rows at first use).
+A test's relation comes from its section: an observable or trivial test is
+a >= 0 and a hull equality an = 0 constraint, which a hand-built set must keep.
 evaluate_bounds and model_check stay exact on integers: rows compiled once,
 at a BoundSet's first evaluation, read only their nonzero columns of the
 point that data.integer_point reads from the tables' integer cells.
@@ -48,9 +50,17 @@ from .scenarios import Scenario, get_scenario, scenario_vertex_set
 # zeta's labels as instrumental_inequality reads them: for each b, for each c, both arms.
 _ZETA_BY_B = tuple(f"z{c}{b}.{a}" for b in (0, 1) for c in (0, 1) for a in (1, 2))
 
-# model_check's sections, in report order, and the BoundSet field of each.
-_SECTIONS = (("observable", "observable_tests"), ("equality", "hull_equalities"),
-             ("trivial", "trivial_tests"))
+# Each _rows group: the BoundSet field that is its view and the relation to 0 that the group
+# fixes for all its rows (None: a bound form). The tests' groups are model_check's sections.
+_GROUPS = {"lower": ("lower_forms", None), "upper": ("upper_forms", None),
+           "observable": ("observable_tests", Relation.GEQ),
+           "equality": ("hull_equalities", Relation.EQ), "trivial": ("trivial_tests", Relation.GEQ)}
+_SECTIONS = tuple(_GROUPS)[2:]  # in report order
+
+
+def _view(group: str):
+    """The BoundSet field that views ``group``."""
+    return rows_view(group, _GROUPS[group][1])
 
 
 class TargetUnconstrained(ValueError):
@@ -70,19 +80,26 @@ class BoundSet(Record):
     scenario: str
     target: str | None
     space: CoordinateSpace
-    lower_forms: tuple[AffineForm, ...] = rows_view("lower")
-    upper_forms: tuple[AffineForm, ...] = rows_view("upper")
-    observable_tests: tuple[LinearConstraint, ...] = rows_view("observable", Relation.GEQ)
-    trivial_tests: tuple[LinearConstraint, ...] = rows_view("trivial", Relation.GEQ)
-    hull_equalities: tuple[LinearConstraint, ...] = rows_view("equality", Relation.EQ)
+    lower_forms: tuple[AffineForm, ...] = _view("lower")
+    upper_forms: tuple[AffineForm, ...] = _view("upper")
+    observable_tests: tuple[LinearConstraint, ...] = _view("observable")
+    trivial_tests: tuple[LinearConstraint, ...] = _view("trivial")
+    hull_equalities: tuple[LinearConstraint, ...] = _view("equality")
+
+    def __post_init__(self) -> None:
+        # Only hand-built sets get here; partition's rows are in their sections by construction.
+        for field, relation in map(_GROUPS.get, _SECTIONS):
+            if any(c.relation is not relation for c in getattr(self, field)):
+                raise ValueError(f"BoundSet {field} must be {relation.value} constraints")
 
     def to_json_dict(self) -> dict:
         (rows, den), labels = self._rows, self.space.labels
 
         def row_dicts(group: str) -> list[dict]:
+            r = _GROUPS[group][1]
             return [{"coeffs": {lab: format_ratio(c, den) for lab, c in zip(labels, a) if c},
                      "const": format_ratio(k, den), **({} if r is None else {"relation": r.value})}
-                    for (*a, k), r in zip(rows[group], self._relations[group])]
+                    for *a, k in rows[group]]
 
         return {
             "scenario": self.scenario,
@@ -98,41 +115,21 @@ class BoundSet(Record):
     def render(self, group: str) -> list[str]:
         """Each "lower", "upper", "observable", "trivial" or "equality" row as its view renders."""
         rows, den = self._rows
-        return [render_row(self.space.labels, row, den, r)
-                for row, r in zip(rows[group], self._relations[group])]
-
-    @cached_property
-    def _relations(self) -> dict[str, list[Relation | None]]:
-        """Each group's relation to 0 per row: None for a bound form, a test's by _equalities."""
-        rows, eqs = self._rows[0], self._equalities
-        tests = (Relation.EQ if k in eqs else Relation.GEQ for k in range(len(rows["checks"])))
-        out = {s: [next(tests) for _ in rows[s]] for s, _ in _SECTIONS}
-        return {**out, "lower": [None] * len(rows["lower"]), "upper": [None] * len(rows["upper"])}
-
-    @cached_property
-    def _equalities(self) -> Sequence[int]:
-        """The positions of the equalities among the "checks" (partition hands them over)."""
-        tests = (c for _, f in _SECTIONS for c in getattr(self, f))
-        return tuple(k for k, c in enumerate(tests) if c.relation is Relation.EQ)
+        return [render_row(self.space.labels, row, den, _GROUPS[group][1]) for row in rows[group]]
 
     @cached_property
     def _rows(self) -> tuple[dict[str, list[tuple[int, ...]]], int]:
-        """The "lower" and "upper" forms, each section's tests and all "checks" (those in report
-        order) as integer rows over one L > 0: the row (a..., k) is the form (a . x + k) / L."""
-        forms = {"lower": self.lower_forms, "upper": self.upper_forms}
-        forms.update((s, [c.form for c in getattr(self, f)]) for s, f in _SECTIONS)
-        groups = [[(*f.coefficients, f.constant) for f in g] for g in forms.values()]
-        rows, den = integer_rows(groups)
-        rows = dict(zip(forms, rows))
-        rows["checks"] = [r for s, _ in _SECTIONS for r in rows[s]]
-        return rows, den
+        """Every group's forms (a test's own form) as integer rows over one L > 0: the row
+        (a..., k) is the form (a . x + k) / L."""
+        forms = [[c if r is None else c.form for c in getattr(self, f)] for f, r in _GROUPS.values()]
+        rows, den = integer_rows([[(*f.coefficients, f.constant) for f in g] for g in forms])
+        return dict(zip(_GROUPS, rows)), den
 
     @cached_property
     def _sparse(self) -> tuple[tuple, dict[str, list]]:
-        """The evaluated groups compiled at the first evaluation: (products, getters by group)."""
-        groups = ("lower", "upper", "checks")
-        products, rows = sparse_rows([self._rows[0][name] for name in groups])
-        return products, dict(zip(groups, rows))
+        """Every group compiled at the first evaluation: (products, getters by group)."""
+        products, rows = sparse_rows([self._rows[0][group] for group in _GROUPS])
+        return products, dict(zip(_GROUPS, rows))
 
 
 def classify_observable(
@@ -206,10 +203,7 @@ def partition(h: HRepresentation, target: str | None = None) -> BoundSet:
     }
     for name, tests in (("observable", observable), ("equality", equality), ("trivial", trivial)):
         rows[name] = tests if den == 1 else [tuple(v * den for v in r) for r in tests]
-    rows["checks"] = [r for s, _ in _SECTIONS for r in rows[s]]
-    at = len(observable)
-    return BoundSet._unbuilt(scenario=h.space.name, target=target, space=space, _rows=(rows, den),
-                             _equalities=range(at, at + len(equality)))
+    return BoundSet._unbuilt(scenario=h.space.name, target=target, space=space, _rows=(rows, den))
 
 
 def _per_scenario(fn):
@@ -248,9 +242,7 @@ class Interval(Record):
                              upper_witness=upper_witness, empty=empty)
 
 
-def evaluate_bounds(
-    bs: BoundSet, data: ObservedTables | Mapping[str, RationalLike]
-) -> Interval:
+def evaluate_bounds(bs: BoundSet, data: ObservedTables | Mapping[str, RationalLike]) -> Interval:
     """Evaluate all bound forms at a data point and take max/min.
 
     Ties keep the earliest form in the deterministic derivation order.
@@ -262,10 +254,10 @@ def evaluate_bounds(
 
 
 def interval_and_fit(
-    bs: BoundSet, data: ObservedTables | Mapping, sections: Sequence[str] = ("checks",)
+    bs: BoundSet, data: ObservedTables | Mapping, sections: Sequence[str] = _SECTIONS
 ) -> tuple[Interval, bool, tuple[list[int], int, list[int]]]:
-    """evaluate_bounds, whether model_check passes at tolerance 0 (one numerator pass for both)
-    and the point (xs, d, absent) that data.integer_point read, for oracle.cross_check.
+    """evaluate_bounds, whether model_check passes at tolerance 0 (one numerator pass for both;
+    True with sections ()) and the point (xs, d, absent) that integer_point read, for cross_check.
 
     Raises what evaluate_bounds and then model_check would, in that order; not package API.
     """
@@ -273,7 +265,7 @@ def interval_and_fit(
         raise TargetUnconstrained(f"scenario {bs.scenario!r} has no causal target to bound")
     point = integer_point(bs.space.labels, data)
     (lows, highs, *slacks), den = _numerators(bs, ("lower", "upper", *sections), point)
-    return _interval(lows, highs, den), all(_shortfall(bs, s) == 0 for s in slacks), point
+    return _interval(lows, highs, den), _shortfall(slacks) == 0, point
 
 
 def _interval(lows: list, highs: list, den: int = 1) -> Interval:
@@ -299,12 +291,15 @@ def _numerators(
     return evaluate_rows(products, [groups[name] for name in names], [*xs, d]), bs._rows[1] * d
 
 
-def _shortfall(bs: BoundSet, slacks: Sequence[int]) -> int:
-    """How far the worst of model_check's constraints misses, over the slacks' denominator.
-
-    An inequality with slack n misses by -n and an equality by |n|; 0 when all hold.
-    """
-    return max(0, -min(slacks, default=0), *(abs(slacks[k]) for k in bs._equalities))
+def _shortfall(slacks: Sequence[list[int]]) -> int:
+    """How far the worst of model_check's constraints misses, from each section's slacks (or none)
+    over one denominator: an inequality's slack n by -n, an equality's by |n|; 0 if all hold."""
+    worst, eq = 0, Relation.EQ
+    for name, ns in zip(_SECTIONS, slacks):
+        if ns:
+            miss = max(map(abs, ns)) if _GROUPS[name][1] is eq else -min(ns)
+            worst = miss if miss > worst else worst
+    return worst
 
 
 class CheckEntry(Record):
@@ -314,14 +309,9 @@ class CheckEntry(Record):
     slack: Fraction
     passed: bool
 
-    def __init__(self, section, index, constraint, slack, passed):
-        self.__dict__.update(
-            section=section, index=index, constraint=constraint, slack=slack, passed=passed
-        )
-
     @cached_property
     def constraint(self) -> LinearConstraint:
-        return getattr(self._bs, dict(_SECTIONS)[self.section])[self.index]
+        return getattr(self._bs, _GROUPS[self.section][0])[self.index]
 
 
 class ConstraintReport(Record):
@@ -336,24 +326,20 @@ class ConstraintReport(Record):
     def entries(self) -> tuple[CheckEntry, ...]:
         bs, slacks, den = self._slacks
         bar, scale = self.tolerance.numerator * den, self.tolerance.denominator
-        eqs, rows = bs._equalities, bs._rows[0]
-        plan = [(name, i) for name, _ in _SECTIONS for i in range(len(rows[name]))]
         # slack n / den passes if >= -tol, or if |slack| <= tol for an equality
         return tuple(
-            CheckEntry._unbuilt(section=name, index=i, slack=Fraction(n, den), _bs=bs,
-                                passed=(abs(n) if k in eqs else -n) * scale <= bar)
-            for k, ((name, i), n) in enumerate(zip(plan, slacks))
+            CheckEntry._unbuilt(
+                section=name, index=i, slack=Fraction(n, den), _bs=bs,
+                passed=(abs(n) if _GROUPS[name][1] is Relation.EQ else -n) * scale <= bar)
+            for name, ns in zip(_SECTIONS, slacks) for i, n in enumerate(ns)
         )
 
     def failures(self) -> tuple[CheckEntry, ...]:
         return tuple(e for e in self.entries if not e.passed)
 
 
-def model_check(
-    bs: BoundSet,
-    data: ObservedTables | Mapping[str, RationalLike],
-    tolerance: RationalLike | None = None,
-) -> ConstraintReport:
+def model_check(bs: BoundSet, data: ObservedTables | Mapping[str, RationalLike],
+                tolerance: RationalLike | None = None) -> ConstraintReport:
     """Exact falsification check of the observable constraints.
 
     Every observable test, hull equality and trivial constraint is
@@ -362,8 +348,8 @@ def model_check(
     report's entries are built only when read.
     """
     tol = default_tolerance(data, tolerance)
-    (slacks,), den = _numerators(bs, ("checks",), integer_point(bs.space.labels, data))
-    passed = _shortfall(bs, slacks) * tol.denominator <= tol.numerator * den
+    slacks, den = _numerators(bs, _SECTIONS, integer_point(bs.space.labels, data))
+    passed = _shortfall(slacks) * tol.denominator <= tol.numerator * den
     return ConstraintReport._unbuilt(
         scenario=bs.scenario, tolerance=tol, passed=passed, _slacks=(bs, slacks, den)
     )
@@ -385,7 +371,9 @@ def instrumental_inequality(
     try:
         z, d, absent = integer_point(_ZETA_BY_B, data)
     except ValidationError:
-        raise ValidationError("the instrumental inequality needs a zeta table") from None
+        if data.zeta is None:  # not a cell missing from a hand-built table
+            raise ValidationError("the instrumental inequality needs a zeta table") from None
+        raise
     if absent:
         raise MissingCoordinate(_ZETA_BY_B[absent[0]])
     tol = default_tolerance(data, tolerance)

@@ -129,10 +129,17 @@ class ObservedTables(Record):
         """Every cell and arm weight in _SLOTS order, as numerators over one denominator d > 0.
 
         None stands for the cells of an absent table. Compiled at first use for
-        hand-built tables, where a cell that is not a rational raises its own error.
+        hand-built tables, where a cell that is not a rational raises its own error and
+        a missing one ValidationError.
         """
-        tables = [getattr(self, name) for name, _ in _SLOTS]
-        return _common([None if t is None else ratio(t[key]) for t, (_, key) in zip(tables, _SLOTS)])
+        pairs = []
+        for name, key in _SLOTS:
+            table = getattr(self, name)
+            try:
+                pairs.append(None if table is None else ratio(table[key]))
+            except LookupError:
+                raise ValidationError(f"{name} table has no cell {key!r}") from None
+        return _common(pairs)
 
 
 def _common(pairs: Sequence[tuple[int, int] | None]) -> tuple[tuple[int | None, ...], int]:

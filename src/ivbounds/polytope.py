@@ -53,16 +53,17 @@ class VertexSet(Record):
     space: CoordinateSpace
     vertices: tuple[tuple[Fraction, ...], ...]  # a field; the cached_property below is its view
 
-    @classmethod
-    def from_points(
-        cls,
-        space: CoordinateSpace,
-        points: Iterable[Mapping | Sequence],
-    ) -> "VertexSet":
-        rows = tuple(dict.fromkeys(space.vector(p) for p in points))
-        if not rows:
+    def __post_init__(self) -> None:
+        # Only hand-built sets get here; scenario_vertex_set's rows fit the space by construction.
+        vertices = tuple(map(self.space.vector, self.vertices))
+        if not vertices:
             raise ValueError("a vertex set needs at least one point")
-        return cls(space, rows)
+        object.__setattr__(self, "vertices", vertices)
+
+    @classmethod
+    def from_points(cls, space: CoordinateSpace, points: Iterable[Mapping | Sequence]) -> "VertexSet":
+        """The set of the distinct points, first seen first."""
+        return cls(space, tuple(dict.fromkeys(map(space.vector, points))))
 
     def __len__(self) -> int:
         return len(self._rows[0][0])

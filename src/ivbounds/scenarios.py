@@ -123,11 +123,21 @@ def parse_coordinate(label: str) -> Coordinate:
 
 
 class Scenario(Record):
-    """A named observable coordinate system with an optional causal target."""
+    """A named observable coordinate system (its space has its name) with an optional target."""
 
     name: str
     space: CoordinateSpace
     causal_target: str | None
+
+    def __post_init__(self):
+        if self.space.name != self.name:
+            raise ValueError(f"scenario {self.name!r} has a space named {self.space.name!r}")
+        if not self.space.labels:
+            raise ValueError(f"scenario {self.name!r} has no coordinate labels")
+        for label in self.space.labels:
+            parse_coordinate(label)
+        if self.causal_target is not None and self.causal_target not in self.space:
+            raise ValueError(f"target {self.causal_target!r} is not among the labels")
 
     @property
     def uses_psi(self) -> bool:
@@ -143,17 +153,7 @@ class Scenario(Record):
         return CoordinateSpace(f"{self.name}-observables", self.observable_labels)
 
 
-def make_scenario(
-    name: str,
-    labels: Sequence[str],
-    causal_target: str | None = None,
-) -> Scenario:
-    if not labels:
-        raise ValueError(f"scenario {name!r} has no coordinate labels")
-    for label in labels:
-        parse_coordinate(label)
-    if causal_target is not None and causal_target not in labels:
-        raise ValueError(f"target {causal_target!r} is not among the labels")
+def make_scenario(name: str, labels: Sequence[str], causal_target: str | None = None) -> Scenario:
     return Scenario(name, CoordinateSpace(name, tuple(labels)), causal_target)
 
 

@@ -99,6 +99,14 @@ def test_public_function_signatures_are_pinned():
     assert signatures == golden
 
 
+def test_no_module_has_an_assert_statement():
+    """python -O drops assert statements, so no check in the package may be one."""
+    found = [f"{path.name}:{node.lineno}" for path in sorted((ROOT / "src" / "ivbounds").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
 def test_no_module_imports_another_modules_private_names():
     """Each module's underscore names are its own; the others use its public ones."""
     paths, found = sorted((ROOT / "src" / "ivbounds").glob("*.py")), []

@@ -608,7 +608,7 @@ class TestCompiledEvaluation:
     @given(data=st.data())
     def test_fractional_forms_with_ties(self, data):
         # derived forms have integer coefficients; these have denominators,
-        # repeated forms (ties) and equalities as well as inequalities
+        # repeated forms (ties) and equalities as well as inequalities, each in its section
         space = CoordinateSpace("toy-observables", ("u", "v", "w"))
         coeff = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6]))
         form = st.builds(
@@ -621,8 +621,8 @@ class TestCompiledEvaluation:
             drawn += data.draw(st.lists(st.sampled_from(drawn), max_size=2))
             return tuple(data.draw(st.permutations(drawn)))
 
-        def constraints():
-            con = st.builds(LinearConstraint, form, st.sampled_from(Relation))
+        def constraints(relation):
+            con = st.builds(LinearConstraint, form, st.just(relation))
             return tuple(data.draw(st.lists(con, max_size=4)))
 
         bs = BoundSet(
@@ -631,9 +631,9 @@ class TestCompiledEvaluation:
             space=space,
             lower_forms=forms(),
             upper_forms=forms(),
-            observable_tests=constraints(),
-            trivial_tests=constraints(),
-            hull_equalities=constraints(),
+            observable_tests=constraints(Relation.GEQ),
+            trivial_tests=constraints(Relation.GEQ),
+            hull_equalities=constraints(Relation.EQ),
         )
         point = data.draw(st.one_of(_point(space.labels), st.just({"u": 0, "v": 0, "w": 0})))
         tol = data.draw(st.fractions(min_value=0, max_value=1, max_denominator=12))
@@ -734,7 +734,7 @@ class TestLazyReport:
 
     @pytest.mark.parametrize("name", TARGETED)
     def test_checking_a_partitioned_set_builds_no_constraints(self, name):
-        # passed and the fit need only the rows and the equality positions partition hands over
+        # passed and the fit need only the rows partition hands over: each section fixes its relation
         views = {"observable_tests", "hull_equalities", "trivial_tests"}
         for tables in _check_tables().values():
             bs = partition(scenario_hull(name), get_scenario(name).causal_target)
@@ -748,20 +748,6 @@ class TestLazyReport:
         bs.observable_tests  # one view read leaves the others unbuilt
         model_check(bs, tables)
         assert not {"hull_equalities", "trivial_tests"} & vars(bs).keys()
-        # partition puts the equalities where the built constraints say they are
-        assert tuple(bs._equalities) == BoundSet._equalities.func(bs)
-
-    def test_hand_built_constraints_are_checked_by_their_own_relation(self):
-        # a hand-built set may hold an equality among the tests or an inequality among the
-        # hull equalities, so its sections do not tell the relations
-        space = CoordinateSpace("toy-observables", ("u",))
-        eq = LinearConstraint(reference.form(space, "u - 1"), Relation.EQ)
-        geq = LinearConstraint(reference.form(space, "u"), Relation.GEQ)
-        for tests, equalities, passed in (((eq,), (), False), ((), (geq,), True)):
-            forms = (reference.form(space, "0"),)
-            bs = BoundSet("toy", "t", space, forms, forms, tests, (), equalities)
-            assert model_check(bs, {"u": 2}) == reference_report(bs, {"u": 2})
-            assert model_check(bs, {"u": 2}).passed is passed
 
     @pytest.mark.parametrize("case", ["exact", "decimal", "failing", "inconsistent"])
     def test_unread_report_compares_as_the_eager_one(self, case):
@@ -899,11 +885,13 @@ class TestIntegerTables:
 
     @pytest.mark.parametrize("name", ["bivariate", "trivariate", "pairwise3", "beta"])
     def test_evaluation_compiles_only_the_groups_it_reads(self, name):
-        """Every section's test is also a "checks" row, so no section is compiled on its own."""
+        """Every group is compiled once, as itself, so no row is compiled twice."""
         bs = derive(name)
         expected = evaluate_bounds(bs, load("lipid")), True, integer_point(bs.space.labels, load("lipid"))
         assert interval_and_fit(bs, load("lipid")) == expected
-        assert bs._sparse[1].keys() == {"lower", "upper", "checks"}
+        rows, compiled = bs._rows[0], bs._sparse[1]
+        assert compiled.keys() == rows.keys() == set(_GROUPS)
+        assert all(len(compiled[group]) == len(rows[group]) for group in _GROUPS)
 
     def test_hand_built_tables_compile_their_cells_at_first_use(self):
         lipid = derive_marginals(load("lipid"))
@@ -1018,7 +1006,6 @@ def assert_matches_the_fraction_path(h, target):
     groups = integer_rows([[(*f.coefficients, f.constant) for f in g] for g in forms])
     names = ("lower", "upper", "observable", "equality", "trivial")
     assert ([rows[name] for name in names], den) == groups
-    assert rows["checks"] == rows["observable"] + rows["equality"] + rows["trivial"]
 
 
 def _reference_classify(h):

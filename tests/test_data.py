@@ -7,6 +7,7 @@ from importlib import resources
 
 import pytest
 
+from ivbounds.bounds import beta_bounds, derive, evaluate_bounds, instrumental_inequality
 from ivbounds.data import (
     BUNDLED_DATASETS,
     MissingArmWeights,
@@ -571,3 +572,22 @@ class TestObservablePoint:
             with pytest.raises(error) as exc:
                 observable_point(labels, t)
             assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_a_cell_missing_from_hand_built_tables_is_named():
+    """Hand-built tables are not range- or sum-checked, but a missing cell is named, not a KeyError."""
+    half = Fraction(1, 2)
+    no_arm2 = ObservedTables(theta={(0, 1): half, (1, 1): half})
+    for read in (beta_bounds, lambda t: evaluate_bounds(derive("beta"), t), derive_marginals):
+        with pytest.raises(ValidationError, match=r"^theta table has no cell \(0, 2\)$"):
+            read(no_arm2)
+    zeta = {k: Fraction(1, 4) for k in load("lipid").zeta}
+    short = ObservedTables(zeta={**zeta}, arm_weights=(half,))
+    with pytest.raises(ValidationError, match="^arm_weights table has no cell 1$"):
+        derive_marginals(short)
+    del zeta[1, 1, 2]
+    with pytest.raises(ValidationError, match=r"^zeta table has no cell \(1, 1, 2\)$"):
+        instrumental_inequality(ObservedTables(zeta=zeta))
+    # without a zeta table the instrumental inequality still says so first
+    with pytest.raises(ValidationError, match="^the instrumental inequality needs a zeta table$"):
+        instrumental_inequality(no_arm2)

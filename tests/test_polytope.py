@@ -111,6 +111,21 @@ def test_empty_vertex_set_rejected():
         VertexSet.from_points(space(2), [])
 
 
+def test_a_hand_built_vertex_set_is_checked_as_from_points_checks():
+    """Each vertex is laid out on the space, so a bad one is refused before any hull is built."""
+    sp = space(2)
+    with pytest.raises(ValueError, match="^a vertex set needs at least one point$"):
+        VertexSet(sp, ())
+    with pytest.raises(TypeError, match="^refusing inexact float 0.5"):
+        VertexSet(sp, [(0.5, 0)])
+    for row in [(1,), (1, 0, 1)]:  # one coordinate too few, one too many
+        with pytest.raises(ValueError, match=f"^space 'x2' has 2 coordinates, got {len(row)} values$"):
+            VertexSet(sp, [(0, 0), row])
+    vs = VertexSet(sp, [("1/2", 0), {"x0": 1, "x1": "0.5"}])
+    assert vs.vertices == ((Fraction(1, 2), 0), (1, Fraction(1, 2)))
+    assert vs == VertexSet.from_points(sp, vs.vertices)
+
+
 def test_dimension_overflow():
     sp = space(17)
     with pytest.raises(DimensionOverflow):
@@ -345,6 +360,23 @@ def test_equalities_given_by_hand_must_be_equalities():
         reduce_mod_equalities(AffineForm(sp, (1, 1)), [geq])
     with pytest.raises(ValueError, match="^HRepresentation equalities must be = constraints$"):
         bounds.partition(HRepresentation(sp, (geq,), (geq,), 1))
+
+
+def test_bound_set_sections_given_by_hand_keep_their_relations():
+    """A section fixes its constraints' relation: a test is >= and a hull equality is =."""
+    sp = space(1)
+    eq = LinearConstraint(AffineForm(sp, (1,), -1), Relation.EQ)
+    geq = LinearConstraint(AffineForm(sp, (1,)), Relation.GEQ)
+    forms = (AffineForm(sp, (0,)),)
+    for tests, trivial, equalities, field, relation in (
+        ((eq,), (), (), "observable_tests", ">="),
+        ((), (eq,), (), "trivial_tests", ">="),
+        ((), (), (geq,), "hull_equalities", "="),
+    ):
+        with pytest.raises(ValueError, match=f"^BoundSet {field} must be {relation} constraints$"):
+            bounds.BoundSet("toy", "t", sp, forms, forms, tests, trivial, equalities)
+    bs = bounds.BoundSet("toy", "t", sp, forms, forms, (geq,), (geq,), (eq,))
+    assert not bounds.model_check(bs, {"x0": 2}).passed and bounds.model_check(bs, {"x0": 1}).passed
 
 
 def test_facets_given_by_hand_must_be_inequalities():

@@ -5,10 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from ivbounds.bounds import derive
+from ivbounds.forms import CoordinateSpace
 from ivbounds.scenarios import (
     SCENARIOS,
     Coordinate,
     ParameterPoint,
+    Scenario,
     UnsupportedCoordinateError,
     enumerate_parameter_vertices,
     get_scenario,
@@ -218,6 +221,20 @@ class TestRegistry:
             make_scenario("bad", ["g01", "g02"], causal_target="alpha")
         with pytest.raises(ValueError, match="^scenario 'e' has no coordinate labels$"):
             make_scenario("e", [])
+
+    def test_a_hand_built_scenario_is_checked_as_make_scenario_checks(self):
+        # derive takes a Scenario as given, so it must refuse what make_scenario refuses
+        with pytest.raises(ValueError, match="^scenario 'e' has no coordinate labels$"):
+            derive(Scenario("e", CoordinateSpace("e", ()), None))
+        with pytest.raises(UnsupportedCoordinateError, match="unknown coordinate label 'y'"):
+            Scenario("x", CoordinateSpace("x", ("t01", "y")), None)
+        with pytest.raises(ValueError, match="^target 'alpha' is not among the labels$"):
+            Scenario("x", CoordinateSpace("x", ("t01", "t02")), "alpha")
+        # a derived BoundSet names the scenario after its space, so the two names must agree
+        beta = get_scenario("beta")
+        with pytest.raises(ValueError, match="^scenario 'x' has a space named 'beta'$"):
+            derive(Scenario("x", beta.space, "beta"))
+        assert Scenario("beta", beta.space, "beta") == beta
 
     def test_xi_transform_covers_all_labels(self):
         img = xi_transform("pairwise3", P)
