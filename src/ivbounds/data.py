@@ -129,8 +129,8 @@ class ObservedTables(Record):
         """Every cell and arm weight in _SLOTS order, as numerators over one denominator d > 0.
 
         None stands for the cells of an absent table. Compiled at first use for
-        hand-built tables, where a cell that is not a rational raises its own error and
-        a missing one ValidationError.
+        hand-built tables, where a cell that is not a rational raises its own error, and
+        a missing cell, a key no cell has and arm weights that are not two ValidationError.
         """
         pairs = []
         for name, key in _SLOTS:
@@ -139,6 +139,12 @@ class ObservedTables(Record):
                 pairs.append(None if table is None else ratio(table[key]))
             except LookupError:
                 raise ValidationError(f"{name} table has no cell {key!r}") from None
+        for name in _TABLE_KEYS[:4]:  # the dict tables
+            for key in getattr(self, name) or ():
+                if (name, key) not in _SLOT:
+                    raise ValidationError(f"{name} table has an unknown cell {key!r}")
+        if self.arm_weights is not None and len(self.arm_weights) != 2:
+            raise ValidationError(f"arm_weights has {len(self.arm_weights)} entries, not 2")
         return _common(pairs)
 
 

@@ -13,7 +13,9 @@ is a minor of the input, so every division is exact and entries stay
 bounded by the input's minors.
 A step does only the integer work that changes a row: it skips a row with
 0 in the pivot column while the common scale stays the same, and only
-rescales such a row when the scale changes.
+rescales such a row when the scale changes. While the scale stays the
+same, a row it changes is a copy edited only at the pivot row's nonzero
+columns.
 Callers turn results back into ``Fraction`` only at the package's API
 boundary.
 """
@@ -89,13 +91,16 @@ def pivot(rows: list[list[int]], r: int, col: int, prev: int) -> int:
     Only the integer work that changes a row is done: a row with 0 in
     column col is just rescaled to p * row // prev, and left as it is when
     p == prev; with p == prev a row that changes becomes
-    row - row[col] * rows[r] // p, since that quotient is exact too. Rows
-    are replaced by new lists, never mutated, so a row left as it is may
-    stay shared with another tableau that holds it: the oracle's phase 2
-    starts from a shallow copy of its cached phase-1 tableau.
+    row - row[col] * rows[r] // p, since that quotient is exact too: a copy
+    of the row edited only at rows[r]'s nonzero columns, collected once per
+    step. Rows are replaced by new lists, never mutated, so a row left as it
+    is may stay shared with another tableau that holds it: the oracle's
+    phase 2 starts from a shallow copy of its cached phase-1 tableau.
     """
     top = rows[r]
     p = top[col]
+    if p == prev:
+        nonzero = [(j, b) for j, b in enumerate(top) if b]
     for i, row in enumerate(rows):
         if i == r:
             continue
@@ -104,7 +109,9 @@ def pivot(rows: list[list[int]], r: int, col: int, prev: int) -> int:
             if p != prev:
                 rows[i] = [p * a // prev for a in row]
         elif p == prev:
-            rows[i] = [a - f * b // p if b else a for a, b in zip(row, top)]
+            row = rows[i] = list(row)
+            for j, b in nonzero:
+                row[j] -= f * b // p
         else:
             rows[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
     return p

@@ -12,12 +12,14 @@ cycling, runs on an integer tableau of the structural columns (an
 artificial that leaves the basis never re-enters) in the style of lrs
 (Avis & Fukuda, 1992): the objective row is carried along and every pivot
 is introws.pivot, which skips the rows it leaves unchanged. Phase 1 runs
-once per data point, phase 2 once per sense. With rhs = b / D, the tableau
-solves for D times the weights at the scenario's own scale: D enters only
-the right-hand sides and the scale that the value, one integer dot product
-of the objective's numerators with the basic right-hand sides, is read at
-(every basic column holds that scale). A scenario LP's columns, rhs and
-objective and an optimum's weights are built on read.
+once per data point, from the reduction's pivot columns (a crash basis, Bixby
+1992: only a flipped row starts with its artificial), phase 2 once per sense.
+With rhs = b / D, the tableau solves for D times the weights at the scenario's
+own scale: D enters only the right-hand sides and the scale that the value,
+one integer dot product of the objective's numerators with the basic
+right-hand sides, is read at (every basic column holds that scale). A
+scenario LP's columns, rhs and objective and an optimum's weights are built
+on read.
 """
 
 from __future__ import annotations
@@ -109,14 +111,14 @@ class MixtureLP(Record):
 
     @cached_property
     def _system(self) -> tuple[list, list[list[int]], list[list[int]], int, list[int], list[int]]:
-        """(templates, E, null, d, cost, start): one rref([A | I]) of A's integer rows.
+        """(templates, E, null, d, cost, pivots): one rref([A | I]) of A's integer rows.
 
         Row i of A's reduction is d times row i of the reduced row echelon
-        form of A; templates[i] is the pair (that row, its negation), for
-        phase 1 to pick from by the sign of the reduced rhs. E (row scales
-        folded in) has E.A = A's reduction, so E.b is a feasible rhs b
-        reduced at scale d. Each null row y has y.A = 0: b is infeasible if
-        some y.b is not 0. cost is the phase-2 row d * c and start the phase-1 row's.
+        form of A: d in its pivot column pivots[i], where every other row has 0.
+        templates[i] is the pair (that row, its negation), for phase 1 to pick
+        from by the sign of the reduced rhs. E (row scales folded in) has E.A =
+        A's reduction, so E.b is a feasible rhs b reduced at scale d. Each null
+        row y has y.A = 0: b is infeasible if some y.b is not 0. cost is the phase-2 row d * c.
         """
         rows, scales, nums, _ = self._ints
         n, m = len(nums), len(rows)
@@ -125,8 +127,7 @@ class MixtureLP(Record):
         r = sum(p < n for p in pivots)
         E = [[v * c for v, c in zip(row[n:], scales)] for row in reduced]
         templates = [(row[:n], [-v for v in row[:n]]) for row in reduced[:r]]
-        start = [-sum(col) for col in zip(*(row for row, _ in templates))] or [0] * n
-        return templates, E[:r], E[r:], d, [d * c for c in nums] + [0], start
+        return templates, E[:r], E[r:], d, [d * c for c in nums] + [0], pivots[:r]
 
     @cached_property
     def _phase1(self) -> tuple[list[list[int]], list[int], int] | None:
@@ -135,26 +136,28 @@ class MixtureLP(Record):
         With rhs = b / D, this is the tableau of the LP with rhs b at the reduction's
         scale d: its weights are D times rhs's, and D > 0 moves no sign, ratio test or
         pivot, so D stays out of every other column and the scale (solve scales it in).
-        Rows hold the structural columns only; the artificials, basis ids n on,
-        have none. Phase 1's optimum over the rest is 0 iff b is feasible.
+        A row whose reduced rhs is >= 0 starts with its pivot column basic, a flipped row
+        with its artificial (basis id n + i), which has no column: rows hold the
+        structural columns only. Phase 1's optimum over the rest is 0 iff b is feasible.
         """
-        templates, E, null, d, cost, z = self._system
+        templates, E, null, d, cost, pivots = self._system
         b = self._rhs[0]
         if any(sum(map(mul, y, b)) for y in null):
             return None
-        n, m = len(cost) - 1, len(templates)
+        n, m, nums = len(cost) - 1, len(templates), self._ints[2]
 
         # Integer tableau at scale d: constraint rows with nonnegative right-hand
-        # sides, the phase-2 row, and the phase-1 row: the artificials' sum, priced
-        # out over the constraint rows.
-        T = []
-        for (row, neg), e in zip(templates, E):
+        # sides, the phase-2 row priced out over the rows whose pivot column starts
+        # basic, and the phase-1 row: the flipped rows' artificials' sum, priced out.
+        T, basis = [], []
+        for i, ((row, neg), e, p) in enumerate(zip(templates, E, pivots)):
             r = sum(map(mul, e, b))
-            if r < 0:  # a flipped row adds twice its reduction to the phase-1 row
-                row, z = neg, [a - 2 * v for a, v in zip(z, neg)]
-            T.append(row + [abs(r)])
-        T += [cost, z + [-sum(row[-1] for row in T)]]
-        basis = list(range(n, n + m))
+            T.append(neg + [-r] if r < 0 else row + [r])
+            basis.append(n + i if r < 0 else p)
+            if r >= 0 and nums[p]:
+                cost = [a - nums[p] * v for a, v in zip(cost, T[-1])]
+        flipped = [row for row, j in zip(T, basis) if j >= n]
+        T += [cost, [-sum(col) for col in zip([0] * (n + 1), *flipped)]]
 
         s = _simplex(T, basis, n, d)
         # The phase-1 row's last entry is -s times the artificials' sum.
@@ -205,16 +208,20 @@ def _simplex(T: list[list[int]], basis: list[int], width: int, s: int) -> int | 
     """
     while True:
         z = T[-1]
-        entering = next((j for j in range(width) if z[j] < 0), None)
-        if entering is None:
+        for entering in range(width):
+            if z[entering] < 0:
+                break
+        else:
             return s
-        # One scan for the smallest ratio T[i][-1] / T[i][entering], compared
-        # by cross-multiplication, then the lowest basis index among ties.
-        leave = None
+        # One scan for the smallest ratio T[i][-1] / T[i][entering], compared by cross-
+        # multiplication with the best so far (first 1 / 0), then the lowest basis index.
+        leave, entry, rhs, low = None, 0, 1, 0
         for i, b in enumerate(basis):
             e = T[i][entering]
-            if e > 0 and (leave is None or (T[i][-1] * entry, b) < (T[leave][-1] * e, basis[leave])):
-                leave, entry = i, e
+            if e > 0:
+                x = T[i][-1] * entry - rhs * e
+                if x < 0 or not x and b < low:
+                    leave, entry, rhs, low = i, e, T[i][-1], b
         if leave is None:
             return None
         s = pivot(T, leave, entering, s)

@@ -10,6 +10,9 @@ where the package makes one. solve is the LP oracle's simplex
 that reduces the equality system and runs phase 1 afresh on every call,
 with the artificial columns in the tableau, so an artificial that left
 the basis may enter again (the package's phase 1 has no such columns).
+Its phase 1 starts from the all-artificial basis, where the package's
+starts from the reduction's pivot columns, so the two reach an optimum by
+different pivot paths, which makes it the more independent check.
 pivot and rref are the dense fraction-free kernel, which rewrites every
 row on every step, and rational is the string parser that sends every
 string through Fraction(). transform is the closed form of each

@@ -2,6 +2,7 @@
 
 import codecs
 import json
+import re
 from fractions import Fraction
 from importlib import resources
 
@@ -591,3 +592,23 @@ def test_a_cell_missing_from_hand_built_tables_is_named():
     # without a zeta table the instrumental inequality still says so first
     with pytest.raises(ValidationError, match="^the instrumental inequality needs a zeta table$"):
         instrumental_inequality(no_arm2)
+
+
+def test_a_cell_outside_hand_built_tables_is_named():
+    """A key no cell of its table has, or arm weights that are not two, is refused, not dropped."""
+    half = Fraction(1, 2)
+    theta = {(0, 1): half, (1, 1): half, (0, 2): half, (1, 2): half}
+    extra = ObservedTables(theta={**theta, (0, 3): 7}, arm_weights=(half, half, 5))
+    for read in (beta_bounds, lambda t: evaluate_bounds(derive("beta"), t)):
+        with pytest.raises(ValidationError, match=r"^theta table has an unknown cell \(0, 3\)$"):
+            read(extra)
+    with pytest.raises(ValidationError, match="^arm_weights has 3 entries, not 2$"):
+        beta_bounds(ObservedTables(theta=theta, arm_weights=(half, half, 5)))
+    lipid = load("lipid")
+    tables = {name: dict(getattr(lipid, name)) for name in ("zeta", "gamma", "theta", "phi")}
+    for name, key in [("zeta", (0, 0, 3)), ("gamma", (0, 1, 1)), ("theta", 1), ("phi", (2, 0))]:
+        bad = {**tables, name: {**tables[name], key: half}}
+        with pytest.raises(ValidationError, match="^" + re.escape(f"{name} table has an unknown cell {key!r}") + "$"):
+            derive_marginals(ObservedTables(**bad, arm_weights=lipid.arm_weights))
+    # No range or sum check: cells that contradict each other are still answered.
+    assert beta_bounds(ObservedTables(theta={**theta, (0, 1): 7})).lower == -1

@@ -112,9 +112,12 @@ def test_sparse_pivots_give_the_dense_steps_integers():
                 return
             r, col = data.draw(st.sampled_from(nonzero))
             before = list(rows)
+            snapshots = [list(row) for row in rows]
             p = rows[r][col]
             assert pivot(rows, r, col, scale) == reference.pivot(dense, r, col, scale) == p
             assert rows == dense
+            # Rows are replaced, never edited in place: every input list is as it was.
+            assert before == snapshots
             assert rows[r] is before[r]
             for i, row in enumerate(before):
                 if i == r:

@@ -3,6 +3,7 @@
 import copy
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -174,6 +175,60 @@ PINNED = [
     ("vitamin-a", "beta", "min", "-4/5", {0: "1/5", 6: "4/5"}),
     ("vitamin-a", "beta", "max", "4/5", {0: "1/5", 4: "4/5"}),
 ]
+
+
+# Pivots phase 1 makes on the bundled data, the kick-outs of zero-level artificials included.
+# It starts from the reduction's pivot columns, so only a row whose reduced rhs is negative
+# starts with an artificial, and a dataset with none makes no pivot at all.
+PHASE1_PIVOTS = {
+    "lipid": {"bivariate": 2, "trivariate": 0, "pairwise3": 2, "beta": 0},
+    "vitamin-a": {"bivariate": 6, "trivariate": 1, "pairwise3": 7, "beta": 0},
+}
+
+
+def phase1_pivots(p):
+    """The number of pivots p's phase 1 makes, counted at oracle.pivot."""
+    count = []
+    real = oracle_mod.pivot
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle_mod, "pivot", lambda *args: count.append(args) or real(*args))
+        p._phase1
+    return len(count)
+
+
+class TestCrashStart:
+    """Phase 1 starts from the equality reduction's pivot columns, artificials only on flipped rows."""
+
+    @pytest.mark.parametrize("dataset", PHASE1_PIVOTS)
+    def test_bundled_phase1_pivots_are_pinned(self, dataset):
+        counts = {}
+        for scenario in PHASE1_PIVOTS[dataset]:
+            counts[scenario] = phase1_pivots(MixtureLP.from_scenario(scenario, load(dataset)))
+        assert counts == PHASE1_PIVOTS[dataset]
+
+    def test_nonnegative_reduced_rhs_needs_no_phase1_pivot(self):
+        # w1 + w3 = 1 and w2 + w3 = 0 are already reduced, with right-hand sides 1 and 0.
+        p = lp(columns=((1, 0), (0, 1), (1, 1)), rhs=(1, 0), objective=(2, -1, 1))
+        assert phase1_pivots(p) == 0
+        assert p._phase1[1] == [0, 1]
+        for sense in ("min", "max"):
+            assert solve(p, sense) == reference.solve(p, sense) == LPResult("optimal", 2, (1, 0, 0))
+
+    def test_only_a_flipped_row_starts_with_its_artificial(self, monkeypatch):
+        # w1 + w3 = 1 and -w2 + w3 = 1: the second row reduces to w2 - w3 = -1, so it is
+        # flipped and starts with its artificial, basis id n + 1 = 4; the first starts with w1.
+        starts = []
+        real = oracle_mod._simplex
+
+        def spy(T, basis, width, s):
+            starts.append(list(basis))
+            return real(T, basis, width, s)
+
+        monkeypatch.setattr(oracle_mod, "_simplex", spy)
+        p = lp(columns=((1, 0), (0, -1), (1, 1)), rhs=(1, 1), objective=(1, 2, 3))
+        p._phase1
+        assert starts == [[0, 4]]
+        assert solve(p, "min") == reference.solve(p, "min") == LPResult("optimal", 3, (0, 0, 1))
 
 
 class TestPivotPath:
@@ -512,6 +567,30 @@ class TestAgainstReference:
                 assert got == reference.solve(p, sense)
                 statuses.add(got.status)
         assert statuses == {"optimal", "infeasible", "unbounded"}
+
+    def test_random_lps_with_zero_and_negative_reduced_rhs(self):
+        # What the crash start depends on: up to 5 rows, some of whose reduced right-hand
+        # sides are exactly 0 (the row's pivot column starts basic at level 0) and some
+        # negative (the row is flipped and starts with its artificial).
+        rng = random.Random(28)
+        statuses, seen = set(), set()
+        entry = lambda: F(rng.choice((0, 0, 1, -1, 2, -3)), rng.randint(1, 4))
+        for _ in range(400):
+            n, m = rng.randint(1, 7), rng.randint(1, 5)
+            columns = tuple(tuple(entry() for _ in range(m)) for _ in range(n))
+            w = [F(rng.randint(1, 3)) if rng.random() < 0.4 else F(0) for _ in range(n)]
+            rhs = [sum(c[i] * x for c, x in zip(columns, w)) for i in range(m)]
+            if rng.random() < 0.5:  # move some rows off the columns' cone, often below 0
+                rhs = [b - rng.randint(0, 2) if rng.random() < 0.4 else b for b in rhs]
+            p = MixtureLP(columns, tuple(rhs), tuple(entry() for _ in range(n)))
+            reduced = [sum(map(mul, e, p._rhs[0])) for e in p._system[1]]
+            for sense in ("min", "max"):
+                got = solve(p, sense)
+                assert got == reference.solve(p, sense)
+                statuses.add(got.status)
+                seen.add((got.status, 0 in reduced, min(reduced, default=0) < 0))
+        assert statuses == {"optimal", "infeasible", "unbounded"}
+        assert {("optimal", True, True), ("infeasible", True, True), ("unbounded", True, True)} <= seen
 
 
 def _over(rng, digits, k, low=0):
