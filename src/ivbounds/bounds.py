@@ -3,11 +3,12 @@
 A facet of the hull of transformed parameter vertices either constrains
 the observables alone (a falsification test of the model) or involves the
 causal target, in which case solving for the target turns it into a sharp
-lower or upper bound. Every scenario derives to a BoundSet the same way; a
-scenario without a target (fig3) simply has no bounds, and all its facets
-are model tests. Trivial observable facets (equivalent, modulo the
-hull equalities, to a single coordinate being nonnegative) are kept apart
-from the informative ones so reports mirror the usual presentation.
+lower or upper bound; the scenario names its target, which its hull, a
+polytope, bounds from both sides. Every scenario derives to a BoundSet the
+same way; a scenario without a target (fig3) simply has no bounds, and all
+its facets are model tests. Trivial observable facets (equivalent, modulo
+the hull equalities, to a single coordinate being nonnegative) are kept
+apart from the informative ones so reports mirror the usual presentation.
 partition works on the hull's integer rows: it reads the facet rows
 reduced modulo the equalities, recognises trivial facets by their primitive
 rows, and hands the BoundSet its bound rows (solved for the target) and test
@@ -64,7 +65,7 @@ def _view(group: str):
 
 
 class TargetUnconstrained(ValueError):
-    """No facet or equality involves the requested target coordinate."""
+    """A scenario without a causal target, or a hull that leaves its target unbounded on a side."""
 
 
 class BoundSet(Record):
@@ -159,11 +160,11 @@ def partition(h: HRepresentation, target: str | None = None) -> BoundSet:
     Facets with positive target coefficient become lower bounds on the
     target, negative ones upper bounds; target-free facets become model
     tests. A hull equality involving the target is solved for it and
-    contributes one matched lower/upper pair. If nothing mentions the
-    target at all, effect-difference targets (alpha, beta) fall back to
-    their trivial range [-1, 1]; any other target raises
-    TargetUnconstrained. With no target, every facet is a model test. Lifted facet rows need no
-    reduction: the chart's pivot columns are the complement of the equalities' trailing coordinates.
+    contributes one matched lower/upper pair. A target that nothing bounds
+    from below, or from above, raises TargetUnconstrained naming that side;
+    no derived hull does, since each is a polytope. With no target, every
+    facet is a model test. Lifted facet rows need no reduction: the chart's
+    pivot columns are the complement of the equalities' trailing coordinates.
     """
     ti = None if target is None else h.space.index(target)
     drop = picker([j for j in range(h.space.dimension + 1) if j != ti])  # all but the target
@@ -186,13 +187,9 @@ def partition(h: HRepresentation, target: str | None = None) -> BoundSet:
     observable, trivial = ([canonical_row(drop(r), Relation.GEQ) for r in part]
                            for part in _classify(h, obs_only))
 
-    if target is not None and not lower and not upper:
-        if target not in ("alpha", "beta"):
-            raise TargetUnconstrained(f"no facet or equality involves {target!r}")
-        # target + 1 >= 0 and 1 - target >= 0 solve to the trivial range [-1, 1].
-        unit = [int(j == ti) for j in range(h.space.dimension)]
-        lower.append(unit + [1])
-        upper.append([-v for v in unit] + [1])
+    if target is not None and not (lower and upper):
+        side = "above" if lower else "below"
+        raise TargetUnconstrained(f"no facet or equality bounds {target!r} from {side}")
 
     # A primitive row = 0 solves to target = -drop(row) / c, c = row[ti], in lowest terms
     # over |c|. Over den, a multiple of every such |c|, it is drop(row) * (-den // c).

@@ -1,11 +1,12 @@
 """Command-line surface: derive, check, bound, oracle, scenario.
 
 Exit codes: 0 success, 1 usage or input error, 2 model check failed,
-3 empty bound interval, 4 oracle disagreement. Each verb's _cmd_<verb>
-returns its report, a payload of insertion-ordered dicts only (so identical
-invocations give byte-identical JSON), with its exit code; --format text
-prints the lines _text_<verb> renders from that payload alone. main is the
-one place that prints a report.
+3 empty bound interval, 4 oracle disagreement. The scenario names the target;
+bound and oracle on fig3, which has none, exit 1 with the library's message.
+Each verb's _cmd_<verb> returns its report, a payload of insertion-ordered
+dicts only (so identical invocations give byte-identical JSON), with its exit
+code; --format text prints the lines _text_<verb> renders from that payload
+alone. main is the one place that prints a report.
 """
 
 from __future__ import annotations
@@ -61,14 +62,11 @@ def build_parser() -> argparse.ArgumentParser:
             help="slack tolerance as a rational such as 1/2000 or 0.0005 "
             "(default: 1/2000 for decimal input, 0 for exact input)"
         ),
-        "--target": dict(
-            choices=("alpha", "beta"), help="causal target; must match the scenario's own target"
-        ),
         "--format": dict(
             choices=("text", "json"), default="text", help="output format (default text)"
         ),
     }
-    # Each verb's help, report, text renderer and options beyond --scenario, --target and --format.
+    # Each verb's help, report, text renderer and options beyond --scenario and --format.
     verbs = dict(
         derive=("derive hull equalities, model tests and bound forms", _cmd_derive, _text_derive),
         check=("evaluate model-falsification constraints on data", _cmd_check, _text_check),
@@ -79,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     for verb, (help_, func, render) in verbs.items():
         p = sub.add_parser(verb, help=help_)
         for flag, kwargs in options.items():
-            if flag in extra.get(verb, ()) or flag in ("--scenario", "--target", "--format"):
+            if flag in extra.get(verb, ()) or flag in ("--scenario", "--format"):
                 p.add_argument(flag, **kwargs)
         p.set_defaults(func=func, render=render)
 
@@ -91,21 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_scenario(args):
-    s = get_scenario(args.scenario)
-    wanted = args.target
-    if wanted is not None and s.causal_target != wanted:
-        have = s.causal_target or "no target"
-        raise UsageError(f"scenario {s.name!r} has {have}, not {wanted!r}")
-    return s
-
-
-def _with_data(args, goal: str | None = None):
-    """The scenario, which needs a causal target to ``goal`` if one is given, and its tables."""
-    s = _resolve_scenario(args)
-    if goal is not None and s.causal_target is None:
-        raise UsageError(f"scenario {s.name!r} has no causal target to {goal}")
-    tables = load(args.data)
+def _with_data(args):
+    """The scenario and its tables, their absent marginals filled in from zeta."""
+    s, tables = get_scenario(args.scenario), load(args.data)
     return s, tables if tables.zeta is None else derive_marginals(tables)
 
 
@@ -123,7 +109,7 @@ def _both(value: str, decimal: str | None = None) -> str:
 
 
 def _cmd_derive(args) -> tuple[dict, int]:
-    s = _resolve_scenario(args)
+    s = get_scenario(args.scenario)
     bs = derive(s)
     eqs, tests, trivial, lower, upper = map(
         bs.render, ("equality", "observable", "trivial", "lower", "upper"))
@@ -208,7 +194,7 @@ def _text_check(p: dict) -> list[str]:
 
 
 def _cmd_bound(args) -> tuple[dict, int]:
-    s, tables = _with_data(args, "bound")
+    s, tables = _with_data(args)
     bs = derive(s)
     interval = evaluate_bounds(bs, tables)
 
@@ -240,7 +226,7 @@ def _text_bound(p: dict) -> list[str]:
 def _cmd_oracle(args) -> tuple[dict | None, int]:
     from .oracle import MismatchError, cross_check  # the one verb that loads the oracle
 
-    s, tables = _with_data(args, "optimize")
+    s, tables = _with_data(args)
     try:
         report = cross_check(s, tables)
     except MismatchError as exc:

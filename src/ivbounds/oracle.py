@@ -29,9 +29,9 @@ from functools import cached_property, lru_cache
 from operator import mul
 from typing import Literal, Mapping
 
-from .bounds import derive, interval_and_fit
+from .bounds import TargetUnconstrained, derive, interval_and_fit
 from .data import ObservedTables, integer_point
-from .forms import MissingCoordinate, RationalLike, Record
+from .forms import MissingCoordinate, RationalLike, Record, rational
 from .introws import clear_denominators, pivot, rref
 from .scenarios import Scenario, get_scenario, scenario_vertex_set
 
@@ -58,9 +58,9 @@ class LPResult(Record):
 class MixtureLP(Record):
     """min/max of objective.w subject to columns.w = rhs, w >= 0, sum w = 1.
 
-    Each column belongs to one mixture component; the normalization row is
-    already part of columns/rhs when built via from_scenario. Mismatched
-    lengths of columns, rhs and objective raise ValueError.
+    Each column belongs to one mixture component; from_scenario appends the
+    normalization row. Mismatched lengths of columns, rhs and objective raise
+    ValueError; each entry is read as forms.rational reads it, at first use.
     """
 
     columns: tuple[tuple[Fraction, ...], ...]  # fields; the cached_properties below are views
@@ -76,25 +76,26 @@ class MixtureLP(Record):
 
     @classmethod
     def from_scenario(
-        cls,
-        scenario: str | Scenario,
-        data: ObservedTables | Mapping[str, RationalLike],
+        cls, scenario: str | Scenario, data: ObservedTables | Mapping[str, RationalLike]
     ) -> "MixtureLP":
+        """The scenario's LP at data; a scenario without a target raises TargetUnconstrained."""
         s = get_scenario(scenario)
         if s.causal_target is None:
-            raise ValueError(f"scenario {s.name!r} has no causal target to optimize")
+            raise TargetUnconstrained(f"scenario {s.name!r} has no causal target to bound")
         return _lp_at(s, integer_point(s.observable_labels, data))
 
     @cached_property
     def _ints(self) -> tuple[list[list[int]], list[int], list[int], int]:
         """(rows, scales, nums, den): row i of the columns is rows[i] / scales[i], the objective
-        nums / den; a hand-built LP's, each over its least denominator."""
-        scaled = [clear_denominators([col[i] for col in self.columns]) for i in range(len(self.rhs))]
-        return [r for r, _ in scaled], [c for _, c in scaled], *clear_denominators(self.objective)
+        nums / den; a hand-built LP's, each over its least denominator, entries read by rational."""
+        columns = [[*map(rational, col)] for col in self.columns]
+        scaled = [clear_denominators([col[i] for col in columns]) for i in range(len(self.rhs))]
+        objective = clear_denominators([*map(rational, self.objective)])
+        return [r for r, _ in scaled], [c for _, c in scaled], *objective
 
     @cached_property
     def _rhs(self) -> tuple[list[int], int]:
-        return clear_denominators(self.rhs)  # (b, den): the rhs is b / den
+        return clear_denominators([*map(rational, self.rhs)])  # (b, den): the rhs is b / den
 
     @cached_property
     def columns(self) -> tuple[tuple[Fraction, ...], ...]:

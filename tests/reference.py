@@ -267,12 +267,9 @@ def partition(h: HRepresentation, target: str | None = None) -> BoundSet:
 
     nontrivial, trivial = classify(h.space, h.equalities, obs_only)
 
-    if target is not None and not lower and not upper:
-        if target in ("alpha", "beta"):
-            lower.append(form(obs_space, "-1"))
-            upper.append(form(obs_space, "1"))
-        else:
-            raise TargetUnconstrained(f"no facet or equality involves {target!r}")
+    if target is not None and not (lower and upper):
+        side = "above" if lower else "below"
+        raise TargetUnconstrained(f"no facet or equality bounds {target!r} from {side}")
 
     return BoundSet(
         scenario=h.space.name,

@@ -118,6 +118,16 @@ def test_no_module_imports_another_modules_private_names():
     assert found == []
 
 
+def test_only_scenarios_spells_the_target_labels():
+    """The scenario names its target, so no other module has "alpha" or "beta" as a string."""
+    found = []
+    for path in sorted((ROOT / "src" / "ivbounds").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if path.name != "scenarios.py"
+                  and isinstance(node, ast.Constant) and node.value in ("alpha", "beta")]
+    assert found == []
+
+
 def test_the_names_the_benchmark_reads_exist():
     """bench/tracer.py wraps each SPECS path by name and bench/child.py reads these attributes;
     a name renamed or deleted would otherwise fail only the benchmark's traced runs."""

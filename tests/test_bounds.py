@@ -455,16 +455,28 @@ class TestBeta:
 
 
 class TestPartitionFallback:
-    def test_unconstrained_effect_target_gets_trivial_range(self):
+    def test_unconstrained_effect_target_raises(self):
+        """alpha has no trivial range of its own: a hull that never mentions it bounds nothing."""
         space = CoordinateSpace("loose", ("t01", "alpha"))
         facets = (
             canonicalize(LinearConstraint(reference.form(space, "t01"), Relation.GEQ)),
             canonicalize(LinearConstraint(reference.form(space, "1 - t01"), Relation.GEQ)),
         )
         h = HRepresentation(space, (), facets, 2)
-        bs = partition(h, "alpha")
-        assert [f.render() for f in bs.lower_forms] == ["-1"]
-        assert [f.render() for f in bs.upper_forms] == ["1"]
+        with pytest.raises(TargetUnconstrained, match="from below"):
+            partition(h, "alpha")
+
+    @pytest.mark.parametrize("bound, side", [("1 - alpha", "below"), ("alpha + 1", "above")])
+    def test_target_bounded_on_one_side_raises(self, bound, side):
+        """Such a BoundSet once failed evaluate_bounds with "max() arg is an empty sequence"."""
+        space = CoordinateSpace("open", ("t01", "alpha"))
+        facets = tuple(canonicalize(LinearConstraint(reference.form(space, text), Relation.GEQ))
+                       for text in ("t01", "1 - t01", bound))
+        h = HRepresentation(space, (), facets, 2)
+        for path in (partition, reference.partition):
+            with pytest.raises(TargetUnconstrained) as exc:
+                path(h, "alpha")
+            assert str(exc.value) == f"no facet or equality bounds 'alpha' from {side}"
 
     def test_other_targets_raise(self):
         space = CoordinateSpace("loose", ("t01", "g01"))

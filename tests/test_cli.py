@@ -8,6 +8,7 @@ import codecs
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -99,11 +100,6 @@ class TestDerive:
         _, second, _ = run(capsys, "derive", "--scenario", "trivariate", "--format", "json")
         assert first == second
 
-    def test_target_flag_must_match(self, capsys):
-        code, _, err = run(capsys, "derive", "--scenario", "bivariate", "--target", "beta")
-        assert code == EXIT_USAGE
-        assert "alpha" in err
-
 
 class TestCheck:
     def test_bundled_data_passes(self, capsys):
@@ -169,14 +165,6 @@ class TestBound:
         assert payload["lower"]["value"] == "-987/5000"
         assert payload["upper"]["value"] == "59/10000"
         assert payload["empty"] is False
-
-    def test_beta_target_flag_accepted(self, capsys):
-        code, payload, _ = run_json(
-            capsys, "bound", "--scenario", "beta", "--data", "lipid", "--target", "beta"
-        )
-        assert code == EXIT_OK
-        assert payload["lower"]["value"] == "-153/250"
-        assert payload["upper"]["value"] == "153/250"
 
     def test_empty_interval_exit_code(self, capsys, violating_file):
         code, out, _ = run(capsys, "bound", "--scenario", "trivariate", "--data", violating_file)
@@ -259,7 +247,7 @@ class TestUsageErrors:
             ("derive",),
             ("derive", "--scenario", "quadravariate"),
             ("check", "--scenario", "trivariate"),
-            ("bound", "--scenario", "trivariate", "--data", "lipid", "--target", "gamma"),
+            ("bound", "--scenario", "beta", "--data", "lipid", "--target", "beta"),
             ("scenario", "delete"),
         ],
     )
@@ -268,7 +256,22 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert err
 
-    @pytest.mark.parametrize("option", ["--scenario", "--data", "--tolerance", "--target", "--format"])
+    @pytest.mark.parametrize("verb", ["derive", "check", "bound", "oracle"])
+    def test_target_is_not_an_option(self, capsys, verb):
+        """The scenario alone names its target."""
+        data = () if verb == "derive" else ("--data", "lipid")
+        code, out, err = run(capsys, verb, "--scenario", "beta", *data, "--target", "beta")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "unrecognized arguments: --target beta" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("verb", ["bound", "oracle"])
+    def test_unreadable_data_is_reported_before_a_missing_target(self, capsys, tmp_path, verb):
+        missing = str(tmp_path / "missing.json")
+        code, _, err = run(capsys, verb, "--scenario", "fig3", "--data", missing)
+        assert code == EXIT_USAGE
+        assert "missing.json" in err and "causal target" not in err
+
+    @pytest.mark.parametrize("option", ["--scenario", "--data", "--tolerance", "--format"])
     def test_option_given_as_double_dash(self, capsys, option):
         """Python 3.10-3.12 parse --option=-- as [] past its choices: a traceback, or text for --format."""
         code, out, err = run(
@@ -547,6 +550,17 @@ def test_parser_verbs_match_golden():
 @pytest.mark.parametrize("verb", sorted(GOLDEN_PARSER))
 def test_parser_fields_match_golden(verb):
     assert _parser_fields()[verb] == GOLDEN_PARSER[verb]
+
+
+def test_readme_names_every_option():
+    """README's Command line section names every option string of every verb."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", section))
+    sub = cli_mod.build_parser()._subparsers._group_actions[0]
+    options = {o for p in sub.choices.values() for a in p._actions for o in a.option_strings}
+    assert {"--scenario", "-h"} <= options
+    assert sorted(options - named) == []
 
 
 @pytest.mark.parametrize("verb", ["bound", "check"])

@@ -282,6 +282,26 @@ class TestMixtureLP:
         assert len(p.columns) == len(vs.vertices)
         assert set(p.objective) == {v[ti] for v in vs.vertices}
 
+    @pytest.mark.parametrize("bad", [0.5, True], ids=["float", "bool"])
+    @pytest.mark.parametrize("field", ["columns", "rhs", "objective"])
+    def test_float_or_bool_entry_refused(self, bad, field):
+        """Read as rational reads a value; a float once raised a bare AttributeError, True read 1."""
+        parts = dict(columns=((F(1),),), rhs=(F(1),), objective=(F(1),))
+        parts[field] = ((bad,),) if field == "columns" else (bad,)
+        p = MixtureLP(**parts)
+        with pytest.raises(TypeError, match="float" if bad == 0.5 else "bool"):
+            solve(p)
+
+    @pytest.mark.parametrize("case", HAND_BUILT)
+    def test_string_entries_solve_as_fractions(self, case):
+        columns, rhs, objective = case
+        text = lambda vs: tuple(str(F(v)) for v in vs)
+        strings = MixtureLP(tuple(map(text, columns)), text(rhs), text(objective))
+        fractions = lp(columns, rhs, objective)
+        assert strings.columns[0][0] == str(F(columns[0][0]))  # the tuples as given
+        for sense in ("min", "max"):
+            assert solve(strings, sense) == solve(fractions, sense)
+
     def test_no_target_scenario_rejected(self):
         with pytest.raises(ValueError, match="causal target"):
             MixtureLP.from_scenario("fig3", load("lipid"))
