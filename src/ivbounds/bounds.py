@@ -68,6 +68,13 @@ class TargetUnconstrained(ValueError):
     """A scenario without a causal target, or a hull that leaves its target unbounded on a side."""
 
 
+def _bounded(target: str | None, lower: Sequence, upper: Sequence) -> None:
+    """Raise TargetUnconstrained if a target has no lower or no upper bound, naming that side."""
+    if target is not None and not (lower and upper):
+        side = "above" if lower else "below"
+        raise TargetUnconstrained(f"no facet or equality bounds {target!r} from {side}")
+
+
 class BoundSet(Record):
     """Bounds on one target plus the observable constraints beside them.
 
@@ -92,6 +99,7 @@ class BoundSet(Record):
         for field, relation in map(_GROUPS.get, _SECTIONS):
             if any(c.relation is not relation for c in getattr(self, field)):
                 raise ValueError(f"BoundSet {field} must be {relation.value} constraints")
+        _bounded(self.target, self.lower_forms, self.upper_forms)
 
     def to_json_dict(self) -> dict:
         (rows, den), labels = self._rows, self.space.labels
@@ -187,9 +195,7 @@ def partition(h: HRepresentation, target: str | None = None) -> BoundSet:
     observable, trivial = ([canonical_row(drop(r), Relation.GEQ) for r in part]
                            for part in _classify(h, obs_only))
 
-    if target is not None and not (lower and upper):
-        side = "above" if lower else "below"
-        raise TargetUnconstrained(f"no facet or equality bounds {target!r} from {side}")
+    _bounded(target, lower, upper)
 
     # A primitive row = 0 solves to target = -drop(row) / c, c = row[ti], in lowest terms
     # over |c|. Over den, a multiple of every such |c|, it is drop(row) * (-den // c).

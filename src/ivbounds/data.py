@@ -8,9 +8,12 @@ literal digits are kept. Two named datasets ship with the package: "lipid"
 
 Every source, bundled or a JSON or CSV file, is read one way: as UTF-8 (a
 leading byte-order mark is dropped) into the JSON-shaped object (a key given
-twice is refused) that build_tables, the one validator, takes. So a malformed
-file of either format raises ParseError or ValidationError, and build_tables
-rejects marginals that contradict zeta just as load does.
+twice is refused), whose cells are parsed and validated as build_tables
+parses and validates its arguments. So a malformed file of either format
+raises ParseError or ValidationError, and build_tables rejects marginals that
+contradict zeta just as load does. build_tables takes decimal_input as given;
+load sets it when the file says so or when some string cell holds a "." or an
+exponent ("e" or "E"), which the one pass that parses the cells records.
 
 A study stays on integers from the moment a cell is parsed: ObservedTables
 holds every cell as a numerator over one common denominator (``_cells``),
@@ -150,8 +153,8 @@ class ObservedTables(Record):
 
 def _common(pairs: Sequence[tuple[int, int] | None]) -> tuple[tuple[int | None, ...], int]:
     """Reduced pairs (n, d), or None, as numerators over their least common denominator."""
-    den = lcm(*(p[1] for p in pairs if p is not None))
-    return tuple(None if p is None else p[0] * (den // p[1]) for p in pairs), den
+    den = lcm(*[p[1] for p in pairs if p is not None])
+    return tuple([None if p is None else p[0] * (den // p[1]) for p in pairs]), den
 
 
 def _implied(nums: Sequence[int | None], den: int) -> list[int]:
@@ -203,31 +206,48 @@ def build_tables(
     *,
     decimal_input: bool = False,
 ) -> ObservedTables:
-    """Construct validated tables from the JSON-shaped nested values (see _validate)."""
+    """Construct validated tables from the JSON-shaped nested values (see _validate).
+
+    decimal_input is taken as given, whatever the cells look like: it alone
+    picks the tolerance that marginals must agree with zeta within.
+    """
     given = {"zeta": zeta, "gamma": gamma, "theta": theta, "phi": phi, "arm_weights": arm_weights}
+    return _validated(_parse_cells(given)[0], decimal_input)
+
+
+def _parse_cells(given: Mapping) -> tuple[list[tuple[int, int] | None], bool]:
+    """The tables' cells as reduced integer pairs in _SLOTS order (None for an absent table),
+    and whether some cell is a string with a "." or an exponent ("e" or "E")."""
     pairs: list[tuple[int, int] | None] = []
+    decimal = False
     for _, name, keys in _BLOCKS:
-        table = given[name]
+        table = given.get(name)
         if table is None:
             pairs += [None] * len(keys)
         elif name in ("phi", "arm_weights"):
-            pairs += _row(table, len(keys), name)
+            decimal = _row(pairs, table, len(keys), name) or decimal
         elif not (type(table) is dict or isinstance(table, Mapping)) or set(table) != {"a1", "a2"}:
             raise ParseError(f"{name} table needs exactly the keys 'a1' and 'a2'")
         else:
             arm = keys[0][-1]
-            pairs += _row(table[f"a{arm}"], len(keys), name, arm)
+            decimal = _row(pairs, table[f"a{arm}"], len(keys), name, arm) or decimal
+    return pairs, decimal
+
+
+def _validated(pairs: Sequence[tuple[int, int] | None], decimal_input: bool) -> ObservedTables:
+    """Tables of the parsed cells, validated within the tolerance decimal_input picks."""
     nums, den = _common(pairs)
     _validate(nums, den, DECIMAL_TOLERANCE if decimal_input else _ZERO)
     return ObservedTables._unbuilt(_cells=(nums, den), decimal_input=decimal_input)
 
 
-def _row(values, width: int, name: str, arm: int | None = None) -> list[tuple[int, int]]:
-    """One row as reduced integer pairs: a JSON array of ``width`` cells of at most 100 digits."""
+def _row(out: list, values, width: int, name: str, arm: int | None = None) -> bool:
+    """Append one row, a JSON array of ``width`` cells of at most 100 digits, to out as reduced
+    integer pairs; whether some cell is a string with a "." or an exponent ("e" or "E")."""
     where = name if arm is None else f"{name} a{arm}"
     if not isinstance(values, (list, tuple)):
         raise ParseError(f"{where} must be a JSON array of {width} entries")
-    out = []
+    decimal = False
     for i, v in enumerate(values):
         try:
             n, d = ratio(v)
@@ -236,10 +256,12 @@ def _row(values, width: int, name: str, arm: int | None = None) -> list[tuple[in
         if _too_long(n, d):
             raise ParseError(f"{where}[{i}] = {v!r} needs more than {_CELL_DIGITS} digits")
         out.append((n, d))
-    if len(out) != width:
+        if not decimal and isinstance(v, str):
+            decimal = "." in v or "e" in v or "E" in v
+    if len(values) != width:
         row = name if arm is None else f"{name} row a{arm}"
-        raise ParseError(f"{row} needs {width} entries, got {len(out)}")
-    return out
+        raise ParseError(f"{row} needs {width} entries, got {len(values)}")
+    return decimal
 
 
 def default_tolerance(
@@ -265,20 +287,14 @@ def default_tolerance(
     return Fraction(n, d)
 
 
-def _contains_decimal(value) -> bool:
-    if type(value) is str or isinstance(value, str):
-        return "." in value or "e" in value.lower()
-    if type(value) is dict or type(value) is not list and isinstance(value, Mapping):
-        value = list(value.values())
-    return isinstance(value, (list, tuple)) and any(map(_contains_decimal, value))
-
-
 def load(source: str | Path) -> ObservedTables:
-    """Load tables from a bundled dataset name or a JSON/CSV file path; build_tables validates."""
+    """Load tables from a bundled dataset name or a JSON/CSV file path, validated as
+    build_tables validates; decimal_input is the file's flag or any decimal or exponent cell."""
     bundled = isinstance(source, str) and source in BUNDLED_DATASETS
     path = Path(__file__).parent / "datasets" / f"{source}.json" if bundled else Path(source)
     try:
-        text = path.read_text(encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig") as file:
+            text = file.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     raw = _parse_csv(text) if path.suffix.lower() == ".csv" else _parse_json(text)
@@ -291,8 +307,8 @@ def load(source: str | Path) -> ObservedTables:
     if not isinstance(rounded, bool):
         raise ParseError("decimal_input must be true or false")
     try:
-        rounded = rounded or _contains_decimal(raw)
-        return build_tables(**{k: raw.get(k) for k in _TABLE_KEYS}, decimal_input=rounded)
+        pairs, decimal = _parse_cells(raw)
+        return _validated(pairs, rounded or decimal)
     except (TypeError, ValueError, RecursionError) as exc:
         if isinstance(exc, (ParseError, ValidationError)):
             raise

@@ -73,26 +73,27 @@ def ratio(value: RationalLike) -> tuple[int, int]:
     if kind is str or isinstance(value, str):
         text = value.strip()
         plain = _PLAIN.fullmatch(text)
-        exponent = None if plain else _EXPONENT.search(text)
-        # Five significant digits already exceed the limit.
-        digits = exponent.group(1).replace("_", "").lstrip("0")[:5] if exponent else ""
-        if int(digits or 0) > _MAX_EXPONENT:
-            raise ValueError(f"exponent of {value!r} exceeds {_MAX_EXPONENT} in magnitude")
+        if not plain:
+            exponent = _EXPONENT.search(text)
+            # Five significant digits already exceed the limit.
+            digits = exponent.group(1).replace("_", "").lstrip("0")[:5] if exponent else ""
+            if int(digits or 0) > _MAX_EXPONENT:
+                raise ValueError(f"exponent of {value!r} exceeds {_MAX_EXPONENT} in magnitude")
         try:
-            if not plain:
-                q = Fraction(text)
-                return q.numerator, q.denominator
-            sign, whole, sep, part = plain.groups()
-            n, d = int(whole), 1
-            if sep == "/":
-                d = int(part)
-            elif sep:
-                d = 10 ** len(part)
-                n = n * d + int(part)
-            if not d:
-                raise ZeroDivisionError(text)
-            g = gcd(n, d)
-            return -n // g if sign else n // g, d // g
+            if plain:
+                sign, whole, sep, part = plain.groups()
+                n, d = int(whole), 1
+                if sep == "/":
+                    d = int(part)
+                elif sep:
+                    d = 10 ** len(part)
+                    n = n * d + int(part)
+                if not d:
+                    raise ZeroDivisionError(text)
+                g = gcd(n, d)
+                return -n // g if sign else n // g, d // g
+            q = Fraction(text)
+            return q.numerator, q.denominator
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse {value!r} as a rational") from exc
     if isinstance(value, float):

@@ -26,13 +26,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import mul
+from operator import mul, sub
 from typing import Literal, Mapping
 
 from .bounds import TargetUnconstrained, derive, interval_and_fit
 from .data import ObservedTables, integer_point
 from .forms import MissingCoordinate, RationalLike, Record, rational
-from .introws import clear_denominators, pivot, rref
+from .introws import clear_denominators, evaluate_rows, pivot, rref, sparse_rows
 from .scenarios import Scenario, get_scenario, scenario_vertex_set
 
 _ZERO = Fraction(0)
@@ -111,15 +111,17 @@ class MixtureLP(Record):
         return tuple(Fraction(v, self._ints[3]) for v in self._ints[2])
 
     @cached_property
-    def _system(self) -> tuple[list, list[list[int]], list[list[int]], int, list[int], list[int]]:
-        """(templates, E, null, d, cost, pivots): one rref([A | I]) of A's integer rows.
+    def _system(self) -> tuple[list, tuple, int, list[int], list[int]]:
+        """(templates, reduction, d, cost, pivots): one rref([A | I]) of A's integer rows.
 
         Row i of A's reduction is d times row i of the reduced row echelon
         form of A: d in its pivot column pivots[i], where every other row has 0.
         templates[i] is the pair (that row, its negation), for phase 1 to pick
         from by the sign of the reduced rhs. E (row scales folded in) has E.A =
         A's reduction, so E.b is a feasible rhs b reduced at scale d. Each null
-        row y has y.A = 0: b is infeasible if some y.b is not 0. cost is the phase-2 row d * c.
+        row y has y.A = 0: b is infeasible if some y.b is not 0. reduction is the
+        groups [E, null] compiled by introws.sparse_rows, for evaluate_rows at b.
+        cost is the phase-2 row d * c.
         """
         rows, scales, nums, _ = self._ints
         n, m = len(nums), len(rows)
@@ -128,7 +130,7 @@ class MixtureLP(Record):
         r = sum(p < n for p in pivots)
         E = [[v * c for v, c in zip(row[n:], scales)] for row in reduced]
         templates = [(row[:n], [-v for v in row[:n]]) for row in reduced[:r]]
-        return templates, E[:r], E[r:], d, [d * c for c in nums] + [0], pivots[:r]
+        return templates, sparse_rows([E[:r], E[r:]]), d, [d * c for c in nums] + [0], pivots[:r]
 
     @cached_property
     def _phase1(self) -> tuple[list[list[int]], list[int], int] | None:
@@ -141,24 +143,27 @@ class MixtureLP(Record):
         with its artificial (basis id n + i), which has no column: rows hold the
         structural columns only. Phase 1's optimum over the rest is 0 iff b is feasible.
         """
-        templates, E, null, d, cost, pivots = self._system
-        b = self._rhs[0]
-        if any(sum(map(mul, y, b)) for y in null):
+        templates, reduction, d, cost, pivots = self._system
+        reduced, null = evaluate_rows(*reduction, self._rhs[0])
+        if any(null):
             return None
         n, m, nums = len(cost) - 1, len(templates), self._ints[2]
 
         # Integer tableau at scale d: constraint rows with nonnegative right-hand
         # sides, the phase-2 row priced out over the rows whose pivot column starts
         # basic, and the phase-1 row: the flipped rows' artificials' sum, priced out.
-        T, basis = [], []
-        for i, ((row, neg), e, p) in enumerate(zip(templates, E, pivots)):
-            r = sum(map(mul, e, b))
-            T.append(neg + [-r] if r < 0 else row + [r])
-            basis.append(n + i if r < 0 else p)
-            if r >= 0 and nums[p]:
-                cost = [a - nums[p] * v for a, v in zip(cost, T[-1])]
-        flipped = [row for row, j in zip(T, basis) if j >= n]
-        T += [cost, [-sum(col) for col in zip([0] * (n + 1), *flipped)]]
+        T, basis, phase1 = [], [], [0] * (n + 1)
+        for i, ((row, neg), r, p) in enumerate(zip(templates, reduced, pivots)):
+            if r < 0:
+                T.append(neg + [-r])
+                basis.append(n + i)
+                phase1 = [*map(sub, phase1, T[-1])]
+            else:
+                T.append(row + [r])
+                basis.append(p)
+                if nums[p]:
+                    cost = [a - nums[p] * v for a, v in zip(cost, T[-1])]
+        T += [cost, phase1]
 
         s = _simplex(T, basis, n, d)
         # The phase-1 row's last entry is -s times the artificials' sum.

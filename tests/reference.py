@@ -15,9 +15,11 @@ starts from the reduction's pivot columns, so the two reach an optimum by
 different pivot paths, which makes it the more independent check.
 pivot and rref are the dense fraction-free kernel, which rewrites every
 row on every step, and rational is the string parser that sends every
-string through Fraction(). transform is the closed form of each
-coordinate kind as a polynomial in the parameters, on Fractions, where
-the package reads labels as events on 0/1 response types. tables,
+string through Fraction(). decimal_input is the rule that decides whether
+a loaded study is rounded decimal input, found by a second walk of the
+whole parsed file, where the package records it while it parses the
+cells. transform is the closed form of each coordinate kind as a
+polynomial in the parameters, on Fractions, where the package reads labels as events on 0/1 response types. tables,
 derive_marginals, point, instrumental and beta_interval are the Fraction
 path of the observed tables: a table is a dict of Fractions, validated,
 filled and read cell by cell, where the package keeps every cell as an
@@ -32,6 +34,7 @@ a form down.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 from typing import Literal, Sequence
 
@@ -130,6 +133,20 @@ def rational(value: RationalLike) -> Fraction:
     if isinstance(value, float):
         raise TypeError(f"refusing inexact float {value!r}; pass a string such as '0.919'")
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
+
+
+def decimal_input(raw: dict) -> bool:
+    """Whether load reads a parsed JSON or CSV study as rounded decimals: the file's own
+    "decimal_input", or any string anywhere in it holding a "." or an exponent."""
+    return raw.get("decimal_input", False) or _contains_decimal(raw)
+
+
+def _contains_decimal(value) -> bool:
+    if isinstance(value, str):
+        return "." in value or "e" in value.lower()
+    if isinstance(value, Mapping):
+        value = list(value.values())
+    return isinstance(value, (list, tuple)) and any(map(_contains_decimal, value))
 
 
 def _delta(p: ParameterPoint, a: int) -> Fraction:

@@ -478,6 +478,17 @@ class TestPartitionFallback:
                 path(h, "alpha")
             assert str(exc.value) == f"no facet or equality bounds 'alpha' from {side}"
 
+    @pytest.mark.parametrize("lower, upper, side", [(False, True, "below"), (True, False, "above"),
+                                                   (False, False, "below")])
+    def test_hand_built_set_bounding_its_target_on_one_side_is_refused(self, lower, upper, side):
+        """Such a set was once built, and evaluate_bounds on it raised "max() arg is an empty
+        sequence"; the constructor now refuses it in partition's words."""
+        space = CoordinateSpace("open-observables", ("t01",))
+        forms = (reference.form(space, "t01"),)
+        with pytest.raises(TargetUnconstrained) as exc:
+            BoundSet("open", "alpha", space, forms if lower else (), forms if upper else (), (), (), ())
+        assert str(exc.value) == f"no facet or equality bounds 'alpha' from {side}"
+
     def test_other_targets_raise(self):
         space = CoordinateSpace("loose", ("t01", "g01"))
         facets = (

@@ -7,6 +7,8 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from ivbounds.bounds import beta_bounds, derive, evaluate_bounds, instrumental_inequality
 from ivbounds.data import (
@@ -23,6 +25,8 @@ from ivbounds.data import (
     observable_point,
 )
 from ivbounds.scenarios import SCENARIOS, UnsupportedCoordinateError
+
+import reference
 
 LIPID_ZETA = {
     "a1": ["0.919", "0", "0.081", "0"],
@@ -612,3 +616,119 @@ def test_a_cell_outside_hand_built_tables_is_named():
             derive_marginals(ObservedTables(**bad, arm_weights=lipid.arm_weights))
     # No range or sum check: cells that contradict each other are still answered.
     assert beta_bounds(ObservedTables(theta={**theta, (0, 1): 7})).lower == -1
+
+
+def _spell(q: Fraction, how: str) -> tuple[str, str]:
+    """q in one of _SPELLINGS: (its JSON token, the text of a CSV cell). A "number" is a bare
+    JSON decimal, read as its text; an "integer" that q is not is spelt as a "ratio"."""
+    k = next(k for k in range(12) if 10**k % q.denominator == 0)
+    scaled = q.numerator * 10**k // q.denominator
+    point = f"{scaled // 10**k}.{scaled % 10**k:0{k}d}" if k else f"{scaled}.0"
+    if how == "integer" and q.denominator == 1:
+        return str(q.numerator), str(q.numerator)
+    if how == "number":
+        return point, point
+    text = {"padded ratio": f" {q.numerator}/{q.denominator}\t", "decimal": point,
+            "exponent": f"{scaled}e-{k}", "Exponent": f"{scaled * 10}E-{k + 1}"}
+    text = text.get(how, f"{q.numerator}/{q.denominator}")
+    return json.dumps(text), text
+
+
+_SPELLINGS = ("ratio", "padded ratio", "decimal", "exponent", "Exponent", "number", "integer")
+
+
+@st.composite
+def _row_of(draw, width):
+    """``width`` exact cells summing to 1 over a denominator with no prime but 2 and 5."""
+    d = draw(st.sampled_from((1, 2, 4, 5, 8, 10, 20, 25, 40, 100)))
+    cuts = sorted(draw(st.lists(st.integers(0, d), min_size=width - 1, max_size=width - 1)))
+    return [Fraction(b - a, d) for a, b in zip([0, *cuts], [*cuts, d])]
+
+
+@st.composite
+def _studies(draw):
+    """(JSON text, CSV text or None, the exact tables) of a consistent study, its cells spelt
+    in a drawn mix of the spellings a file may use."""
+    spellings = draw(st.sets(st.sampled_from(_SPELLINGS), min_size=1))
+    zeta = {f"a{a}": draw(_row_of(4)) for a in (1, 2)}
+    tables = {"zeta": zeta}
+    if draw(st.booleans()):
+        tables["gamma"] = {k: [r[0] + r[1], r[2] + r[3]] for k, r in zeta.items()}
+    if draw(st.booleans()):
+        tables["theta"] = {k: [r[0] + r[2], r[1] + r[3]] for k, r in zeta.items()}
+    if draw(st.booleans()):
+        w = tables["arm_weights"] = draw(_row_of(2))
+        if draw(st.booleans()):
+            tables["phi"] = [x * w[0] + y * w[1] for x, y in zip(zeta["a1"], zeta["a2"])]
+    spell = lambda q: _spell(q, draw(st.sampled_from(sorted(spellings))))
+    rows = lambda row: "[" + ", ".join(spell(q)[0] for q in row) + "]"
+    parts = [f'"{name}": ' + (rows(t) if isinstance(t, list) else
+                              "{" + ", ".join(f'"{k}": {rows(r)}' for k, r in t.items()) + "}")
+             for name, t in tables.items()]
+    flag = draw(st.sampled_from(("", '"decimal_input": true', '"decimal_input": false')))
+    text = "{" + ", ".join(parts + ([flag] if flag else [])) + "}"
+    csv = "c,b,a,value\n" + "".join(
+        f"{c},{b},{a},{spell(zeta[f'a{a}'][2 * c + b])[1]}\n"
+        for a in (1, 2) for c in (0, 1) for b in (0, 1)
+    )
+    return text, csv, tables
+
+
+# tmp_path is shared by all examples; each one overwrites the same two files.
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(study=_studies())
+@example(study=('{"zeta": {"a1": ["1/2", "1/2", 0, 0], "a2": [1, "0", "0/1", "0"]}}',
+                "c,b,a,value\n0,0,1,1/2\n0,1,1,1/2\n1,0,1,0\n1,1,1,0\n"
+                "0,0,2,1\n0,1,2,0\n1,0,2,0\n1,1,2,0\n",
+                {"zeta": {"a1": [Fraction(1, 2), Fraction(1, 2), 0, 0], "a2": [1, 0, 0, 0]}}))
+def test_decimal_input_follows_the_reference_rule(tmp_path, study):
+    """load decides decimal_input while it parses the cells; the reference walks the whole file."""
+    text, csv, tables = study
+    path = tmp_path / "study.json"
+    path.write_text(text, encoding="utf-8")
+    got = load(path)
+    assert got == build_tables(**tables)
+    assert got.decimal_input == reference.decimal_input(json.loads(text, parse_float=str))
+    path = tmp_path / "study.csv"
+    path.write_text(csv, encoding="utf-8")
+    values = [line.split(",")[3] for line in csv.splitlines()[1:]]
+    got = load(path)
+    assert got == build_tables(zeta=tables["zeta"])
+    assert got.decimal_input == reference.decimal_input({"zeta": {"a1": values[:4], "a2": values[4:]}})
+
+
+@pytest.mark.parametrize("table, where", [
+    ("zeta", "zeta a2[3]"), ("gamma", "gamma a2[1]"), ("theta", "theta a2[1]"),
+    ("phi", "phi[3]"), ("arm_weights", "arm_weights[1]"),
+])
+@pytest.mark.parametrize("cell, reason", [
+    ("x", "cannot parse 'x' as a rational"),
+    ("1/0", "cannot parse '1/0' as a rational"),
+    ("1e99999", "exponent of '1e99999' exceeds 4300 in magnitude"),
+    (None, "cannot interpret NoneType as a rational"),
+])
+def test_bad_cell_in_each_table_is_named(tmp_path, table, where, cell, reason):
+    """The last cell of a table's last row is bad: the error names the table, row and cell."""
+    row = list(_ROWS[table])
+    value = {"a1": row, "a2": row[:-1] + [cell]} if table in ("zeta", "gamma", "theta") else row[:-1] + [cell]
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({table: value}), encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        load(path)
+    assert str(exc.value) == f"{where} = {cell!r}: {reason}"
+
+
+@pytest.mark.parametrize("source, message", [
+    ("./x.json", "cannot read x.json: [Errno 2] No such file or directory: 'x.json'"),
+    ("a//x.json", "cannot read a/x.json: [Errno 2] No such file or directory: 'a/x.json'"),
+    ("dir/", "cannot read dir: [Errno 21] Is a directory: 'dir'"),
+    ("bad.json", "cannot read bad.json: 'utf-8' codec can't decode byte 0xff in position 1: "
+                 "invalid start byte"),
+])
+def test_unreadable_source_is_named_as_pathlib_prints_it(tmp_path, monkeypatch, source, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "bad.json").write_bytes(b"{\xff}")
+    with pytest.raises(ParseError) as exc:
+        load(source)
+    assert str(exc.value) == message

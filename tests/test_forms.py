@@ -23,11 +23,19 @@ from ivbounds.forms import (
     format_decimal,
     format_ratio,
     format_rational,
+    ratio,
     rational,
     render_row,
 )
 
 SPACE = CoordinateSpace("test", ("g01", "g02", "t01", "t02"))
+
+# Digit runs of a table cell: short ones, ones with underscores, and 99 to 101 digits long.
+_DIGITS = (
+    st.text("0123456789", min_size=1, max_size=4)
+    | st.text("0123456789_", min_size=1, max_size=6)
+    | st.sampled_from((99, 100, 101)).flatmap(lambda k: st.integers(10 ** (k - 1), 10**k - 1)).map(str)
+)
 
 
 class TestRational:
@@ -107,6 +115,34 @@ class TestRational:
             return value
 
         assert outcome(rational) == outcome(reference.rational)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.tuples(
+            st.sampled_from(("", " ", "\t", "\n ")),
+            st.sampled_from(("", "-", "+")),
+            _DIGITS,
+            st.sampled_from(("", ".", "/")),
+            _DIGITS | st.sampled_from(("", "0", "00")),  # "p/0" and "p." too
+            st.sampled_from(("", "e5", "E-3", "e+2", "e4300", "E-4301", "e1_0", "e0004301", "e")),
+            st.sampled_from(("", " ", "\r\n")),
+        ).map("".join)
+    )
+    @example("1/0")
+    @example("9" * 100 + "/" + "1" + "0" * 100)
+    def test_cells_parse_to_the_pair_fraction_gives(self, text):
+        """A cell is the reduced pair of Fraction(text), or the reference parser's error."""
+        def outcome(parse):
+            try:
+                q = parse(text)
+            except (TypeError, ValueError) as exc:
+                return type(exc), str(exc)
+            return q if type(q) is tuple else (q.numerator, q.denominator)
+
+        got = outcome(ratio)
+        assert got == outcome(reference.rational)
+        if type(got[0]) is int:
+            assert got == outcome(Fraction)
 
     def test_formatting(self):
         assert format_rational(Fraction(3, 8)) == "3/8"

@@ -3,7 +3,6 @@
 import copy
 import random
 from fractions import Fraction
-from operator import mul
 
 import pytest
 
@@ -19,6 +18,7 @@ from ivbounds.bounds import (
 )
 from ivbounds.data import build_tables, derive_marginals, integer_point, load, observable_point
 from ivbounds.forms import MissingCoordinate
+from ivbounds.introws import evaluate_rows
 from ivbounds.oracle import (
     CrossCheckReport,
     LPResult,
@@ -603,7 +603,7 @@ class TestAgainstReference:
             if rng.random() < 0.5:  # move some rows off the columns' cone, often below 0
                 rhs = [b - rng.randint(0, 2) if rng.random() < 0.4 else b for b in rhs]
             p = MixtureLP(columns, tuple(rhs), tuple(entry() for _ in range(n)))
-            reduced = [sum(map(mul, e, p._rhs[0])) for e in p._system[1]]
+            reduced = evaluate_rows(*p._system[1], p._rhs[0])[0]
             for sense in ("min", "max"):
                 got = solve(p, sense)
                 assert got == reference.solve(p, sense)

@@ -4,6 +4,7 @@ The pinned reprs and hashes were produced by the ``@dataclass(frozen=True)``
 classes that Record replaced, on the same sample values.
 """
 
+import ast
 import os
 import re
 import subprocess
@@ -45,7 +46,7 @@ SAMPLES = [
     ObservedTables(
         theta={(0, 1): F(1, 2), (1, 1): F(1, 2)}, arm_weights=(F(1, 4), F(3, 4)), decimal_input=True
     ),
-    BoundSet("s", "y", SPACE, (FORM,), (), (CON,), (), ()),
+    BoundSet("s", "y", SPACE, (FORM,), (FORM,), (CON,), (), ()),
     Interval(F(-1, 2), F(1, 3), 0, 1, False),
     ENTRY,
     ConstraintReport("s", F(0), (ENTRY,), False),
@@ -104,7 +105,7 @@ PARENT_REPRS = {
     ),
     "BoundSet": (
         f"BoundSet(scenario='s', target='y', space={_SPACE}, lower_forms=({_FORM},), "
-        f"upper_forms=(), observable_tests=({_CON},), trivial_tests=(), hull_equalities=())"
+        f"upper_forms=({_FORM},), observable_tests=({_CON},), trivial_tests=(), hull_equalities=())"
     ),
     "Interval": (
         "Interval(lower=Fraction(-1, 2), upper=Fraction(1, 3), lower_witness=0, "
@@ -248,3 +249,23 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
 def test_source_has_no_exec_or_eval():
     for path in SRC.glob("*.py"):
         assert not re.search(r"\b(exec|eval)\s*\(", path.read_text(encoding="utf-8")), path.name
+
+
+def test_source_names_the_encoding_of_every_text_read():
+    """A file read without encoding= decodes by the locale; the package reads UTF-8 only.
+
+    Every call of open (builtin, or a Path's) and read_text names its encoding;
+    os.open, which opens a descriptor and decodes nothing, is not such a call.
+    """
+    unnamed = []
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            on_os = isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id == "os"
+            if name in ("open", "read_text") and not on_os:
+                if not any(k.arg == "encoding" for k in node.keywords):
+                    unnamed.append(f"{path.name}:{node.lineno}")
+    assert unnamed == []
