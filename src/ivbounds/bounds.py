@@ -16,9 +16,9 @@ rows on the observable space. Its forms and constraints are views built on
 first read (a hand-built one keeps its tuples and compiles rows at first use).
 A test's relation comes from its section: an observable or trivial test is
 a >= 0 and a hull equality an = 0 constraint, which a hand-built set must keep.
-evaluate_bounds and model_check stay exact on integers: rows compiled once,
-at a BoundSet's first evaluation, read only their nonzero columns of the
-point that data.integer_point reads from the tables' integer cells.
+evaluate_bounds and model_check stay exact on integers: the rows each reads
+are packed once per BoundSet (introws.PackedRows) and evaluated at the point
+that data.integer_point reads from the tables' integer cells.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .forms import (
     render_row,
     rows_view,
 )
-from .introws import evaluate_rows, integer_rows, picker, primitive, sparse_rows
+from .introws import PackedRows, integer_rows, picker, primitive
 from .polytope import HRepresentation, facet_enumeration
 from .scenarios import Scenario, get_scenario, scenario_vertex_set
 
@@ -135,10 +135,9 @@ class BoundSet(Record):
         return dict(zip(_GROUPS, rows)), den
 
     @cached_property
-    def _sparse(self) -> tuple[tuple, dict[str, list]]:
-        """Every group compiled at the first evaluation: (products, getters by group)."""
-        products, rows = sparse_rows([self._rows[0][group] for group in _GROUPS])
-        return products, dict(zip(_GROUPS, rows))
+    def _packed(self) -> dict[tuple[str, ...], PackedRows]:
+        """The groups that each evaluation reads together, packed at its first read."""
+        return {}
 
 
 def classify_observable(
@@ -271,15 +270,15 @@ def interval_and_fit(
     return _interval(lows, highs, den), _shortfall(slacks) == 0, point
 
 
-def _interval(lows: list, highs: list, den: int = 1) -> Interval:
+def _interval(lows: Sequence[int], highs: Sequence[int], den: int = 1) -> Interval:
     """[max(lows), min(highs)], each over den > 0; ties keep the earliest form."""
     lo, hi = max(lows), min(highs)
     return Interval(Fraction(lo, den), Fraction(hi, den), lows.index(lo), highs.index(hi), lo > hi)
 
 
 def _numerators(
-    bs: BoundSet, names: Sequence[str], point: tuple[list[int], int, list[int]]
-) -> tuple[list[list[int]], int]:
+    bs: BoundSet, names: tuple[str, ...], point: tuple[list[int], int, list[int]]
+) -> tuple[list[tuple[int, ...]], int]:
     """Every form of the named lists at integer_point's point, as numerators over one denominator.
 
     Raises what evaluating each form in turn would, such as MissingCoordinate for an absent
@@ -290,11 +289,12 @@ def _numerators(
         rows = bs._rows[0]
         for j in (j for name in names for row in rows[name] for j in absent if row[j]):
             raise MissingCoordinate(bs.space.labels[j])
-    products, groups = bs._sparse
-    return evaluate_rows(products, [groups[name] for name in names], [*xs, d]), bs._rows[1] * d
+    packed = bs._packed.get(names) or bs._packed.setdefault(
+        names, PackedRows([bs._rows[0][name] for name in names]))
+    return packed.evaluate([*xs, d]), bs._rows[1] * d
 
 
-def _shortfall(slacks: Sequence[list[int]]) -> int:
+def _shortfall(slacks: Sequence[Sequence[int]]) -> int:
     """How far the worst of model_check's constraints misses, from each section's slacks (or none)
     over one denominator: an inequality's slack n by -n, an equality's by |n|; 0 if all hold."""
     worst, eq = 0, Relation.EQ

@@ -4,10 +4,9 @@ Every elimination of the package runs through one step here, ``pivot``:
 the derivation path's, and the LP oracle's equality pre-reduction and
 simplex pivots. Rational input is scaled to integers first, always by
 ``clear_denominators`` (scaling a row changes neither its row space nor
-the sign of what it evaluates to). ``evaluate_rows`` is the one
-evaluator of such rows, at an integer point, sparsely: ``sparse_rows``
-compiles the rows once so that each nonzero (column, entry) product is
-computed once per point and a row reads only its own nonzero columns.
+the sign of what it evaluates to). ``PackedRows`` is the one evaluator of
+such rows at an integer point: one big-integer multiply-add per column, each
+column packed into one int with a fixed-width lane for every row.
 Elimination is fraction-free in Bareiss's style: each intermediate entry
 is a minor of the input, so every division is exact and entries stay
 bounded by the input's minors.
@@ -22,9 +21,11 @@ boundary.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import accumulate, islice, starmap
 from math import gcd, lcm
 from operator import itemgetter, mul
+from struct import Struct
+from sys import byteorder
 from typing import Callable, Sequence
 
 
@@ -48,26 +49,48 @@ def picker(columns: Sequence[int]) -> Callable[[Sequence], Sequence]:
     return itemgetter(*columns) if columns else itemgetter(slice(0))
 
 
-def sparse_rows(groups: Sequence[Sequence[Sequence[int]]]) -> tuple[tuple, list[list]]:
-    """Groups of integer rows compiled for evaluate_rows: (products, a getter per row).
+class PackedRows:
+    """Groups of integer rows, evaluated at integer points in packed lanes.
 
-    Every distinct nonzero (column, entry) pair of the rows is one product;
-    each row becomes the getter of its products.
+    Column j is one int holding each row's entry j in that row's w-bit two's-complement lane,
+    so sum(x[j] * column j) holds every row's a . x. w is the least multiple of 64 above the bit
+    length of an exact bound on every value, max |row|_1 * max(|x[j]|, 1): no lane overflows.
     """
-    index: dict[tuple[int, int], int] = {}  # each product's number, in first-use order
-    rows = [[picker([index.setdefault(p, len(index)) for p in enumerate(r) if p[1]]) for r in g]
-            for g in groups]
-    return (tuple(a for _, a in index), picker([j for j, _ in index])), rows
 
+    def __init__(self, groups: Sequence[Sequence[Sequence[int]]]):
+        rows = [row for rows in groups for row in rows]
+        ends = list(accumulate(map(len, groups), initial=0))
+        self._groups, self._columns = list(map(slice, ends, ends[1:])), list(zip(*rows))
+        self._norm = max(map(sum, (map(abs, row) for row in rows)), default=0)
+        self._lanes: dict[int, tuple] = {}  # _pack(w) by lane width w, packed at first use
 
-def evaluate_rows(products: tuple, groups: Sequence, xs: Sequence[int]) -> list[list[int]]:
-    """Groups of sparse_rows at the integer point xs = (x..., d): each row (a..., k) as a . x + k * d.
+    def evaluate(self, xs: Sequence[int]) -> list[tuple[int, ...]]:
+        """Each group's rows at the integer point xs: row a as a . xs, exactly."""
+        w = 64 * ((self._norm * (max(map(abs, xs), default=0) or 1)).bit_length() // 64 + 1)
+        columns, bias, size, read = self._lanes.get(w) or self._pack(w)
+        # bias lifts every lane to nonnegative, so no lane borrows; the xor puts each sign back
+        values = read((sum(map(mul, xs, columns), bias) ^ bias).to_bytes(size, byteorder))
+        return [values[group] for group in self._groups]
 
-    That is d times the row's form a . (x / d) + k at the rational point x / d.
-    """
-    entries, columns = products
-    values = list(map(mul, entries, columns(xs)))
-    return [[sum(get(values)) for get in rows] for rows in groups]
+    def _pack(self, w: int) -> tuple:
+        """(columns, bias, byte count, reader) for w-bit lanes; bias sets every lane's top bit."""
+        s, n = w // 8, self._groups[-1].stop if self._groups else 0
+        bias = int.from_bytes((1 << (w - 1)).to_bytes(s, byteorder) * n, byteorder)
+        if w == 64:  # a native struct: sys.byteorder, 8 bytes a lane
+            lanes = Struct(f"{n}q")
+            raw, read = starmap(lanes.pack, self._columns), lanes.unpack
+        else:
+            raw = (b"".join(v.to_bytes(s, byteorder, signed=True) for v in c) for c in self._columns)
+
+            def read(b: bytes) -> tuple[int, ...]:
+                return tuple([int.from_bytes(b[k : k + s], byteorder, signed=True)
+                              for k in range(0, len(b), s)])
+        # raw lanes read unsigned: each negative one borrowed 2**w from the lane above
+        columns = [u - ((u & bias) << 1) for u in (int.from_bytes(b, byteorder) for b in raw)]
+        if len(self._lanes) > 1:  # keep the narrowest and the newest: w grows with xs's digits
+            self._lanes.pop(max(self._lanes), None)
+        self._lanes[w] = packed = columns, bias, n * s, read
+        return packed
 
 
 def primitive(values: Sequence) -> tuple[int, ...]:

@@ -32,7 +32,7 @@ from typing import Literal, Mapping
 from .bounds import TargetUnconstrained, derive, interval_and_fit
 from .data import ObservedTables, integer_point
 from .forms import MissingCoordinate, RationalLike, Record, rational
-from .introws import clear_denominators, evaluate_rows, pivot, rref, sparse_rows
+from .introws import PackedRows, clear_denominators, pivot, rref
 from .scenarios import Scenario, get_scenario, scenario_vertex_set
 
 _ZERO = Fraction(0)
@@ -111,7 +111,7 @@ class MixtureLP(Record):
         return tuple(Fraction(v, self._ints[3]) for v in self._ints[2])
 
     @cached_property
-    def _system(self) -> tuple[list, tuple, int, list[int], list[int]]:
+    def _system(self) -> tuple[list, PackedRows, int, list[int], list[int]]:
         """(templates, reduction, d, cost, pivots): one rref([A | I]) of A's integer rows.
 
         Row i of A's reduction is d times row i of the reduced row echelon
@@ -120,8 +120,7 @@ class MixtureLP(Record):
         from by the sign of the reduced rhs. E (row scales folded in) has E.A =
         A's reduction, so E.b is a feasible rhs b reduced at scale d. Each null
         row y has y.A = 0: b is infeasible if some y.b is not 0. reduction is the
-        groups [E, null] compiled by introws.sparse_rows, for evaluate_rows at b.
-        cost is the phase-2 row d * c.
+        groups [E, null], packed to evaluate at b. cost is the phase-2 row d * c.
         """
         rows, scales, nums, _ = self._ints
         n, m = len(nums), len(rows)
@@ -130,7 +129,7 @@ class MixtureLP(Record):
         r = sum(p < n for p in pivots)
         E = [[v * c for v, c in zip(row[n:], scales)] for row in reduced]
         templates = [(row[:n], [-v for v in row[:n]]) for row in reduced[:r]]
-        return templates, sparse_rows([E[:r], E[r:]]), d, [d * c for c in nums] + [0], pivots[:r]
+        return templates, PackedRows([E[:r], E[r:]]), d, [d * c for c in nums] + [0], pivots[:r]
 
     @cached_property
     def _phase1(self) -> tuple[list[list[int]], list[int], int] | None:
@@ -144,7 +143,7 @@ class MixtureLP(Record):
         structural columns only. Phase 1's optimum over the rest is 0 iff b is feasible.
         """
         templates, reduction, d, cost, pivots = self._system
-        reduced, null = evaluate_rows(*reduction, self._rhs[0])
+        reduced, null = reduction.evaluate(self._rhs[0])
         if any(null):
             return None
         n, m, nums = len(cost) - 1, len(templates), self._ints[2]

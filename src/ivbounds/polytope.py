@@ -33,9 +33,7 @@ from .forms import (
     canonical_row,
     rows_view,
 )
-from .introws import (
-    clear_denominators, evaluate_rows, integer_rows, picker, primitive, rref, sparse_rows,
-)
+from .introws import PackedRows, clear_denominators, integer_rows, picker, primitive, rref
 
 
 class DimensionOverflow(ValueError):
@@ -198,13 +196,13 @@ class HRepresentation(Record):
         return out
 
     @cached_property
-    def _sparse(self) -> tuple[tuple, list]:
-        """_rows compiled for evaluate_rows, at the first contains."""
-        return sparse_rows(self._rows[0])
+    def _packed(self) -> PackedRows:
+        """_rows packed at the first contains."""
+        return PackedRows(self._rows[0])
 
     def contains(self, point: Mapping | Sequence) -> MembershipReport:
         xs, scale = clear_denominators(self.space.vector(point))
-        eq, facets = evaluate_rows(*self._sparse, [*xs, scale])
+        eq, facets = self._packed.evaluate([*xs, scale])
         den = self._rows[1] * scale
         eq_slacks = tuple(Fraction(n, den) for n in eq)
         facet_slacks = tuple(Fraction(n, den) for n in facets)

@@ -13,6 +13,7 @@ import json
 import tempfile
 from collections import Counter
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -908,13 +909,18 @@ class TestIntegerTables:
 
     @pytest.mark.parametrize("name", ["bivariate", "trivariate", "pairwise3", "beta"])
     def test_evaluation_compiles_only_the_groups_it_reads(self, name):
-        """Every group is compiled once, as itself, so no row is compiled twice."""
-        bs = derive(name)
-        expected = evaluate_bounds(bs, load("lipid")), True, integer_point(bs.space.labels, load("lipid"))
-        assert interval_and_fit(bs, load("lipid")) == expected
-        rows, compiled = bs._rows[0], bs._sparse[1]
-        assert compiled.keys() == rows.keys() == set(_GROUPS)
-        assert all(len(compiled[group]) == len(rows[group]) for group in _GROUPS)
+        """Each evaluation packs (compiles) the groups it reads together, and no others."""
+        bs, lipid = derive(name), load("lipid")
+        point = integer_point(bs.space.labels, lipid)
+        expected = evaluate_bounds(bs, lipid), True, point
+        assert model_check(bs, lipid).passed
+        assert interval_and_fit(bs, lipid) == expected
+        assert bs._packed.keys() == {_GROUPS[:2], _GROUPS[2:], _GROUPS}
+        xs = [*point[0], point[1]]
+        for names, packed in bs._packed.items():
+            groups = [bs._rows[0][name] for name in names]
+            assert packed.evaluate(xs) == [tuple(sum(map(mul, r, xs)) for r in g) for g in groups]
+            assert 64 in packed._lanes  # lipid's point fits 64-bit lanes
 
     def test_hand_built_tables_compile_their_cells_at_first_use(self):
         lipid = derive_marginals(load("lipid"))

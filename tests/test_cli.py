@@ -293,6 +293,7 @@ class TestUsageErrors:
         "tolerance, message",
         [
             ("1e-4300", "error: tolerance '1e-4300' needs more than 100 digits\n"),
+            (str(10**100), f"error: tolerance '{10**100}' needs more than 100 digits\n"),
             ("-1", "error: tolerance '-1' is negative\n"),
             ("-1/2000", "error: tolerance '-1/2000' is negative\n"),
             ("lots", "error: tolerance 'lots': cannot parse 'lots' as a rational\n"),

@@ -368,6 +368,21 @@ class TestLoadJson:
         with pytest.raises(ParseError, match=where + ".* needs more than 100 digits"):
             load(path)
 
+    @pytest.mark.parametrize("cell", [str(10**100), f"-{10**100}/3"])
+    def test_numerator_of_101_digits_is_refused(self, tmp_path, cell):
+        """10**100 is the first numerator past the limit, in a table or as a tolerance."""
+        zeta = {"a1": [cell, "1/2", "1/4", "1/4"], "a2": ["0", "0", "1", "0"]}
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"zeta": zeta}))
+        for read in (lambda: build_tables(zeta=zeta), lambda: load(path)):
+            with pytest.raises(ParseError) as exc:
+                read()
+            assert str(exc.value) == f"zeta a1[0] = {cell!r} needs more than 100 digits"
+        for tolerance in (10**100, str(10**100)):
+            with pytest.raises(ParseError) as exc:
+                default_tolerance(load("lipid"), tolerance)
+            assert str(exc.value) == f"tolerance {tolerance!r} needs more than 100 digits"
+
     def test_cells_of_100_digits_are_accepted(self, tmp_path):
         path = tmp_path / "t.json"
         zeta = {"a1": [f"1/{10**99}", "1/2", "1/4", "1/4"], "a2": ["0", "0", "1", "0"]}

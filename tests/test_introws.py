@@ -2,19 +2,19 @@
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ivbounds.introws import (
+    PackedRows,
     clear_denominators,
-    evaluate_rows,
     integer_rows,
     pivot,
     primitive,
     rref,
-    sparse_rows,
 )
 import reference
 from reference import independent_rows, scaled_inverse
@@ -179,9 +179,55 @@ def test_integer_rows_and_evaluate_rows_are_exact(groups, data):
     assert d == clear_denominators([v for g in groups for r in g for v in r])[1]
     x = data.draw(st.lists(st.fractions(-3, 3, max_denominator=30), min_size=2, max_size=2))
     xs, scale = clear_denominators(x)
-    numerators = evaluate_rows(*sparse_rows(ints), [*xs, scale])
+    numerators = PackedRows(ints).evaluate([*xs, scale])
     expected = [[r[0] * x[0] + r[1] * x[1] + r[2] for r in g] for g in ints]
     assert [[Fraction(n, scale) for n in g] for g in numerators] == expected
+
+
+# Entries at and past the edges of 64- and 128-bit lanes, and 100-digit ones.
+EDGES = (2**63 - 1, 2**63, 2**127, 10**100 - 1, 10**100)
+entries = st.one_of(st.integers(-3, 3), st.sampled_from(EDGES + tuple(-v for v in EDGES)),
+                    st.integers(-(10**100), 10**100))
+packed_cases = st.integers(0, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.tuples(*[entries] * n), max_size=4), max_size=3),
+    st.lists(st.one_of(st.integers(-3, 3), entries), min_size=n, max_size=n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_cases)
+@example(([[(2**62, 2**62 - 1), (-(2**62), 1 - 2**62)]], [1, 1]))  # sums +-(2**63 - 1)
+@example(([[(2**62, 2**62), (-(2**62), -(2**62))]], [1, 1]))  # sums +-2**63
+@example(([[(2**126, 2**126), (-(2**126), -(2**126))]], [1, 1]))  # sums +-2**127
+@example(([[(1 - 2**63,), (2**63 - 1,), (1 - 2**63,)]], [1]))  # extreme lanes side by side
+@example(([[], [(3, -4)], []], [-2, -5]))  # empty groups around a row
+@example(([[], []], []))
+def test_packed_rows_equal_plain_dot_products(case):
+    groups, xs = case
+    packed = PackedRows(groups)
+    expected = [tuple(sum(map(mul, row, xs)) for row in rows) for rows in groups]
+    assert packed.evaluate(xs) == expected
+    assert packed.evaluate(xs) == expected  # again, from the lanes packed at the first call
+    assert packed.evaluate([-x for x in xs]) == [tuple(-v for v in g) for g in expected]
+
+
+@pytest.mark.parametrize("value, width", [(2**63 - 1, 64), (2**63, 128), (2**127 - 1, 128),
+                                          (2**127, 192), (10**100, 384)])
+def test_lanes_widen_only_when_the_bound_needs_it(value, width):
+    # The bound is the largest row's absolute sum, value, times max |x| = 1.
+    packed = PackedRows([[(value, 0), (0, -value)], [(1, -1)]])
+    assert packed.evaluate([1, 1]) == [(value, -value), (0,)]
+    assert packed.evaluate([-1, 0]) == [(-value, 0), (-1,)]
+    assert list(packed._lanes) == [width]
+    # A zero point still gets lanes that hold every entry.
+    assert packed.evaluate([0, 0]) == [(0, 0), (0,)] and list(packed._lanes) == [width]
+
+
+def test_lanes_keep_only_the_narrowest_and_the_newest_width():
+    packed = PackedRows([[(1, -1), (2, 3)]])
+    for digits in (1, 30, 60, 90, 30, 1):
+        x = 10**digits
+        assert packed.evaluate([x, -x]) == [(2 * x, -x)]
+        assert 64 in packed._lanes and len(packed._lanes) <= 2
 
 
 def test_primitive_scales_rationals_to_coprime_integers():

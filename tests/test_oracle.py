@@ -18,7 +18,6 @@ from ivbounds.bounds import (
 )
 from ivbounds.data import build_tables, derive_marginals, integer_point, load, observable_point
 from ivbounds.forms import MissingCoordinate
-from ivbounds.introws import evaluate_rows
 from ivbounds.oracle import (
     CrossCheckReport,
     LPResult,
@@ -370,6 +369,32 @@ class TestCrossCheck:
         assert not rep.feasible
         assert rep.lp_lower is None and rep.lp_upper is None
 
+    def test_off_model_point_with_a_nonempty_interval_is_no_member(self):
+        """Failed model tests alone put this point off the model: its interval is not empty."""
+        study = {"zeta": {"a1": ["9/26", "2/13", "5/26", "4/13"], "a2": ["0", "7/10", "3/10", "0"]},
+                 "arm_weights": ["2/3", "1/3"]}
+        rep = cross_check("trivariate", build_tables(**study))
+        assert (rep.member, rep.feasible, rep.consistent) == (False, False, True)
+        assert (rep.form_lower, rep.form_upper) == (F(-22, 65), F(-1, 5))
+        assert rep.lp_lower is None and rep.lp_upper is None
+
+    def test_seeded_off_model_points_with_nonempty_intervals_are_no_members(self):
+        rng = random.Random(31)
+
+        def arm():
+            counts = [rng.randint(0, 6) for _ in range(4)]
+            counts[rng.randrange(4)] += 1
+            return [str(F(c, sum(counts))) for c in counts]
+
+        found = 0
+        for _ in range(200):
+            w = F(rng.randint(1, 5), 6)
+            rep = cross_check("trivariate", build_tables(zeta={"a1": arm(), "a2": arm()},
+                                                         arm_weights=[str(w), str(1 - w)]))
+            assert rep.consistent and rep.member == rep.feasible
+            found += not rep.member and rep.form_lower <= rep.form_upper
+        assert found >= 5
+
     def test_mismatch_raises(self, monkeypatch):
         real = oracle_mod.solve
 
@@ -603,7 +628,7 @@ class TestAgainstReference:
             if rng.random() < 0.5:  # move some rows off the columns' cone, often below 0
                 rhs = [b - rng.randint(0, 2) if rng.random() < 0.4 else b for b in rhs]
             p = MixtureLP(columns, tuple(rhs), tuple(entry() for _ in range(n)))
-            reduced = evaluate_rows(*p._system[1], p._rhs[0])[0]
+            reduced = p._system[1].evaluate(p._rhs[0])[0]
             for sense in ("min", "max"):
                 got = solve(p, sense)
                 assert got == reference.solve(p, sense)
