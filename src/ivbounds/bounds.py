@@ -250,16 +250,20 @@ def evaluate_bounds(bs: BoundSet, data: ObservedTables | Mapping[str, RationalLi
     Ties keep the earliest form in the deterministic derivation order.
     An inverted interval is flagged empty, not raised: emptiness is a
     statement about the data, not a usage error. A BoundSet without a
-    target raises TargetUnconstrained.
+    target raises TargetUnconstrained. Fit is not checked: at data that
+    fails a model test the interval may be nonempty yet bound nothing;
+    model_check tells.
     """
     return interval_and_fit(bs, data, ())[0]
 
 
 def interval_and_fit(
-    bs: BoundSet, data: ObservedTables | Mapping, sections: Sequence[str] = _SECTIONS
+    bs: BoundSet, data: ObservedTables | Mapping, sections: Sequence[str] = _SECTIONS,
+    tolerance: RationalLike | None = 0,
 ) -> tuple[Interval, bool, tuple[list[int], int, list[int]]]:
-    """evaluate_bounds, whether model_check passes at tolerance 0 (one numerator pass for both;
-    True with sections ()) and the point (xs, d, absent) that integer_point read, for cross_check.
+    """evaluate_bounds, whether model_check passes at tolerance (one numerator pass for both;
+    True with sections ()) and the point (xs, d, absent) that integer_point read, for cross_check
+    (at tolerance 0) and the CLI's bound (at model_check's default, tolerance None).
 
     Raises what evaluate_bounds and then model_check would, in that order; not package API.
     """
@@ -267,7 +271,11 @@ def interval_and_fit(
         raise TargetUnconstrained(f"scenario {bs.scenario!r} has no causal target to bound")
     point = integer_point(bs.space.labels, data)
     (lows, highs, *slacks), den = _numerators(bs, ("lower", "upper", *sections), point)
-    return _interval(lows, highs, den), _shortfall(slacks) == 0, point
+    miss = _shortfall(slacks)
+    if miss:  # decided as model_check decides it
+        tol = default_tolerance(data, tolerance)
+        miss = miss * tol.denominator > tol.numerator * den
+    return _interval(lows, highs, den), not miss, point
 
 
 def _interval(lows: Sequence[int], highs: Sequence[int], den: int = 1) -> Interval:

@@ -1,8 +1,9 @@
 """Command-line surface: derive, check, bound, oracle, scenario.
 
 Exit codes: 0 success, 1 usage or input error, 2 model check failed,
-3 empty bound interval, 4 oracle disagreement. The scenario names the target;
-bound and oracle on fig3, which has none, exit 1 with the library's message.
+3 bound refused the data (an empty interval or a failed model test),
+4 oracle disagreement. The scenario names the target; bound and oracle on
+fig3, which has none, exit 1 with the library's message.
 Each verb's _cmd_<verb> returns its report, a payload of insertion-ordered
 dicts only (so identical invocations give byte-identical JSON), with its exit
 code; --format text prints the lines _text_<verb> renders from that payload
@@ -18,7 +19,7 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .bounds import derive, evaluate_bounds, instrumental_inequality, model_check, scenario_hull
+from .bounds import derive, instrumental_inequality, interval_and_fit, model_check, scenario_hull
 from .data import BUNDLED_DATASETS, derive_marginals, load
 from .forms import MissingCoordinate, format_decimal, format_rational
 from .scenarios import SCENARIOS, enumerate_parameter_vertices, get_scenario, scenario_vertex_set
@@ -194,27 +195,34 @@ def _text_check(p: dict) -> list[str]:
 
 
 def _cmd_bound(args) -> tuple[dict, int]:
+    """The interval at the data, exit 0; exit 3 if it is empty, or if the data fails one of
+    model_check's tests at check's default tolerance: no latent mixture gives such data. An
+    empty interval's payload is the same either way; a nonempty one that fails a test also
+    names the first failing test."""
     s, tables = _with_data(args)
     bs = derive(s)
-    interval = evaluate_bounds(bs, tables)
+    interval, fit, _ = interval_and_fit(bs, tables, tolerance=None)
 
     def end(value, witness, forms):
         return {**_endpoint(value), "witness": witness, "form": forms[witness].render()}
 
-    payload = {
-        "scenario": s.name,
-        "target": bs.target,
-        "data": args.data,
-        "empty": interval.empty,
-        "lower": end(interval.lower, interval.lower_witness, bs.lower_forms),
-        "upper": end(interval.upper, interval.upper_witness, bs.upper_forms),
-    }
-    return payload, EXIT_EMPTY if interval.empty else EXIT_OK
+    payload = {"scenario": s.name, "target": bs.target, "data": args.data, "empty": interval.empty}
+    if not (fit or interval.empty):
+        e = model_check(bs, tables).failures()[0]
+        payload["failed_test"] = {"section": e.section, "index": e.index,
+                                  "slack": format_rational(e.slack), "slack_decimal": format_decimal(e.slack)}
+    payload["lower"] = end(interval.lower, interval.lower_witness, bs.lower_forms)
+    payload["upper"] = end(interval.upper, interval.upper_witness, bs.upper_forms)
+    return payload, EXIT_OK if fit and not interval.empty else EXIT_EMPTY
 
 
 def _text_bound(p: dict) -> list[str]:
     lo, hi, target = p["lower"], p["upper"], p["target"]
     lines = ["EMPTY interval: data is inconsistent with the model"] if p["empty"] else []
+    if "failed_test" in p:
+        e = p["failed_test"]
+        lines.append(f"OFF-MODEL data: {e['section']} constraint [{e['index']}] fails, slack "
+                     f"{_both(e['slack'], e['slack_decimal'])}; no latent mixture gives this data")
     return lines + [
         f"{lo['decimal']} ≤ {target} ≤ {hi['decimal']}",
         f"exact: [{lo['value']}, {hi['value']}]",

@@ -1,28 +1,21 @@
 """Exact linear algebra on integer rows, with no fractions inside.
 
-Every elimination of the package runs through one step here, ``pivot``:
-the derivation path's, and the LP oracle's equality pre-reduction and
-simplex pivots. Rational input is scaled to integers first, always by
-``clear_denominators`` (scaling a row changes neither its row space nor
-the sign of what it evaluates to). ``PackedRows`` is the one evaluator of
-such rows at an integer point: one big-integer multiply-add per column, each
-column packed into one int with a fixed-width lane for every row.
-Elimination is fraction-free in Bareiss's style: each intermediate entry
-is a minor of the input, so every division is exact and entries stay
-bounded by the input's minors.
-A step does only the integer work that changes a row: it skips a row with
-0 in the pivot column while the common scale stays the same, and only
-rescales such a row when the scale changes. While the scale stays the
-same, a row it changes is a copy edited only at the pivot row's nonzero
-columns.
-Callers turn results back into ``Fraction`` only at the package's API
-boundary.
+Every elimination of the package is one fraction-free Gauss-Jordan step in Bareiss's style:
+each intermediate entry is a minor of the input, so every division is exact and entries stay
+bounded by the input's minors. ``pivot`` takes it on list rows for ``rref`` (the derivation
+path, the LP oracle's equality reduction), whose pivot search reads an entry of every row per
+column, cheap in a list; ``pivot_packed`` on rows packed one int each in ``Lanes``, for the
+oracle's simplex tableau, whose lanes ``Lanes.tableau`` sizes from an exact bound. Rational
+input is scaled to integers first, always by ``clear_denominators`` (scaling a row changes
+neither its row space nor the sign of what it evaluates to). ``PackedRows`` is the one
+evaluator of such rows at an integer point: one big-integer multiply-add per column, each
+column one int in Lanes. Results become ``Fraction`` only at the package's API boundary.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, islice, starmap
-from math import gcd, lcm
+from itertools import accumulate, islice
+from math import gcd, isqrt, lcm, prod
 from operator import itemgetter, mul
 from struct import Struct
 from sys import byteorder
@@ -49,12 +42,59 @@ def picker(columns: Sequence[int]) -> Callable[[Sequence], Sequence]:
     return itemgetter(*columns) if columns else itemgetter(slice(0))
 
 
+class Lanes:
+    """n signed w-bit lanes in one int P = sum(v[j] << w*j), exact while every |v[j]| < 2**(w-1).
+
+    Sums, and quotients exact in every lane, act lane by lane however wide the int grows in
+    between: only a lane read must fit. bias sets every lane's top bit, so no lane of P + bias
+    borrows: lane j of P is ((P + bias) >> w*j & mask) - half, negative iff its top bit is
+    clear, and read(((P + bias) ^ bias).to_bytes(size, sys.byteorder)) is every lane at once."""
+
+    def __init__(self, w: int, n: int):
+        s, self._struct = w // 8, Struct(f"{n}q")  # native 64-bit lanes
+        self.w, self.half, self.mask, self._s, self.size = w, 1 << (w - 1), (1 << w) - 1, s, n * s
+        self.bias = int.from_bytes(self.half.to_bytes(s, byteorder) * n, byteorder)
+        self.read = self._struct.unpack if w == 64 else lambda b: tuple(  # or wider ones
+            [int.from_bytes(b[k : k + s], byteorder, signed=True) for k in range(0, len(b), s)])
+
+    @staticmethod
+    def width(bound: int) -> int:
+        """The least multiple of 64 above bound's bit length: its lanes hold every |v| <= bound."""
+        return 64 * (bound.bit_length() // 64 + 1)
+
+    @classmethod
+    def tableau(cls, rows: Sequence[Sequence[int]], costs: Sequence[int], r: int) -> tuple[Lanes, int]:
+        """(lanes, K) for a simplex tableau of integer rows A of rank r and costs c: K bounds every
+        lane it holds after every pivot, at its common scale +-det B (B the basis).
+
+        A constraint entry is det B with one column replaced: an r x r minor of A on r rows, as an
+        artificial's column is +- a copy of a basic one (a minor holding both is 0), so at most H,
+        the product of A's r largest rounded-up column norms (Hadamard). The phase-1 row sums at
+        most r of them. A cost entry is +-det [[B, a], [c_B, c]] (an artificial costs 0): along
+        its last row, at most r + 1 costs times such minors."""
+        squares = (sum(map(mul, col, col)) for col in zip(*rows))
+        norms = sorted((isqrt(q - 1) + 1 if q else 0 for q in squares), reverse=True)
+        bound = max(r, sum(sorted(map(abs, costs), reverse=True)[: r + 1])) * prod(norms[:r])
+        return cls(cls.width(bound), len(costs)), bound
+
+    def pack(self, values: Sequence[int]) -> int:
+        """The int whose lane j holds values[j]; a value that does not fit its lane raises."""
+        raw = self._struct.pack(*values) if self.w == 64 else b"".join(
+            v.to_bytes(self._s, byteorder, signed=True) for v in values)
+        u = int.from_bytes(raw, byteorder)  # read unsigned: a negative lane borrowed 2**w
+        return u - ((u & self.bias) << 1)
+
+    def lane(self, rows: Sequence[int], j: int) -> list[int]:
+        """Lane j of every int in rows: one column of packed rows."""
+        bias, k, mask, half = self.bias, self.w * j, self.mask, self.half
+        return [((P + bias) >> k & mask) - half for P in rows]
+
+
 class PackedRows:
     """Groups of integer rows, evaluated at integer points in packed lanes.
 
-    Column j is one int holding each row's entry j in that row's w-bit two's-complement lane,
-    so sum(x[j] * column j) holds every row's a . x. w is the least multiple of 64 above the bit
-    length of an exact bound on every value, max |row|_1 * max(|x[j]|, 1): no lane overflows.
+    Column j is one int holding each row's entry j in that row's lane, so sum(x[j] * column j)
+    holds every row's a . x, in lanes of Lanes.width(max |row|_1 * max(|x[j]|, 1)).
     """
 
     def __init__(self, groups: Sequence[Sequence[Sequence[int]]]):
@@ -66,30 +106,17 @@ class PackedRows:
 
     def evaluate(self, xs: Sequence[int]) -> list[tuple[int, ...]]:
         """Each group's rows at the integer point xs: row a as a . xs, exactly."""
-        w = 64 * ((self._norm * (max(map(abs, xs), default=0) or 1)).bit_length() // 64 + 1)
+        w = Lanes.width(self._norm * (max(map(abs, xs), default=0) or 1))
         columns, bias, size, read = self._lanes.get(w) or self._pack(w)
-        # bias lifts every lane to nonnegative, so no lane borrows; the xor puts each sign back
         values = read((sum(map(mul, xs, columns), bias) ^ bias).to_bytes(size, byteorder))
         return [values[group] for group in self._groups]
 
     def _pack(self, w: int) -> tuple:
-        """(columns, bias, byte count, reader) for w-bit lanes; bias sets every lane's top bit."""
-        s, n = w // 8, self._groups[-1].stop if self._groups else 0
-        bias = int.from_bytes((1 << (w - 1)).to_bytes(s, byteorder) * n, byteorder)
-        if w == 64:  # a native struct: sys.byteorder, 8 bytes a lane
-            lanes = Struct(f"{n}q")
-            raw, read = starmap(lanes.pack, self._columns), lanes.unpack
-        else:
-            raw = (b"".join(v.to_bytes(s, byteorder, signed=True) for v in c) for c in self._columns)
-
-            def read(b: bytes) -> tuple[int, ...]:
-                return tuple([int.from_bytes(b[k : k + s], byteorder, signed=True)
-                              for k in range(0, len(b), s)])
-        # raw lanes read unsigned: each negative one borrowed 2**w from the lane above
-        columns = [u - ((u & bias) << 1) for u in (int.from_bytes(b, byteorder) for b in raw)]
+        """(columns, bias, byte count, reader) for w-bit lanes."""
+        lanes = Lanes(w, self._groups[-1].stop if self._groups else 0)
         if len(self._lanes) > 1:  # keep the narrowest and the newest: w grows with xs's digits
             self._lanes.pop(max(self._lanes), None)
-        self._lanes[w] = packed = columns, bias, n * s, read
+        self._lanes[w] = packed = list(map(lanes.pack, self._columns)), lanes.bias, lanes.size, lanes.read
         return packed
 
 
@@ -107,19 +134,11 @@ def primitive(values: Sequence) -> tuple[int, ...]:
 def pivot(rows: list[list[int]], r: int, col: int, prev: int) -> int:
     """One fraction-free Gauss-Jordan step on entry (r, col), in place.
 
-    ``prev`` is the rows' common scale (1 at the start). Row r is kept and
-    every other row becomes (p * row - row[col] * rows[r]) // prev, with
-    p = rows[r][col] the new common scale, which is returned.
-
-    Only the integer work that changes a row is done: a row with 0 in
-    column col is just rescaled to p * row // prev, and left as it is when
-    p == prev; with p == prev a row that changes becomes
-    row - row[col] * rows[r] // p, since that quotient is exact too: a copy
-    of the row edited only at rows[r]'s nonzero columns, collected once per
-    step. Rows are replaced by new lists, never mutated, so a row left as it
-    is may stay shared with another tableau that holds it: the oracle's
-    phase 2 starts from a shallow copy of its cached phase-1 tableau.
-    """
+    ``prev`` is the rows' common scale (1 at the start). Row r is kept and every other row
+    becomes (p * row - row[col] * rows[r]) // prev, with p = rows[r][col] the new common scale,
+    which is returned. A row with 0 in column col is just rescaled, and left as it is when
+    p == prev; with p == prev a row that changes becomes row - row[col] * rows[r] // p, since
+    that quotient is exact too: a copy edited only at rows[r]'s nonzero columns."""
     top = rows[r]
     p = top[col]
     if p == prev:
@@ -137,6 +156,21 @@ def pivot(rows: list[list[int]], r: int, col: int, prev: int) -> int:
                 row[j] -= f * b // p
         else:
             rows[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+    return p
+
+
+def pivot_packed(rows: list[int], rhs: list[int], r: int, column: Sequence[int], prev: int) -> int:
+    """pivot on rows in Lanes, in place, their right-hand sides rhs apart; column holds every
+    row's entry in the pivot column. Each division is of a whole int, exact in every lane."""
+    top, t, p = rows[r], rhs[r], column[r]
+    if p == prev:
+        for i, f in enumerate(column):
+            if f and i != r:
+                rows[i], rhs[i] = rows[i] - f * top // p, rhs[i] - f * t // p
+    else:
+        for i, f in enumerate(column):
+            if i != r:
+                rows[i], rhs[i] = (p * rows[i] - f * top) // prev, (p * rhs[i] - f * t) // prev
     return p
 
 

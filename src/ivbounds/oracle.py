@@ -1,38 +1,34 @@
 """Independent LP check of derived bounds via exact mixture optimization.
 
-Any distribution consistent with a scenario is a convex mixture of the
-scenario's parameter-vertex images, so the sharp range of the causal
-target at a data point is the min/max of a linear program over mixture
-weights. Solving that program exactly and comparing with the closed-form
-bounds catches derivation errors on either side. It runs on integers from
-the vertex set's rows and the data's integer cells to the value. The
-equality system is reduced once per scenario by fraction-free elimination
-(introws.rref); then a two-phase simplex with Bland's rule, immune to
-cycling, runs on an integer tableau of the structural columns (an
-artificial that leaves the basis never re-enters) in the style of lrs
-(Avis & Fukuda, 1992): the objective row is carried along and every pivot
-is introws.pivot, which skips the rows it leaves unchanged. Phase 1 runs
-once per data point, from the reduction's pivot columns (a crash basis, Bixby
-1992: only a flipped row starts with its artificial), phase 2 once per sense.
-With rhs = b / D, the tableau solves for D times the weights at the scenario's
-own scale: D enters only the right-hand sides and the scale that the value,
-one integer dot product of the objective's numerators with the basic
-right-hand sides, is read at (every basic column holds that scale). A
-scenario LP's columns, rhs and objective and an optimum's weights are built
-on read.
+Any distribution consistent with a scenario is a convex mixture of the scenario's
+parameter-vertex images, so the sharp range of the causal target at a data point is the
+min/max of a linear program over mixture weights. Solving that program exactly and comparing
+with the closed-form bounds catches derivation errors on either side. It runs on integers
+from the vertex set's rows and the data's integer cells to the value. The equality system is
+reduced once per scenario (introws.rref); then a two-phase simplex with Bland's rule, immune
+to cycling, runs on a fraction-free integer tableau of the structural columns (an artificial
+that leaves the basis never re-enters) in the style of lrs (Avis & Fukuda, 1992), objective
+row carried along. Each row is one int in introws.Lanes, one lane a column, beside its
+plain-int right-hand side, so a pivot (introws.pivot_packed) is a few big-integer operations
+per row; the lanes are as wide as an exact bound on every entry needs (Lanes.tableau). Phase 1
+runs once per data point, from the reduction's pivot columns (a crash basis, Bixby 1992: only
+a flipped row starts with its artificial), phase 2 once per sense. With rhs = b / D, the
+tableau solves for D times the weights at the scenario's own scale: D enters only the
+right-hand sides and the scale that the value, one integer dot product of the objective's
+numerators with the basic right-hand sides, is read at. Views are built on read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import mul, sub
+from operator import mul
 from typing import Literal, Mapping
 
 from .bounds import TargetUnconstrained, derive, interval_and_fit
 from .data import ObservedTables, integer_point
 from .forms import MissingCoordinate, RationalLike, Record, rational
-from .introws import PackedRows, clear_denominators, pivot, rref
+from .introws import Lanes, PackedRows, clear_denominators, pivot_packed, rref
 from .scenarios import Scenario, get_scenario, scenario_vertex_set
 
 _ZERO = Fraction(0)
@@ -111,74 +107,73 @@ class MixtureLP(Record):
         return tuple(Fraction(v, self._ints[3]) for v in self._ints[2])
 
     @cached_property
-    def _system(self) -> tuple[list, PackedRows, int, list[int], list[int]]:
-        """(templates, reduction, d, cost, pivots): one rref([A | I]) of A's integer rows.
+    def _system(self) -> tuple[list[int], PackedRows, int, int, list[int], Lanes]:
+        """(packed, reduction, d, cost, pivots, lanes): one rref([A | I]) of A's integer rows.
 
-        Row i of A's reduction is d times row i of the reduced row echelon
-        form of A: d in its pivot column pivots[i], where every other row has 0.
-        templates[i] is the pair (that row, its negation), for phase 1 to pick
-        from by the sign of the reduced rhs. E (row scales folded in) has E.A =
-        A's reduction, so E.b is a feasible rhs b reduced at scale d. Each null
-        row y has y.A = 0: b is infeasible if some y.b is not 0. reduction is the
-        groups [E, null], packed to evaluate at b. cost is the phase-2 row d * c.
-        """
+        Row i of A's reduction is d times row i of A's reduced row echelon form: d in its pivot
+        column pivots[i], 0 in every other row. packed[i] is that row in lanes (sized by
+        Lanes.tableau), which phase 1 takes or negates by the sign of the reduced rhs; cost is
+        the phase-2 row d * c. E (row scales folded in) has E.A = A's reduction, so E.b is a
+        feasible rhs b reduced at scale d; each null row y has y.A = 0, so b is infeasible if
+        some y.b is not 0. reduction is the groups [E, null], packed to evaluate at b."""
         rows, scales, nums, _ = self._ints
         n, m = len(nums), len(rows)
         aug = [row + [int(k == i) for k in range(m)] for i, row in enumerate(rows)]
         reduced, d, pivots = rref(aug, n + m)
         r = sum(p < n for p in pivots)
         E = [[v * c for v, c in zip(row[n:], scales)] for row in reduced]
-        templates = [(row[:n], [-v for v in row[:n]]) for row in reduced[:r]]
-        return templates, PackedRows([E[:r], E[r:]]), d, [d * c for c in nums] + [0], pivots[:r]
+        lanes = Lanes.tableau(rows, nums, r)[0]
+        packed = [lanes.pack(row[:n]) for row in reduced[:r]]
+        return packed, PackedRows([E[:r], E[r:]]), d, d * lanes.pack(nums), pivots[:r], lanes
 
     @cached_property
-    def _phase1(self) -> tuple[list[list[int]], list[int], int] | None:
-        """The tableau, basis and scale that end phase 1 (cost row for "min"), or None.
+    def _phase1(self) -> tuple[tuple[list[int], list[int]], list[int], int] | None:
+        """The tableau (rows, rhs), basis and scale that end phase 1 (cost row for "min"), or None.
 
-        With rhs = b / D, this is the tableau of the LP with rhs b at the reduction's
-        scale d: its weights are D times rhs's, and D > 0 moves no sign, ratio test or
-        pivot, so D stays out of every other column and the scale (solve scales it in).
-        A row whose reduced rhs is >= 0 starts with its pivot column basic, a flipped row
-        with its artificial (basis id n + i), which has no column: rows hold the
-        structural columns only. Phase 1's optimum over the rest is 0 iff b is feasible.
+        With rhs = b / D, this is the tableau of the LP with rhs b at the reduction's scale d:
+        its weights are D times rhs's, and D > 0 moves no sign, ratio test or pivot, so D stays
+        out of every other column and the scale (solve scales it in). A row whose reduced rhs
+        is >= 0 starts with its pivot column basic, a flipped row with its artificial (basis id
+        n + i), which has no lane. Phase 1's optimum over the rest is 0 iff b is feasible.
         """
-        templates, reduction, d, cost, pivots = self._system
+        packed, reduction, d, cost, pivots, lanes = self._system
         reduced, null = reduction.evaluate(self._rhs[0])
         if any(null):
             return None
-        n, m, nums = len(cost) - 1, len(templates), self._ints[2]
+        nums = self._ints[2]
 
-        # Integer tableau at scale d: constraint rows with nonnegative right-hand
+        # Packed tableau at scale d: constraint rows with nonnegative right-hand
         # sides, the phase-2 row priced out over the rows whose pivot column starts
         # basic, and the phase-1 row: the flipped rows' artificials' sum, priced out.
-        T, basis, phase1 = [], [], [0] * (n + 1)
-        for i, ((row, neg), r, p) in enumerate(zip(templates, reduced, pivots)):
-            if r < 0:
-                T.append(neg + [-r])
-                basis.append(n + i)
-                phase1 = [*map(sub, phase1, T[-1])]
-            else:
-                T.append(row + [r])
-                basis.append(p)
-                if nums[p]:
-                    cost = [a - nums[p] * v for a, v in zip(cost, T[-1])]
-        T += [cost, phase1]
+        n, rows, rhs, basis, phase1, cost_rhs, phase1_rhs = len(nums), [], [], [], 0, 0, 0
+        for i, (row, b, p) in enumerate(zip(packed, reduced, pivots)):
+            if b < 0:
+                row, b, p = -row, -b, n + i
+                phase1, phase1_rhs = phase1 - row, phase1_rhs - b
+            elif nums[p]:
+                cost, cost_rhs = cost - nums[p] * row, cost_rhs - nums[p] * b
+            rows.append(row)
+            rhs.append(b)
+            basis.append(p)
+        rows += [cost, phase1]
+        rhs += [cost_rhs, phase1_rhs]
 
-        s = _simplex(T, basis, n, d)
-        # The phase-1 row's last entry is -s times the artificials' sum.
-        if T.pop()[-1]:
+        s = _simplex((rows, rhs), basis, lanes, d)
+        # The phase-1 row's rhs is -s times the artificials' sum.
+        rows.pop()
+        if rhs.pop():
             return None
 
-        # Kick zero-level artificials out of the basis: the rows are independent,
-        # so a pivot column exists; negating a row whose rhs is 0 keeps s > 0.
-        for i in range(m):
+        # Kick out zero-level artificials at the lowest nonzero lane; rhs 0 keeps s > 0 if negated.
+        for i in range(len(basis)):
             if basis[i] >= n:
-                col = next(j for j in range(n) if T[i][j])
-                if T[i][col] < 0:
-                    T[i] = [-v for v in T[i]]
-                s = pivot(T, i, col, s)
+                col = ((rows[i] & -rows[i]).bit_length() - 1) // lanes.w
+                column = lanes.lane(rows, col)
+                if column[i] < 0:
+                    rows[i], column[i] = -rows[i], -column[i]
+                s = pivot_packed(rows, rhs, i, column, s)
                 basis[i] = col
-        return T, basis, s
+        return (rows, rhs), basis, s
 
 
 @lru_cache(maxsize=None)
@@ -201,35 +196,34 @@ def _lp_at(s: Scenario, point: tuple[list[int], int, list[int]]) -> MixtureLP:
     return MixtureLP._unbuilt(_ints=base._ints, _system=base._system, _rhs=([*xs, d], d))
 
 
-def _simplex(T: list[list[int]], basis: list[int], width: int, s: int) -> int | None:
-    """Bland-rule simplex on an integer tableau in canonical form, in place.
+def _simplex(T: tuple[list[int], list[int]], basis: list[int], lanes: Lanes, s: int) -> int | None:
+    """Bland-rule simplex on a tableau (rows in lanes, their rhs) in canonical form, in place.
 
-    Row i < len(basis) is a constraint whose basic column basis[i] (none
-    from ``width`` on) holds the common scale s > 0; the last row is the
-    objective's reduced costs times a positive factor. Entering: the lowest
-    column below ``width`` with negative reduced cost; leaving: the lowest
-    basis index among the ratio-test ties. Together they rule out cycling, so degeneracy (rampant
-    here) is harmless. Returns the final scale, or None if unbounded below.
+    Row i < len(basis) is a constraint whose basic column basis[i] (none from the lane count
+    on) holds the common scale s > 0; the last row is the objective's reduced costs times a
+    positive factor. Entering: the lowest column with negative reduced cost; leaving: the
+    lowest basis index among the ratio-test ties. Together they rule out cycling, so
+    degeneracy (rampant here) is harmless. Returns the final scale, or None if unbounded below.
     """
+    rows, rhs = T
     while True:
-        z = T[-1]
-        for entering in range(width):
-            if z[entering] < 0:
-                break
-        else:
+        negative = lanes.bias & ~(rows[-1] + lanes.bias)  # the top bits of the costs < 0
+        if not negative:
             return s
-        # One scan for the smallest ratio T[i][-1] / T[i][entering], compared by cross-
+        entering = (negative & -negative).bit_length() // lanes.w - 1
+        column = lanes.lane(rows, entering)  # read once, for the ratio test and the step
+        # One scan for the smallest ratio rhs[i] / column[i], compared by cross-
         # multiplication with the best so far (first 1 / 0), then the lowest basis index.
-        leave, entry, rhs, low = None, 0, 1, 0
+        leave, entry, least, low = None, 0, 1, 0
         for i, b in enumerate(basis):
-            e = T[i][entering]
+            e = column[i]
             if e > 0:
-                x = T[i][-1] * entry - rhs * e
+                x = rhs[i] * entry - least * e
                 if x < 0 or not x and b < low:
-                    leave, entry, rhs, low = i, e, T[i][-1], b
+                    leave, entry, least, low = i, e, rhs[i], b
         if leave is None:
             return None
-        s = pivot(T, leave, entering, s)
+        s = pivot_packed(rows, rhs, leave, column, s)
         basis[leave] = entering
 
 
@@ -243,18 +237,18 @@ def solve(lp: MixtureLP, sense: Literal["min", "max"] = "min") -> LPResult:
         raise ValueError(f"sense must be 'min' or 'max', not {sense!r}")
     if lp._phase1 is None:
         return LPResult(status="infeasible", value=None, weights=None)
-    T, basis, s = lp._phase1
-    T, basis = list(T), list(basis)  # phase 2 must leave the cached tableau as it is
+    (rows, rhs), basis, s = lp._phase1
+    rows, rhs, basis = list(rows), list(rhs), list(basis)  # the cached tableau stays as it is
     if sense == "max":
-        T[-1] = [-v for v in T[-1]]
+        rows[-1], rhs[-1] = -rows[-1], -rhs[-1]
     *_, nums, den = lp._ints
-    s = _simplex(T, basis, len(nums), s)
+    s = _simplex((rows, rhs), basis, lp._system[5], s)
     if s is None:
         return LPResult(status="unbounded", value=None, weights=None)
     # Every basic column holds the scale s and the rhs entries are over D * s, so basic weight
-    # i is T[i][-1] / (D * s) and the value is one integer dot product over den * D * s.
+    # i is rhs[i] / (D * s) and the value is one integer dot product over den * D * s.
     s *= lp._rhs[1]
-    xs = [row[-1] for row in T[: len(basis)]]
+    xs = rhs[: len(basis)]
     value = Fraction(sum(map(mul, map(nums.__getitem__, basis), xs)), den * s)
     return LPResult._unbuilt(status="optimal", value=value, _basic=(len(nums), s, basis, xs))
 

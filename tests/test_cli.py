@@ -41,6 +41,15 @@ VIOLATING = {
 }
 
 
+# A valid study that no latent mixture gives: it fails trivariate test [3] by 1/130, yet its
+# interval [-22/65, -1/5] is not empty. NEAR_MODEL fails the same test by 1/10000.
+OFF_MODEL = {"zeta": {"a1": ["9/26", "2/13", "5/26", "4/13"], "a2": ["0", "7/10", "3/10", "0"]},
+             "arm_weights": ["2/3", "1/3"]}
+NEAR_MODEL = {"zeta": {"a1": ["0.2", "0.1", "0.2", "0.5"], "a2": ["0.1", "0.5001", "0.2", "0.1999"]}}
+NEAR_MODEL_EXACT = {"zeta": {"a1": ["1/5", "1/10", "1/5", "1/2"],
+                             "a2": ["1/10", "5001/10000", "1/5", "1999/10000"]}}
+
+
 @pytest.fixture
 def violating_file(tmp_path):
     path = tmp_path / "contradiction.json"
@@ -182,6 +191,29 @@ class TestBound:
         code, _, err = run(capsys, "bound", "--scenario", "fig3", "--data", "lipid")
         assert code == EXIT_USAGE
         assert "no causal target" in err
+
+    @pytest.mark.parametrize("study, slack", [
+        (OFF_MODEL, "-1/130"), (NEAR_MODEL, None), (NEAR_MODEL_EXACT, "-1/10000"),
+    ], ids=["exact", "decimal-within-tolerance", "exact-near"])
+    def test_nonempty_interval_of_off_model_data_is_refused(self, capsys, tmp_path, study, slack):
+        """bound refuses what check fails at its default tolerance; it once printed the interval
+        and exited 0. NEAR_MODEL misses test [3] by 1/10000, within decimal input's 1/2000."""
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps(study), encoding="utf-8")
+        argv = ("--scenario", "trivariate", "--data", str(path))
+        check = run(capsys, "check", *argv)[0]
+        code, payload, _ = run_json(capsys, "bound", *argv)
+        assert payload["empty"] is False
+        if slack is None:
+            assert (check, code) == (EXIT_OK, EXIT_OK) and "failed_test" not in payload
+            return
+        assert (check, code) == (EXIT_CHECK_FAILED, EXIT_EMPTY)
+        assert list(payload) == ["scenario", "target", "data", "empty", "failed_test", "lower", "upper"]
+        failed = payload["failed_test"]
+        assert (failed["section"], failed["index"], failed["slack"]) == ("observable", 3, slack)
+        code, out, _ = run(capsys, "bound", *argv)
+        assert code == EXIT_EMPTY
+        assert out.startswith(f"OFF-MODEL data: observable constraint [3] fails, slack {slack} (")
 
 
 class TestOracle:
@@ -379,9 +411,10 @@ _LONG_CELL = '{"zeta": {"a1": ["1e-4300", "0.5", "0.25", "0.25"], "a2": ["0", "0
 # Byte-for-byte CLI output of check, bound and oracle, in both formats, on
 # the bundled studies and on violating.json (every slack, endpoint, witness
 # and LP interval the CLI prints), of check on lipid-zeta.csv, lipid's zeta
-# table saved with a UTF-8 byte-order mark as spreadsheets export it, and of
+# table saved with a UTF-8 byte-order mark as spreadsheets export it, of
 # oracle on digits40.json, a consistent study whose cells have 41- to 44-digit
-# denominators. Each file is named <verb>-<data>-<scenario>.<txt|json>;
+# denominators, and of bound on off-model.json, which fails a trivariate test
+# with a nonempty interval. Each file is named <verb>-<data>-<scenario>.<txt|json>;
 # exit_codes.json holds the exit code of each.
 GOLDEN_CLI = Path(__file__).parent / "golden" / "cli"
 GOLDEN_EXIT_CODES = json.loads((GOLDEN_CLI / "exit_codes.json").read_text(encoding="utf-8"))
@@ -439,7 +472,7 @@ RENDERERS = ["_text_bound", "_text_check", "_text_derive", "_text_oracle", "_tex
 
 
 def test_every_json_golden_has_a_text_twin():
-    assert len(GOLDEN_PAIRS) == 43
+    assert len(GOLDEN_PAIRS) == 44
     assert all(path.with_suffix(".txt").exists() for path in GOLDEN_PAIRS)
 
 

@@ -1,7 +1,7 @@
 """Fraction-free integer row operations against plain Fraction elimination."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, prod
 from operator import mul
 
 import pytest
@@ -9,10 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ivbounds.introws import (
+    Lanes,
     PackedRows,
     clear_denominators,
     integer_rows,
     pivot,
+    pivot_packed,
     primitive,
     rref,
 )
@@ -80,6 +82,29 @@ def test_pivot_is_a_scaled_gauss_jordan_step(rows, data):
         reference_step(expected, r, col)
         assert scale == rows[r][col]
         assert [[Fraction(v, scale) for v in row] for row in rows] == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(low_rank_matrices(), st.sampled_from([1, -3, 2**40, -(2**62)]), st.data())
+def test_packed_pivot_is_the_list_pivot_in_every_lane(rows, big, data):
+    # Column 0 times big: its minors need lanes wider than 64 bits. Each row's rhs, kept apart,
+    # is its sum, which every step keeps; the lanes hold any minor: the columns' norm product.
+    rows = [[row[0] * big, *row[1:]] for row in rows]
+    norms = [isqrt(sum(v * v for v in col)) + 1 for col in zip(*rows)]
+    lanes = Lanes(Lanes.width(prod(norms)), len(norms))
+    packed, rhs, scale = [lanes.pack(row) for row in rows], [sum(row) for row in rows], 1
+    for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+        nonzero = [(i, j) for i, row in enumerate(rows) for j, v in enumerate(row) if v]
+        if not nonzero:
+            return
+        r, col = data.draw(st.sampled_from(nonzero))
+        column = lanes.lane(packed, col)
+        assert column == [row[col] for row in rows]
+        p = pivot_packed(packed, rhs, r, column, scale)
+        scale = pivot(rows, r, col, scale)
+        assert p == scale
+        assert [lanes.lane(packed, j) for j in range(len(norms))] == [list(col) for col in zip(*rows)]
+        assert packed == [lanes.pack(row) for row in rows] and rhs == [sum(row) for row in rows]
 
 
 @st.composite

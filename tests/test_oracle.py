@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ivbounds.bounds as bounds_mod
 import ivbounds.oracle as oracle_mod
@@ -18,6 +20,7 @@ from ivbounds.bounds import (
 )
 from ivbounds.data import build_tables, derive_marginals, integer_point, load, observable_point
 from ivbounds.forms import MissingCoordinate
+from ivbounds.introws import Lanes
 from ivbounds.oracle import (
     CrossCheckReport,
     LPResult,
@@ -184,15 +187,28 @@ PHASE1_PIVOTS = {
     "vitamin-a": {"bivariate": 6, "trivariate": 1, "pairwise3": 7, "beta": 0},
 }
 
+# Pivots phase 2 makes on the bundled data from the cached phase-1 tableau, by sense.
+PHASE2_PIVOTS = {
+    "lipid": {"bivariate": {"min": 1, "max": 6}, "trivariate": {"min": 3, "max": 3},
+              "pairwise3": {"min": 1, "max": 6}, "beta": {"min": 2, "max": 2}},
+    "vitamin-a": {"bivariate": {"min": 2, "max": 4}, "trivariate": {"min": 3, "max": 3},
+                  "pairwise3": {"min": 2, "max": 4}, "beta": {"min": 2, "max": 2}},
+}
+
+
+def pivots(call):
+    """The number of pivots call() makes, counted at the tableau's step, oracle.pivot_packed."""
+    count = []
+    real = oracle_mod.pivot_packed
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle_mod, "pivot_packed", lambda *args: count.append(args) or real(*args))
+        call()
+    return len(count)
+
 
 def phase1_pivots(p):
-    """The number of pivots p's phase 1 makes, counted at oracle.pivot."""
-    count = []
-    real = oracle_mod.pivot
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle_mod, "pivot", lambda *args: count.append(args) or real(*args))
-        p._phase1
-    return len(count)
+    """The number of pivots p's phase 1 makes."""
+    return pivots(lambda: p._phase1)
 
 
 class TestCrashStart:
@@ -204,6 +220,15 @@ class TestCrashStart:
         for scenario in PHASE1_PIVOTS[dataset]:
             counts[scenario] = phase1_pivots(MixtureLP.from_scenario(scenario, load(dataset)))
         assert counts == PHASE1_PIVOTS[dataset]
+
+    @pytest.mark.parametrize("dataset", PHASE2_PIVOTS)
+    def test_bundled_phase2_pivots_are_pinned(self, dataset):
+        counts = {}
+        for scenario in PHASE2_PIVOTS[dataset]:
+            p = MixtureLP.from_scenario(scenario, load(dataset))
+            p._phase1
+            counts[scenario] = {sense: pivots(lambda: solve(p, sense)) for sense in ("min", "max")}
+        assert counts == PHASE2_PIVOTS[dataset]
 
     def test_nonnegative_reduced_rhs_needs_no_phase1_pivot(self):
         # w1 + w3 = 1 and w2 + w3 = 0 are already reduced, with right-hand sides 1 and 0.
@@ -651,8 +676,9 @@ STRUCTURAL_BOUND = 2**64
 
 def _structural_entries(p):
     """The phase-1 tableau's entries in every column but the rhs, its scale, and its rhs entries."""
-    T, _, s = p._phase1
-    return [v for row in T for v in row[:-1]] + [s], [row[-1] for row in T]
+    (rows, rhs), _, s = p._phase1
+    lanes = p._system[5]
+    return [v for j in range(len(p._ints[2])) for v in lanes.lane(rows, j)] + [s], rhs
 
 
 class TestLargeDenominators:
@@ -705,6 +731,61 @@ class TestLargeDenominators:
         assert statuses == {"optimal", "infeasible", "unbounded"}
 
 
+# Entries from 2**40 up make tableau entries, minors of the columns, wider than 64 bits.
+lane_entries = st.one_of(st.integers(-3, 3), st.sampled_from([2**40, -(2**40) - 1, 3 * 2**45, 2**63]))
+
+
+@st.composite
+def wide_lps(draw):
+    """(columns, rhs, objective): 0 to 4 columns of 0 to 3 rows, the rhs often feasible."""
+    n, m = draw(st.integers(0, 4)), draw(st.integers(0, 3))
+    columns = draw(st.lists(st.lists(lane_entries, min_size=m, max_size=m), min_size=n, max_size=n))
+    if draw(st.booleans()):  # a nonnegative combination of the columns
+        w = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        rhs = [sum(c[i] * x for c, x in zip(columns, w)) for i in range(m)]
+    else:
+        rhs = draw(st.lists(lane_entries, min_size=m, max_size=m))
+    return columns, rhs, draw(st.lists(lane_entries, min_size=n, max_size=n))
+
+
+class TestLanes:
+    """The packed tableau's lanes: wide enough for every entry, by an exact bound on the LP."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(wide_lps())
+    @example(([(2**40, 1), (1, 2**40), (3, 5)], [2**40 + 3, 2**40 + 5], [2**40, -1, 2]))
+    @example(([], [0, 0], []))  # no columns
+    @example(([], [1], []))
+    @example(([(), ()], [], [1, -2]))  # no rows
+    @example(([(), ()], [], [1, 2]))
+    def test_every_lane_after_every_pivot_stays_within_the_bound(self, case):
+        p = lp(*case)
+        lanes, bound = Lanes.tableau(p._ints[0], p._ints[2], len(p._system[4]))
+        assert lanes.w == p._system[5].w == Lanes.width(bound) and bound < 2 ** (lanes.w - 1)
+        widest = []
+        real = oracle_mod.pivot_packed
+
+        def step(rows, rhs, r, column, prev):
+            s = real(rows, rhs, r, column, prev)
+            columns = [lanes.lane(rows, j) for j in range(len(p._ints[2]))]
+            assert [lanes.pack(v) for v in zip(*columns)] == rows  # no lane overflowed into the next
+            widest.append(max(abs(v) for col in columns for v in col))
+            return s
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle_mod, "pivot_packed", step)
+            got = [solve(p, sense) for sense in ("min", "max")]
+        assert got == [reference.solve(p, sense) for sense in ("min", "max")]
+        assert max(widest, default=0) <= bound
+
+    def test_registry_lps_use_64_bit_lanes_and_big_entries_wider_ones(self):
+        for name in TARGETED:
+            assert MixtureLP.from_scenario(name, load("lipid"))._system[5].w == 64
+        wide = lp(((2**40, 1), (1, 2**40)), (1, 1), (1, 1))
+        assert wide._system[5].w == 128
+        assert solve(wide, "min") == reference.solve(wide, "min")
+
+
 class TestCachedState:
     def test_repeated_solves_agree(self):
         p = MixtureLP.from_scenario("pairwise3", load("lipid"))
@@ -731,8 +812,7 @@ class TestCachedState:
 
     @pytest.mark.parametrize("name", TARGETED)
     def test_solves_leave_the_cached_phase1_tableau_as_it_was(self, name):
-        # Phase 2 starts from a shallow copy of the cached tableau and pivot
-        # leaves some rows as they are, so those rows stay shared with the cache.
+        # Phase 2 starts from copies of the cached tableau's lists, whose packed rows it replaces.
         moved = False
         for inside, _ in _scenario_points(name, random.Random(f"phase1:{name}"), 6):
             p = MixtureLP.from_scenario(name, inside)
