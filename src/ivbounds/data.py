@@ -290,6 +290,8 @@ def default_tolerance(
 def load(source: str | Path) -> ObservedTables:
     """Load tables from a bundled dataset name or a JSON/CSV file path, validated as
     build_tables validates; decimal_input is the file's flag or any decimal or exponent cell."""
+    if isinstance(source, str) and not source.strip():  # Path('') would read '.'
+        raise ParseError(f"data source {source!r} names no file or dataset")
     bundled = isinstance(source, str) and source in BUNDLED_DATASETS
     path = Path(__file__).parent / "datasets" / f"{source}.json" if bundled else Path(source)
     try:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from operator import itemgetter, mul
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .forms import (
     AffineForm,
@@ -227,6 +227,23 @@ class HRepresentation(Record):
         }
 
 
+def _not_containing(masks: list[int], n: int) -> Callable[[int], int]:
+    """The count, for a set of rows (a mask), of the n-row masks that lack one of its rows.
+
+    The complements of the masks are packed into one int, in lanes of n // 8 + 1
+    bytes: n rows below a guard bit. A lane of (complement & rows) is nonzero exactly
+    when its mask lacks a row of the set, and adding the lane's low bits then carries
+    into its guard bit, so one popcount of the guard bits is the count.
+    """
+    size = n // 8 + 1
+    ones = int.from_bytes((b"\1" + bytes(size - 1)) * len(masks), "little")
+    notm = int.from_bytes(b"".join([m.to_bytes(size, "little") for m in masks]), "little")
+    notm ^= ones * ((1 << n) - 1)
+    guard = ones << 8 * size - 1
+    low = guard - ones
+    return lambda rows: ((notm & rows * ones) + low & guard).bit_count()
+
+
 def _polar_extreme_rays(cons: list[tuple[int, ...]], dim: int) -> list[tuple[int, ...]]:
     """Extreme rays (b, a) of the cone {(b, a) : (b, a) . c >= 0 for each row c = s * (1, y)}.
 
@@ -237,11 +254,11 @@ def _polar_extreme_rays(cons: list[tuple[int, ...]], dim: int) -> list[tuple[int
     a time in the order given (facet_enumeration sorts them: the lexmin order
     that Fukuda & Prodon recommend and cdd uses by default), keeping nonnegative
     rays and combining adjacent positive/negative pairs on each new hyperplane.
-    Each ray is one record (mask, bit, ray), carried from step to step: mask
-    holds the rows it is tight on and bit is its stable id bit; tight[c] holds
-    the id bits (dead ones too) of the rays tight on row c. The start index is
-    read off the start rows: start ray j is tight on every one but init[j]. An
-    added row is evaluated on its nonzero columns only, through one getter.
+    Each ray is one record (mask, ray), where mask holds the rows it is tight on;
+    start ray j is tight on every start row but init[j]. An added row is evaluated
+    on its nonzero columns only, through one getter. A pair that shares at least
+    dim - 1 tight rows is adjacent when no third ray of the step is tight on all of
+    them: one packed count (_not_containing) over the step's r rays reads r - 2.
     """
     # One elimination of [C^T | I] picks the start rows (the pivot columns) and
     # leaves d times the transposed inverse of their matrix on the right: the start rays.
@@ -250,56 +267,36 @@ def _polar_extreme_rays(cons: list[tuple[int, ...]], dim: int) -> list[tuple[int
     reduced, _, init = rref([[*col, *e] for col, e in zip(zip(*cons), eye)], n)
     if len(init) <= dim:
         raise ValueError("rows do not span the required rank")
-    start, fresh = sum(1 << i for i in init), 1 << len(init)  # fresh: the next id bit
-    rays = [(start & ~(1 << i), 1 << j, primitive(row[n:]))
-            for j, (i, row) in enumerate(zip(init, reduced))]
-    tight = [0] * n  # a row not yet added has no tight rays
-    for j, i in enumerate(init):
-        tight[i] = (fresh - 1) & ~(1 << j)
-    alive = fresh - 1  # the id bits of the current rays
+    start = sum(1 << i for i in init)
+    rays = [(start & ~(1 << i), primitive(row[n:])) for i, row in zip(init, reduced)]
     need = dim - 1
     for k, con in enumerate(cons):
         if start >> k & 1:
             continue
         get = picker([j for j, c in enumerate(con) if c])
         coeffs, bit_k = get(con), 1 << k
-        pos, zero, neg = [], [], []
+        pos, zero, neg, made = [], [], [], []
         for ray in rays:
-            v = sum(map(mul, coeffs, get(ray[2])))
+            v = sum(map(mul, coeffs, get(ray[1])))
             if v > 0:
                 pos.append((v, ray))
             elif v:
                 neg.append((v, ray))
             else:
-                zero.append((ray[0] | bit_k, ray[1], ray[2]))
-        tight[k] = sum(bit for _, bit, _ in zero)
-        first, made = fresh, []
-        for v_neg, (m_neg, bit_neg, ray_neg) in neg:
-            for v_pos, (m_pos, bit_pos, ray_pos) in pos:
-                shared = m_pos & m_neg
-                if shared.bit_count() < need:
-                    continue
-                # Adjacent: dim - 1 common tight rows that no third live ray shares.
-                pair, common, rest = bit_pos | bit_neg, alive, shared
-                while rest and common != pair:
-                    low = rest & -rest
-                    common &= tight[low.bit_length() - 1]
-                    rest ^= low
-                if common != pair:
-                    continue
-                combo = [v_pos * a - v_neg * b for a, b in zip(ray_neg, ray_pos)]
-                g = gcd(*combo)
-                ray = tuple(combo) if g == 1 else tuple(v // g for v in combo)
-                made.append((mask := shared | bit_k, fresh, ray))
-                while mask:
-                    low = mask & -mask
-                    tight[low.bit_length() - 1] |= fresh
-                    mask ^= low
-                fresh <<= 1
-        # The negative rays die; the rays made in this step have the id bits first .. fresh / 2.
-        alive = alive & ~sum(ray[1] for _, ray in neg) | (fresh - first)
+                zero.append((ray[0] | bit_k, ray[1]))
+        if pos and neg:
+            outside, others = _not_containing([m for m, _ in rays], n), len(rays) - 2
+            for v_neg, (m_neg, ray_neg) in neg:
+                for v_pos, (m_pos, ray_pos) in pos:
+                    shared = m_pos & m_neg
+                    if shared.bit_count() < need or outside(shared) != others:
+                        continue
+                    combo = [v_pos * a - v_neg * b for a, b in zip(ray_neg, ray_pos)]
+                    g = gcd(*combo)
+                    ray = tuple(combo) if g == 1 else tuple(v // g for v in combo)
+                    made.append((shared | bit_k, ray))
         rays = [ray for _, ray in pos] + zero + made
-    return [ray for _, _, ray in rays]
+    return [ray for _, ray in rays]
 
 
 def facet_enumeration(vs: VertexSet) -> HRepresentation:

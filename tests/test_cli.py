@@ -351,6 +351,12 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert "error:" in err
 
+    @pytest.mark.parametrize("source", ["", "  "])
+    def test_empty_data_source_is_named_as_given(self, capsys, source):
+        code, out, err = run(capsys, "bound", "--scenario", "beta", "--data", source)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: data source {source!r} names no file or dataset\n"
+
     def test_malformed_data_file(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

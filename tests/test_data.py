@@ -747,3 +747,11 @@ def test_unreadable_source_is_named_as_pathlib_prints_it(tmp_path, monkeypatch, 
     with pytest.raises(ParseError) as exc:
         load(source)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("source", ["", " ", "\t\n"])
+def test_empty_source_is_named_as_given(tmp_path, monkeypatch, source):
+    monkeypatch.chdir(tmp_path)  # Path(source) is '.', a directory, for the empty string
+    with pytest.raises(ParseError) as exc:
+        load(source)
+    assert str(exc.value) == f"data source {source!r} names no file or dataset"

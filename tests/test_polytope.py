@@ -462,9 +462,9 @@ def test_contains_matches_the_per_facet_fraction_reference(case):
         assert all(type(s) is Fraction for s in slacks + tuple(v[2] for v in report.violations))
 
 
-# The double description tests adjacency through per-constraint sets of
-# tight ray ids; reference.polar_extreme_rays scans every other ray's mask
-# instead. The facets, and their order, must be the same.
+# The double description tests adjacency with one packed count over the
+# step's ray masks; reference.polar_extreme_rays scans every other ray's mask
+# one by one instead. The facets, and their order, must be the same.
 
 
 @st.composite
@@ -476,8 +476,19 @@ def degenerate_point_sets(draw):
     return VertexSet.from_points(space(4), points)
 
 
+@st.composite
+def many_point_sets(draw):
+    """15-40 distinct integer points in 3 or 4 coordinates: charts of 15 to 40 rows, so the
+    packed masks take lanes of 2 to 6 bytes, across the 16-, 24- and 32-row boundaries."""
+    n = draw(st.integers(3, 4))
+    lists = st.lists(st.tuples(*(st.integers(0, 3),) * n), min_size=15, max_size=40, unique=True)
+    return VertexSet.from_points(space(n), draw(lists))
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(integer_point_sets, embedded_point_sets(), degenerate_point_sets()))
+@given(st.one_of(
+    integer_point_sets, embedded_point_sets(), degenerate_point_sets(), many_point_sets()
+))
 def test_indexed_adjacency_matches_the_mask_scan(vs):
     with patch.object(polytope, "_polar_extreme_rays", reference.polar_extreme_rays):
         expected = facet_enumeration(vs)
@@ -485,6 +496,41 @@ def test_indexed_adjacency_matches_the_mask_scan(vs):
     assert (h.equalities, h.facets, h.affine_dimension) == (
         expected.equalities, expected.facets, expected.affine_dimension,
     )
+
+
+# _not_containing packs the complements of n-row masks into lanes of n // 8 + 1
+# bytes, so that each lane has a guard bit above its rows. When n is a multiple
+# of 8, the guard bit takes a byte of its own; a lane without it would lose the
+# count of a mask that lacks the top row, and carry into the next lane.
+
+LANE_ROWS = [1, 7, 8, 15, 16, 63, 64]
+
+
+def lacking(masks, rows):
+    """The number of masks that lack a row of the set, one mask at a time."""
+    return sum(rows & ~m != 0 for m in masks)
+
+
+@pytest.mark.parametrize("n", LANE_ROWS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_packed_count_of_masks_lacking_a_row_matches_a_plain_scan(n, data):
+    top, full = 1 << n - 1, (1 << n) - 1
+    mask = st.one_of(st.integers(0, full), st.integers(0, full).map(lambda m: m | top),
+                     st.sampled_from([0, full, top, full ^ top]))
+    masks = data.draw(st.lists(mask, max_size=20))
+    rows = data.draw(mask)
+    assert polytope._not_containing(masks, n)(rows) == lacking(masks, rows)
+
+
+@pytest.mark.parametrize("n", LANE_ROWS)
+def test_packed_count_at_the_top_row(n):
+    top, full = 1 << n - 1, (1 << n) - 1
+    masks = [full, full ^ top, top, 0, full ^ top, full]
+    count = polytope._not_containing(masks, n)
+    assert count(0) == 0 and count(top) == 3
+    for rows in (0, 1, top, full, full ^ top, top | 1):
+        assert count(rows) == lacking(masks, rows)
 
 
 # facet_enumeration hands partition the hull's triangular equalities and its
@@ -588,7 +634,7 @@ def test_scenario_vertex_rows_are_the_integer_rows_of_the_vertices(name, with_ta
     assert VertexSet(vs.space, vs.vertices)._rows == vs._rows
 
 
-# The double description reads its start cone's tight index off the start
+# The double description reads its start rays' tight-row masks off the start
 # rows, wherever they are among the sorted chart rows, and evaluates each
 # added row through a getter of its nonzero columns only. Charts that
 # exercise each path are compared with the mask-scan reference.
