@@ -13,12 +13,12 @@ partition works on the hull's integer rows: it reads the facet rows
 reduced modulo the equalities, recognises trivial facets by their primitive
 rows, and hands the BoundSet its bound rows (solved for the target) and test
 rows on the observable space. Its forms and constraints are views built on
-first read (a hand-built one keeps its tuples and compiles rows at first use).
-A test's relation comes from its section: an observable or trivial test is
-a >= 0 and a hull equality an = 0 constraint, which a hand-built set must keep.
-evaluate_bounds and model_check stay exact on integers: the rows each reads
-are packed once per BoundSet (introws.PackedRows) and evaluated at the point
-that data.integer_point reads from the tables' integer cells.
+first read. Only partition (and so derive) builds a BoundSet. A test's
+relation comes from its section: an observable or trivial test is a >= 0
+and a hull equality an = 0 constraint. evaluate_bounds and model_check stay
+exact on integers: the rows each reads are packed once per BoundSet
+(introws.PackedRows) and evaluated at the point that data.integer_point
+reads from the tables' integer cells.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .forms import (
     render_row,
     rows_view,
 )
-from .introws import PackedRows, integer_rows, picker, primitive
+from .introws import PackedRows, picker, primitive
 from .polytope import HRepresentation, facet_enumeration
 from .scenarios import Scenario, get_scenario, scenario_vertex_set
 
@@ -65,14 +65,7 @@ def _view(group: str):
 
 
 class TargetUnconstrained(ValueError):
-    """A scenario without a causal target, or a hull that leaves its target unbounded on a side."""
-
-
-def _bounded(target: str | None, lower: Sequence, upper: Sequence) -> None:
-    """Raise TargetUnconstrained if a target has no lower or no upper bound, naming that side."""
-    if target is not None and not (lower and upper):
-        side = "above" if lower else "below"
-        raise TargetUnconstrained(f"no facet or equality bounds {target!r} from {side}")
+    """A causal effect was asked of a scenario without a causal target."""
 
 
 class BoundSet(Record):
@@ -82,8 +75,11 @@ class BoundSet(Record):
     target >= each lower form and target <= each upper form. A scenario
     without a causal target has target None and no forms. All forms and
     constraints are reduced modulo the hull equalities, so two expressions
-    that agree on every model-consistent table compare equal.
+    that agree on every model-consistent table compare equal. partition
+    returns it with _rows: each _GROUPS group's rows over one denominator.
     """
+
+    _built_by = ("partition", "derive")
 
     scenario: str
     target: str | None
@@ -93,13 +89,6 @@ class BoundSet(Record):
     observable_tests: tuple[LinearConstraint, ...] = _view("observable")
     trivial_tests: tuple[LinearConstraint, ...] = _view("trivial")
     hull_equalities: tuple[LinearConstraint, ...] = _view("equality")
-
-    def __post_init__(self) -> None:
-        # Only hand-built sets get here; partition's rows are in their sections by construction.
-        for field, relation in map(_GROUPS.get, _SECTIONS):
-            if any(c.relation is not relation for c in getattr(self, field)):
-                raise ValueError(f"BoundSet {field} must be {relation.value} constraints")
-        _bounded(self.target, self.lower_forms, self.upper_forms)
 
     def to_json_dict(self) -> dict:
         (rows, den), labels = self._rows, self.space.labels
@@ -125,14 +114,6 @@ class BoundSet(Record):
         """Each "lower", "upper", "observable", "trivial" or "equality" row as its view renders."""
         rows, den = self._rows
         return [render_row(self.space.labels, row, den, _GROUPS[group][1]) for row in rows[group]]
-
-    @cached_property
-    def _rows(self) -> tuple[dict[str, list[tuple[int, ...]]], int]:
-        """Every group's forms (a test's own form) as integer rows over one L > 0: the row
-        (a..., k) is the form (a . x + k) / L."""
-        forms = [[c if r is None else c.form for c in getattr(self, f)] for f, r in _GROUPS.values()]
-        rows, den = integer_rows([[(*f.coefficients, f.constant) for f in g] for g in forms])
-        return dict(zip(_GROUPS, rows)), den
 
     @cached_property
     def _packed(self) -> dict[tuple[str, ...], PackedRows]:
@@ -167,11 +148,13 @@ def partition(h: HRepresentation, target: str | None = None) -> BoundSet:
     Facets with positive target coefficient become lower bounds on the
     target, negative ones upper bounds; target-free facets become model
     tests. A hull equality involving the target is solved for it and
-    contributes one matched lower/upper pair. A target that nothing bounds
-    from below, or from above, raises TargetUnconstrained naming that side;
-    no derived hull does, since each is a polytope. With no target, every
-    facet is a model test. Lifted facet rows need no reduction: the chart's
-    pivot columns are the complement of the equalities' trailing coordinates.
+    contributes one matched lower/upper pair. So a target gets both sides:
+    h is a polytope, the hull of finitely many points, with no recession
+    direction, so a target that no equality involves is bounded by a facet
+    on each side. With no target, every facet is a model test. A coordinate
+    that the hull fixes below 0 raises IdenticallyFalse. Lifted facet rows
+    need no reduction: the chart's pivot columns are the complement of the
+    equalities' trailing coordinates.
     """
     ti = None if target is None else h.space.index(target)
     drop = picker([j for j in range(h.space.dimension + 1) if j != ti])  # all but the target
@@ -184,7 +167,7 @@ def partition(h: HRepresentation, target: str | None = None) -> BoundSet:
             obs_only.append(row)
         else:
             (lower if row[ti] > 0 else upper).append(row)
-    for row in map(primitive, h._rows[0][0]):  # the equality rows
+    for row in h._rows[0][0]:  # the equality rows, each primitive
         if ti is None or row[ti] == 0:
             # The target coefficient is zero, so dropping it keeps a primitive row primitive.
             equality.append(canonical_row(drop(row), Relation.EQ))
@@ -193,8 +176,6 @@ def partition(h: HRepresentation, target: str | None = None) -> BoundSet:
             upper.append(row)
     observable, trivial = ([canonical_row(drop(r), Relation.GEQ) for r in part]
                            for part in _classify(h, obs_only))
-
-    _bounded(target, lower, upper)
 
     # A primitive row = 0 solves to target = -drop(row) / c, c = row[ti], in lowest terms
     # over |c|. Over den, a multiple of every such |c|, it is drop(row) * (-den // c).
@@ -381,10 +362,8 @@ def instrumental_inequality(
     """max_b sum_c max_a P(C=c, B=b | A=a) <= 1, the classic necessary test; needs every zeta label."""
     try:
         z, d, absent = integer_point(_ZETA_BY_B, data)
-    except ValidationError:
-        if data.zeta is None:  # not a cell missing from a hand-built table
-            raise ValidationError("the instrumental inequality needs a zeta table") from None
-        raise
+    except ValidationError:  # tables without zeta
+        raise ValidationError("the instrumental inequality needs a zeta table") from None
     if absent:
         raise MissingCoordinate(_ZETA_BY_B[absent[0]])
     tol = default_tolerance(data, tolerance)

@@ -18,8 +18,9 @@ exponent ("e" or "E"), which the one pass that parses the cells records.
 A study stays on integers from the moment a cell is parsed: ObservedTables
 holds every cell as a numerator over one common denominator (``_cells``),
 which validation, derive_marginals and integer_point (for bounds) read. Its
-Fraction dicts are views built on first read; hand-built tables keep the
-dicts they are given and compile their cells at first use.
+Fraction dicts are views built on first read. It is an output only: load,
+build_tables and derive_marginals return it validated, and a direct call
+raises TypeError, so no table reaches a bound unchecked.
 """
 
 from __future__ import annotations
@@ -108,12 +109,13 @@ class ObservedTables(Record):
     P(C=c, B=b); arm_weights is (P(A=1), P(A=2)). decimal_input records
     whether any entry arrived as a rounded decimal literal, which controls
     the default model-check tolerance downstream; it is not part of the
-    table identity. Tables from load, build_tables and derive_marginals
-    hold integer cells, and these dicts are views of them built on first
-    read; hand-built tables keep the dicts they are given.
+    table identity. load, build_tables and derive_marginals return it with
+    its integer cells, _cells (see _SLOTS), and these dicts are views of them
+    built on first read.
     """
 
     _uncompared = ("decimal_input",)
+    _built_by = ("load", "build_tables", "derive_marginals")
 
     zeta: dict[tuple[int, int, int], Fraction] | None = _view("zeta")
     gamma: dict[tuple[int, int], Fraction] | None = _view("gamma")
@@ -121,34 +123,6 @@ class ObservedTables(Record):
     phi: dict[tuple[int, int], Fraction] | None = _view("phi")
     arm_weights: tuple[Fraction, Fraction] | None = _view("arm_weights")
     decimal_input: bool = False
-
-    def __init__(self, zeta=None, gamma=None, theta=None, phi=None, arm_weights=None,
-                 decimal_input=False):
-        self.__dict__.update(zeta=zeta, gamma=gamma, theta=theta, phi=phi,
-                             arm_weights=arm_weights, decimal_input=decimal_input)
-
-    @cached_property
-    def _cells(self) -> tuple[tuple[int | None, ...], int]:
-        """Every cell and arm weight in _SLOTS order, as numerators over one denominator d > 0.
-
-        None stands for the cells of an absent table. Compiled at first use for
-        hand-built tables, where a cell that is not a rational raises its own error, and
-        a missing cell, a key no cell has and arm weights that are not two ValidationError.
-        """
-        pairs = []
-        for name, key in _SLOTS:
-            table = getattr(self, name)
-            try:
-                pairs.append(None if table is None else ratio(table[key]))
-            except LookupError:
-                raise ValidationError(f"{name} table has no cell {key!r}") from None
-        for name in _TABLE_KEYS[:4]:  # the dict tables
-            for key in getattr(self, name) or ():
-                if (name, key) not in _SLOT:
-                    raise ValidationError(f"{name} table has an unknown cell {key!r}")
-        if self.arm_weights is not None and len(self.arm_weights) != 2:
-            raise ValidationError(f"arm_weights has {len(self.arm_weights)} entries, not 2")
-        return _common(pairs)
 
 
 def _common(pairs: Sequence[tuple[int, int] | None]) -> tuple[tuple[int | None, ...], int]:

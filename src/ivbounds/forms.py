@@ -131,9 +131,12 @@ class Record:
     ``object.__setattr__``, and ``cached_property`` works as usual. Hot
     classes define their own ``__init__`` that writes ``self.__dict__``.
     A cached_property named like a field is not its default but a view (see ``_unbuilt``).
+    A result type names the functions that return it in ``_built_by``; calling
+    the class itself then raises TypeError, since only those functions build it.
     """
 
     _uncompared = ()
+    _built_by = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -144,6 +147,8 @@ class Record:
         cls._key = staticmethod(attrgetter(*(n for n in cls._fields if n not in cls._uncompared)))
 
     def __init__(self, *args, **kwargs):
+        if self._built_by:
+            raise TypeError(f"{type(self).__name__} is built only by {' or '.join(self._built_by)}")
         fields = self._fields
         if len(args) > len(fields) or kwargs and kwargs.keys() - fields[len(args) :]:
             raise TypeError(f"{type(self).__name__}() takes {fields}, got {args} and {kwargs}")

@@ -10,9 +10,10 @@ incremental double description pass there, adding the rows in lexmin order
 Points and forms are exact rationals at the API; inside, everything runs on
 integer rows (see introws). The VertexSet, AffineHull and HRepresentation
 that derivation passes along hold only their rows (and the triangular
-equalities); their Fraction fields are views built on first read (hand-built
-ones keep their tuples). Rows are reduced modulo the equalities and tested
-for membership on ints (reduce_mod_equalities wraps the former).
+equalities); their Fraction fields are views built on first read (a
+hand-built VertexSet keeps its tuple). Only facet_enumeration builds an
+HRepresentation. Rows are reduced modulo the equalities and tested for
+membership on ints (reduce_mod_equalities wraps the former).
 """
 
 from __future__ import annotations
@@ -128,8 +129,8 @@ def reduce_mod_equalities(
         return form
     if any(c.relation is not Relation.EQ for c in equalities):
         raise ValueError("reduce_mod_equalities expects EQ constraints")
-    # A facet-free HRepresentation carries the same integer reducer partition uses.
-    h = HRepresentation(form.space, tuple(equalities), (), 0)
+    rows = integer_rows([[(*c.form.coefficients, c.form.constant) for c in equalities]])
+    h = HRepresentation._unbuilt(space=form.space, _rows=rows)  # the reducer partition uses
     values, scale = clear_denominators(form.coefficients + (form.constant,))
     out = h._reduce(values)
     if out is values:
@@ -148,41 +149,25 @@ class MembershipReport(Record):
 
 
 class HRepresentation(Record):
-    """Facet description of a bounded polytope inside its affine hull."""
+    """Facet description of a bounded polytope inside its affine hull, with facet_enumeration's
+    integer rows: _rows (equalities, facets) over 1, and _reduced as partition reads them."""
+
+    _built_by = ("facet_enumeration",)
 
     space: CoordinateSpace
     equalities: tuple[LinearConstraint, ...] = rows_view(0, Relation.EQ)
     facets: tuple[LinearConstraint, ...] = rows_view(1, Relation.GEQ)
     affine_dimension: int
 
-    def __post_init__(self) -> None:
-        # Only hand-built ones get here; facet_enumeration's rows are EQ and GEQ by construction.
-        if any(c.relation is not Relation.EQ for c in self.equalities):
-            raise ValueError("HRepresentation equalities must be = constraints")
-        if any(c.relation is not Relation.GEQ for c in self.facets):
-            raise ValueError("HRepresentation facets must be >= constraints")
-
-    @cached_property
-    def _rows(self) -> tuple[list[list[tuple[int, ...]]], int]:
-        """Equality rows and facet rows (a..., k) over one L > 0, each form (a . x + k) / L."""
-        groups = (self.equalities, self.facets)
-        return integer_rows([[(*c.form.coefficients, c.form.constant) for c in g] for g in groups])
-
     @cached_property
     def _triangular(self) -> tuple[list[tuple[int, list[int]]], int]:
         """(trailing coordinate, row) per equality, and d: each row is d there, 0 in the rest."""
-        (eq, _), _ = self._rows
-        m = self.space.dimension
+        eq, m = self._rows[0][0], self.space.dimension
         # Reversed coordinates, so elimination prefers pivots from the right.
         reduced, d, pivots = rref([row[m - 1 :: -1] + row[m:] for row in eq], m + 1)
         if m in pivots:
             raise IdenticallyFalse("equalities are mutually inconsistent")
         return [(m - 1 - p, row[m - 1 :: -1] + row[m:]) for row, p in zip(reduced, pivots)], d
-
-    @cached_property
-    def _reduced(self) -> list[tuple[int, ...]]:
-        """The facet rows reduced modulo the equalities and primitive: the rows partition reads."""
-        return [primitive(self._reduce(row)) for row in self._rows[0][1]]
 
     def _reduce(self, row: Sequence[int]) -> Sequence[int]:
         """A positive multiple of the integer row (a..., k) reduced modulo the equalities."""
@@ -212,12 +197,7 @@ class HRepresentation(Record):
         return MembershipReport(not violations, eq_slacks, facet_slacks, tuple(violations))
 
     def to_json_dict(self) -> dict:
-        (eq, facets), den = self._rows
-        if den != 1:  # name the first constraint whose row is not integer
-            i = next(i for i, row in enumerate(eq + facets) if any(v % den for v in row))
-            kind, at = ("equality", i) if i < len(eq) else ("facet", i - len(eq))
-            c = [*self.equalities, *self.facets][i]
-            raise ValueError(f"{kind} {at} has a non-integer coefficient: {c.render()}")
+        (eq, facets), _ = self._rows
         return {
             "space": self.space.name,
             "labels": list(self.space.labels),

@@ -2,7 +2,8 @@
 
 partition is the Fraction path: every facet is reduced modulo the hull
 equalities as an AffineForm, then canonicalized, classified and moved to
-the observable space as separate steps. polar_extreme_rays is the double
+the observable space as separate steps; it returns the five tuples that a
+BoundSet's views hold. polar_extreme_rays is the double
 description whose adjacency test scans the tight-constraint mask of every
 other ray for each positive/negative pair, and that starts from two
 eliminations (independent_rows, then scaled_inverse of the chosen rows)
@@ -38,7 +39,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from typing import Literal, Sequence
 
-from ivbounds.bounds import BoundSet, InstrumentalReport, Interval, TargetUnconstrained
+from ivbounds.bounds import BoundSet, InstrumentalReport, Interval
 from ivbounds.data import MissingArmWeights, ValidationError
 from ivbounds.forms import (
     AffineForm,
@@ -240,8 +241,9 @@ def classify(space: CoordinateSpace, equalities: tuple, reduced: list) -> tuple[
     )
 
 
-def partition(h: HRepresentation, target: str | None = None) -> BoundSet:
-    """bounds.partition, one Fraction form at a time."""
+def partition(h: HRepresentation, target: str | None = None) -> tuple[tuple, ...]:
+    """bounds.partition, one Fraction form at a time: the lower forms, upper forms,
+    observable tests, trivial tests and hull equalities of its BoundSet."""
     ti = None if target is None else h.space.index(target)
     obs_labels = tuple(l for l in h.space.labels if l != target)
     obs_space = CoordinateSpace(f"{h.space.name}-observables", obs_labels)
@@ -283,20 +285,12 @@ def partition(h: HRepresentation, target: str | None = None) -> BoundSet:
             upper.append(solved)
 
     nontrivial, trivial = classify(h.space, h.equalities, obs_only)
-
-    if target is not None and not (lower and upper):
-        side = "above" if lower else "below"
-        raise TargetUnconstrained(f"no facet or equality bounds {target!r} from {side}")
-
-    return BoundSet(
-        scenario=h.space.name,
-        target=target,
-        space=obs_space,
-        lower_forms=tuple(lower),
-        upper_forms=tuple(upper),
-        observable_tests=tuple(to_obs(c) for c in nontrivial),
-        trivial_tests=tuple(to_obs(c) for c in trivial),
-        hull_equalities=tuple(hull_eqs),
+    return (
+        tuple(lower),
+        tuple(upper),
+        tuple(to_obs(c) for c in nontrivial),
+        tuple(to_obs(c) for c in trivial),
+        tuple(hull_eqs),
     )
 
 

@@ -38,7 +38,6 @@ from ivbounds.bounds import (
     scenario_hull,
 )
 from ivbounds.data import (
-    ObservedTables,
     ValidationError,
     build_tables,
     derive_marginals,
@@ -50,13 +49,14 @@ from ivbounds.forms import (
     AffineForm,
     CoordinateSpace,
     LinearConstraint,
+    IdenticallyFalse,
     MissingCoordinate,
     Relation,
     canonicalize,
     rational,
 )
 from ivbounds.introws import integer_rows
-from ivbounds.polytope import HRepresentation, facet_enumeration, reduce_mod_equalities
+from ivbounds.polytope import VertexSet, facet_enumeration, reduce_mod_equalities
 from ivbounds.scenarios import SCENARIOS, get_scenario, make_scenario
 
 import reference
@@ -137,6 +137,32 @@ def reduced_string_keys(bs: BoundSet, strings):
 
 def reduced_constraint_keys(bs: BoundSet, cons):
     return reduced_form_keys(bs, [c.form for c in cons])
+
+
+_COIN = st.booleans()
+_ENTRY = st.integers(-2, 2)
+
+
+@st.composite
+def vertex_sets(draw, with_alpha=False):
+    """1-8 points with entries -2..2 over 1-4 coordinates x0, x1, ... (and alpha, at a random
+    place, if asked); in about half the sets one coordinate is fixed, maybe below 0."""
+    labels = [f"x{i}" for i in range(draw(st.integers(1, 4)))]
+    if with_alpha:
+        labels.insert(draw(st.integers(0, len(labels))), "alpha")
+    m = len(labels)
+    points = draw(st.lists(st.lists(_ENTRY, min_size=m, max_size=m), min_size=1, max_size=8))
+    if draw(_COIN):
+        j, x = draw(st.integers(0, m - 1)), draw(_ENTRY)
+        for p in points:
+            p[j] = x
+    return VertexSet.from_points(CoordinateSpace("random", tuple(labels)), points)
+
+
+def fixed_values(vs):
+    """The value of each coordinate that all of the set's vertices share."""
+    first = vs.vertices[0]
+    return [x for j, x in enumerate(first) if all(v[j] == x for v in vs.vertices)]
 
 
 class TestDerivedCounts:
@@ -286,17 +312,10 @@ class TestEvaluate:
         assert bs.upper_forms[iv.upper_witness].evaluate_vector(vec) == iv.upper
 
     def test_tie_breaks_to_lowest_index(self):
-        space = CoordinateSpace("toy-observables", ("u",))
-        bs = BoundSet(
-            scenario="toy",
-            target="v",
-            space=space,
-            lower_forms=(AffineForm(space, (1,)), AffineForm(space, (2,))),
-            upper_forms=(AffineForm(space, (0,), 1),),
-            observable_tests=(),
-            trivial_tests=(),
-            hull_equalities=(),
-        )
+        # v >= u and v >= -u meet at u = 0
+        vs = VertexSet.from_points(CoordinateSpace("toy", ("u", "v")), [(0, 0), (1, 1), (-1, 1)])
+        bs = partition(facet_enumeration(vs), "v")
+        assert [f.evaluate_vector((0,)) for f in bs.lower_forms] == [0, 0]
         iv = evaluate_bounds(bs, {"u": 0})
         assert iv.lower_witness == 0
 
@@ -398,7 +417,7 @@ class TestInstrumental:
     def test_needs_zeta(self):
         from ivbounds.data import ValidationError
 
-        with pytest.raises(ValidationError, match="zeta"):
+        with pytest.raises(ValidationError, match="^the instrumental inequality needs a zeta"):
             instrumental_inequality(build_tables(theta={"a1": ["1", "0"], "a2": ["0", "1"]}))
 
     def test_a_mapping_without_a_zeta_label_names_the_first_missing(self):
@@ -456,64 +475,48 @@ class TestBeta:
 
 
 class TestPartitionFallback:
-    def test_unconstrained_effect_target_raises(self):
-        """alpha has no trivial range of its own: a hull that never mentions it bounds nothing."""
-        space = CoordinateSpace("loose", ("t01", "alpha"))
-        facets = (
-            canonicalize(LinearConstraint(reference.form(space, "t01"), Relation.GEQ)),
-            canonicalize(LinearConstraint(reference.form(space, "1 - t01"), Relation.GEQ)),
-        )
-        h = HRepresentation(space, (), facets, 2)
-        with pytest.raises(TargetUnconstrained, match="from below"):
-            partition(h, "alpha")
-
-    @pytest.mark.parametrize("bound, side", [("1 - alpha", "below"), ("alpha + 1", "above")])
-    def test_target_bounded_on_one_side_raises(self, bound, side):
-        """Such a BoundSet once failed evaluate_bounds with "max() arg is an empty sequence"."""
-        space = CoordinateSpace("open", ("t01", "alpha"))
-        facets = tuple(canonicalize(LinearConstraint(reference.form(space, text), Relation.GEQ))
-                       for text in ("t01", "1 - t01", bound))
-        h = HRepresentation(space, (), facets, 2)
-        for path in (partition, reference.partition):
-            with pytest.raises(TargetUnconstrained) as exc:
-                path(h, "alpha")
-            assert str(exc.value) == f"no facet or equality bounds 'alpha' from {side}"
-
-    @pytest.mark.parametrize("lower, upper, side", [(False, True, "below"), (True, False, "above"),
-                                                   (False, False, "below")])
-    def test_hand_built_set_bounding_its_target_on_one_side_is_refused(self, lower, upper, side):
-        """Such a set was once built, and evaluate_bounds on it raised "max() arg is an empty
-        sequence"; the constructor now refuses it in partition's words."""
-        space = CoordinateSpace("open-observables", ("t01",))
-        forms = (reference.form(space, "t01"),)
-        with pytest.raises(TargetUnconstrained) as exc:
-            BoundSet("open", "alpha", space, forms if lower else (), forms if upper else (), (), (), ())
-        assert str(exc.value) == f"no facet or equality bounds 'alpha' from {side}"
-
-    def test_other_targets_raise(self):
-        space = CoordinateSpace("loose", ("t01", "g01"))
-        facets = (
-            canonicalize(LinearConstraint(reference.form(space, "t01"), Relation.GEQ)),
-        )
-        h = HRepresentation(space, (), facets, 2)
-        with pytest.raises(TargetUnconstrained):
-            partition(h, "g01")
-
     def test_equality_involving_target_becomes_matched_pair(self):
-        space = CoordinateSpace("tied", ("t01", "alpha"))
-        eq = canonicalize(
-            LinearConstraint(reference.form(space, "alpha - t01"), Relation.EQ)
-        )
-        facets = (
-            canonicalize(LinearConstraint(reference.form(space, "t01"), Relation.GEQ)),
-            canonicalize(LinearConstraint(reference.form(space, "1 - t01"), Relation.GEQ)),
-        )
-        h = HRepresentation(space, (eq,), facets, 1)
+        # the points lie on alpha = t01, 0 <= t01 <= 1
+        h = facet_enumeration(VertexSet.from_points(CoordinateSpace("tied", ("t01", "alpha")),
+                                                    [(0, 0), (1, 1)]))
+        assert [c.render() for c in h.equalities] == ["t01 - alpha = 0"]
         bs = partition(h, "alpha")
         assert len(bs.lower_forms) == 1 and len(bs.upper_forms) == 1
         assert bs.lower_forms[0] == bs.upper_forms[0]
         iv = evaluate_bounds(bs, {"t01": "1/3"})
         assert iv.lower == iv.upper == Fraction(1, 3)
+
+    def test_every_target_of_a_hull_is_bounded_on_both_sides(self):
+        """A polytope has no recession direction, and a hull equality that involves the target
+        gives a matched pair, so each target of a hull has lower and upper forms; a hull that
+        fixes a coordinate below 0 raises IdenticallyFalse instead. The forms bound the target
+        of every vertex at its observable point."""
+        counts = Counter()
+
+        @settings(max_examples=400, deadline=None, derandomize=True)
+        @given(vertex_sets())
+        @example(VertexSet.from_points(CoordinateSpace("random", ("x0", "x1", "x2")),
+                                       [(-1, 0, 0), (-1, 1, 1), (-1, 0, 1)]))
+        def check(vs):
+            h, negative = facet_enumeration(vs), any(x < 0 for x in fixed_values(vs))
+            for ti, target in enumerate(vs.space.labels):
+                if negative:
+                    with pytest.raises(IdenticallyFalse, match="^inequality reduces to -1 >= 0$"):
+                        partition(h, target)
+                    counts["identically false"] += 1
+                    continue
+                bs = partition(h, target)
+                assert bs.lower_forms and bs.upper_forms
+                counts["bounded"] += 1
+                if any(row[ti] for row in h._rows[0][0]):  # an equality involves the target
+                    assert set(bs.lower_forms) & set(bs.upper_forms)
+                    counts["matched pair"] += 1
+                for v in vs.vertices:
+                    iv = evaluate_bounds(bs, dict(zip(bs.space.labels, v[:ti] + v[ti + 1:])))
+                    assert iv.lower <= v[ti] <= iv.upper
+
+        check()
+        assert counts.keys() == {"identically false", "bounded", "matched pair"}, counts
 
 
 # Reference evaluation, one Fraction per coefficient per form: what
@@ -629,37 +632,19 @@ class TestCompiledEvaluation:
         assert outcome(model_check, bs, point) == outcome(reference_report, bs, point)
 
     @settings(max_examples=50, deadline=None)
-    @given(data=st.data())
-    def test_fractional_forms_with_ties(self, data):
-        # derived forms have integer coefficients; these have denominators,
-        # repeated forms (ties) and equalities as well as inequalities, each in its section
-        space = CoordinateSpace("toy-observables", ("u", "v", "w"))
-        coeff = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6]))
-        form = st.builds(
-            lambda cs, k: AffineForm(space, tuple(cs), k),
-            st.lists(coeff, min_size=3, max_size=3), coeff,
-        )
-
-        def forms():
-            drawn = data.draw(st.lists(form, min_size=1, max_size=4))
-            drawn += data.draw(st.lists(st.sampled_from(drawn), max_size=2))
-            return tuple(data.draw(st.permutations(drawn)))
-
-        def constraints(relation):
-            con = st.builds(LinearConstraint, form, st.just(relation))
-            return tuple(data.draw(st.lists(con, max_size=4)))
-
-        bs = BoundSet(
-            scenario="toy",
-            target="t",
-            space=space,
-            lower_forms=forms(),
-            upper_forms=forms(),
-            observable_tests=constraints(Relation.GEQ),
-            trivial_tests=constraints(Relation.GEQ),
-            hull_equalities=constraints(Relation.EQ),
-        )
-        point = data.draw(st.one_of(_point(space.labels), st.just({"u": 0, "v": 0, "w": 0})))
+    @given(vs=vertex_sets(), data=st.data())
+    def test_fractional_forms_with_ties(self, vs, data):
+        # derived registry forms have integer coefficients; a random hull's have denominators
+        # where a facet's target coefficient is not +-1, and tie at a vertex's observable
+        # point, where several are tight; equalities as well as inequalities, each in its section
+        labels = vs.space.labels
+        ti = data.draw(st.integers(0, len(labels) - 1))
+        try:
+            bs = partition(facet_enumeration(vs), labels[ti])
+        except IdenticallyFalse:  # a coordinate fixed below 0
+            return
+        vertices = [dict(zip(bs.space.labels, v[:ti] + v[ti + 1:])) for v in vs.vertices]
+        point = data.draw(st.one_of(_point(bs.space.labels), st.sampled_from(vertices)))
         tol = data.draw(st.fractions(min_value=0, max_value=1, max_denominator=12))
         _assert_compiled_matches_reference(bs, point, tol)
         assert_prints_like_its_views(bs)
@@ -672,24 +657,6 @@ class TestCompiledEvaluation:
         for name in ("bivariate", "trivariate", "pairwise3"):
             assert evaluate_bounds(derive(name), bad).empty
             _assert_compiled_matches_reference(derive(name), bad)
-
-    def test_hand_built_tables_with_loose_values(self):
-        # Tables built without build_tables may hold ints, strings or
-        # floats; their cells are compiled at first use, where a value that
-        # is not a rational raises its own error, on both paths alike.
-        lipid = load("lipid")
-        for cell in (1, "1/2", "0.5", 0.5, "abc"):
-            tables = ObservedTables(
-                zeta=lipid.zeta,
-                gamma={**lipid.gamma, (1, 1): cell},
-                theta=lipid.theta,
-                phi=lipid.phi,
-                arm_weights=lipid.arm_weights,
-                decimal_input=lipid.decimal_input,
-            )
-            bs = derive("bivariate")
-            assert outcome(evaluate_bounds, bs, tables) == outcome(reference_interval, bs, tables)
-            assert outcome(model_check, bs, tables) == outcome(reference_report, bs, tables)
 
     def test_missing_used_label_is_named(self):
         bs = derive("bivariate")
@@ -705,15 +672,6 @@ class TestCompiledEvaluation:
         model_check(bs, load("vitamin-a"))
         assert vars(bs)["_rows"] is rows
 
-    def test_hand_built_rows_are_compiled_at_first_evaluation_and_kept(self):
-        built = derive("trivariate")
-        bs = BoundSet(**{name: getattr(built, name) for name in BoundSet._fields})
-        assert "_rows" not in vars(bs)
-        evaluate_bounds(bs, load("lipid"))
-        rows = vars(bs)["_rows"]
-        model_check(bs, load("vitamin-a"))
-        assert vars(bs)["_rows"] is rows == built._rows
-
 
 def _check_tables():
     """Exact, decimal, failing and inconsistent tables, with arm weights for every scenario."""
@@ -726,14 +684,12 @@ def _check_tables():
         zeta={"a1": ["1", "0", "0", "0"], "a2": ["0", "0", "1", "0"]},
         arm_weights=["1/2", "1/2"],
     ))
-    # hand built: gamma, theta and phi that contradict zeta, so hull equalities fail
-    inconsistent = ObservedTables(
-        zeta=exact.zeta,
-        gamma={**exact.gamma, (0, 1): Fraction(1, 2), (1, 1): Fraction(1, 2)},
-        theta={**exact.theta, (0, 1): exact.theta[(0, 1)] + Fraction(1, 7)},
-        phi={**exact.phi, (0, 0): exact.phi[(0, 0)] + Fraction(1, 7)},
-        arm_weights=exact.arm_weights,
-    )
+    # a label mapping: exact's values, but gamma, theta and phi contradict zeta, so hull
+    # equalities fail (tables that build_tables or load return never do)
+    labels = sorted({label for name in TARGETED for label in derive(name).space.labels})
+    point = observable_point(labels, exact)
+    inconsistent = {**point, "g01": Fraction(1, 2), "g11": Fraction(1, 2),
+                    "t01": point["t01"] + Fraction(1, 7), "p00": point["p00"] + Fraction(1, 7)}
     return {"exact": exact, "decimal": decimal, "failing": failing, "inconsistent": inconsistent}
 
 
@@ -922,80 +878,24 @@ class TestIntegerTables:
             assert packed.evaluate(xs) == [tuple(sum(map(mul, r, xs)) for r in g) for g in groups]
             assert 64 in packed._lanes  # lipid's point fits 64-bit lanes
 
-    def test_hand_built_tables_compile_their_cells_at_first_use(self):
-        lipid = derive_marginals(load("lipid"))
-        given = {n: getattr(lipid, n) for n in ObservedTables._fields}
-        hand = ObservedTables(**given)
-        assert "_cells" not in vars(hand)
-        assert hand == lipid and repr(hand) == repr(lipid)
-        assert _analysis(hand) == _analysis(lipid)
-        assert "_cells" in vars(hand) and all(getattr(hand, n) is given[n] for n in given)
-        # a cell that is not a rational raises its own error at first use
-        bad = ObservedTables(**{**given, "theta": {**lipid.theta, (0, 1): "abc"}})
-        assert outcome(beta_bounds, bad) == ("ValueError", "cannot parse 'abc' as a rational")
-
 
 # partition runs on a hull's integer rows; reference.partition is the Fraction
 # path it replaced (reduce each facet as an AffineForm, canonicalize, classify,
 # then move to the observable space). Both must agree exactly, exceptions included.
 
-# The strategies hand_built_hulls draws from, built once: building them on every draw
-# (st.fractions builds new ones on each of its own draws too) was most of the time its
-# 300 examples took. Rows are keyed by their width.
-_FRACTIONS = sorted({Fraction(n, d) for d in (1, 2, 3) for n in range(-2 * d, 2 * d + 1)})
-_fraction = st.sampled_from(_FRACTIONS)  # the rationals in [-2, 2] with denominator <= 3
-_coefficient = st.one_of(st.just(0), _fraction)
-_NONZERO = st.sampled_from([q for q in _FRACTIONS if q])
-_ROWS = {m: st.lists(_coefficient, min_size=m + 1, max_size=m + 1) for m in range(2, 6)}
-_DENSE = {m: st.lists(_fraction, min_size=m + 1, max_size=m + 1) for m in range(2, 6)}
-_INDEX = {n: st.integers(0, n) for n in range(7)}
-_SCALE = st.sampled_from([Fraction(n, 2) for n in range(2, 7)])  # in [1, 3], denominator <= 2
-_COIN = st.booleans()
-_FALSE_CONSTANT = st.integers(1, 3)
-
-
 @st.composite
-def hand_built_hulls(draw):
-    """An HRepresentation over 2-4 coordinates, maybe with alpha, from fractional rows; a
-    target; and the kinds of its rows, in the order drawn.
-
-    Equalities are sparse or dense. Facets mix arbitrary rows (some coefficient nonzero),
-    trivial ones (a positive multiple of one coordinate plus a multiple of an equality)
-    and identically false ones.
-    """
-    labels = [f"x{i}" for i in range(2 + draw(_INDEX[2]))]
-    if draw(_COIN):
-        labels.insert(draw(_INDEX[len(labels)]), "alpha")
-    space = CoordinateSpace("hand", tuple(labels))
-    m = len(labels)
-    equalities, facets, kinds = [], [], []
-    for _ in range(draw(_INDEX[2])):
-        dense = draw(_COIN)
-        equalities.append(draw((_DENSE if dense else _ROWS)[m]))
-        kinds.append("dense equality" if dense else "sparse equality")
-    for _ in range(draw(_INDEX[6])):
-        if draw(_COIN):
-            row = draw(_ROWS[m])
-            if not any(row[:-1]):  # an arbitrary facet names some coordinate
-                row[draw(_INDEX[m - 1])] = draw(_NONZERO)
-            kinds.append("arbitrary")
-        else:
-            row = [Fraction(0)] * (m + 1)
-            row[draw(_INDEX[m - 1])] = draw(_SCALE)
-            for eq in equalities:
-                t = draw(_coefficient)
-                row = [a + t * b for a, b in zip(row, eq)]
-            kinds.append("trivial")
-        facets.append(row)
-    if draw(_INDEX[4]) == 4:
-        facets.insert(draw(_INDEX[len(facets)]), [0] * m + [-draw(_FALSE_CONSTANT)])
-        kinds.append("identically false")
-
-    def cons(rows, relation):
-        return tuple(LinearConstraint(AffineForm(space, r[:-1], r[-1]), relation) for r in rows)
-
-    h = HRepresentation(space, cons(equalities, Relation.EQ), cons(facets, Relation.GEQ), m)
-    return h, [None, "alpha", *labels][draw(_INDEX[m + 1])], kinds
+def random_hulls(draw):
+    """The hull of a random vertex set, its labels maybe with alpha; a target, maybe None or
+    a label the hull lacks; and the kinds of the case, for the run to count."""
+    vs = draw(vertex_sets(draw(_COIN)))
+    h, labels = facet_enumeration(vs), vs.space.labels
+    target = draw(st.sampled_from([None, "alpha", *labels]))
+    kinds = {"no target" if target is None else "target" if target in labels else "absent target"}
+    fixed = fixed_values(vs)
+    kinds.add("fixed below 0" if any(x < 0 for x in fixed) else "fixed" if fixed else "free")
+    if target in labels and any(row[labels.index(target)] for row in h._rows[0][0]):
+        kinds.add("equality involving the target")
+    return h, target, kinds
 
 
 _VIEWS = ("lower_forms", "upper_forms", "observable_tests", "hull_equalities", "trivial_tests")
@@ -1018,16 +918,20 @@ def assert_prints_like_its_views(bs):
 
 def assert_matches_the_fraction_path(h, target):
     """partition equals reference.partition, exceptions included. An unread BoundSet
-    compares, hashes, prints and serialises like the reference's, and its rows are the
-    integer rows of its forms once they are built."""
+    compares, hashes and prints as the reference's fields do, it serialises as its
+    views do, and its rows are the integer rows of its forms once they are built."""
     expected = outcome(reference.partition, h, target)
-    if not isinstance(expected, BoundSet):
+    if isinstance(expected[0], str):  # raised: (type name, message)
         assert outcome(partition, h, target) == expected
         return
-    for compare in (lambda bs: bs, hash, repr, BoundSet.to_json_dict):
+    labels = tuple(label for label in h.space.labels if label != target)
+    space = CoordinateSpace(f"{h.space.name}-observables", labels)
+    fields = (h.space.name, target, space, *expected)
+    text = f"BoundSet({', '.join(f'{n}={v!r}' for n, v in zip(BoundSet._fields, fields))})"
+    for compare, want in ((BoundSet._key, fields), (hash, hash(fields)), (repr, text)):
         bs = partition(h, target)
         assert not set(_VIEWS) & vars(bs).keys()
-        assert compare(bs) == compare(expected)
+        assert compare(bs) == want
     assert_prints_like_its_views(partition(h, target))
     rows, den = bs._rows
     forms = [bs.lower_forms, bs.upper_forms]
@@ -1051,10 +955,11 @@ class TestIntegerPartition:
         assert classify_observable(h) == _reference_classify(h)
 
     def test_hand_built_hulls_match_the_fraction_path(self):
+        """On hulls of random vertex sets: facet_enumeration builds every hull there is."""
         kinds = Counter()
 
         @settings(max_examples=300, deadline=None)
-        @given(hand_built_hulls())
+        @given(random_hulls())
         def check(case):
             h, target, drawn = case
             kinds.update(drawn)
@@ -1066,6 +971,7 @@ class TestIntegerPartition:
                 )
 
         check()
-        # Every kind of row is drawn, over the run.
-        kinds_drawn = {"sparse equality", "dense equality", "arbitrary", "trivial", "identically false"}
+        # Every kind of case is drawn, over the run.
+        kinds_drawn = {"no target", "target", "absent target", "fixed below 0", "fixed", "free",
+                       "equality involving the target"}
         assert kinds.keys() == kinds_drawn, kinds

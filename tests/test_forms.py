@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import ivbounds
 import reference
-from ivbounds.bounds import BoundSet, ConstraintReport
+from ivbounds.bounds import ConstraintReport
 from ivbounds.forms import (
     AffineForm,
     CoordinateSpace,
@@ -27,6 +27,7 @@ from ivbounds.forms import (
     rational,
     render_row,
 )
+from ivbounds.polytope import VertexSet
 
 SPACE = CoordinateSpace("test", ("g01", "g02", "t01", "t02"))
 
@@ -332,7 +333,7 @@ def test_canonical_row_signs_equalities_and_rejects_void_rows():
 def test_a_view_is_not_a_default():
     # A field that is a view of the rows must still be passed to the constructor.
     with pytest.raises(TypeError, match="missing"):
-        BoundSet("s", None, SPACE, (), (), (), ())
+        VertexSet(SPACE)
     with pytest.raises(TypeError, match="missing"):
         ConstraintReport("s", Fraction(0), passed=True)
 

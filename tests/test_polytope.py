@@ -23,7 +23,7 @@ from ivbounds.forms import (
     constraint_from_row,
     format_rational,
 )
-from ivbounds.introws import integer_rows, primitive
+from ivbounds.introws import clear_denominators, integer_rows, primitive
 from ivbounds.scenarios import SCENARIOS, get_scenario, scenario_vertex_set
 from ivbounds.polytope import (
     DimensionOverflow,
@@ -237,8 +237,9 @@ def assert_exact_facets(vs, h):
     for facet in h.facets:
         on = [v for v in vs.vertices if facet.form.evaluate_vector(v) == 0]
         assert on and affine_rank(on) == h.affine_dimension
-    # facet_enumeration hands over its integer rows: they must be what the constraints compile to.
-    assert h._rows == HRepresentation(h.space, h.equalities, h.facets, h.affine_dimension)._rows
+    # facet_enumeration hands over its integer rows: they must be the integer rows of its views.
+    assert h._rows == integer_rows([[(*c.form.coefficients, c.form.constant) for c in g]
+                                    for g in (h.equalities, h.facets)])
 
 
 point_strategy = st.tuples(
@@ -339,52 +340,11 @@ def test_json_dict_is_integral():
         assert all(isinstance(v, int) for v in row)
 
 
-def test_json_dict_names_the_first_non_integer_row():
-    sp = space(2)
-    half = LinearConstraint(AffineForm(sp, (Fraction(1, 2), 0)), Relation.GEQ)
-    whole = LinearConstraint(AffineForm(sp, (1, 0)), Relation.GEQ)
-    line = LinearConstraint(AffineForm(sp, (0, 1), -1), Relation.EQ)
-    h = HRepresentation(sp, (line,), (whole, half), 1)
-    with pytest.raises(ValueError, match=r"^facet 1 has a non-integer coefficient: 1/2\*x0 >= 0$"):
-        h.to_json_dict()
-    third = LinearConstraint(AffineForm(sp, (0, 1), Fraction(-1, 3)), Relation.EQ)
-    with pytest.raises(ValueError, match=r"^equality 1 has a non-integer coefficient: x1 = 1/3$"):
-        HRepresentation(sp, (line, third), (whole, half), 1).to_json_dict()
-    assert HRepresentation(sp, (line,), (whole,), 1).to_json_dict()["facets"] == [[1, 0, 0]]
-
-
 def test_equalities_given_by_hand_must_be_equalities():
     sp = space(2)
     geq = LinearConstraint(AffineForm(sp, (1, 0)), Relation.GEQ)
     with pytest.raises(ValueError, match="^reduce_mod_equalities expects EQ constraints$"):
         reduce_mod_equalities(AffineForm(sp, (1, 1)), [geq])
-    with pytest.raises(ValueError, match="^HRepresentation equalities must be = constraints$"):
-        bounds.partition(HRepresentation(sp, (geq,), (geq,), 1))
-
-
-def test_bound_set_sections_given_by_hand_keep_their_relations():
-    """A section fixes its constraints' relation: a test is >= and a hull equality is =."""
-    sp = space(1)
-    eq = LinearConstraint(AffineForm(sp, (1,), -1), Relation.EQ)
-    geq = LinearConstraint(AffineForm(sp, (1,)), Relation.GEQ)
-    forms = (AffineForm(sp, (0,)),)
-    for tests, trivial, equalities, field, relation in (
-        ((eq,), (), (), "observable_tests", ">="),
-        ((), (eq,), (), "trivial_tests", ">="),
-        ((), (), (geq,), "hull_equalities", "="),
-    ):
-        with pytest.raises(ValueError, match=f"^BoundSet {field} must be {relation} constraints$"):
-            bounds.BoundSet("toy", "t", sp, forms, forms, tests, trivial, equalities)
-    bs = bounds.BoundSet("toy", "t", sp, forms, forms, (geq,), (geq,), (eq,))
-    assert not bounds.model_check(bs, {"x0": 2}).passed and bounds.model_check(bs, {"x0": 1}).passed
-
-
-def test_facets_given_by_hand_must_be_inequalities():
-    """An EQ facet was once read as >=: contains took a point off t = x as a member."""
-    sp = CoordinateSpace("tx", ("t", "x"))
-    on_diagonal = LinearConstraint(AffineForm(sp, (1, -1)), Relation.EQ)
-    with pytest.raises(ValueError, match="^HRepresentation facets must be >= constraints$"):
-        HRepresentation(sp, (), (on_diagonal,), 2)
 
 
 def reference_contains(h, point):
@@ -404,27 +364,11 @@ def outcome(contains, point):
         return type(exc), str(exc)
 
 
-positive_rational = st.fractions(min_value=Fraction(1, 9), max_value=5, max_denominator=9)
-
-
 @st.composite
 def hulls_and_points(draw):
-    """A registry hull (maybe with rational rows) and a point on, off or beside it."""
+    """A registry hull and a point on, off or beside it."""
     name = draw(st.sampled_from(list(SCENARIOS)))
     vs, h = scenario_vertex_set(name), scenario_hull(name)
-    if draw(st.booleans()):
-        # Positive multiples with denominators: the same polytope, non-integer rows.
-        factors = draw(st.lists(positive_rational, min_size=1, max_size=3))
-
-        def scaled(i, c):
-            f = factors[i % len(factors)]
-            form = AffineForm(c.form.space, [f * v for v in c.form.coefficients], f * c.form.constant)
-            return LinearConstraint(form, c.relation)
-
-        eqs, facets = (
-            tuple(scaled(i, c) for i, c in enumerate(cons)) for cons in (h.equalities, h.facets)
-        )
-        h = HRepresentation(h.space, eqs, facets, h.affine_dimension)
     weights = draw(st.lists(st.integers(0, 6), min_size=len(vs), max_size=len(vs)))
     weights[draw(st.integers(0, len(vs) - 1))] += 1
     point = [sum(w * x for w, x in zip(weights, col)) / sum(weights) for col in zip(*vs.vertices)]
@@ -534,35 +478,34 @@ def test_packed_count_at_the_top_row(n):
 
 
 # facet_enumeration hands partition the hull's triangular equalities and its
-# lifted facet rows as the reduced rows; a hand-built HRepresentation
-# eliminates and reduces afresh. Both must give the same rows and BoundSet.
+# lifted facet rows as the reduced rows; reduce_mod_equalities eliminates the
+# equality constraints afresh. Both must reduce every row alike.
 
 
-def handed_over_case(h, targets):
-    hand = HRepresentation(h.space, h.equalities, h.facets, h.affine_dimension)
+def reduced_row(form, equalities):
+    """The primitive integer row of reduce_mod_equalities(form, equalities)."""
+    reduced = reduce_mod_equalities(form, equalities)
+    return primitive(clear_denominators((*reduced.coefficients, reduced.constant))[0])
+
+
+def handed_over_case(h):
     assert {"_triangular", "_reduced"} <= vars(h).keys()
-    assert not {"_triangular", "_reduced"} & vars(hand).keys()
-    (_, facets), _ = h._rows
-    assert h._reduced == [primitive(hand._reduce(row)) for row in facets]
+    assert h._reduced == [reduced_row(c.form, h.equalities) for c in h.facets]
     m = h.space.dimension
     units = [(0,) * j + (1,) + (0,) * (m - j) for j in range(m + 1)]
-    assert [primitive(h._reduce(u)) for u in units] == [primitive(hand._reduce(u)) for u in units]
-    for target in targets:
-        got, expected = (outcome(lambda t: bounds.partition(x, t), target) for x in (h, hand))
-        assert got == expected
-        if isinstance(got, bounds.BoundSet):
-            assert bounds.partition(h, target)._rows == bounds.partition(hand, target)._rows
+    assert [primitive(h._reduce(u)) for u in units] == [
+        reduced_row(AffineForm(h.space, u[:-1], u[-1]), h.equalities) for u in units]
 
 
 @pytest.mark.parametrize("name", list(SCENARIOS))
 def test_handed_over_rows_match_a_fresh_reduction_on_registry_hulls(name):
-    handed_over_case(fresh_derivation(name)[0], (get_scenario(name).causal_target, None))
+    handed_over_case(fresh_derivation(name)[0])
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(integer_point_sets, embedded_point_sets(), degenerate_point_sets()))
 def test_handed_over_rows_match_a_fresh_reduction(vs):
-    handed_over_case(facet_enumeration(vs), (None, *vs.space.labels[:2]))
+    handed_over_case(facet_enumeration(vs))
 
 
 def test_a_polar_ray_with_no_linear_part_is_refused():
@@ -610,15 +553,15 @@ def test_derivation_leaves_facets_unbuilt_until_read(name):
 
 @pytest.mark.parametrize("name", list(SCENARIOS))
 def test_unbuilt_facets_compare_and_print_like_a_hand_built_hull(name):
+    """A hull whose views are unread compares, hashes and prints as one whose views are built."""
     built = scenario_hull(name)
-    hand = HRepresentation(built.space, built.equalities, built.facets, built.affine_dimension)
-    assert hand.facets is built.facets
+    built.facets, built.equalities  # builds both views
     lazy = facet_enumeration(scenario_vertex_set(name))
     assert "facets" not in vars(lazy)
-    assert repr(lazy) == repr(hand)
+    assert repr(lazy) == repr(built)
     lazy = facet_enumeration(scenario_vertex_set(name))
-    assert lazy == hand and hash(lazy) == hash(hand)
-    assert lazy._rows == hand._rows
+    assert lazy == built and hash(lazy) == hash(built)
+    assert lazy._rows == built._rows
 
 
 def vertex_set(name, with_target):
@@ -737,17 +680,17 @@ VIEWS = {
 @pytest.mark.parametrize("name", list(SCENARIOS))
 def test_derivation_leaves_every_view_unbuilt_until_read(name):
     vs = scenario_vertex_set(name)
-    hull, (h, bs) = affine_hull(vs), fresh_derivation(name)
-    for obj in (vs, hull, h, bs):
+    hull, (h, bs), twins = affine_hull(vs), fresh_derivation(name), fresh_derivation(name)
+    for obj, twin in zip((vs, hull, h, bs), (None, None, *twins)):
         views = VIEWS[type(obj)]
         assert not set(views) & vars(obj).keys()
         for view in views:
             built = getattr(obj, view)
             assert vars(obj)[view] is built and getattr(obj, view) is built
-        hand = type(obj)(**{field: getattr(obj, field) for field in obj._fields})
-        assert hand == obj and repr(hand) == repr(obj)
-        # A hand-built object compiles the same rows from its tuples (only
-        # affine_hull makes an AffineHull's rows, which facet_enumeration reads).
-        assert type(obj) is polytope.AffineHull or hand._rows == obj._rows
+        # The results' twins, unread, come from a second derivation; the others are built
+        # from the fields. A VertexSet so built compiles the same rows from its tuples.
+        twin = twin or type(obj)(**{field: getattr(obj, field) for field in obj._fields})
+        assert twin == obj and repr(twin) == repr(obj)
+        assert type(obj) is polytope.AffineHull or twin._rows == obj._rows
     assert vs == scenario_vertex_set(name) and len(vs) == len(vs.vertices)
     assert hull.equalities == h.equalities == scenario_hull(name).equalities

@@ -1,7 +1,10 @@
 """The value types share one frozen Record base that behaves as the frozen dataclasses did.
 
 The pinned reprs and hashes were produced by the ``@dataclass(frozen=True)``
-classes that Record replaced, on the same sample values.
+classes that Record replaced, on the same sample values. The result types
+(HRepresentation, BoundSet, ObservedTables) are returned by their builders
+only, so their samples, and the copies they are compared with, come from
+facet_enumeration, partition and build_tables.
 """
 
 import ast
@@ -15,11 +18,13 @@ from pathlib import Path
 import pytest
 
 import ivbounds
-from ivbounds.bounds import BoundSet, CheckEntry, ConstraintReport, InstrumentalReport, Interval
-from ivbounds.data import ObservedTables
+from ivbounds.bounds import (
+    BoundSet, CheckEntry, ConstraintReport, InstrumentalReport, Interval, partition
+)
+from ivbounds.data import ObservedTables, build_tables
 from ivbounds.forms import AffineForm, CoordinateSpace, LinearConstraint, Record, Relation
 from ivbounds.oracle import CrossCheckReport, MixtureLP, solve
-from ivbounds.polytope import VertexSet, affine_hull, facet_enumeration
+from ivbounds.polytope import HRepresentation, VertexSet, affine_hull, facet_enumeration
 from ivbounds.scenarios import ParameterPoint, get_scenario, parse_coordinate
 
 SRC = Path(ivbounds.__file__).parent
@@ -28,7 +33,14 @@ SPACE = CoordinateSpace("s", ("x", "y"))
 FORM = AffineForm(SPACE, (F(1), F(-1, 2)), F(3))
 CON = LinearConstraint(FORM, Relation.GEQ)
 VS = VertexSet.from_points(SPACE, [(0, 0), (1, 0), (0, 1)])
-HULL = facet_enumeration(VS)
+# Each result type's builder call; a second call makes an equal, unread copy.
+BUILDERS = {
+    "HRepresentation": lambda: facet_enumeration(VS),
+    "ObservedTables": lambda: build_tables(theta={"a1": ["1/2", "1/2"], "a2": ["1/3", "2/3"]},
+                                           arm_weights=["1/4", "3/4"], decimal_input=True),
+    "BoundSet": lambda: partition(facet_enumeration(VS), "y"),
+}
+HULL = BUILDERS["HRepresentation"]()
 ENTRY = CheckEntry("observable", 0, CON, F(-1, 4), False)
 LP = MixtureLP(columns=((F(1), F(1)), (F(0), F(1))), rhs=(F(1, 2), F(1)), objective=(F(1), F(-1)))
 
@@ -43,10 +55,8 @@ SAMPLES = [
     ParameterPoint(1, 0, F(1, 2), 1),
     parse_coordinate("z01.2"),
     get_scenario("beta"),
-    ObservedTables(
-        theta={(0, 1): F(1, 2), (1, 1): F(1, 2)}, arm_weights=(F(1, 4), F(3, 4)), decimal_input=True
-    ),
-    BoundSet("s", "y", SPACE, (FORM,), (FORM,), (CON,), (), ()),
+    BUILDERS["ObservedTables"](),
+    BUILDERS["BoundSet"](),
     Interval(F(-1, 2), F(1, 3), 0, 1, False),
     ENTRY,
     ConstraintReport("s", F(0), (ENTRY,), False),
@@ -63,6 +73,11 @@ _FORM = (
 )
 _CON = f"LinearConstraint(form={_FORM}, relation=<Relation.GEQ: '>='>)"
 _ENTRY = f"CheckEntry(section='observable', index=0, constraint={_CON}, slack=Fraction(-1, 4), passed=False)"
+_OBS = "CoordinateSpace(name='s-observables', labels=('x',))"
+
+
+def _obs_form(a: int, k: int) -> str:
+    return f"AffineForm(space={_OBS}, coefficients=(Fraction({a}, 1),), constant=Fraction({k}, 1))"
 
 
 def _facet(a: int, b: int, k: int) -> str:
@@ -100,12 +115,13 @@ PARENT_REPRS = {
     ),
     "ObservedTables": (
         "ObservedTables(zeta=None, gamma=None, theta={(0, 1): Fraction(1, 2), (1, 1): "
-        "Fraction(1, 2)}, phi=None, arm_weights=(Fraction(1, 4), Fraction(3, 4)), "
-        "decimal_input=True)"
+        "Fraction(1, 2), (0, 2): Fraction(1, 3), (1, 2): Fraction(2, 3)}, phi=None, "
+        "arm_weights=(Fraction(1, 4), Fraction(3, 4)), decimal_input=True)"
     ),
     "BoundSet": (
-        f"BoundSet(scenario='s', target='y', space={_SPACE}, lower_forms=({_FORM},), "
-        f"upper_forms=({_FORM},), observable_tests=({_CON},), trivial_tests=(), hull_equalities=())"
+        f"BoundSet(scenario='s', target='y', space={_OBS}, lower_forms=({_obs_form(0, 0)},), "
+        f"upper_forms=({_obs_form(-1, 1)},), observable_tests=(), trivial_tests=(LinearConstraint("
+        f"form={_obs_form(1, 0)}, relation=<Relation.GEQ: '>='>),), hull_equalities=())"
     ),
     "Interval": (
         "Interval(lower=Fraction(-1, 2), upper=Fraction(1, 3), lower_witness=0, "
@@ -171,7 +187,8 @@ def test_repr_matches_the_dataclass(record):
 @pytest.mark.parametrize("record", SAMPLES, ids=IDS)
 def test_eq_and_hash_match_the_dataclass(record):
     cls = type(record)
-    copy = cls(**_fields(record))
+    build = BUILDERS.get(cls.__name__)
+    copy = build() if build else cls(**_fields(record))
     assert copy == record and not copy != record
     assert record.__eq__(object()) is NotImplemented
     assert all(record != other for other in SAMPLES if type(other) is not cls)
@@ -213,11 +230,24 @@ def test_field_order_defaults_and_keywords():
     assert AffineForm(space=SPACE, coefficients=(1, 2)) == AffineForm(SPACE, (1, 2), 0)
 
 
+@pytest.mark.parametrize("cls, builders", [
+    (HRepresentation, "facet_enumeration"),
+    (BoundSet, "partition or derive"),
+    (ObservedTables, "load or build_tables or derive_marginals"),
+])
+def test_a_result_type_is_built_only_by_its_builders(cls, builders):
+    sample = BUILDERS[cls.__name__]()
+    for args, kwargs in (((), {}), ((), _fields(sample)), (tuple(_fields(sample).values()), {})):
+        with pytest.raises(TypeError, match=f"^{cls.__name__} is built only by {builders}$"):
+            cls(*args, **kwargs)
+
+
 def test_observed_tables_equality_ignores_decimal_input():
-    exact = ObservedTables(theta={(0, 1): F(1, 2)})
-    rounded = ObservedTables(theta={(0, 1): F(1, 2)}, decimal_input=True)
-    assert exact == rounded
-    assert exact != ObservedTables(theta={(0, 1): F(1, 3)})
+    theta = {"a1": ["1/2", "1/2"], "a2": ["1/2", "1/2"]}
+    exact = build_tables(theta=theta)
+    rounded = build_tables(theta=theta, decimal_input=True)
+    assert exact == rounded and rounded.decimal_input and not exact.decimal_input
+    assert exact != build_tables(theta={"a1": ["1/3", "2/3"], "a2": ["1/2", "1/2"]})
     with pytest.raises(TypeError):
         hash(exact)
 
