@@ -35,8 +35,7 @@ _EXPORTS = {
         "partition", "scenario_hull",
     ),
     "oracle": (
-        "CrossCheckReport", "LPResult", "MismatchError", "MixtureLP", "cross_check",
-        "oracle_interval", "solve",
+        "CrossCheckReport", "LPResult", "MismatchError", "MixtureLP", "cross_check", "solve",
     ),
 }
 _HOME = {name: f"{__name__}.{module}" for module, names in _EXPORTS.items() for name in names}

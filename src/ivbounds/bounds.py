@@ -129,7 +129,7 @@ def classify_observable(
     A facet is trivial when, modulo the hull equalities, it says nothing
     more than "some coordinate is nonnegative".
     """
-    parts = _classify(h, h._reduced)
+    parts = _classify(h, h._rows[0][1])
     return tuple(tuple(constraint_from_row(h.space, r, Relation.GEQ) for r in p) for p in parts)
 
 
@@ -162,7 +162,7 @@ def partition(h: HRepresentation, target: str | None = None) -> BoundSet:
     space = CoordinateSpace(f"{h.space.name}-observables", obs_labels)
 
     lower, upper, obs_only, equality = [], [], [], []
-    for row in h._reduced:
+    for row in h._rows[0][1]:  # the facet rows, reduced
         if ti is None or row[ti] == 0:
             obs_only.append(row)
         else:
@@ -220,10 +220,6 @@ class Interval(Record):
     upper_witness: int
     empty: bool
 
-    def __init__(self, lower, upper, lower_witness, upper_witness, empty):
-        self.__dict__.update(lower=lower, upper=upper, lower_witness=lower_witness,
-                             upper_witness=upper_witness, empty=empty)
-
 
 def evaluate_bounds(bs: BoundSet, data: ObservedTables | Mapping[str, RationalLike]) -> Interval:
     """Evaluate all bound forms at a data point and take max/min.
@@ -262,7 +258,8 @@ def interval_and_fit(
 def _interval(lows: Sequence[int], highs: Sequence[int], den: int = 1) -> Interval:
     """[max(lows), min(highs)], each over den > 0; ties keep the earliest form."""
     lo, hi = max(lows), min(highs)
-    return Interval(Fraction(lo, den), Fraction(hi, den), lows.index(lo), highs.index(hi), lo > hi)
+    return Interval._unbuilt(lower=Fraction(lo, den), upper=Fraction(hi, den),
+                             lower_witness=lows.index(lo), upper_witness=highs.index(hi), empty=lo > hi)
 
 
 def _numerators(

@@ -129,7 +129,8 @@ class Record:
     ``Name(field=value, ...)``. Setting or deleting an attribute raises
     AttributeError. ``__post_init__`` may still store normalised values with
     ``object.__setattr__``, and ``cached_property`` works as usual. Hot
-    classes define their own ``__init__`` that writes ``self.__dict__``.
+    builders skip the argument checks with ``_unbuilt``; only AffineForm, which
+    coerces its input, defines its own ``__init__``.
     A cached_property named like a field is not its default but a view (see ``_unbuilt``).
     A result type names the functions that return it in ``_built_by``; calling
     the class itself then raises TypeError, since only those functions build it.
@@ -272,9 +273,6 @@ class LinearConstraint(Record):
     form: AffineForm
     relation: Relation
 
-    def __init__(self, form: AffineForm, relation: Relation):
-        self.__dict__.update(form=form, relation=relation)
-
     def render(self) -> str:
         f = self.form
         row = clear_denominators((*f.coefficients, f.constant))
@@ -327,7 +325,7 @@ def constraint_from_row(
 ) -> LinearConstraint:
     """Canonical constraint row[:-1].x + row[-1] (= or >=) 0 from coprime integers."""
     row = canonical_row(row, relation)
-    return LinearConstraint(AffineForm(space, row[:-1], row[-1]), relation)
+    return LinearConstraint._unbuilt(form=AffineForm(space, row[:-1], row[-1]), relation=relation)
 
 
 def rows_view(group, relation: Relation | None = None) -> cached_property:

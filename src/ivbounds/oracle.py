@@ -253,15 +253,6 @@ def solve(lp: MixtureLP, sense: Literal["min", "max"] = "min") -> LPResult:
     return LPResult._unbuilt(status="optimal", value=value, _basic=(len(nums), s, basis, xs))
 
 
-def oracle_interval(
-    scenario: str | Scenario,
-    data: ObservedTables | Mapping[str, RationalLike],
-) -> tuple[LPResult, LPResult]:
-    """Exact LP minimum and maximum of the scenario's causal target."""
-    lp = MixtureLP.from_scenario(scenario, data)
-    return solve(lp, "min"), solve(lp, "max")
-
-
 class CrossCheckReport(Record):
     scenario: str
     target: str

@@ -10,10 +10,11 @@ incremental double description pass there, adding the rows in lexmin order
 Points and forms are exact rationals at the API; inside, everything runs on
 integer rows (see introws). The VertexSet, AffineHull and HRepresentation
 that derivation passes along hold only their rows (and the triangular
-equalities); their Fraction fields are views built on first read (a
-hand-built VertexSet keeps its tuple). Only facet_enumeration builds an
-HRepresentation. Rows are reduced modulo the equalities and tested for
-membership on ints (reduce_mod_equalities wraps the former).
+equalities); their Fraction fields are views built on first read. Only
+VertexSet.from_points and scenario_vertex_set build a VertexSet, and only
+facet_enumeration builds an HRepresentation. Rows are reduced modulo the
+equalities and tested for membership on ints (reduce_mod_equalities wraps
+the former).
 """
 
 from __future__ import annotations
@@ -47,30 +48,24 @@ MAX_COORDINATES = 16
 
 
 class VertexSet(Record):
-    """Deduplicated generating points of a polytope, in a fixed label order."""
+    """Deduplicated generating points of a polytope, in a fixed label order, held as the integer
+    rows _rows = ([points], d) over their least common denominator d > 0."""
+
+    _built_by = ("VertexSet.from_points", "scenario_vertex_set")
 
     space: CoordinateSpace
-    vertices: tuple[tuple[Fraction, ...], ...]  # a field; the cached_property below is its view
-
-    def __post_init__(self) -> None:
-        # Only hand-built sets get here; scenario_vertex_set's rows fit the space by construction.
-        vertices = tuple(map(self.space.vector, self.vertices))
-        if not vertices:
-            raise ValueError("a vertex set needs at least one point")
-        object.__setattr__(self, "vertices", vertices)
+    vertices: tuple[tuple[Fraction, ...], ...]  # a view of _rows
 
     @classmethod
     def from_points(cls, space: CoordinateSpace, points: Iterable[Mapping | Sequence]) -> "VertexSet":
         """The set of the distinct points, first seen first."""
-        return cls(space, tuple(dict.fromkeys(map(space.vector, points))))
+        points = list(dict.fromkeys(map(space.vector, points)))
+        if not points:
+            raise ValueError("a vertex set needs at least one point")
+        return cls._unbuilt(space=space, _rows=integer_rows([points]))
 
     def __len__(self) -> int:
         return len(self._rows[0][0])
-
-    @cached_property
-    def _rows(self) -> tuple[list[list[tuple[int, ...]]], int]:
-        """The vertices as integer rows over their least common denominator d > 0."""
-        return integer_rows([self.vertices])
 
     @cached_property
     def vertices(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -150,7 +145,7 @@ class MembershipReport(Record):
 
 class HRepresentation(Record):
     """Facet description of a bounded polytope inside its affine hull, with facet_enumeration's
-    integer rows: _rows (equalities, facets) over 1, and _reduced as partition reads them."""
+    integer rows: _rows (equalities, facets) over 1, the facets reduced as partition reads them."""
 
     _built_by = ("facet_enumeration",)
 
@@ -302,5 +297,5 @@ def facet_enumeration(vs: VertexSet) -> HRepresentation:
     # 0 on the equalities' trailing coordinates, the non-pivots: reduced, as partition reads it.
     rows = sorted(lift(ray + (0,)) for ray in rays)
     (equalities,), _ = hull._rows
-    return HRepresentation._unbuilt(space=vs.space, affine_dimension=hull.dimension, _reduced=rows,
+    return HRepresentation._unbuilt(space=vs.space, affine_dimension=hull.dimension,
                                     _rows=([equalities, rows], 1), _triangular=hull._triangular)

@@ -24,7 +24,7 @@ from ivbounds.bounds import (
 )
 from ivbounds.data import build_tables, load
 from ivbounds.forms import LinearConstraint, Relation, canonicalize, rational
-from ivbounds.oracle import oracle_interval
+from ivbounds.oracle import MixtureLP, solve
 from ivbounds.polytope import facet_enumeration, reduce_mod_equalities
 from ivbounds.scenarios import (
     SCENARIOS,
@@ -106,6 +106,12 @@ CONTRADICTION = {"a1": ["1", "0", "0", "0"], "a2": ["0", "0", "1", "0"]}
 def report(n: int, desc: str, ok: bool) -> None:
     print(f"ACCEPTANCE {n:02d}: {'PASS' if ok else 'FAIL'} - {desc}")
     assert ok, f"criterion {n} failed: {desc}"
+
+
+def oracle_interval(scenario, data):
+    """The exact LP minimum and maximum of the scenario's causal target at the data."""
+    lp = MixtureLP.from_scenario(scenario, data)
+    return solve(lp, "min"), solve(lp, "max")
 
 
 def reduced_keys(bs, forms):

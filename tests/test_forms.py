@@ -27,7 +27,7 @@ from ivbounds.forms import (
     rational,
     render_row,
 )
-from ivbounds.polytope import VertexSet
+from ivbounds.polytope import AffineHull
 
 SPACE = CoordinateSpace("test", ("g01", "g02", "t01", "t02"))
 
@@ -332,8 +332,8 @@ def test_canonical_row_signs_equalities_and_rejects_void_rows():
 
 def test_a_view_is_not_a_default():
     # A field that is a view of the rows must still be passed to the constructor.
-    with pytest.raises(TypeError, match="missing"):
-        VertexSet(SPACE)
+    with pytest.raises(TypeError, match=r"^AffineHull\(\) missing \['equalities'\]$"):
+        AffineHull(SPACE, dimension=0, pivots=())
     with pytest.raises(TypeError, match="missing"):
         ConstraintReport("s", Fraction(0), passed=True)
 

@@ -27,7 +27,6 @@ from ivbounds.oracle import (
     MismatchError,
     MixtureLP,
     cross_check,
-    oracle_interval,
     solve,
 )
 from ivbounds.scenarios import (
@@ -43,6 +42,12 @@ from sampling import pushed_outside, random_mixture, random_parameter_point
 
 def F(*args):
     return Fraction(*args)
+
+
+def oracle_interval(scenario, data):
+    """The exact LP minimum and maximum of the scenario's causal target at the data."""
+    lp = MixtureLP.from_scenario(scenario, data)
+    return solve(lp, "min"), solve(lp, "max")
 
 
 def lp(columns, rhs, objective):

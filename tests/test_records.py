@@ -2,9 +2,9 @@
 
 The pinned reprs and hashes were produced by the ``@dataclass(frozen=True)``
 classes that Record replaced, on the same sample values. The result types
-(HRepresentation, BoundSet, ObservedTables) are returned by their builders
-only, so their samples, and the copies they are compared with, come from
-facet_enumeration, partition and build_tables.
+(VertexSet, HRepresentation, BoundSet, ObservedTables) are returned by their
+builders only, so their samples, and the copies they are compared with, come
+from VertexSet.from_points, facet_enumeration, partition and build_tables.
 """
 
 import ast
@@ -32,14 +32,15 @@ SRC = Path(ivbounds.__file__).parent
 SPACE = CoordinateSpace("s", ("x", "y"))
 FORM = AffineForm(SPACE, (F(1), F(-1, 2)), F(3))
 CON = LinearConstraint(FORM, Relation.GEQ)
-VS = VertexSet.from_points(SPACE, [(0, 0), (1, 0), (0, 1)])
 # Each result type's builder call; a second call makes an equal, unread copy.
 BUILDERS = {
+    "VertexSet": lambda: VertexSet.from_points(SPACE, [(0, 0), (1, 0), (0, 1)]),
     "HRepresentation": lambda: facet_enumeration(VS),
     "ObservedTables": lambda: build_tables(theta={"a1": ["1/2", "1/2"], "a2": ["1/3", "2/3"]},
                                            arm_weights=["1/4", "3/4"], decimal_input=True),
     "BoundSet": lambda: partition(facet_enumeration(VS), "y"),
 }
+VS = BUILDERS["VertexSet"]()
 HULL = BUILDERS["HRepresentation"]()
 ENTRY = CheckEntry("observable", 0, CON, F(-1, 4), False)
 LP = MixtureLP(columns=((F(1), F(1)), (F(0), F(1))), rhs=(F(1, 2), F(1)), objective=(F(1), F(-1)))
@@ -167,14 +168,18 @@ def _fields(record: Record) -> dict:
     return {name: getattr(record, name) for name in record._fields}
 
 
-def test_every_record_class_has_a_sample():
-    classes = {
-        cls.__name__
+def _record_classes() -> set[type]:
+    return {
+        cls
         for module in vars(ivbounds).values()
         if getattr(module, "__name__", "").startswith("ivbounds.")
         for cls in vars(module).values()
         if isinstance(cls, type) and issubclass(cls, Record) and cls is not Record
     }
+
+
+def test_every_record_class_has_a_sample():
+    classes = {cls.__name__ for cls in _record_classes()}
     assert len(classes) == 19
     assert classes == set(IDS) == set(PARENT_REPRS)
 
@@ -231,6 +236,7 @@ def test_field_order_defaults_and_keywords():
 
 
 @pytest.mark.parametrize("cls, builders", [
+    (VertexSet, "VertexSet.from_points or scenario_vertex_set"),
     (HRepresentation, "facet_enumeration"),
     (BoundSet, "partition or derive"),
     (ObservedTables, "load or build_tables or derive_marginals"),
@@ -240,6 +246,18 @@ def test_a_result_type_is_built_only_by_its_builders(cls, builders):
     for args, kwargs in (((), {}), ((), _fields(sample)), (tuple(_fields(sample).values()), {})):
         with pytest.raises(TypeError, match=f"^{cls.__name__} is built only by {builders}$"):
             cls(*args, **kwargs)
+
+
+def test_every_named_builder_is_a_callable_of_the_package():
+    """The TypeError of a result type names its builders, so each name must be one to call."""
+    named = {cls.__name__: cls._built_by for cls in _record_classes() if cls._built_by}
+    assert sorted(named) == sorted(BUILDERS)
+    for names in named.values():
+        for name in names:
+            builder = ivbounds
+            for part in name.split("."):
+                builder = getattr(builder, part)
+            assert callable(builder), name
 
 
 def test_observed_tables_equality_ignores_decimal_input():
