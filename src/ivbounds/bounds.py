@@ -46,7 +46,7 @@ from .forms import (
 )
 from .introws import PackedRows, picker, primitive
 from .polytope import HRepresentation, facet_enumeration
-from .scenarios import Scenario, get_scenario, scenario_vertex_set
+from .scenarios import CACHE_SIZE, Scenario, get_scenario, scenario_vertex_set
 
 # zeta's labels as instrumental_inequality reads them: for each b, for each c, both arms.
 _ZETA_BY_B = tuple(f"z{c}{b}.{a}" for b in (0, 1) for c in (0, 1) for a in (1, 2))
@@ -190,9 +190,12 @@ def partition(h: HRepresentation, target: str | None = None) -> BoundSet:
 
 
 def _per_scenario(fn):
-    """Cache fn on the resolved Scenario, which fn is given: a name and its Scenario share one entry."""
-    cached = lru_cache(maxsize=None)(fn)
-    return wraps(fn)(lambda scenario, *a, **kw: cached(get_scenario(scenario), *a, **kw))
+    """Cache fn on the resolved Scenario, which fn is given: a name and its Scenario share one entry.
+    The cache holds CACHE_SIZE scenarios, least recently used out first; see cache_info()."""
+    cached = lru_cache(maxsize=CACHE_SIZE)(fn)
+    wrapper = wraps(fn)(lambda scenario, *a, **kw: cached(get_scenario(scenario), *a, **kw))
+    wrapper.cache_info = cached.cache_info
+    return wrapper
 
 
 @_per_scenario

@@ -16,8 +16,10 @@ load sets it when the file says so or when some string cell holds a "." or an
 exponent ("e" or "E"), which the one pass that parses the cells records.
 
 A study stays on integers from the moment a cell is parsed: ObservedTables
-holds every cell as a numerator over one common denominator (``_cells``),
-which validation, derive_marginals and integer_point (for bounds) read. Its
+holds every cell as a numerator over their least common denominator
+(``_cells``), which validation, derive_marginals and integer_point (for
+bounds) read; derive_marginals leaves its cells over theirs too, so deriving
+marginals does not widen the lanes that evaluating the study takes. Its
 Fraction dicts are views built on first read. It is an output only: load,
 build_tables and derive_marginals return it validated, and a direct call
 raises TypeError, so no table reaches a bound unchecked.
@@ -28,14 +30,14 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import gcd, lcm
 from collections.abc import Mapping
 from pathlib import Path
 from typing import Sequence
 
 from .forms import RationalLike, Record, format_ratio, ratio, rational
 from .introws import picker
-from .scenarios import parse_coordinate
+from .scenarios import CACHE_SIZE, parse_coordinate
 
 _ZERO = Fraction(0)
 
@@ -129,6 +131,12 @@ def _common(pairs: Sequence[tuple[int, int] | None]) -> tuple[tuple[int | None, 
     """Reduced pairs (n, d), or None, as numerators over their least common denominator."""
     den = lcm(*[p[1] for p in pairs if p is not None])
     return tuple([None if p is None else p[0] * (den // p[1]) for p in pairs]), den
+
+
+def _lowest(nums: Sequence[int | None], den: int) -> tuple[list[int | None], int]:
+    """Numerators (or None) over den > 0 as numerators over their least common denominator."""
+    g = gcd(den, *filter(None, nums))
+    return [n and n // g for n in nums], den // g
 
 
 def _implied(nums: Sequence[int | None], den: int) -> list[int]:
@@ -266,8 +274,9 @@ def load(source: str | Path) -> ObservedTables:
     build_tables validates; decimal_input is the file's flag or any decimal or exponent cell."""
     if isinstance(source, str) and not source.strip():  # Path('') would read '.'
         raise ParseError(f"data source {source!r} names no file or dataset")
-    bundled = isinstance(source, str) and source in BUNDLED_DATASETS
-    path = Path(__file__).parent / "datasets" / f"{source}.json" if bundled else Path(source)
+    if isinstance(source, str) and source in BUNDLED_DATASETS:
+        source = Path(__file__).parent / "datasets" / f"{source}.json"
+    path = source if isinstance(source, Path) else Path(source)
     try:
         with open(path, encoding="utf-8-sig") as file:
             text = file.read()
@@ -300,10 +309,15 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return out
 
 
+# One decoder for every load; keeping float literals as their source text preserves exactness.
+_DECODER = json.JSONDecoder(parse_float=str, object_pairs_hook=_unique_keys)
+
+
 def _parse_json(text: str):
     try:
-        # Keeping float literals as their source text preserves exactness.
-        return json.loads(text, parse_float=str, object_pairs_hook=_unique_keys)
+        if text.startswith("\ufeff"):  # json.loads's own check, which decode skips
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except ParseError:
         raise
     except (ValueError, RecursionError) as exc:  # also an integer past int's digit limit
@@ -349,17 +363,15 @@ def derive_marginals(t: ObservedTables) -> ObservedTables:
     Explicitly provided tables are never overwritten, so the operation is
     idempotent. Without arm weights phi stays None: no equal-weight
     default is assumed. The implied cells are computed on the integer
-    cells; an implied phi puts them all over the square of the denominator.
+    cells over the square of the denominator, and all of them leave over
+    their least common denominator, as load leaves them.
     """
     nums, den = t._cells
     if nums[0] is None:
         raise ValidationError("cannot derive marginals without a zeta table")
     fill = {i: n for i, n in enumerate(_implied(nums, den), 8) if nums[i] is None}
-    if any(i >= _FIRST["phi"] for i in fill):
-        nums, den = tuple(fill.get(i, n and n * den) for i, n in enumerate(nums)), den * den
-    else:
-        nums = tuple(fill[i] // den if i in fill else n for i, n in enumerate(nums))
-    return ObservedTables._unbuilt(_cells=(nums, den), decimal_input=t.decimal_input)
+    nums, den = _lowest([fill.get(i, n and n * den) for i, n in enumerate(nums)], den * den)
+    return ObservedTables._unbuilt(_cells=(tuple(nums), den), decimal_input=t.decimal_input)
 
 
 def observable_point(
@@ -386,11 +398,12 @@ def integer_point(
 ) -> tuple[list[int], int, list[int]]:
     """observable_point's values at ``labels`` as integers over one d > 0, and the absent ones.
 
-    Tables are read from their integer cells, over their denominator (its
-    square with an x-label); they raise as observable_point does. Every
-    value of a plain mapping is parsed, so it raises as observable_point
-    does too; those at ``labels`` go over their least common denominator,
-    and a label it lacks is 0 in the list and its position is listed.
+    Tables are read from their integer cells, over their denominator (with an
+    x-label, a zeta cell times an arm weight, over the least common one); they
+    raise as observable_point does. Every value of a plain mapping is parsed,
+    so it raises as observable_point does too; those at ``labels`` go over
+    their least common denominator, and a label it lacks is 0 in the list and
+    its position is listed.
     """
     if not isinstance(data, ObservedTables):
         point = {k: ratio(v) for k, v in data.items()}
@@ -403,7 +416,7 @@ def integer_point(
             return list(values), den, []
         if nums[_FIRST["arm_weights"]] is not None:
             xs = [v * (den if w is None else nums[w]) for v, w in zip(values, pick[1])]
-            return xs, den * den, []
+            return (*_lowest(xs, den * den), [])
     for label in labels:  # some label has no table rule or no table: the first one raises
         rule = _table_rule(label)
         if rule is None:
@@ -415,7 +428,7 @@ def integer_point(
             raise MissingArmWeights(f"coordinate {label} needs arm weights")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _picker(labels: tuple[str, ...]) -> tuple | None:
     """(getter of the labels' cells, their arm weight slots or () without x-labels); None
     if some label has no table rule, for integer_point to name the first in order."""

@@ -29,7 +29,7 @@ from .bounds import TargetUnconstrained, derive, interval_and_fit
 from .data import ObservedTables, integer_point
 from .forms import MissingCoordinate, RationalLike, Record, rational
 from .introws import Lanes, PackedRows, clear_denominators, pivot_packed, rref
-from .scenarios import Scenario, get_scenario, scenario_vertex_set
+from .scenarios import CACHE_SIZE, Scenario, get_scenario, scenario_vertex_set
 
 _ZERO = Fraction(0)
 
@@ -176,7 +176,7 @@ class MixtureLP(Record):
         return (rows, rhs), basis, s
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _scenario_lp(s: Scenario) -> MixtureLP:
     """A targeted scenario's LP at rhs 0 from its integer vertex rows; from_scenario shares it."""
     (points,), d = scenario_vertex_set(s)._rows

@@ -32,6 +32,10 @@ from typing import Sequence
 from .forms import CoordinateSpace, Record, rational
 from .polytope import VertexSet
 
+# Entries each cache keyed on a scenario or its labels holds (here, in bounds, oracle and
+# data), least recently used out first: room for the registry's five and a sweep's latest.
+CACHE_SIZE = 128
+
 _ZERO = Fraction(0)
 
 
@@ -227,7 +231,7 @@ def _response_types(s: Scenario) -> list[tuple[int, ...]]:
     return list(itertools.product(*[(0, 1)] * 4, (0, 1) if s.uses_psi else (0,)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _type_images(s: Scenario) -> tuple[tuple[int, ...], ...]:
     """Each response type's integer image on the labels, in type order, built by column (cached)."""
     types = _response_types(s)

@@ -10,6 +10,7 @@ derivation happens to print.
 
 import inspect
 import json
+import random
 import tempfile
 from collections import Counter
 from fractions import Fraction
@@ -877,6 +878,26 @@ class TestIntegerTables:
             groups = [bs._rows[0][name] for name in names]
             assert packed.evaluate(xs) == [tuple(sum(map(mul, r, xs)) for r in g) for g in groups]
             assert 64 in packed._lanes  # lipid's point fits 64-bit lanes
+
+    @pytest.mark.parametrize("name", ["pairwise3", "fig3"])
+    def test_exact_weighted_study_evaluates_in_64_bit_lanes(self, name):
+        """zeta over about 3 * 10**9, as in the benchmark's exact weighted studies. An implied phi
+        (pairwise3) and an x-label, zeta times an arm weight (fig3), once put the point over the
+        square of that denominator, which took 128- and 192-bit lanes."""
+        unit, rng = 3_188_780_872, random.Random(7)
+        zeta = {}
+        for arm in ("a1", "a2"):
+            cuts = sorted(rng.randint(0, unit) for _ in range(3))
+            zeta[arm] = [f"{b - a}/{unit}" for a, b in zip([0, *cuts], [*cuts, unit])]
+        raw = {"zeta": zeta, "arm_weights": ["200/401", "201/401"]}
+        tables = derive_marginals(build_tables(**raw))
+        filled = reference.derive_marginals(reference.tables(raw, False))
+        bs = derive.__wrapped__(get_scenario(name))  # a fresh BoundSet: its lanes are packed here
+        point = reference.point(bs.space.labels, filled)
+        assert model_check(bs, tables) == reference_report(bs, point)
+        if bs.target is not None:
+            assert evaluate_bounds(bs, tables) == reference_interval(bs, point)
+        assert bs._packed and {w for p in bs._packed.values() for w in p._lanes} == {64}
 
 
 # partition runs on a hull's integer rows; reference.partition is the Fraction

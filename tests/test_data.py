@@ -2,8 +2,11 @@
 
 import codecs
 import json
+import random
 from fractions import Fraction
 from importlib import resources
+from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -471,6 +474,50 @@ class TestLoadCsv:
             load(self.write(tmp_path, rows + [rows[0]]))
 
 
+def _json_loads_error(text: str) -> str:
+    try:
+        json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        return f"invalid JSON: {exc}"
+    raise AssertionError("json.loads accepted the text")
+
+
+@pytest.mark.parametrize("data, message", [
+    (b'{"theta": {"a1": ["1", "0"], "a2": ["1", "0"], "a1": ["0", "1"]}}', "repeated JSON key 'a1'"),
+    (b"{nope", _json_loads_error("{nope")),
+    (b"", _json_loads_error("")),
+    (codecs.BOM_UTF8 * 2 + b'{"zeta": {}}',
+     "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    (b"[" * 100_000 + b"]" * 100_000, _json_loads_error("[" * 100_000 + "]" * 100_000)),
+], ids=["repeated key", "invalid", "empty", "two byte-order marks", "nested too deep"])
+def test_json_errors_are_worded_as_json_loads_words_them(tmp_path, data, message):
+    """load decodes with one decoder, which skips json.loads's own byte-order-mark check; a
+    file given as a Path or as its name fails with the same text."""
+    path = tmp_path / "t.json"
+    path.write_bytes(data)
+    for source in (path, str(path)):
+        with pytest.raises(ParseError) as exc:
+            load(source)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("name", ["cli/digits40.json", "cli/lipid-zeta.csv", "missing.json"])
+def test_a_path_and_its_name_load_alike(name):
+    """load reads a Path as given, where it once built a copy: the same tables, the same error."""
+    path = Path(__file__).parent / "golden" / name
+    results = []
+    for source in (path, str(path)):
+        try:
+            results.append(load(source))
+        except ParseError as exc:
+            results.append(str(exc))
+    assert results[0] == results[1]
+    if name == "missing.json":
+        assert results[0] == f"cannot read {path}: [Errno 2] No such file or directory: '{path}'"
+    else:
+        assert results[0].decimal_input is results[1].decimal_input
+
+
 @pytest.mark.parametrize("suffix", [".json", ".csv"])
 def test_byte_order_mark_is_dropped(tmp_path, suffix):
     """Spreadsheets save UTF-8 with a leading byte-order mark, which was once refused."""
@@ -513,6 +560,56 @@ class TestDeriveMarginals:
     def test_requires_zeta(self):
         with pytest.raises(ValidationError, match="zeta"):
             derive_marginals(build_tables(theta={"a1": ["1", "0"], "a2": ["0", "1"]}))
+
+
+def _seeded_study(rng: random.Random, decimal: bool, weighted: bool, explicit: bool) -> dict:
+    """A consistent study's JSON-shaped tables: zeta rows over 1000 (decimal) or over a
+    denominator near 3 * 10**9 (exact), arm weights in tenths or over 401, and, if explicit,
+    the gamma, theta and phi that zeta implies."""
+    unit = 1000 if decimal else rng.randint(10**9, 4 * 10**9)
+    zeta = {}
+    for arm in ("a1", "a2"):
+        cuts = sorted(rng.randint(0, unit) for _ in range(3))
+        zeta[arm] = [Fraction(b - a, unit) for a, b in zip([0, *cuts], [*cuts, unit])]
+    tables = {"zeta": zeta}
+    if weighted:
+        w1 = Fraction(rng.randint(3, 7), 10) if decimal else Fraction(rng.randint(150, 250), 401)
+        tables["arm_weights"] = [w1, 1 - w1]
+    if explicit:
+        tables["gamma"] = {k: [r[0] + r[1], r[2] + r[3]] for k, r in zeta.items()}
+        tables["theta"] = {k: [r[0] + r[2], r[1] + r[3]] for k, r in zeta.items()}
+        if weighted:
+            tables["phi"] = [x * w1 + y * (1 - w1) for x, y in zip(zeta["a1"], zeta["a2"])]
+    def spell(q: Fraction) -> str:
+        return _spell(q, "decimal")[1] if decimal else f"{q.numerator}/{q.denominator}"
+
+    return {name: {k: list(map(spell, r)) for k, r in t.items()} if isinstance(t, dict)
+            else list(map(spell, t)) for name, t in tables.items()}
+
+
+_TABLES = ("zeta", "gamma", "theta", "phi", "arm_weights")
+
+
+@pytest.mark.parametrize("decimal", [False, True], ids=["exact", "decimal"])
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("explicit", [False, True], ids=["implied", "explicit"])
+def test_tables_keep_their_cells_over_the_least_common_denominator(tmp_path, decimal, weighted, explicit):
+    """An implied phi once left derive_marginals's cells over the square of the denominator,
+    which put every evaluation of an exact weighted study into 128-bit lanes."""
+    rng = random.Random(f"{decimal}{weighted}{explicit}")
+    for _ in range(25):
+        raw = _seeded_study(rng, decimal, weighted, explicit)
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        loaded = load(path)
+        assert loaded == build_tables(**raw) and loaded.decimal_input is decimal
+        derived = derive_marginals(loaded)
+        for tables in (loaded, derived):
+            nums, den = tables._cells
+            assert gcd(den, *filter(None, nums)) == 1
+        # The Fraction views are the reference's, which sums zeta times weight in Fractions.
+        filled = reference.derive_marginals(reference.tables(raw, decimal))
+        assert {n: getattr(derived, n) for n in _TABLES} == {n: filled.get(n) for n in _TABLES}
 
 
 # lipid with zeta-derived marginals, at every observable label of the
